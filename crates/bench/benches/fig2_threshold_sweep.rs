@@ -18,9 +18,9 @@ fn bench(c: &mut Criterion) {
     let mut ctx = bench_context(DatasetKind::Mnist);
     let epochs = ExperimentScale::Tiny.retrain_epochs();
 
-    // Regenerate the figure series as a campaign plan (the historical seed
+    // Regenerate the figure series as a campaign plan (the figure's seed
     // mixer keeps the drawn chips — and the series — identical to the
-    // pre-campaign driver's recorded output).
+    // `reproduce` binary's output).
     let run = Campaign::new(&mut ctx)
         .axis(Axis::FaultRate(vec![0.30, 0.60]))
         .axis(Axis::Threshold(vec![0.45, 0.55, 0.7, 1.0]))

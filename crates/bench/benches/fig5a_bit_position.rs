@@ -18,8 +18,8 @@ fn bench(c: &mut Criterion) {
     let msb = ctx.systolic_config().accumulator_format().msb();
     let vuln = ctx.scale().vulnerability_config();
 
-    // Historical seed + mixer: the drawn maps (and series) match the
-    // pre-campaign driver's recorded output.
+    // The figure's seed + mixer: the drawn maps (and series) match the
+    // `reproduce` binary's output.
     let run = Campaign::new(&mut ctx)
         .axis(Axis::Polarity(StuckAt::ALL.to_vec()))
         .axis(Axis::BitPosition(vec![0, 4, 8, 12, msb]))

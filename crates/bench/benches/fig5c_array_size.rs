@@ -15,8 +15,8 @@ use std::time::Duration;
 fn bench(c: &mut Criterion) {
     let mut ctx = bench_context(DatasetKind::Mnist);
     let vuln = ctx.scale().vulnerability_config();
-    // Historical seed + mixer: the drawn maps (and series) match the
-    // pre-campaign driver's recorded output.
+    // The figure's seed + mixer: the drawn maps (and series) match the
+    // `reproduce` binary's output.
     let run = Campaign::new(&mut ctx)
         .axis(Axis::ArraySize(vec![4, 8, 16, 32]))
         .axis(Axis::FaultyPes(vec![4]))

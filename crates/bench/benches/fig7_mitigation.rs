@@ -18,7 +18,7 @@ use std::time::Duration;
 fn bench(c: &mut Criterion) {
     let mut ctx = bench_context(DatasetKind::Mnist);
     let epochs = ExperimentScale::Tiny.retrain_epochs();
-    // Historical seed mixer: the drawn chips match the pre-campaign driver.
+    // The figure's seed mixer: the drawn chips match `reproduce`.
     let run = Campaign::new(&mut ctx)
         .axis(Axis::FaultRate(vec![0.10, 0.30, 0.60]))
         .axis(Axis::Mitigation(vec![

@@ -17,7 +17,7 @@ use std::time::Duration;
 fn bench(c: &mut Criterion) {
     let mut ctx = bench_context(DatasetKind::Mnist);
     let epochs = ExperimentScale::Tiny.retrain_epochs();
-    // Historical seed mixer: the drawn chip matches the pre-campaign driver.
+    // The figure's seed mixer: the drawn chip matches `reproduce`.
     let run = Campaign::new(&mut ctx)
         .axis(Axis::FaultRate(vec![0.30]))
         .axis(Axis::Mitigation(vec![

@@ -5,14 +5,20 @@
 //!     [--dataset mnist|nmnist|dvs|all] [--scale tiny|quick|full]
 //! ```
 //!
-//! Defaults: `--fig all --dataset mnist --scale tiny`. The measured series
-//! recorded in `EXPERIMENTS.md` were produced by this binary.
+//! Defaults: `--fig all --dataset mnist --scale tiny`. An unknown flag, an
+//! unknown value or a missing value prints the usage to stderr and exits
+//! with status 2 before any dataset is generated.
 
 use falvolt::campaign::{Axis, Campaign};
 use falvolt::experiment::{DatasetKind, ExperimentContext, ExperimentScale};
 use falvolt::mitigation::MitigationStrategy;
 use falvolt_bench::{pct, print_series};
 use falvolt_systolic::StuckAt;
+
+const USAGE: &str = "usage: reproduce [--fig all|2|5a|5b|5c|6|7|8] \
+[--dataset mnist|nmnist|dvs|all] [--scale tiny|quick|full]";
+
+const FIGURES: [&str; 8] = ["all", "2", "5a", "5b", "5c", "6", "7", "8"];
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -21,54 +27,38 @@ struct Options {
     scale: ExperimentScale,
 }
 
-fn parse_args() -> Options {
-    let mut figures = vec!["all".to_string()];
-    let mut datasets = vec![DatasetKind::Mnist];
-    let mut scale = ExperimentScale::Tiny;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fig" if i + 1 < args.len() => {
-                figures = vec![args[i + 1].to_lowercase()];
-                i += 2;
+/// Parses the command line; `Err` carries the message printed above the
+/// usage line.
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        figures: vec!["all".to_string()],
+        datasets: vec![DatasetKind::Mnist],
+        scale: ExperimentScale::Tiny,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = match flag.as_str() {
+            "--fig" | "--dataset" | "--scale" => args
+                .next()
+                .ok_or_else(|| format!("{flag} needs a value"))?
+                .to_lowercase(),
+            other => return Err(format!("unknown argument '{other}'")),
+        };
+        match (flag.as_str(), value.as_str()) {
+            ("--fig", fig) if FIGURES.contains(&fig) => options.figures = vec![value],
+            ("--dataset", "mnist") => options.datasets = vec![DatasetKind::Mnist],
+            ("--dataset", "nmnist") => options.datasets = vec![DatasetKind::NMnist],
+            ("--dataset", "dvs" | "dvs-gesture") => {
+                options.datasets = vec![DatasetKind::DvsGesture];
             }
-            "--dataset" if i + 1 < args.len() => {
-                datasets = match args[i + 1].to_lowercase().as_str() {
-                    "mnist" => vec![DatasetKind::Mnist],
-                    "nmnist" => vec![DatasetKind::NMnist],
-                    "dvs" | "dvs-gesture" => vec![DatasetKind::DvsGesture],
-                    "all" => DatasetKind::ALL.to_vec(),
-                    other => {
-                        eprintln!("unknown dataset '{other}', using mnist");
-                        vec![DatasetKind::Mnist]
-                    }
-                };
-                i += 2;
-            }
-            "--scale" if i + 1 < args.len() => {
-                scale = match args[i + 1].to_lowercase().as_str() {
-                    "tiny" => ExperimentScale::Tiny,
-                    "quick" => ExperimentScale::Quick,
-                    "full" => ExperimentScale::Full,
-                    other => {
-                        eprintln!("unknown scale '{other}', using tiny");
-                        ExperimentScale::Tiny
-                    }
-                };
-                i += 2;
-            }
-            other => {
-                eprintln!("ignoring unknown argument '{other}'");
-                i += 1;
-            }
+            ("--dataset", "all") => options.datasets = DatasetKind::ALL.to_vec(),
+            ("--scale", "tiny") => options.scale = ExperimentScale::Tiny,
+            ("--scale", "quick") => options.scale = ExperimentScale::Quick,
+            ("--scale", "full") => options.scale = ExperimentScale::Full,
+            (flag, value) => return Err(format!("unknown {flag} value '{value}'")),
         }
     }
-    Options {
-        figures,
-        datasets,
-        scale,
-    }
+    Ok(options)
 }
 
 fn wants(options: &Options, figure: &str) -> bool {
@@ -76,7 +66,11 @@ fn wants(options: &Options, figure: &str) -> bool {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let options = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("reproduce: {message}\n{USAGE}");
+        std::process::exit(2);
+    });
     println!("FalVolt reproduction harness");
     println!(
         "datasets: {:?}, scale: {:?}, figures: {:?}",
@@ -98,10 +92,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let vuln = options.scale.vulnerability_config();
         let msb = ctx.systolic_config().accumulator_format().msb();
 
-        // Every plan installs the historical per-figure seed mixer (and, for
-        // the Figure 5 sweeps, the vulnerability seed), so the fault maps —
-        // and therefore the printed series — are identical to the
-        // pre-campaign drivers' recorded output.
+        // Every plan installs its figure's seed mixer from
+        // `campaign::mixers` (and, for the Figure 5 sweeps, the
+        // vulnerability seed). tests/golden_figures.rs pins the same plans,
+        // at smaller sizes, bit for bit.
         if wants(&options, "2") {
             println!("\n--- Figure 2: fixed-threshold retraining sweep ---");
             let run = Campaign::new(&mut ctx)

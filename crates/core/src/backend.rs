@@ -65,9 +65,9 @@ impl SystolicBackend {
     }
 
     /// Starts a [`SystolicBackendBuilder`] — the single configuration entry
-    /// that replaced the `shared_with_cache` / `shared_with_options`
-    /// constructor family. Defaults match [`SystolicBackend::new`]: faults
-    /// active (no bypass), no product cache, composed mask chains.
+    /// for caches and execution strategies. Defaults match
+    /// [`SystolicBackend::new`]: faults active (no bypass), no product cache,
+    /// composed mask chains.
     ///
     /// # Example
     ///
@@ -96,49 +96,14 @@ impl SystolicBackend {
         }
     }
 
-    /// [`SystolicBackend::shared`] with a sweep-shared clean-product cache
-    /// installed: scenario workers holding the same cache `Arc` compute each
-    /// distinct activation matrix's fault-free (clean-column) product once
-    /// and share it — fault-free columns cannot depend on the fault map, so
-    /// sweep results stay bit-identical.
-    #[deprecated(note = "use SystolicBackend::builder(..).product_cache(..).shared()")]
-    pub fn shared_with_cache(
-        config: SystolicConfig,
-        fault_map: FaultMap,
-        cache: Arc<ProductCache>,
-    ) -> Arc<dyn MatmulBackend> {
-        Self::builder(config, fault_map)
-            .product_cache(cache)
-            .shared()
-    }
-
-    /// Fully explicit constructor for benchmarks and equivalence tests:
-    /// chooses the mask-chain mode (composed vs full replay) and optionally
-    /// installs a product cache. `composed_chains = false` with no cache is
-    /// the PR 2 engine.
-    #[deprecated(note = "use SystolicBackend::builder(..) and its options")]
-    pub fn shared_with_options(
-        config: SystolicConfig,
-        fault_map: FaultMap,
-        cache: Option<Arc<ProductCache>>,
-        composed_chains: bool,
-    ) -> Arc<dyn MatmulBackend> {
-        let mut builder = Self::builder(config, fault_map).composed_mask_chains(composed_chains);
-        if let Some(cache) = cache {
-            builder = builder.product_cache(cache);
-        }
-        builder.shared()
-    }
-
     /// The underlying executor.
     pub fn executor(&self) -> &SystolicExecutor {
         &self.executor
     }
 }
 
-/// Builder for [`SystolicBackend`], folding the former constructor
-/// proliferation (`shared_with_cache`, `shared_with_options`) into one entry
-/// with optional cache and execution-strategy options.
+/// Builder for [`SystolicBackend`]: one entry with optional cache and
+/// execution-strategy options.
 #[derive(Debug)]
 pub struct SystolicBackendBuilder {
     config: SystolicConfig,

@@ -1,14 +1,13 @@
 //! Declarative sweep campaigns: one scheduler for every figure-style sweep.
 //!
 //! The paper's results are all sweeps — fault-rate × threshold, bit
-//! position, faulty-PE count, array size, mitigation strategy. Before this
-//! module each sweep was its own driver function with hand-threaded caches,
-//! fault-map pools and scenario fan-out; a [`Campaign`] replaces them with a
-//! plan built from typed [`Axis`] values, whose single scheduler owns
+//! position, faulty-PE count, array size, mitigation strategy. Each figure
+//! is a [`Campaign`]: a plan built from typed [`Axis`] values, whose single
+//! scheduler owns
 //!
 //! * **per-cell seed mixing** (a pluggable [`Campaign::seed_mixer`]; the
-//!   default hashes the cell's fault-drawing parameters, the legacy drivers
-//!   install their historical formulas so drawn maps are unchanged),
+//!   default hashes the cell's fault-drawing parameters, the paper figures
+//!   install the per-figure formulas in [`mixers`]),
 //! * **fault-map pools**: cells whose fault-drawing parameters *and* mixed
 //!   seed agree share one sequentially drawn pool — e.g. the strategies of
 //!   one fault rate retrain against the same chip, drawn once per rate,
@@ -46,7 +45,7 @@
 //!     println!("{} faulty PEs -> {:.1}%",
 //!         cell.spec.faulty_pes.unwrap_or(0), cell.accuracy * 100.0);
 //! }
-//! let table = run.into_table(); // serde-serializable
+//! let table = run.into_table(); // plain-data rows, in plan order
 //! assert_eq!(table.axes, vec!["faulty_pes".to_string()]);
 //! # Ok(())
 //! # }
@@ -1027,8 +1026,9 @@ impl<'a> IntoIterator for &'a CampaignRun {
     }
 }
 
-/// The serde-serializable flat view of a [`CampaignRun`] — what figure code
-/// and downstream tooling consume.
+/// The flat, plain-data view of a [`CampaignRun`] — what figure code and
+/// downstream tooling consume. For a bit-exact on-disk form, capture the
+/// run's final [`CampaignCheckpoint`] and write [`CampaignCheckpoint::to_json`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResultTable {
     /// Axis labels, in plan order.
@@ -2115,44 +2115,44 @@ fn draw_pool(spec: &CellSpec, seed: u64, scenarios: usize) -> Result<Vec<FaultMa
     Ok(maps)
 }
 
-/// The historical per-figure seed mixers of the pre-campaign drivers.
+/// The per-figure seed mixers of the paper's figures.
 ///
-/// Pass one to [`Campaign::seed_mixer`] to reproduce exactly the fault maps
-/// a legacy driver drew — the deprecated `falvolt::experiment` wrappers, the
-/// figure benches and the `reproduce` binary all install these, and the
-/// campaign equivalence tests pin the formulas bit-for-bit. Plans that do
+/// Pass one to [`Campaign::seed_mixer`] to draw exactly the fault maps a
+/// figure's recorded series were drawn from: the figure benches and the
+/// `reproduce` binary install these, and the golden figure tests
+/// (`tests/golden_figures.rs`) pin their output bit for bit. Plans that do
 /// not need continuity with recorded series should keep the default mixer.
 pub mod mixers {
     use super::CellSpec;
 
-    /// Figure 2 (`threshold_sweep`): one chip per fault rate.
+    /// Figure 2 (fixed-threshold retraining): one chip per fault rate.
     pub fn per_fault_rate(seed: u64, spec: &CellSpec) -> u64 {
         seed ^ spec.fault_rate.unwrap_or(0.0).to_bits()
     }
 
-    /// Figures 6/7 (`mitigation_comparison`): one chip per fault rate,
+    /// Figures 6/7 (FaP / FaPIT / FalVolt): one chip per fault rate,
     /// decorrelated from the Figure 2 pool by the rotation.
     pub fn per_fault_rate_rotated(seed: u64, spec: &CellSpec) -> u64 {
         seed ^ spec.fault_rate.unwrap_or(0.0).to_bits().rotate_left(13)
     }
 
-    /// Figure 5a (`bit_position_experiment`): one pool per bit position,
-    /// shared by both polarities.
+    /// Figure 5a (bit position): one pool per bit position, shared by both
+    /// polarities.
     pub fn per_bit(seed: u64, spec: &CellSpec) -> u64 {
         seed ^ u64::from(spec.bit.unwrap_or(0)) << 8
     }
 
-    /// Figure 5b (`faulty_pe_experiment`): one pool per faulty-PE count.
+    /// Figure 5b (faulty-PE count): one pool per faulty-PE count.
     pub fn per_faulty_pe_count(seed: u64, spec: &CellSpec) -> u64 {
         seed ^ (spec.faulty_pes.unwrap_or(0) as u64) << 16
     }
 
-    /// Figure 5c (`array_size_experiment`): one pool per array side length.
+    /// Figure 5c (array size): one pool per array side length.
     pub fn per_array_size(seed: u64, spec: &CellSpec) -> u64 {
         seed ^ (spec.systolic.rows() as u64) << 24
     }
 
-    /// Figure 8 (`convergence_experiment`): one fixed chip for every cell.
+    /// Figure 8 (convergence): one fixed chip for every cell.
     pub fn convergence(seed: u64, _spec: &CellSpec) -> u64 {
         seed ^ 0xF168
     }

@@ -52,9 +52,9 @@ pub enum CampaignError {
         /// What the decoder stumbled on.
         reason: String,
     },
-    /// A scenario worker panicked on a path with no per-cell isolation (the
-    /// legacy accuracy entry points, which promise a flat `Vec<f32>` and
-    /// cannot record a per-cell failure).
+    /// A scenario worker panicked on a path with no per-cell isolation
+    /// ([`crate::vulnerability::scenario_accuracies`], which promises a flat
+    /// `Vec<f32>` and cannot record a per-cell failure).
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,

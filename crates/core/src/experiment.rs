@@ -1,18 +1,14 @@
-//! Figure-level experiment runners.
+//! Experiment setup shared by every figure: the paper's three workloads,
+//! the experiment scales, and the [`ExperimentContext`] that holds the
+//! generated data and the trained fault-free baseline.
 //!
-//! Every table/figure of the paper's evaluation has a function here that
-//! regenerates its data series; the benchmark harness (`falvolt-bench`) and
-//! the `reproduce` binary are thin wrappers around this module. See
-//! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for measured
-//! results.
-//!
-//! The experiments run on synthetic datasets and a scaled network (see the
-//! substitution table in `DESIGN.md` §3), so absolute accuracies differ from
-//! the paper; the *shape* of every curve is what the reproduction targets.
+//! The figures themselves are [`crate::campaign`] plans run against a
+//! prepared context (see the `reproduce` binary for one plan per figure).
+//! The experiments run on synthetic datasets and a scaled network, so
+//! absolute accuracies differ from the paper; the *shape* of every curve is
+//! what the reproduction targets.
 
-use crate::campaign::{self, Axis, Campaign};
-use crate::mitigation::{EpochPoint, MitigationStrategy};
-use crate::vulnerability::{SweepCaches, SweepPoint, SweepSeries, VulnerabilityConfig};
+use crate::vulnerability::{SweepCaches, VulnerabilityConfig};
 use crate::Result;
 use falvolt_datasets::{
     to_batches, Dataset, DatasetConfig, LabeledBatch, SyntheticDvsGesture, SyntheticMnist,
@@ -23,11 +19,8 @@ use falvolt_snn::loss::MseRateLoss;
 use falvolt_snn::optim::Adam;
 use falvolt_snn::trainer::{Batch, Trainer};
 use falvolt_snn::SpikingNetwork;
-use falvolt_systolic::{FaultMap, StuckAt, SystolicConfig};
+use falvolt_systolic::SystolicConfig;
 use falvolt_tensor::Tensor;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
@@ -164,9 +157,10 @@ pub struct ExperimentContext {
     baseline_state: Vec<Tensor>,
     baseline_accuracy: f32,
     seed: u64,
-    /// Sweep caches keyed per prepared test set: the figure runners share
-    /// one pair, so Figure 5a/5b/5c reuse the encoder lowerings of the same
-    /// test batches across figures instead of rebuilding them per sweep.
+    /// Sweep caches keyed per prepared test set: every campaign on this
+    /// context shares one pair, so Figure 5a/5b/5c reuse the encoder
+    /// lowerings of the same test batches across figures instead of
+    /// rebuilding them per sweep.
     caches: SweepCaches,
 }
 
@@ -295,8 +289,8 @@ impl ExperimentContext {
     }
 
     /// The context-owned sweep caches (one pair per prepared test set),
-    /// shared by every figure runner so repeated sweeps over the same data
-    /// reuse lowerings and clean products across figures.
+    /// shared by every campaign on this context so repeated sweeps over the
+    /// same data reuse lowerings and clean products across figures.
     pub fn caches(&self) -> &SweepCaches {
         &self.caches
     }
@@ -368,477 +362,6 @@ fn convert_batches(batches: Vec<LabeledBatch>) -> Result<Vec<Batch>> {
         .into_iter()
         .map(|b| Ok(Batch::new(b.input, b.labels)?))
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Shared fault-rate cell sweep machinery
-// ---------------------------------------------------------------------------
-
-/// One retraining/evaluation cell handed to [`run_fault_rate_cells`]'s
-/// closure: a scenario view of the trained baseline (sweep cache installed)
-/// plus the context's data splits.
-pub struct SweepCell<'a> {
-    /// Scenario view of the baseline network, sweep cache already installed.
-    pub network: SpikingNetwork,
-    /// Training batches.
-    pub train: &'a [Batch],
-    /// Test batches.
-    pub test: &'a [Batch],
-}
-
-/// Runs one cell per `(fault rate, payload)` pair, in parallel, against the
-/// restored baseline:
-///
-/// 1. draw one fault map per rate into a pool (sequentially, from
-///    `seed_mix(ctx seed, rate)`, so results are worker-count-independent),
-/// 2. build the rate-major cell list; cells *borrow* their map from the pool,
-/// 3. restore the baseline and hand every cell a scenario view with one
-///    shared sweep cache (cells that evaluate identical networks — e.g. the
-///    strategies of one rate at epoch 0 — share prefix work through it),
-/// 4. collect results in cell order and restore the baseline again.
-///
-/// The [`crate::campaign`] scheduler has absorbed this boilerplate (its
-/// retraining path is the generalisation of steps 1–4); this function stays
-/// as the pre-campaign **reference implementation** that the campaign
-/// equivalence tests replay the legacy drivers against, bit for bit.
-///
-/// # Errors
-///
-/// Propagates fault-map draw errors and the first cell error in cell order.
-pub fn run_fault_rate_cells<P, R, F>(
-    ctx: &mut ExperimentContext,
-    fault_rates: &[f64],
-    seed_mix: impl Fn(u64, f64) -> u64,
-    payloads: &[P],
-    cell: F,
-) -> Result<Vec<R>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(SweepCell<'_>, f64, &FaultMap, &P) -> Result<R> + Sync,
-{
-    let msb = ctx.systolic.accumulator_format().msb();
-    let mut pool = Vec::with_capacity(fault_rates.len());
-    for &fault_rate in fault_rates {
-        let mut rng = StdRng::seed_from_u64(seed_mix(ctx.seed, fault_rate));
-        pool.push(FaultMap::random_with_rate(
-            &ctx.systolic,
-            fault_rate,
-            msb,
-            StuckAt::One,
-            &mut rng,
-        )?);
-    }
-    let cells: Vec<(f64, &FaultMap, &P)> = fault_rates
-        .iter()
-        .zip(&pool)
-        .flat_map(|(&fault_rate, fault_map)| {
-            payloads
-                .iter()
-                .map(move |payload| (fault_rate, fault_map, payload))
-        })
-        .collect();
-    ctx.restore_baseline()?;
-    let baseline = &ctx.network;
-    let (train, test) = (&ctx.train, &ctx.test);
-    let sweep_cache = std::sync::Arc::new(falvolt_snn::SweepCache::new());
-    let results: Vec<Result<R>> = cells
-        .into_par_iter()
-        .map(|(fault_rate, fault_map, payload)| {
-            let mut network = baseline.scenario_view();
-            network.set_sweep_cache(Some(std::sync::Arc::clone(&sweep_cache)));
-            cell(
-                SweepCell {
-                    network,
-                    train,
-                    test,
-                },
-                fault_rate,
-                fault_map,
-                payload,
-            )
-        })
-        .collect();
-    let rows = results.into_iter().collect::<Result<Vec<_>>>()?;
-    ctx.restore_baseline()?;
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Figure 2: fixed-threshold retraining sweep (motivational study)
-// ---------------------------------------------------------------------------
-
-/// One cell of the Figure 2 bar chart: retraining accuracy at a fixed
-/// threshold voltage under a given fault rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThresholdSweepRow {
-    /// The fixed threshold voltage used for retraining.
-    pub threshold: f32,
-    /// Fraction of faulty PEs.
-    pub fault_rate: f64,
-    /// Test accuracy after retraining.
-    pub accuracy: f32,
-}
-
-/// The Figure 2 report for one dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThresholdSweepReport {
-    /// Dataset label.
-    pub dataset: String,
-    /// Fault-free baseline accuracy.
-    pub baseline_accuracy: f32,
-    /// One row per (threshold, fault rate) pair.
-    pub rows: Vec<ThresholdSweepRow>,
-}
-
-/// Figure 2: retrains the pruned network at several *fixed* threshold
-/// voltages and fault rates, demonstrating that the best threshold depends on
-/// both the dataset and the fault rate — the motivation for learning it.
-///
-/// A thin plan over the [`crate::campaign`] scheduler (fault-rate ×
-/// threshold axes, the historical per-rate seed mixer), bit-identical to the
-/// pre-campaign driver.
-///
-/// # Errors
-///
-/// Propagates mitigation errors.
-#[deprecated(note = "use falvolt::campaign")]
-pub fn threshold_sweep(
-    ctx: &mut ExperimentContext,
-    thresholds: &[f32],
-    fault_rates: &[f64],
-    epochs: usize,
-) -> Result<ThresholdSweepReport> {
-    let run = Campaign::new(ctx)
-        .axis(Axis::FaultRate(fault_rates.to_vec()))
-        .axis(Axis::Threshold(thresholds.to_vec()))
-        .retrain_epochs(epochs)
-        .seed_mixer(campaign::mixers::per_fault_rate)
-        .run()?;
-    Ok(ThresholdSweepReport {
-        dataset: ctx.kind.label().to_string(),
-        baseline_accuracy: ctx.baseline_accuracy,
-        rows: run
-            .cells()
-            .iter()
-            .map(|cell| ThresholdSweepRow {
-                threshold: cell.spec.threshold.expect("threshold axis set"),
-                fault_rate: cell.spec.fault_rate.expect("fault-rate axis set"),
-                accuracy: cell.accuracy,
-            })
-            .collect(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Figure 5: vulnerability sweeps
-// ---------------------------------------------------------------------------
-
-/// The Figure 5a report for one dataset: accuracy vs fault bit position, for
-/// stuck-at-0 and stuck-at-1 faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BitPositionReport {
-    /// Dataset label.
-    pub dataset: String,
-    /// One series per stuck-at polarity.
-    pub series: Vec<SweepSeries>,
-}
-
-/// Figure 5a: accuracy vs accumulator fault-bit position.
-///
-/// A thin plan over the [`crate::campaign`] scheduler (polarity × bit ×
-/// fixed-PE-count axes, the historical per-bit seed mixer), bit-identical to
-/// the pre-campaign driver.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-#[deprecated(note = "use falvolt::campaign")]
-pub fn bit_position_experiment(
-    ctx: &mut ExperimentContext,
-    bits: &[u32],
-    faulty_pes: usize,
-) -> Result<BitPositionReport> {
-    let config = ctx.scale.vulnerability_config();
-    let run = Campaign::new(ctx)
-        .axis(Axis::Polarity(StuckAt::ALL.to_vec()))
-        .axis(Axis::BitPosition(bits.to_vec()))
-        .axis(Axis::FaultyPes(vec![faulty_pes]))
-        .scenarios_per_cell(config.iterations)
-        .seed(config.seed)
-        .seed_mixer(campaign::mixers::per_bit)
-        .run()?;
-    // One series per polarity, cells bit-minor within each polarity.
-    let series = StuckAt::ALL
-        .iter()
-        .zip(run.cells().chunks(bits.len()))
-        .map(|(kind, chunk)| SweepSeries {
-            label: kind.to_string(),
-            points: chunk
-                .iter()
-                .map(|cell| SweepPoint {
-                    x: f64::from(cell.spec.bit.expect("bit axis set")),
-                    accuracy: cell.accuracy,
-                    iterations: cell.scenarios,
-                })
-                .collect(),
-        })
-        .collect();
-    Ok(BitPositionReport {
-        dataset: ctx.kind.label().to_string(),
-        series,
-    })
-}
-
-/// The Figure 5b report for one dataset: accuracy vs number of faulty PEs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultyPeReport {
-    /// Dataset label.
-    pub dataset: String,
-    /// Baseline accuracy (the zero-fault reference).
-    pub baseline_accuracy: f32,
-    /// The sweep series (MSB stuck-at-1 faults).
-    pub series: SweepSeries,
-}
-
-/// Figure 5b: accuracy vs number of faulty PEs (worst-case MSB stuck-at-1).
-///
-/// A thin plan over the [`crate::campaign`] scheduler (one faulty-PE-count
-/// axis, the historical per-count seed mixer), bit-identical to the
-/// pre-campaign driver.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-#[deprecated(note = "use falvolt::campaign")]
-pub fn faulty_pe_experiment(
-    ctx: &mut ExperimentContext,
-    pe_counts: &[usize],
-) -> Result<FaultyPeReport> {
-    let config = ctx.scale.vulnerability_config();
-    let run = Campaign::new(ctx)
-        .axis(Axis::FaultyPes(pe_counts.to_vec()))
-        .scenarios_per_cell(config.iterations)
-        .seed(config.seed)
-        .seed_mixer(campaign::mixers::per_faulty_pe_count)
-        .run()?;
-    Ok(FaultyPeReport {
-        dataset: ctx.kind.label().to_string(),
-        baseline_accuracy: ctx.baseline_accuracy,
-        series: SweepSeries {
-            label: "msb-sa1".to_string(),
-            points: run
-                .cells()
-                .iter()
-                .map(|cell| SweepPoint {
-                    x: cell.spec.faulty_pes.expect("faulty-PE axis set") as f64,
-                    accuracy: cell.accuracy,
-                    iterations: cell.scenarios,
-                })
-                .collect(),
-        },
-    })
-}
-
-/// The Figure 5c report for one dataset: accuracy vs systolic-array size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArraySizeReport {
-    /// Dataset label.
-    pub dataset: String,
-    /// Number of faulty PEs held constant across sizes.
-    pub faulty_pes: usize,
-    /// The sweep series (x = total PE count).
-    pub series: SweepSeries,
-}
-
-/// Figure 5c: accuracy vs array size for a fixed number of faulty PEs.
-///
-/// A thin plan over the [`crate::campaign`] scheduler (array-size ×
-/// fixed-PE-count axes, the historical per-size seed mixer), bit-identical
-/// to the pre-campaign driver.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-#[deprecated(note = "use falvolt::campaign")]
-pub fn array_size_experiment(
-    ctx: &mut ExperimentContext,
-    sizes: &[usize],
-    faulty_pes: usize,
-) -> Result<ArraySizeReport> {
-    let config = ctx.scale.vulnerability_config();
-    let run = Campaign::new(ctx)
-        .axis(Axis::ArraySize(sizes.to_vec()))
-        .axis(Axis::FaultyPes(vec![faulty_pes]))
-        .scenarios_per_cell(config.iterations)
-        .seed(config.seed)
-        .seed_mixer(campaign::mixers::per_array_size)
-        .run()?;
-    Ok(ArraySizeReport {
-        dataset: ctx.kind.label().to_string(),
-        faulty_pes,
-        series: SweepSeries {
-            label: "fixed-fault-count".to_string(),
-            points: run
-                .cells()
-                .iter()
-                .map(|cell| SweepPoint {
-                    x: (cell.spec.systolic.rows() * cell.spec.systolic.cols()) as f64,
-                    accuracy: cell.accuracy,
-                    iterations: cell.scenarios,
-                })
-                .collect(),
-        },
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Figures 6 & 7: mitigation comparison and optimized thresholds
-// ---------------------------------------------------------------------------
-
-/// Outcome of one (fault rate, strategy) cell of Figure 7, plus the learned
-/// thresholds that Figure 6 plots for the FalVolt rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MitigationRow {
-    /// Fraction of faulty PEs.
-    pub fault_rate: f64,
-    /// Strategy label ("FaP", "FaPIT", "FalVolt").
-    pub strategy: String,
-    /// Test accuracy after mitigation.
-    pub accuracy: f32,
-    /// Per-layer threshold voltages after mitigation (Figure 6 for FalVolt).
-    pub thresholds: Vec<(String, f32)>,
-}
-
-/// The combined Figure 6 / Figure 7 report for one dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MitigationComparisonReport {
-    /// Dataset label.
-    pub dataset: String,
-    /// Fault-free baseline accuracy.
-    pub baseline_accuracy: f32,
-    /// One row per (fault rate, strategy) pair.
-    pub rows: Vec<MitigationRow>,
-}
-
-/// Figures 6 and 7: compares FaP, FaPIT and FalVolt at the given fault rates
-/// and records the per-layer threshold voltages FalVolt learns.
-///
-/// A thin plan over the [`crate::campaign`] scheduler (fault-rate ×
-/// strategy axes, the historical per-rate seed mixer; the three strategies
-/// of one rate retrain against the same pooled chip), bit-identical to the
-/// pre-campaign driver.
-///
-/// # Errors
-///
-/// Propagates mitigation errors.
-#[deprecated(note = "use falvolt::campaign")]
-pub fn mitigation_comparison(
-    ctx: &mut ExperimentContext,
-    fault_rates: &[f64],
-    epochs: usize,
-) -> Result<MitigationComparisonReport> {
-    let run = Campaign::new(ctx)
-        .axis(Axis::FaultRate(fault_rates.to_vec()))
-        .axis(Axis::Mitigation(vec![
-            MitigationStrategy::FaP,
-            MitigationStrategy::fapit(epochs),
-            MitigationStrategy::falvolt(epochs),
-        ]))
-        .seed_mixer(campaign::mixers::per_fault_rate_rotated)
-        .run()?;
-    Ok(MitigationComparisonReport {
-        dataset: ctx.kind.label().to_string(),
-        baseline_accuracy: ctx.baseline_accuracy,
-        rows: run
-            .cells()
-            .iter()
-            .map(|cell| {
-                let outcome = cell
-                    .outcome()
-                    .expect("strategy axis makes retraining cells");
-                MitigationRow {
-                    fault_rate: cell.spec.fault_rate.expect("fault-rate axis set"),
-                    strategy: outcome.strategy.clone(),
-                    accuracy: outcome.final_accuracy,
-                    thresholds: outcome.thresholds.clone(),
-                }
-            })
-            .collect(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Figure 8: convergence (accuracy vs retraining epochs)
-// ---------------------------------------------------------------------------
-
-/// The Figure 8 report for one dataset: per-epoch accuracy of FaPIT and
-/// FalVolt at a fixed fault rate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConvergenceReport {
-    /// Dataset label.
-    pub dataset: String,
-    /// Fraction of faulty PEs.
-    pub fault_rate: f64,
-    /// Fault-free baseline accuracy.
-    pub baseline_accuracy: f32,
-    /// Per-epoch accuracy of FaPIT (fixed threshold 1.0).
-    pub fapit: Vec<EpochPoint>,
-    /// Per-epoch accuracy of FalVolt.
-    pub falvolt: Vec<EpochPoint>,
-}
-
-impl ConvergenceReport {
-    /// Epochs each strategy needs to reach `fraction` of the baseline
-    /// accuracy: `(FaPIT, FalVolt)`. The paper's headline claim is that the
-    /// FalVolt number is about half the FaPIT number.
-    pub fn epochs_to_fraction_of_baseline(&self, fraction: f32) -> (Option<usize>, Option<usize>) {
-        let target = self.baseline_accuracy * fraction;
-        (
-            crate::mitigation::epochs_to_reach(&self.fapit, target),
-            crate::mitigation::epochs_to_reach(&self.falvolt, target),
-        )
-    }
-}
-
-/// Figure 8: records per-epoch test accuracy of FaPIT and FalVolt while
-/// retraining under `fault_rate` faulty PEs.
-///
-/// A thin plan over the [`crate::campaign`] scheduler (a one-rate
-/// fault-rate axis × the FaPIT/FalVolt strategy axis; both strategies
-/// retrain against the same pooled chip drawn from the historical fixed
-/// seed), bit-identical to the pre-campaign driver.
-///
-/// # Errors
-///
-/// Propagates mitigation errors.
-#[deprecated(note = "use falvolt::campaign")]
-pub fn convergence_experiment(
-    ctx: &mut ExperimentContext,
-    fault_rate: f64,
-    epochs: usize,
-) -> Result<ConvergenceReport> {
-    let run = Campaign::new(ctx)
-        .axis(Axis::FaultRate(vec![fault_rate]))
-        .axis(Axis::Mitigation(vec![
-            MitigationStrategy::fapit(epochs),
-            MitigationStrategy::falvolt(epochs),
-        ]))
-        .seed_mixer(campaign::mixers::convergence)
-        .run()?;
-    let history = |cell: &crate::campaign::CellResult| {
-        cell.outcome()
-            .expect("strategy axis makes retraining cells")
-            .history
-            .clone()
-    };
-    Ok(ConvergenceReport {
-        dataset: ctx.kind.label().to_string(),
-        fault_rate,
-        baseline_accuracy: ctx.baseline_accuracy,
-        fapit: history(&run.cells()[0]),
-        falvolt: history(&run.cells()[1]),
-    })
 }
 
 #[cfg(test)]

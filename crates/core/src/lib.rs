@@ -21,9 +21,10 @@
 //!   is a [`Campaign`] plan built from typed [`Axis`] values, executed by
 //!   one scheduler that owns seed mixing, fault-map pools, scenario-view
 //!   fan-out, cache sharing and multi-map batching,
-//! * [`experiment`] packages everything into figure-level experiment runners
-//!   used by the benchmark harness and the `reproduce` binary (the legacy
-//!   drivers are deprecated thin plans over [`campaign`]).
+//! * [`experiment`] prepares what every figure runs on: the workload, the
+//!   scale and an [`experiment::ExperimentContext`] holding the generated
+//!   data and the trained baseline; each figure is a [`campaign`] plan over
+//!   that context (the `reproduce` binary holds one plan per figure).
 //!
 //! # Example: mitigate a faulty chip
 //!

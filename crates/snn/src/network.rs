@@ -13,9 +13,9 @@ use std::sync::Arc;
 /// network container, the systolic backends and the campaign scheduler.
 ///
 /// The preset replaces the former grab-bag of independent booleans
-/// (`EngineConfig { prefix_cache, spike_kernels, csr_spikes }`,
-/// `set_event_driven`, `SystolicExecutor::set_composed_mask_chains`) with one
-/// builder-style value: pick a named preset, then override individual
+/// (`EngineConfig { prefix_cache, spike_kernels, csr_spikes }`, an
+/// event-driven on/off switch, `SystolicExecutor::set_composed_mask_chains`)
+/// with one builder-style value: pick a named preset, then override individual
 /// switches with the `with_*` builders when an experiment needs a hybrid.
 /// Every switch is an execution strategy, never result state — all presets
 /// produce bit-identical outputs for the same inputs and fault maps.
@@ -307,16 +307,6 @@ impl SpikingNetwork {
     /// builders and the campaign scheduler to read.
     pub fn set_engine_preset(&mut self, preset: EnginePreset) {
         self.engine = preset;
-    }
-
-    /// Convenience switch: turns the whole event-driven engine on or off.
-    #[deprecated(note = "use set_engine_preset(EnginePreset::full() / ::seed_equivalent())")]
-    pub fn set_event_driven(&mut self, enabled: bool) {
-        self.engine = if enabled {
-            EnginePreset::full()
-        } else {
-            EnginePreset::seed_equivalent()
-        };
     }
 
     /// Installs (or removes) a sweep-driver-owned cross-call cache. While

@@ -17,7 +17,7 @@
 //! | `no-panic` | library code, census | no `.unwrap()` / `.expect(…)` / `panic!` outside `#[cfg(test)]` regions, ratcheted per file via the `[no-panic]` baseline |
 //! | `unsafe-header` | crate roots | every falvolt crate's `lib.rs` opens with `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]` |
 //! | `allow-unsafe` | all files | `#[allow(unsafe_code)]` (or `#![…]`) only in `crates/tensor/src/simd.rs` |
-//! | `allow-deprecated` | all files | `allow(deprecated)` only in `tests/campaign_equivalence.rs` (the pre-redesign equivalence suite) |
+//! | `allow-deprecated` | all files | no `allow(deprecated)` anywhere — migrate off a deprecated item instead of silencing it |
 //! | `serde-skip` | `tensor.rs` | `Tensor`'s `content_id` and `spike_index` fields carry `#[serde(skip…)]` — ids must never bypass the mint |
 //! | `bench-schema` | `BENCH_kernels.json` | every timing entry has a known `isa`; `speedup`/`*_ms` values are finite and in range (see [`crate::schema`]) |
 //!
@@ -94,10 +94,6 @@ pub struct FileReport {
 /// `allow(unsafe_code)`: the runtime-dispatched SIMD trampoline layer.
 pub const SIMD_FILE: &str = "crates/tensor/src/simd.rs";
 
-/// The sole file allowed to `allow(deprecated)`: the suite proving the
-/// deprecated PR 5 driver wrappers bit-identical to their plans.
-pub const DEPRECATED_ALLOWED_FILE: &str = "tests/campaign_equivalence.rs";
-
 /// Descriptive registry entry, for `--list` and the README catalog.
 pub struct LintInfo {
     /// Catalog name (used in diagnostics and `tidy:allow(…)` waivers).
@@ -138,7 +134,7 @@ pub const LINTS: &[LintInfo] = &[
     },
     LintInfo {
         name: "allow-deprecated",
-        summary: "allow(deprecated) is confined to tests/campaign_equivalence.rs",
+        summary: "allow(deprecated) is allowed in no file",
     },
     LintInfo {
         name: "serde-skip",
@@ -506,7 +502,7 @@ fn no_panic(file: &SourceFile, waivers: &Waivers, in_test: &[bool], report: &mut
     }
 }
 
-/// `allow-unsafe` + `allow-deprecated` confinement.
+/// `allow-unsafe` confinement + the `allow-deprecated` ban.
 fn allow_confinement(file: &SourceFile, waivers: &Waivers, violations: &mut Vec<Violation>) {
     let toks: Vec<&Tok> = file
         .toks
@@ -529,18 +525,14 @@ fn allow_confinement(file: &SourceFile, waivers: &Waivers, violations: &mut Vec<
                 message: format!("allow(unsafe_code) is confined to {SIMD_FILE}"),
             });
         }
-        if what.is_ident("deprecated")
-            && file.path != DEPRECATED_ALLOWED_FILE
-            && !waived(waivers, "allow-deprecated", allow.line)
-        {
+        if what.is_ident("deprecated") && !waived(waivers, "allow-deprecated", allow.line) {
             violations.push(Violation {
                 lint: "allow-deprecated",
                 file: file.path.clone(),
                 line: allow.line,
-                message: format!(
-                    "allow(deprecated) is confined to {DEPRECATED_ALLOWED_FILE}; migrate to the \
-                     Campaign API instead of suppressing the deprecation"
-                ),
+                message: "allow(deprecated) is allowed in no file; migrate off the deprecated \
+                          item instead of suppressing the warning"
+                    .to_string(),
             });
         }
     }
@@ -809,11 +801,9 @@ mod tests {
             "#[allow(deprecated)]\nfn f() {}\n",
         ));
         assert!(lints_fired(&bad).contains(&"allow-deprecated"));
-        let ok = check_file(&file(
-            DEPRECATED_ALLOWED_FILE,
-            "#![allow(deprecated)]\nfn f() {}\n",
-        ));
-        assert!(ok.violations.is_empty());
+        // No file is exempt, test suites included.
+        let bad = check_file(&file("tests/a.rs", "#![allow(deprecated)]\nfn f() {}\n"));
+        assert!(lints_fired(&bad).contains(&"allow-deprecated"));
     }
 
     #[test]

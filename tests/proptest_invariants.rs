@@ -147,10 +147,11 @@ proptest! {
         //
         //   * sequentially on per-clone deep copies with replayed mask
         //     chains and no caches (the PR 2 engine), vs
-        //   * fanned out through `parallel_accuracies` (scenario views,
+        //   * fanned out through `scenario_accuracies` (scenario views,
         //     sweep + product caches, composed chains) with 1 worker, vs
         //   * the same with several workers.
-        use falvolt::vulnerability::{parallel_accuracies, reference_accuracies};
+        use falvolt::vulnerability::{reference_accuracies, scenario_accuracies, SweepCaches};
+        use falvolt_snn::EnginePreset;
         use falvolt_snn::trainer::Batch;
 
         let systolic = SystolicConfig::new(4, 4).unwrap();
@@ -196,7 +197,13 @@ proptest! {
             let fanned = {
                 let _guard = ClearOverride;
                 rayon::set_thread_count_override(workers);
-                parallel_accuracies(&network, scenarios.clone(), &test)
+                scenario_accuracies(
+                    &network,
+                    scenarios.clone(),
+                    &test,
+                    &SweepCaches::new(),
+                    &EnginePreset::full(),
+                )
             };
             prop_assert_eq!(
                 fanned.unwrap(),
