@@ -432,10 +432,10 @@ fn kernel_comparison(c: &mut Criterion) {
 
     // --- Fig-5-shaped scenario sweep: 32 fault maps x one input batch ------
     // The sweep axis of every figure: many fault scenarios against the same
-    // trained network and input. Baseline = the PR 2 engine (one deep
-    // network clone per scenario, mask chains fully replayed, no sharing);
-    // engine = scenario views on Arc-shared weights, composed mask chains,
-    // the im2col/prefix sweep cache and the shared clean-product cache.
+    // trained network and input. Baseline = one deep network clone per
+    // scenario on a plain systolic backend (no sharing, no batching);
+    // engine = scenario views on Arc-shared weights, the im2col/prefix
+    // sweep cache, the shared clean-product cache and multi-map batching.
     // Outputs are asserted bit-identical before anything is timed.
     let sys16 = SystolicConfig::new(16, 16).unwrap();
     let msb = sys16.accumulator_format().msb();
@@ -452,11 +452,7 @@ fn kernel_comparison(c: &mut Criterion) {
             .iter()
             .map(|map| {
                 let mut worker = scenario_net.unshared_clone();
-                worker.set_backend(
-                    SystolicBackend::builder(sys16, map.clone())
-                        .composed_mask_chains(false)
-                        .shared(),
-                );
+                worker.set_backend(SystolicBackend::shared(sys16, map.clone()));
                 worker.forward(&net_input, Mode::Eval).unwrap()
             })
             .collect()

@@ -1,6 +1,6 @@
 //! Adapter running SNN matrix products on the systolic-array simulator.
 
-use falvolt_snn::{EnginePreset, MatmulBackend, MatmulOutput, MatmulRequest};
+use falvolt_snn::{MatmulBackend, MatmulOutput, MatmulRequest};
 use falvolt_systolic::executor::BypassPolicy;
 use falvolt_systolic::{
     FaultMap, ProductCache, ScenarioMatrices, SharedStore, StoreDecision, SystolicConfig,
@@ -64,107 +64,9 @@ impl SystolicBackend {
         Arc::new(Self::new(config, fault_map))
     }
 
-    /// Starts a [`SystolicBackendBuilder`] — the single configuration entry
-    /// for caches and execution strategies. Defaults match
-    /// [`SystolicBackend::new`]: faults active (no bypass), no product cache,
-    /// composed mask chains.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use falvolt::SystolicBackend;
-    /// use falvolt_snn::EnginePreset;
-    /// use falvolt_systolic::{FaultMap, SystolicConfig};
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let config = SystolicConfig::new(8, 8)?;
-    /// let backend = SystolicBackend::builder(config, FaultMap::new(config))
-    ///     .preset(&EnginePreset::event_driven()) // replayed mask chains
-    ///     .shared();
-    /// assert_eq!(backend.name(), "systolic");
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn builder(config: SystolicConfig, fault_map: FaultMap) -> SystolicBackendBuilder {
-        SystolicBackendBuilder {
-            config,
-            fault_map,
-            bypass: BypassPolicy::None,
-            product_cache: None,
-            composed_mask_chains: true,
-            cancel: None,
-        }
-    }
-
     /// The underlying executor.
     pub fn executor(&self) -> &SystolicExecutor {
         &self.executor
-    }
-}
-
-/// Builder for [`SystolicBackend`]: one entry with optional cache and
-/// execution-strategy options.
-#[derive(Debug)]
-pub struct SystolicBackendBuilder {
-    config: SystolicConfig,
-    fault_map: FaultMap,
-    bypass: BypassPolicy,
-    product_cache: Option<Arc<ProductCache>>,
-    composed_mask_chains: bool,
-    cancel: Option<falvolt_tensor::CancelToken>,
-}
-
-impl SystolicBackendBuilder {
-    /// Sets the bypass policy ([`BypassPolicy::SkipFaulty`] is the
-    /// fault-aware-pruning hardware configuration of the paper's Figure 3b).
-    pub fn bypass(mut self, policy: BypassPolicy) -> Self {
-        self.bypass = policy;
-        self
-    }
-
-    /// Installs a sweep-shared clean-product cache (see
-    /// [`falvolt_systolic::ProductCache`]). Sharing cannot change results:
-    /// fault-free columns do not depend on the fault map.
-    pub fn product_cache(mut self, cache: Arc<ProductCache>) -> Self {
-        self.product_cache = Some(cache);
-        self
-    }
-
-    /// Chooses the mask-chain mode: composed (default) or full replay
-    /// (`false`, the PR 2 reference engine). Bit-identical either way.
-    pub fn composed_mask_chains(mut self, enabled: bool) -> Self {
-        self.composed_mask_chains = enabled;
-        self
-    }
-
-    /// Applies the systolic-relevant switches of an [`EnginePreset`]
-    /// (currently the mask-chain mode), threading one engine configuration
-    /// uniformly through network, backends and campaigns.
-    pub fn preset(self, preset: &EnginePreset) -> Self {
-        self.composed_mask_chains(preset.composed_mask_chains())
-    }
-
-    /// Installs a cooperative cancellation token: a tripped token makes the
-    /// executor return [`falvolt_tensor::TensorError::Cancelled`] at
-    /// fold-chain granularity instead of finishing the product.
-    pub fn cancel_token(mut self, token: Option<falvolt_tensor::CancelToken>) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Builds the backend.
-    pub fn build(self) -> SystolicBackend {
-        let mut executor = SystolicExecutor::with_bypass(self.config, self.fault_map, self.bypass);
-        executor.set_product_cache(self.product_cache);
-        executor.set_composed_mask_chains(self.composed_mask_chains);
-        executor.set_cancel_token(self.cancel);
-        SystolicBackend { executor }
-    }
-
-    /// Builds the backend behind an [`Arc`], the form
-    /// [`falvolt_snn::SpikingNetwork::set_backend`] expects.
-    pub fn shared(self) -> Arc<dyn MatmulBackend> {
-        Arc::new(self.build())
     }
 }
 
@@ -187,9 +89,9 @@ impl MatmulBackend for SystolicBackend {
     fn fingerprint(&self) -> u64 {
         // Everything that changes this backend's products: the array
         // geometry and accumulator format, the fault map's composed masks
-        // and the bypass policy. (Mask-chain mode and product cache are
-        // execution strategies, not result state — the executor guarantees
-        // bit-identity across them.)
+        // and the bypass policy. (The product cache is an execution
+        // strategy, not result state — the executor guarantees bit-identity
+        // with and without it.)
         let mut fp = Fingerprint::new();
         fp.write_str("systolic");
         fp.write_u64(self.executor.fault_map().fingerprint());
@@ -243,28 +145,14 @@ impl std::fmt::Debug for ScenarioProducts {
 impl ScenarioProducts {
     /// Creates the batcher for one sweep's scenario set (all maps must
     /// target `config`'s grid; faults stay active in the datapath, matching
-    /// [`SystolicBackend::new`]; composed mask chains, the executor
-    /// default).
+    /// [`SystolicBackend::new`]).
     pub fn new(
         config: SystolicConfig,
         maps: Vec<FaultMap>,
         product_cache: Arc<ProductCache>,
     ) -> Self {
-        Self::with_preset(config, maps, product_cache, &EnginePreset::full())
-    }
-
-    /// [`ScenarioProducts::new`] with the systolic-relevant switches of an
-    /// [`EnginePreset`] applied to the batch executor and every member
-    /// executor (currently the mask-chain mode) — bit-identical either way.
-    pub fn with_preset(
-        config: SystolicConfig,
-        maps: Vec<FaultMap>,
-        product_cache: Arc<ProductCache>,
-        preset: &EnginePreset,
-    ) -> Self {
         let mut batch_executor = SystolicExecutor::new(config, FaultMap::new(config));
         batch_executor.set_product_cache(Some(Arc::clone(&product_cache)));
-        batch_executor.set_composed_mask_chains(preset.composed_mask_chains());
         Self {
             config,
             maps,
@@ -315,7 +203,6 @@ impl ScenarioProducts {
         }
         let mut executor = SystolicExecutor::new(set.config, set.maps[index].clone());
         executor.set_product_cache(Some(Arc::clone(&set.product_cache)));
-        executor.set_composed_mask_chains(set.batch_executor.composed_mask_chains());
         executor.set_cancel_token(set.batch_executor.cancel_token().cloned());
         Ok(Arc::new(ScenarioMemberBackend {
             set: Arc::clone(set),

@@ -20,7 +20,7 @@
 //! * **multi-map batching**: evaluation scenarios of one grid configuration
 //!   form a [`crate::ScenarioProducts`] set, so products against
 //!   scenario-invariant operands are evaluated for all fault maps in one
-//!   event walk (gated by [`EnginePreset::scenario_batching`]).
+//!   event walk.
 //!
 //! A cell is a *retraining* cell when its spec carries a mitigation strategy
 //! or a fixed retraining threshold, and an *evaluation* cell otherwise.
@@ -1084,7 +1084,6 @@ pub struct Campaign<'a> {
     scenarios_per_cell: usize,
     seed: u64,
     mixer: SeedMixer,
-    preset: EnginePreset,
     retrain_epochs: Option<usize>,
     retrain_config: RetrainConfig,
     budget: RunBudget,
@@ -1098,8 +1097,8 @@ pub struct Campaign<'a> {
 
 impl<'a> Campaign<'a> {
     /// Starts a plan over `ctx` with no axes, one scenario per cell, the
-    /// context's seed, the default seed mixer, the full engine preset and
-    /// the paper's retraining configuration.
+    /// context's seed, the default seed mixer and the paper's retraining
+    /// configuration. Cells run under [`EnginePreset::full`].
     pub fn new(ctx: &'a mut ExperimentContext) -> Self {
         let seed = ctx.seed();
         Self {
@@ -1108,7 +1107,6 @@ impl<'a> Campaign<'a> {
             scenarios_per_cell: 1,
             seed,
             mixer: Arc::new(default_seed_mix),
-            preset: EnginePreset::full(),
             retrain_epochs: None,
             retrain_config: RetrainConfig::paper_like(),
             budget: RunBudget::default(),
@@ -1150,14 +1148,6 @@ impl<'a> Campaign<'a> {
         mixer: impl Fn(u64, &CellSpec) -> u64 + Send + Sync + 'static,
     ) -> Self {
         self.mixer = Arc::new(mixer);
-        self
-    }
-
-    /// Engine preset threaded through scenario views and backends
-    /// (default: [`EnginePreset::full`]). Presets are execution strategies —
-    /// results are bit-identical across them.
-    pub fn preset(mut self, preset: EnginePreset) -> Self {
-        self.preset = preset;
         self
     }
 
@@ -1288,7 +1278,6 @@ impl<'a> Campaign<'a> {
             scenarios_per_cell,
             seed,
             mixer,
-            preset,
             retrain_epochs,
             retrain_config,
             budget,
@@ -1299,6 +1288,7 @@ impl<'a> Campaign<'a> {
             resume_from,
             injector,
         } = self;
+        let preset = EnginePreset::full();
         if scenarios_per_cell == 0 {
             return Err(CampaignError::invalid_plan(
                 "a campaign needs at least one scenario per cell",
@@ -2559,22 +2549,38 @@ mod tests {
     }
 
     #[test]
-    fn presets_are_execution_strategies_not_result_state() {
-        let mut ctx = tiny_ctx();
-        let plan = |ctx: &mut ExperimentContext, preset: EnginePreset| {
-            Campaign::new(ctx)
-                .axis(Axis::FaultyPes(vec![0, 6]))
-                .scenarios_per_cell(2)
-                .preset(preset)
-                .run()
-                .unwrap()
+    fn full_and_seed_equivalent_presets_give_identical_accuracies() {
+        // Presets are execution strategies, not result state: the fan-out
+        // behind every evaluation cell gives the same accuracies whichever
+        // preset the scenario views run under.
+        let ctx = tiny_ctx();
+        let config = *ctx.systolic_config();
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut scenarios = vec![(config, FaultMap::new(config)); 2];
+        for _ in 0..2 {
+            let map = FaultMap::random_faulty_pes(
+                &config,
+                6,
+                config.accumulator_format().msb(),
+                StuckAt::One,
+                &mut rng,
+            )
+            .unwrap();
+            scenarios.push((config, map));
+        }
+        let accuracies = |preset: EnginePreset| {
+            crate::vulnerability::scenario_accuracies(
+                ctx.network(),
+                scenarios.clone(),
+                ctx.test_batches(),
+                &crate::SweepCaches::new(),
+                &preset,
+            )
+            .unwrap()
         };
-        let full = plan(&mut ctx, EnginePreset::full());
-        let replay = plan(&mut ctx, EnginePreset::event_driven());
-        let seedlike = plan(&mut ctx, EnginePreset::seed_equivalent());
-        let accuracies =
-            |run: &CampaignRun| -> Vec<f32> { run.cells().iter().map(|c| c.accuracy).collect() };
-        assert_eq!(accuracies(&full), accuracies(&replay));
-        assert_eq!(accuracies(&full), accuracies(&seedlike));
+        assert_eq!(
+            accuracies(EnginePreset::full()),
+            accuracies(EnginePreset::seed_equivalent())
+        );
     }
 }

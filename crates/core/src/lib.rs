@@ -70,7 +70,7 @@ pub mod mitigation;
 pub mod prune;
 pub mod vulnerability;
 
-pub use backend::{ScenarioProducts, SystolicBackend, SystolicBackendBuilder};
+pub use backend::{ScenarioProducts, SystolicBackend};
 pub use campaign::{
     Axis, Campaign, CampaignCheckpoint, CampaignRun, CellResult, CellStatus, CheckpointSink,
     PlanSpec, ResultTable, RetryPolicy, RunBudget, SkipReason,

@@ -199,10 +199,6 @@ impl Layer for Conv2d {
                     geom.padding,
                 ]);
                 fp.write_u64(input.content_id());
-                // The CSR switch changes whether the cached cols tensor
-                // carries an index (never its bytes); keep the variants
-                // apart so an index-free consumer is not handed one.
-                fp.write_u64(u64::from(ctx.csr_spikes));
                 let key = fp.finish();
                 // Prefix inputs are scenario-invariant by construction, so
                 // their lowerings promote on first sighting — the first

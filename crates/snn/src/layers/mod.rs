@@ -54,16 +54,14 @@ pub struct ForwardContext<'a> {
     pub mode: Mode,
     /// Backend executing matrix products (float or systolic-array model).
     pub backend: &'a dyn MatmulBackend,
-    /// Whether layers may probe their activations and pass operand-structure
-    /// hints to the backend (the spike-sparse kernel switch). Off pins every
-    /// product to the dense blocked kernel — the engine-off baseline.
+    /// The spike-event kernel switch. On, layers may probe their
+    /// activations and pass operand-structure hints to the backend, and
+    /// evaluation-mode spiking layers attach a CSR
+    /// [`falvolt_tensor::SpikeIndex`] to their outputs (downstream layers
+    /// propagate it), so im2col becomes an index transform and products walk
+    /// the index instead of probing. Off pins every product to the dense
+    /// blocked kernel — the engine-off baseline.
     pub spike_hints: bool,
-    /// Whether evaluation-mode spiking layers attach a CSR
-    /// [`falvolt_tensor::SpikeIndex`] to their outputs (and downstream layers
-    /// propagate it), making the spike event stream first-class: im2col
-    /// becomes an index transform and products walk the index instead of
-    /// probing. Off reproduces the probe-based engine bit-for-bit.
-    pub csr_spikes: bool,
     /// Sweep-driver-owned cross-call cache, when the network is evaluating
     /// inside a scenario sweep. Layers may use it to share backend-independent
     /// intermediates (im2col lowerings, transposed weights) across scenario
@@ -78,14 +76,13 @@ pub struct ForwardContext<'a> {
 }
 
 impl<'a> ForwardContext<'a> {
-    /// Creates a context with spike-structure hints and CSR spike indexes
-    /// enabled and no sweep cache.
+    /// Creates a context with the spike-event kernels enabled and no sweep
+    /// cache.
     pub fn new(mode: Mode, backend: &'a dyn MatmulBackend) -> Self {
         Self {
             mode,
             backend,
             spike_hints: true,
-            csr_spikes: true,
             cache: None,
             shareable_input: false,
         }
@@ -94,12 +91,6 @@ impl<'a> ForwardContext<'a> {
     /// Builder-style override of the spike-hint switch.
     pub fn with_spike_hints(mut self, enabled: bool) -> Self {
         self.spike_hints = enabled;
-        self
-    }
-
-    /// Builder-style override of the CSR spike-index switch.
-    pub fn with_csr_spikes(mut self, enabled: bool) -> Self {
-        self.csr_spikes = enabled;
         self
     }
 

@@ -162,7 +162,7 @@ impl Layer for SpikingLayer {
                 charged,
                 spikes: spikes.clone(),
             });
-        } else if ctx.csr_spikes {
+        } else if ctx.spike_hints {
             // Emit the spike event stream directly: the firing layer is the
             // one place that knows exactly which elements are nonzero, so it
             // indexes them once (CSR over last-dimension rows) and every

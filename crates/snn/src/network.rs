@@ -9,37 +9,27 @@ use falvolt_tensor::{reduce, Fingerprint, Tensor};
 use std::borrow::Cow;
 use std::sync::Arc;
 
-/// One named execution-engine configuration, threaded uniformly through the
-/// network container, the systolic backends and the campaign scheduler.
+/// The network-level execution-engine switches, threaded uniformly through
+/// the network container, its scenario views and the campaign scheduler.
 ///
-/// The preset replaces the former grab-bag of independent booleans
-/// (`EngineConfig { prefix_cache, spike_kernels, csr_spikes }`, an
-/// event-driven on/off switch, `SystolicExecutor::set_composed_mask_chains`)
-/// with one builder-style value: pick a named preset, then override individual
-/// switches with the `with_*` builders when an experiment needs a hybrid.
-/// Every switch is an execution strategy, never result state — all presets
-/// produce bit-identical outputs for the same inputs and fault maps.
+/// Both switches are execution strategies, never result state: with a
+/// faulty systolic backend every preset produces bit-identical outputs, and
+/// on the float backend they agree to within the kernels' re-association.
 ///
 /// # Example
 ///
 /// ```
 /// use falvolt_snn::EnginePreset;
 ///
-/// // The PR 2 engine: event-driven kernels, but mask chains fully replayed.
-/// let preset = EnginePreset::event_driven();
-/// assert!(preset.spike_kernels() && !preset.composed_mask_chains());
 /// // A hybrid for an ablation: full engine minus the prefix cache.
 /// let ablation = EnginePreset::full().with_prefix_cache(false);
-/// assert!(!ablation.prefix_cache() && ablation.scenario_batching());
+/// assert!(!ablation.prefix_cache() && ablation.spike_kernels());
+/// assert!(!EnginePreset::seed_equivalent().spike_kernels());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnginePreset {
     prefix_cache: bool,
     spike_kernels: bool,
-    csr_spikes: bool,
-    composed_mask_chains: bool,
-    scenario_batching: bool,
-    simd_kernels: bool,
 }
 
 impl Default for EnginePreset {
@@ -49,48 +39,21 @@ impl Default for EnginePreset {
 }
 
 impl EnginePreset {
-    /// Everything off: dense kernels, no caching, fully replayed mask
-    /// chains, no sweep batching — the seed's behaviour, kept for baselines
-    /// and equivalence tests.
+    /// Everything off: dense kernels and no prefix cache — the seed's
+    /// behaviour, kept for baselines and equivalence tests.
     pub fn seed_equivalent() -> Self {
         Self {
             prefix_cache: false,
             spike_kernels: false,
-            csr_spikes: false,
-            composed_mask_chains: false,
-            scenario_batching: false,
-            // The lane engines are a property of the kernel layer, not of
-            // the engine generation being reproduced: every preset keeps
-            // them on (each lifted kernel's `Isa::Scalar` branch runs the
-            // exact pre-SIMD code, so forcing scalar recovers old timings).
-            simd_kernels: true,
         }
     }
 
-    /// The event-driven single-network engine: temporal prefix cache,
-    /// spike-sparsity kernels and CSR spike tensors on; the scenario-axis
-    /// machinery (composed mask chains, multi-map batching) off.
-    pub fn event_driven() -> Self {
-        Self {
-            prefix_cache: true,
-            spike_kernels: true,
-            csr_spikes: true,
-            composed_mask_chains: false,
-            scenario_batching: false,
-            simd_kernels: true,
-        }
-    }
-
-    /// Everything on (the default): the event-driven engine plus composed
-    /// mask chains and multi-map scenario batching.
+    /// Everything on (the default): the temporal prefix cache and the
+    /// spike-event kernels.
     pub fn full() -> Self {
         Self {
             prefix_cache: true,
             spike_kernels: true,
-            csr_spikes: true,
-            composed_mask_chains: true,
-            scenario_batching: true,
-            simd_kernels: true,
         }
     }
 
@@ -102,81 +65,19 @@ impl EnginePreset {
         self
     }
 
-    /// Overrides the spike-sparsity kernels: layers probe their activations
-    /// and pass operand-structure hints to the backend so binary/sparse
-    /// products take the event-driven gather-accumulate kernel.
-    pub fn with_spike_kernels(mut self, enabled: bool) -> Self {
-        self.spike_kernels = enabled;
-        self
-    }
-
-    /// Overrides CSR spike tensors: evaluation-mode spiking layers attach a
-    /// compressed event index ([`falvolt_tensor::SpikeIndex`]) to their
-    /// outputs, which flows through flatten/pool/im2col as an index
-    /// transform and lets the kernels and the systolic executor walk events
-    /// instead of probing. Off reproduces the probe-based engine
-    /// bit-for-bit.
-    pub fn with_csr_spikes(mut self, enabled: bool) -> Self {
-        self.csr_spikes = enabled;
-        self
-    }
-
-    /// Overrides composed mask chains in the systolic executor: faulty
-    /// columns walk merged nonzero/masked events on composed stuck-at masks
-    /// instead of replaying the full per-element chain. Off is the replay
-    /// reference engine.
-    pub fn with_composed_mask_chains(mut self, enabled: bool) -> Self {
-        self.composed_mask_chains = enabled;
-        self
-    }
-
-    /// Overrides multi-map scenario batching: sweep workers sharing a
-    /// scenario set evaluate products against scenario-invariant operands
-    /// for every fault map in one event walk.
-    pub fn with_scenario_batching(mut self, enabled: bool) -> Self {
-        self.scenario_batching = enabled;
-        self
-    }
-
-    /// Overrides the runtime-dispatched SIMD kernel layer
-    /// ([`falvolt_tensor::simd`]): off forces [`SpikingNetwork::forward`]
-    /// onto the scalar engines (the exact pre-SIMD loops) for the duration
-    /// of the call — the ablation/baseline switch. Results are equivalent
-    /// either way: integer fault chains are bit-identical across ISAs, and
-    /// float kernels stay within the documented 1e-5 tolerance.
-    pub fn with_simd_kernels(mut self, enabled: bool) -> Self {
-        self.simd_kernels = enabled;
-        self
-    }
-
     /// Whether the temporal prefix cache is enabled.
     pub fn prefix_cache(&self) -> bool {
         self.prefix_cache
     }
 
-    /// Whether spike-sparsity kernels are enabled.
+    /// Whether the spike-event kernels are enabled: layers probe their
+    /// activations and pass operand-structure hints to the backend, and
+    /// evaluation-mode spiking layers attach a CSR
+    /// [`falvolt_tensor::SpikeIndex`] to their outputs so products walk the
+    /// event stream instead of probing. Off pins every product to the dense
+    /// kernel.
     pub fn spike_kernels(&self) -> bool {
         self.spike_kernels
-    }
-
-    /// Whether CSR spike tensors are enabled.
-    pub fn csr_spikes(&self) -> bool {
-        self.csr_spikes
-    }
-
-    /// Whether systolic mask chains are composed (vs fully replayed).
-    pub fn composed_mask_chains(&self) -> bool {
-        self.composed_mask_chains
-    }
-
-    /// Whether multi-map scenario batching is enabled.
-    pub fn scenario_batching(&self) -> bool {
-        self.scenario_batching
-    }
-
-    /// Whether the runtime-dispatched SIMD kernel layer is enabled.
-    pub fn simd_kernels(&self) -> bool {
-        self.simd_kernels
     }
 }
 
@@ -301,10 +202,7 @@ impl SpikingNetwork {
         self.engine
     }
 
-    /// Installs an engine preset. Only the network-level switches (prefix
-    /// cache, spike kernels, CSR spikes) act here; the systolic switches
-    /// (composed mask chains, scenario batching) ride along for backend
-    /// builders and the campaign scheduler to read.
+    /// Installs an engine preset (prefix cache and spike kernels).
     pub fn set_engine_preset(&mut self, preset: EnginePreset) {
         self.engine = preset;
     }
@@ -531,11 +429,6 @@ impl SpikingNetwork {
         if self.layers.is_empty() {
             return Err(SnnError::invalid_config("network has no layers"));
         }
-        // Scoped, not set at preset time: a global override installed in
-        // `set_engine_preset` would leak into unrelated work on this
-        // process (e.g. a bench's SIMD leg timed after a scalar ablation).
-        let _simd_scope = (!self.engine.simd_kernels())
-            .then(|| falvolt_tensor::simd::force(Some(falvolt_tensor::simd::Isa::Scalar)));
         self.reset_state();
         let time_steps = self.time_steps;
         let backend = Arc::clone(&self.backend);
@@ -547,14 +440,12 @@ impl SpikingNetwork {
         // hash lookup, not an operand hash.
         let ctx = ForwardContext::new(mode, backend.as_ref())
             .with_spike_hints(self.engine.spike_kernels())
-            .with_csr_spikes(self.engine.csr_spikes())
             .with_cache(sweep_cache.as_deref());
         // The prefix sees the raw batch input — scenario-invariant across
         // sweep workers by construction — so its layers may promote their
         // input-derived cache keys on first sighting.
         let prefix_ctx = ForwardContext::new(mode, backend.as_ref())
             .with_spike_hints(self.engine.spike_kernels())
-            .with_csr_spikes(self.engine.csr_spikes())
             .with_cache(sweep_cache.as_deref())
             .with_shareable_input(true);
 
@@ -581,13 +472,8 @@ impl SpikingNetwork {
                 // The spike-kernel switch is part of the key: sparse and
                 // dense kernels agree only to within re-association, so an
                 // engine-off network must never be served an engine-on
-                // prefix (or vice versa). The CSR switch is keyed too,
-                // defensively — its outputs are bit-identical by contract,
-                // but cached index-carrying tensors stay with CSR runs.
-                fp.write_u64(
-                    u64::from(self.engine.spike_kernels())
-                        | (u64::from(self.engine.csr_spikes()) << 1),
-                );
+                // prefix (or vice versa).
+                fp.write_u64(u64::from(self.engine.spike_kernels()));
                 fp.write_u64(backend.fingerprint());
                 for layer in &self.layers[..n] {
                     layer.cache_fingerprint(&mut fp);
@@ -920,25 +806,12 @@ mod tests {
         assert!(network.engine_preset().prefix_cache() && network.engine_preset().spike_kernels());
         network.set_engine_preset(EnginePreset::seed_equivalent());
         assert_eq!(network.engine_preset(), EnginePreset::seed_equivalent());
-        network.set_engine_preset(
-            EnginePreset::seed_equivalent()
-                .with_prefix_cache(true)
-                .with_spike_kernels(false),
-        );
+        assert!(!network.engine_preset().prefix_cache());
+        assert!(!network.engine_preset().spike_kernels());
+        network.set_engine_preset(EnginePreset::seed_equivalent().with_prefix_cache(true));
         assert!(network.engine_preset().prefix_cache());
         assert!(!network.engine_preset().spike_kernels());
-        // The named presets order their capabilities.
-        assert!(!EnginePreset::event_driven().composed_mask_chains());
-        assert!(!EnginePreset::event_driven().scenario_batching());
-        assert!(EnginePreset::full().composed_mask_chains());
-        assert!(EnginePreset::full().scenario_batching());
-        assert!(!EnginePreset::seed_equivalent().csr_spikes());
-        assert!(EnginePreset::event_driven().csr_spikes());
-        // The SIMD kernel layer is a kernel-layer property, on everywhere.
-        assert!(EnginePreset::seed_equivalent().simd_kernels());
-        assert!(EnginePreset::event_driven().simd_kernels());
-        assert!(EnginePreset::full().simd_kernels());
-        assert!(!EnginePreset::full().with_simd_kernels(false).simd_kernels());
+        assert!(!EnginePreset::full().with_prefix_cache(false).prefix_cache());
     }
 
     #[test]
@@ -952,10 +825,12 @@ mod tests {
         let simd_out = network.forward(&input, Mode::Eval).unwrap();
         let prev = simd::active();
         let mut scalar_network = tiny_network();
-        scalar_network.set_engine_preset(EnginePreset::full().with_simd_kernels(false));
-        let scalar_out = scalar_network.forward(&input, Mode::Eval).unwrap();
-        // The forced-scalar scope must not leak past forward().
-        assert_eq!(simd::active(), prev, "forward leaked its scalar override");
+        let scalar_out = {
+            let _scalar = simd::force(Some(simd::Isa::Scalar));
+            scalar_network.forward(&input, Mode::Eval).unwrap()
+        };
+        // The scoped override must not leak past its guard.
+        assert_eq!(simd::active(), prev, "the scalar override leaked");
         assert_eq!(simd_out.shape(), scalar_out.shape());
         for (a, b) in simd_out.data().iter().zip(scalar_out.data()) {
             assert!(

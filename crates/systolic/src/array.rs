@@ -1,15 +1,35 @@
 //! Structural (PE-by-PE) simulation of the systolic array.
 //!
 //! [`SystolicArray`] instantiates one [`ProcessingElement`] per grid position
-//! and pushes spike wavefronts through it, exactly as the block diagram in
-//! the paper's Figure 1 describes: spikes enter the rows, weights are
-//! pre-stored in the PEs, partial sums flow down the columns. It is slower
-//! than [`crate::SystolicExecutor`] but serves as the ground-truth model the
-//! executor is validated against (see the crate's integration tests).
+//! and pushes activation wavefronts through it, exactly as the block diagram
+//! in the paper's Figure 1 describes: activations enter the rows, weights are
+//! pre-stored in the PEs, partial sums flow down the columns. It is much
+//! slower than [`crate::SystolicExecutor`] but models the hardware directly,
+//! and [`SystolicArray::matmul`] is the oracle the executor is proptested
+//! against bit for bit (`crates/systolic/tests/proptest_systolic.rs`).
+//!
+//! A whole product `activations [M, K] x weights [K, N]` runs under the
+//! executor's weight-stationary tiling:
+//!
+//! * **Column tiles.** `N` tiles onto the grid columns mod `C`; every column
+//!   tile starts its partial sums from zero.
+//! * **Fold carry.** `K` folds onto the grid rows mod `R`. Within one column
+//!   tile the partial sum leaving the bottom row of one fold re-enters the
+//!   top row of the next, so weight row `p` always passes the accumulator of
+//!   PE row `p mod R`.
+//! * **Partial last fold.** The wavefront of the last fold stops at row
+//!   `(K - 1) mod R`: a faulty PE in a row the product never reaches
+//!   corrupts nothing.
+//!
+//! The array always models the quantized datapath. The executor differs in
+//! one documented place: a fault map with no fault at all is treated as
+//! ideal hardware and returns the float product, so comparisons between the
+//! two use maps with at least one fault.
 
+use crate::executor::matrix_dims;
 use crate::{FaultMap, PeCoord, ProcessingElement, Result, SystolicConfig, SystolicError};
 use falvolt_fixedpoint::Fixed;
-use falvolt_tensor::Tensor;
+use falvolt_tensor::{Tensor, TensorError};
 
 /// A structural model of the weight-stationary systolic array.
 ///
@@ -84,38 +104,32 @@ impl SystolicArray {
     }
 
     /// Pre-stores a weight tile of shape `[rows, cols]` (or smaller) into the
-    /// grid. Weight `(r, c)` lands in PE `(r, c)`.
+    /// grid. Weight `(r, c)` lands in PE `(r, c)`; PEs outside a smaller
+    /// tile are zeroed, so no weight of an earlier tile survives.
     ///
     /// # Errors
     ///
     /// Returns [`SystolicError::Tensor`] if the tile is not a matrix or is
     /// larger than the grid.
     pub fn load_weights(&mut self, tile: &Tensor) -> Result<()> {
-        if tile.ndim() != 2 {
-            return Err(SystolicError::Tensor(
-                falvolt_tensor::TensorError::RankMismatch {
-                    expected: 2,
-                    actual: tile.ndim(),
-                },
-            ));
-        }
-        let (r, c) = (tile.shape()[0], tile.shape()[1]);
+        let (r, c) = matrix_dims(tile)?;
         if r > self.config.rows() || c > self.config.cols() {
-            return Err(SystolicError::Tensor(
-                falvolt_tensor::TensorError::InvalidArgument {
-                    reason: format!(
-                        "weight tile {r}x{c} does not fit the {}x{} grid",
-                        self.config.rows(),
-                        self.config.cols()
-                    ),
-                },
-            ));
+            return Err(SystolicError::Tensor(TensorError::InvalidArgument {
+                reason: format!(
+                    "weight tile {r}x{c} does not fit the {}x{} grid",
+                    self.config.rows(),
+                    self.config.cols()
+                ),
+            }));
         }
-        for row in 0..r {
-            for col in 0..c {
-                let idx = row * self.config.cols() + col;
-                self.grid[idx].load_weight(tile.get(&[row, col]));
-            }
+        let cols = self.config.cols();
+        for (idx, pe) in self.grid.iter_mut().enumerate() {
+            let (row, col) = (idx / cols, idx % cols);
+            pe.load_weight(if row < r && col < c {
+                tile.get(&[row, col])
+            } else {
+                0.0
+            });
         }
         Ok(())
     }
@@ -125,18 +139,73 @@ impl SystolicArray {
     ///
     /// Rows beyond `spikes.len()` contribute nothing.
     pub fn process_spikes(&mut self, spikes: &[bool]) -> Vec<f32> {
-        let format = self.config.accumulator_format();
-        let cols = self.config.cols();
-        let mut sums = vec![0.0f32; cols];
-        for (col, sum) in sums.iter_mut().enumerate() {
-            let mut acc = Fixed::zero(format);
-            for (row, &spike) in spikes.iter().enumerate().take(self.config.rows()) {
-                let idx = row * cols + col;
-                acc = self.grid[idx].process(acc, spike);
-            }
-            *sum = acc.to_f32();
+        let activations: Vec<f32> = spikes.iter().map(|&s| if s { 1.0 } else { 0.0 }).collect();
+        let mut sums = vec![Fixed::zero(self.config.accumulator_format()); self.config.cols()];
+        self.stream(&activations, &mut sums);
+        sums.iter().map(Fixed::to_f32).collect()
+    }
+
+    /// Computes `activations [M, K] x weights [K, N]` PE by PE under the
+    /// weight-stationary tiling described in the [module docs](self): for
+    /// every column tile, each fold's weight tile is loaded and all `M`
+    /// activation rows stream through it, each row's partial sums carried
+    /// into the next fold. Multi-valued activations add the quantized
+    /// product with the raw weight
+    /// ([`ProcessingElement::process_activation`]); PEs bypassed with
+    /// [`SystolicArray::bypass_faulty_pes`] forward their partial sums
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystolicError::Tensor`] for non-matrix operands or
+    /// mismatched inner dimensions.
+    pub fn matmul(&mut self, activations: &Tensor, weights: &Tensor) -> Result<Tensor> {
+        let (m, k) = matrix_dims(activations)?;
+        let (k2, n) = matrix_dims(weights)?;
+        if k != k2 {
+            return Err(SystolicError::Tensor(TensorError::MatmulDimMismatch {
+                left_cols: k,
+                right_rows: k2,
+            }));
         }
-        sums
+        let (rows, cols) = (self.config.rows(), self.config.cols());
+        let zero = Fixed::zero(self.config.accumulator_format());
+        let (a, w) = (activations.data(), weights.data());
+        let mut out = vec![0.0f32; m * n];
+        for c0 in (0..n).step_by(cols) {
+            let width = cols.min(n - c0);
+            // One partial sum per (activation row, tile column).
+            let mut sums = vec![zero; m * width];
+            for r0 in (0..k).step_by(rows) {
+                let height = rows.min(k - r0);
+                let tile = Tensor::from_fn(&[height, width], |i| {
+                    w[(r0 + i / width) * n + c0 + i % width]
+                });
+                self.load_weights(&tile)?;
+                for (i, row_sums) in sums.chunks_mut(width).enumerate() {
+                    self.stream(&a[i * k + r0..i * k + r0 + height], row_sums);
+                }
+            }
+            for (i, row_sums) in sums.chunks(width).enumerate() {
+                for (j, sum) in row_sums.iter().enumerate() {
+                    out[i * n + c0 + j] = sum.to_f32();
+                }
+            }
+        }
+        Ok(Tensor::from_vec(vec![m, n], out)?)
+    }
+
+    /// Streams one wavefront down the first `presums.len()` columns: each
+    /// column's partial sum enters row 0 as `presums[col]`, passes the PEs
+    /// of rows `0..activations.len()` (activation `r` driving row `r`) and
+    /// leaves the last of them as the new `presums[col]`.
+    fn stream(&mut self, activations: &[f32], presums: &mut [Fixed]) {
+        let cols = self.config.cols();
+        for (col, sum) in presums.iter_mut().enumerate() {
+            for (row, &activation) in activations.iter().enumerate().take(self.config.rows()) {
+                *sum = self.grid[row * cols + col].process_activation(*sum, activation);
+            }
+        }
     }
 
     /// Total number of spikes observed by all PEs since the last reset.
@@ -215,14 +284,7 @@ mod tests {
         )
         .unwrap();
         let fast = executor.matmul(&spike_row, &tile).unwrap();
-        for (c, &s) in structural.iter().enumerate() {
-            assert!(
-                (s - fast.get(&[0, c])).abs() < 1e-4,
-                "column {c}: structural {} vs executor {}",
-                s,
-                fast.get(&[0, c])
-            );
-        }
+        assert_eq!(structural.as_slice(), fast.data());
     }
 
     #[test]
@@ -244,9 +306,33 @@ mod tests {
         let executor = SystolicExecutor::with_bypass(config, fault_map, BypassPolicy::SkipFaulty);
         let spike_row = Tensor::ones(&[1, 4]);
         let fast = executor.matmul(&spike_row, &tile).unwrap();
-        for (c, &s) in structural.iter().enumerate() {
-            assert!((s - fast.get(&[0, c])).abs() < 1e-4);
-        }
+        assert_eq!(structural.as_slice(), fast.data());
+    }
+
+    #[test]
+    fn smaller_tile_zeroes_the_pes_outside_it() {
+        // Regression: a 2x2 tile loaded after a 4x4 one must not leave the
+        // old weights in the PEs outside it.
+        let config = config();
+        let mut array = SystolicArray::new(config, &FaultMap::new(config));
+        array.load_weights(&Tensor::ones(&[4, 4])).unwrap();
+        array.load_weights(&Tensor::full(&[2, 2], 0.5)).unwrap();
+        assert_eq!(array.process_spikes(&[true; 4]), vec![1.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn folded_product_carries_partial_sums_across_folds() {
+        // k = 6 folds twice onto 4 rows and n = 5 tiles twice onto 4
+        // columns; a fault-free array sums exactly on the fixed-point
+        // lattice, and the ragged last fold and tile contribute their share.
+        let config = config();
+        let mut array = SystolicArray::new(config, &FaultMap::new(config));
+        let a = Tensor::from_fn(&[3, 6], |i| (i % 2) as f32);
+        let b = Tensor::from_fn(&[6, 5], |i| (i % 4) as f32 * 0.25);
+        let structural = array.matmul(&a, &b).unwrap();
+        let float = falvolt_tensor::ops::matmul(&a, &b).unwrap();
+        assert_eq!(structural.data(), float.data());
+        assert!(array.matmul(&a, &Tensor::ones(&[5, 5])).is_err());
     }
 
     #[test]

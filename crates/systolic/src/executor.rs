@@ -2,30 +2,43 @@
 //!
 //! The SNN layers lower their linear algebra (convolutions via im2col, fully
 //! connected layers directly) to matrix products `activations x weights`. The
-//! executor replays those products through the systolic array: every partial
+//! executor runs those products through the systolic array: every partial
 //! sum of an output element passes through the accumulator of the PE that
 //! stores the corresponding weight, where the PE's stuck-at faults corrupt it.
 //!
-//! Execution is structured around a [`FoldPlan`]: all per-`(k, column-fold)`
-//! fault state is resolved once per product, output columns whose PE column
-//! is fault-free fold to the clean blocked kernel
-//! ([`falvolt_tensor::kernels`]), and the remaining corruptible columns are
-//! evaluated with the quantized accumulator chain, parallelised over output
-//! rows (fault application is per-output-element, so rows are independent).
+//! The chain of output `(i, j)` is the structural array's datapath
+//! ([`crate::SystolicArray::matmul`], the bit-exact oracle the executor is
+//! proptested against):
 //!
-//! Two scenario-throughput layers sit on top of the plan:
+//! * **Fold carry.** Weight row `p` sits in PE row `p mod rows`, and the
+//!   accumulator is carried from fold to fold: step `p` adds
+//!   `quantize(a[i, p] * w[p, j])` (skipped when `a[i, p] == 0`) with
+//!   saturation, then applies the masks of PE `(p mod rows, j mod cols)`.
+//! * **Partial tiles.** The chain stops at `p = k - 1`, so in the last,
+//!   partial fold the PE rows past `(k - 1) mod rows` never touch the sum;
+//!   column tiles start from zero and a ragged last tile uses only its own
+//!   PE columns.
+//! * **Fault-free idealisation.** A map with no fault at all is treated as
+//!   ideal hardware: the product folds to the float kernel layer
+//!   ([`falvolt_tensor::kernels`]) and drops the fixed-point quantization.
+//!   Only maps with at least one fault run the quantized datapath.
 //!
-//! * **Composed mask chains** — stuck-at masks compose associatively
-//!   ([`PeMasks::then`]), so the run of masks between two nonzero activations
-//!   collapses into a single (AND, OR) pair. Faulty columns walk only the
-//!   nonzero activations and the (sparse, per-fold) masked positions instead
-//!   of all `k` steps — bit-identical by construction, since the same adds
-//!   and the same composed masks are applied in the same order.
-//! * **Shared clean products** — with a [`crate::ProductCache`] installed,
-//!   the maskless quantized chain of a product's fault-free columns is
-//!   computed once per distinct activation matrix and shared across every
-//!   fault scenario in a sweep (clean columns do not depend on the fault
-//!   map). See the cache docs for the promote-on-second-request policy.
+//! Execution is structured around a [`FoldPlan`]: the masked chain positions
+//! of every column fold are resolved once per product, output columns whose
+//! PE column is fault-free take a maskless quantized loop, and corruptible
+//! columns walk a merged event stream, parallelised over output rows (fault
+//! application is per-output-element, so rows are independent). Stuck-at
+//! masks compose associatively ([`PeMasks::then`]), so the run of masks
+//! between two nonzero activations collapses into one (AND, OR) pair: a
+//! faulty column walks only the nonzero activations and its fold's masked
+//! positions instead of all `k` steps, applying the same adds and the same
+//! masks in the same order.
+//!
+//! With a [`crate::ProductCache`] installed, the maskless quantized chain of
+//! a product's fault-free columns is computed once per distinct activation
+//! matrix and shared across every fault scenario in a sweep (clean columns
+//! do not depend on the fault map). See the cache docs for the
+//! promote-on-second-request policy.
 
 use crate::fault_map::PeMasks;
 use crate::product_cache::{CacheDecision, ProductCache};
@@ -83,7 +96,6 @@ pub struct SystolicExecutor {
     fault_map: FaultMap,
     mapping: WeightMapping,
     bypass: BypassPolicy,
-    composed_chains: bool,
     cache: Option<Arc<ProductCache>>,
     cancel: Option<CancelToken>,
 }
@@ -96,14 +108,12 @@ impl PartialEq for SystolicExecutor {
             && self.fault_map == other.fault_map
             && self.mapping == other.mapping
             && self.bypass == other.bypass
-            && self.composed_chains == other.composed_chains
     }
 }
 
 impl SystolicExecutor {
     /// Creates an executor for a configuration and fault map, with faults
-    /// active in the datapath ([`BypassPolicy::None`]) and composed mask
-    /// chains enabled.
+    /// active in the datapath ([`BypassPolicy::None`]).
     pub fn new(config: SystolicConfig, fault_map: FaultMap) -> Self {
         let mapping = WeightMapping::new(&config);
         Self {
@@ -111,7 +121,6 @@ impl SystolicExecutor {
             fault_map,
             mapping,
             bypass: BypassPolicy::None,
-            composed_chains: true,
             cache: None,
             cancel: None,
         }
@@ -153,19 +162,6 @@ impl SystolicExecutor {
     /// executor).
     pub fn set_fault_map(&mut self, fault_map: FaultMap) {
         self.fault_map = fault_map;
-    }
-
-    /// Enables or disables mask-chain composition on the faulty path.
-    /// Disabled replays every one of the `k` accumulation steps per faulty
-    /// column (the pre-composition engine) — kept as the baseline for
-    /// benchmarks and bit-identity property tests.
-    pub fn set_composed_mask_chains(&mut self, enabled: bool) {
-        self.composed_chains = enabled;
-    }
-
-    /// `true` when the faulty path uses composed mask chains.
-    pub fn composed_mask_chains(&self) -> bool {
-        self.composed_chains
     }
 
     /// Installs (or removes) a sweep-shared clean-product cache.
@@ -219,11 +215,10 @@ impl SystolicExecutor {
     ///
     /// `hint` steers the fault-free fast path onto the event-driven sparse
     /// kernel for spike activations. The faulty path ignores it: fault
-    /// corruption replays the exact quantized accumulator chain regardless,
-    /// so fault-injection results are bit-identical whatever the hint — and
-    /// bit-identical whether mask chains are composed or replayed, and
-    /// whether clean columns come from the shared product cache or are
-    /// recomputed.
+    /// corruption runs the exact quantized accumulator chain regardless, so
+    /// fault-injection results are bit-identical whatever the hint, the
+    /// active SIMD level, and whether clean columns come from the shared
+    /// product cache or are recomputed.
     ///
     /// # Errors
     ///
@@ -253,21 +248,15 @@ impl SystolicExecutor {
         // the sweep-shared store when one is installed.
         let cache = self.cache.as_ref();
 
-        // Hoist all per-(k, col-fold) fault state out of the element loops;
-        // the dense replay chains are only materialised when the replay
-        // engine will actually walk them.
-        let plan = if self.composed_chains {
-            FoldPlan::without_replay_chains(&self.config, &self.fault_map, k)
-        } else {
-            FoldPlan::new(&self.config, &self.fault_map, k)
-        };
+        // Hoist all per-(k, col-fold) fault state out of the element loops.
+        let plan = FoldPlan::new(&self.config, &self.fault_map, k);
 
         // Fast path: with no fault anywhere in the array the datapath cannot
         // corrupt anything, so the product folds to the kernel layer's
         // structure-aware dispatch (blocked dense, or gather-accumulate for
         // sparse spike activations). (This also drops the hardware's
         // fixed-point quantization — an ideal-hardware idealisation bounded
-        // by k * resolution; only faulty maps replay the quantized datapath
+        // by k * resolution; only faulty maps run the quantized datapath
         // below.)
         if !plan.any_fault() {
             let out = fault_free_product(activations, weights, m, k, n, hint, cache);
@@ -277,7 +266,7 @@ impl SystolicExecutor {
             return Ok(Tensor::from_vec(vec![m, n], Vec::new())?);
         }
 
-        // Faulty path. Every column replays the hardware's quantized
+        // Faulty path. Every column runs the hardware's quantized
         // accumulator chain (so the executor agrees with the structural
         // array simulation). Columns whose PE column is fault-free take a
         // maskless fast loop — served from the sweep-shared clean product
@@ -330,10 +319,8 @@ impl SystolicExecutor {
         let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
         let cols = self.config.cols();
         let qw_slice: Option<&[i32]> = qweights.as_deref().map(Vec::as_slice);
-        // Lane engine: only the composed walk vectorises — the replay engine
-        // stays scalar as the bit-identity reference — and `Isa::Scalar`
-        // keeps the legacy per-column loop exactly.
-        let use_lanes = self.composed_chains && !matches!(simd::active(), Isa::Scalar);
+        // Lane engine: `Isa::Scalar` keeps the per-column loop exactly.
+        let use_lanes = !matches!(simd::active(), Isa::Scalar);
         let cancel = self.cancel.as_ref();
         let compute_row =
             |i: usize, a_row: &[f32], out_row: &mut [f32], nz: &mut Vec<(usize, f32)>| {
@@ -397,9 +384,7 @@ impl SystolicExecutor {
                         };
                         continue;
                     }
-                    *out_elem = if !self.composed_chains {
-                        faulty_column_replay(&plan, j, a_row, w, n, format, bypass)
-                    } else if let Some(qw) = &qweights {
+                    *out_elem = if let Some(qw) = &qweights {
                         faulty_column_composed_tab(
                             plan.fold_masked(j),
                             nz,
@@ -528,7 +513,7 @@ impl SystolicExecutor {
         let cache = self.cache.as_ref();
         let plans: Vec<FoldPlan> = maps
             .iter()
-            .map(|map| FoldPlan::without_replay_chains(&self.config, map, k))
+            .map(|map| FoldPlan::new(&self.config, map, k))
             .collect();
         let mut lane_of: Vec<Option<ScenarioLane>> = vec![None; maps.len()];
 
@@ -634,7 +619,7 @@ impl SystolicExecutor {
         let mut inter = vec![0.0f32; m * row_stride];
         let qw_slice: Option<&[i32]> = qweights.as_deref().map(Vec::as_slice);
         // Per-fold `(scenario lane, masked list)` pairs, resolved once for
-        // the lane engine (the scenario plans are always composed).
+        // the lane engine.
         let fold_user_masked: Vec<FoldLaneMasks<'_>> = fold_users
             .iter()
             .enumerate()
@@ -1129,7 +1114,7 @@ fn faulty_column_composed(
     for &(p, a_ip) in nonzero {
         // Compose and apply every mask strictly before this add. Masks ahead
         // of the first nonzero act on the zero accumulator, exactly as the
-        // replayed chain does.
+        // PE-by-PE chain does.
         if mi < masked.len() && (masked[mi].0 as usize) < p {
             let mut composed = masked[mi].1;
             mi += 1;
@@ -1554,45 +1539,15 @@ fn walk_q_block<S: SimdLevel>(
     acc
 }
 
-/// Faulty column via the full `k`-step replay (the pre-composition engine):
-/// every accumulation step looks up and applies its mask, zero activations
-/// included. Kept as the reference for bit-identity tests and benchmarks.
-fn faulty_column_replay(
-    plan: &FoldPlan,
-    j: usize,
-    a_row: &[f32],
-    w: &[f32],
-    n: usize,
-    format: QFormat,
-    bypass: bool,
-) -> f32 {
-    let fold = plan.fold_masks(j);
-    let mut acc = Fixed::zero(format);
-    for (p, &a_ip) in a_row.iter().enumerate() {
-        let masks = fold[p];
-        if bypass && masks.is_some() {
-            continue;
-        }
-        if a_ip != 0.0 {
-            let contribution = Fixed::from_f32(a_ip * w[p * n + j], format);
-            acc = acc.saturating_add(contribution);
-        }
-        if let Some(masks) = masks {
-            acc = masks.apply(acc);
-        }
-    }
-    acc.to_f32()
-}
-
 /// Precomputed fault state for one matrix product: which PE masks apply to
 /// every `(k, column-fold)` pair, hoisted out of the per-element loops.
 ///
 /// Weight element `(p, j)` resides in PE `(p mod rows, j mod cols)`, so the
 /// mask chain of an output column depends only on `j mod cols`. The plan
-/// stores, for each of the `cols` folds, a `k`-long mask vector (resolving
-/// the `p mod rows` indirection once), a per-fold cleanliness flag used to
-/// fast-path unaffected columns, and the *sparse* list of masked positions
-/// that the composed event walk merges with each row's nonzero activations.
+/// stores, for each of the `cols` folds, the *sparse* list of masked chain
+/// positions that the event walk merges with each row's nonzero activations,
+/// and a per-fold cleanliness flag used to fast-path unaffected columns.
+/// Construction costs O(faults * k / rows).
 ///
 /// # Example
 ///
@@ -1610,48 +1565,22 @@ fn faulty_column_replay(
 /// ```
 #[derive(Debug, Clone)]
 pub struct FoldPlan {
-    /// `cols * k` masks, laid out fold-major so one column's chain is
-    /// contiguous: entry `fold * k + p`. Only materialised when the replay
-    /// path needs it ([`FoldPlan::new`]); the composed walk builds plans
-    /// with [`FoldPlan::without_replay_chains`], whose construction cost is
-    /// O(faults * k / rows) instead of O(cols * k) — the dense chain was the
-    /// dominant per-product setup cost for deep fully connected layers.
-    masks: Vec<Option<PeMasks>>,
-    /// Per-fold sparse view of the chain: the `(p, masks)` pairs where a
-    /// mask exists, in increasing `p`. `(#faulty rows of the fold) *
-    /// ceil(k / rows)` entries — what makes the composed walk O(nnz +
-    /// masked) instead of O(k).
+    /// Per-fold masked chain positions: the `(p, masks)` pairs where a mask
+    /// exists, in increasing `p`. `(#faulty rows of the fold) *
+    /// ceil(k / rows)` entries — what makes the event walk O(nnz + masked)
+    /// instead of O(k).
     masked: Vec<Vec<(u32, PeMasks)>>,
     /// Per-fold flag: `true` when no PE of that grid column masks any of the
     /// `k` chain positions.
     fold_clean: Vec<bool>,
-    k: usize,
     cols: usize,
     any_fault: bool,
-    has_replay_chains: bool,
 }
 
 impl FoldPlan {
-    /// Builds the full plan (sparse masked lists *and* the dense replay
-    /// chains) for products with inner dimension `k` on `config`'s grid
-    /// under `fault_map`.
+    /// Builds the plan for products with inner dimension `k` on `config`'s
+    /// grid under `fault_map`.
     pub fn new(config: &SystolicConfig, fault_map: &FaultMap, k: usize) -> Self {
-        Self::build(config, fault_map, k, true)
-    }
-
-    /// Builds the plan without the dense replay chains — all the composed
-    /// event walk and the clean-column fast paths need.
-    /// [`FoldPlan::fold_masks`] panics on such a plan.
-    pub fn without_replay_chains(config: &SystolicConfig, fault_map: &FaultMap, k: usize) -> Self {
-        Self::build(config, fault_map, k, false)
-    }
-
-    fn build(
-        config: &SystolicConfig,
-        fault_map: &FaultMap,
-        k: usize,
-        with_replay_chains: bool,
-    ) -> Self {
         let rows = config.rows();
         let cols = config.cols();
         let any_fault = !fault_map.is_empty();
@@ -1677,33 +1606,15 @@ impl FoldPlan {
             for (fold, list) in masked.iter_mut().enumerate() {
                 list.sort_unstable_by_key(|&(p, _)| p);
                 // A faulty PE whose row exceeds k masks nothing: the fold
-                // stays clean for this product, exactly as the dense chain
-                // (all-None) reports.
+                // stays clean for this product.
                 fold_clean[fold] = list.is_empty();
             }
         }
-        let masks = if with_replay_chains && any_fault {
-            let mut dense = vec![None; cols * k];
-            for (fold, list) in masked.iter().enumerate() {
-                let chain = &mut dense[fold * k..(fold + 1) * k];
-                for &(p, pe_masks) in list {
-                    chain[p as usize] = Some(pe_masks);
-                }
-            }
-            dense
-        } else if with_replay_chains {
-            vec![None; cols * k]
-        } else {
-            Vec::new()
-        };
         Self {
-            masks,
             masked,
             fold_clean,
-            k,
             cols,
             any_fault,
-            has_replay_chains: with_replay_chains,
         }
     }
 
@@ -1716,21 +1627,6 @@ impl FoldPlan {
     /// no faulty PE masking a chain position).
     pub fn column_is_clean(&self, j: usize) -> bool {
         self.fold_clean[j % self.cols]
-    }
-
-    /// The `k`-long mask chain of output column `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan was built with
-    /// [`FoldPlan::without_replay_chains`].
-    pub fn fold_masks(&self, j: usize) -> &[Option<PeMasks>] {
-        assert!(
-            self.has_replay_chains,
-            "replay chains were not built; construct the plan with FoldPlan::new"
-        );
-        let fold = j % self.cols;
-        &self.masks[fold * self.k..(fold + 1) * self.k]
     }
 
     /// The sparse masked positions of output column `j`, in increasing `p`.
@@ -1848,7 +1744,7 @@ fn lane_table(lane_of: Vec<Option<ScenarioLane>>) -> Result<Vec<ScenarioLane>> {
         })
 }
 
-fn matrix_dims(t: &Tensor) -> Result<(usize, usize)> {
+pub(crate) fn matrix_dims(t: &Tensor) -> Result<(usize, usize)> {
     if t.ndim() != 2 {
         return Err(SystolicError::Tensor(TensorError::RankMismatch {
             expected: 2,
@@ -2074,55 +1970,6 @@ mod tests {
         assert!(max_abs_diff(&clean, &bypassed) <= 0.5 + 1e-3);
     }
 
-    /// Random executors under every (composed, cached) regime must agree
-    /// bit-for-bit with the replayed, uncached engine — including bypass.
-    #[test]
-    fn composed_and_cached_paths_are_bit_identical_to_replay() {
-        let config = SystolicConfig::new(4, 6).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        for faulty_pes in [1usize, 3, 8] {
-            for bypass in [BypassPolicy::None, BypassPolicy::SkipFaulty] {
-                let fault_map = FaultMap::random_msb_faults(&config, faulty_pes, &mut rng).unwrap();
-                // Mixed spike/real activations with zero rows and a k that
-                // wraps the 4-row grid several times; m is large enough for
-                // the executor to consult the product cache (hash gate).
-                let a = Tensor::from_fn(&[40, 19], |i| match i % 6 {
-                    0 => 1.0,
-                    1 => -0.75,
-                    _ => 0.0,
-                });
-                let b = Tensor::from_fn(&[19, 9], |i| (i % 17) as f32 * 0.06 - 0.4);
-
-                let mut replay = SystolicExecutor::with_bypass(config, fault_map.clone(), bypass);
-                replay.set_composed_mask_chains(false);
-                let reference = replay.matmul(&a, &b).unwrap();
-
-                let composed = SystolicExecutor::with_bypass(config, fault_map.clone(), bypass);
-                assert_eq!(
-                    composed.matmul(&a, &b).unwrap().data(),
-                    reference.data(),
-                    "composed chains changed bits ({faulty_pes} PEs, {bypass:?})"
-                );
-
-                let shared = Arc::new(ProductCache::new());
-                let mut cached = SystolicExecutor::with_bypass(config, fault_map, bypass);
-                cached.set_product_cache(Some(Arc::clone(&shared)));
-                // Three calls: skip, promote-and-fulfill, hit — all equal.
-                for call in 0..3 {
-                    assert_eq!(
-                        cached.matmul(&a, &b).unwrap().data(),
-                        reference.data(),
-                        "cached call {call} changed bits ({faulty_pes} PEs, {bypass:?})"
-                    );
-                }
-                assert!(
-                    shared.hits() >= 1,
-                    "the cached path was never exercised ({faulty_pes} PEs, {bypass:?})"
-                );
-            }
-        }
-    }
-
     /// The batched multi-map product must agree bit-for-bit with installing
     /// each map on its own executor — mixed clean/faulty maps, both bypass
     /// policies, with and without a CSR spike index on the activations.
@@ -2169,26 +2016,6 @@ mod tests {
             .matmul_scenarios(&Tensor::zeros(&[0, 21]), &b, &maps)
             .unwrap();
         assert!(empty.iter().all(|t| t.shape() == [0, 9]));
-    }
-
-    #[test]
-    fn fold_plan_masked_lists_match_dense_chain() {
-        let config = SystolicConfig::new(4, 4).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let fault_map =
-            FaultMap::random_faulty_pes(&config, 5, 15, StuckAt::One, &mut rng).unwrap();
-        let plan = FoldPlan::new(&config, &fault_map, 22);
-        for j in 0..8 {
-            let dense = plan.fold_masks(j);
-            let sparse = plan.fold_masked(j);
-            let from_dense: Vec<(u32, PeMasks)> = dense
-                .iter()
-                .enumerate()
-                .filter_map(|(p, m)| m.map(|m| (p as u32, m)))
-                .collect();
-            assert_eq!(sparse, from_dense.as_slice(), "fold of column {j}");
-            assert_eq!(plan.column_is_clean(j), sparse.is_empty());
-        }
     }
 
     #[test]

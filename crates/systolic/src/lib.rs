@@ -19,9 +19,9 @@
 //!   layer land on which PE — and therefore which weights a faulty PE
 //!   corrupts ([`mapping`]),
 //! * a [`SystolicExecutor`] that runs im2col-lowered matrix products through
-//!   the faulty array ([`executor`]), and a cycle-style [`SystolicArray`]
-//!   used to validate the executor against a structural simulation
-//!   ([`mod@array`]).
+//!   the faulty array ([`executor`]), and a structural PE-by-PE
+//!   [`SystolicArray`] whose [`SystolicArray::matmul`] is the bit-exact
+//!   oracle the executor is tested against ([`mod@array`]).
 //!
 //! # Example
 //!

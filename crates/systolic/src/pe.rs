@@ -3,7 +3,8 @@
 //! A PE stores one pre-loaded weight (weight-stationary dataflow), adds it to
 //! the partial sum flowing down its column whenever the 1-bit spike input is
 //! asserted, counts the spikes it has seen, and forwards the (possibly
-//! fault-corrupted) partial sum. The bypass multiplexer of the paper's
+//! fault-corrupted) partial sum. Multi-valued inputs (the pixels an encoder
+//! layer sees) add the quantized product of the input and the raw weight. The bypass multiplexer of the paper's
 //! Figure 3b lets a faulty PE forward the incoming partial sum untouched.
 
 use crate::fault_map::PeMasks;
@@ -29,6 +30,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProcessingElement {
     format: QFormat,
+    raw_weight: f32,
     weight: Fixed,
     masks: PeMasks,
     bypassed: bool,
@@ -40,6 +42,7 @@ impl ProcessingElement {
     pub fn new(format: QFormat) -> Self {
         Self {
             format,
+            raw_weight: 0.0,
             weight: Fixed::zero(format),
             masks: PeMasks::identity(),
             bypassed: false,
@@ -47,9 +50,11 @@ impl ProcessingElement {
         }
     }
 
-    /// Pre-stores the weight for the current layer tile (quantized to the
-    /// accumulator format).
+    /// Pre-stores the weight for the current layer tile. The PE keeps the
+    /// raw value for multi-valued inputs next to its quantization to the
+    /// accumulator format.
     pub fn load_weight(&mut self, weight: f32) {
+        self.raw_weight = weight;
         self.weight = Fixed::from_f32(weight, self.format);
     }
 
@@ -103,14 +108,24 @@ impl ProcessingElement {
     /// untouched (the faulty accumulator is skipped), which is exactly the
     /// hardware analogue of pruning the weights mapped to this PE.
     pub fn process(&mut self, presum: Fixed, spike: bool) -> Fixed {
-        if spike {
+        self.process_activation(presum, if spike { 1.0 } else { 0.0 })
+    }
+
+    /// [`ProcessingElement::process`] for a multi-valued input `activation`:
+    /// a nonzero input adds `Fixed::from_f32(activation * w)` computed from
+    /// the raw weight `w` (for a spike, `1.0 * w`, exactly the stored
+    /// quantized weight) and counts as a spike; zero adds nothing. The stuck-at
+    /// masks and the bypass path act as for a spike.
+    pub fn process_activation(&mut self, presum: Fixed, activation: f32) -> Fixed {
+        let active = activation != 0.0;
+        if active {
             self.spike_count += 1;
         }
         if self.bypassed {
             return presum;
         }
-        let accumulated = if spike {
-            presum.saturating_add(self.weight)
+        let accumulated = if active {
+            presum.saturating_add(Fixed::from_f32(activation * self.raw_weight, self.format))
         } else {
             presum
         };
@@ -185,6 +200,19 @@ mod tests {
         assert_eq!(out, presum, "bypassed PE must not alter the partial sum");
         // The spike counter still observes traffic (it sits before the mux).
         assert_eq!(pe.spike_count(), 1);
+    }
+
+    #[test]
+    fn multi_valued_input_adds_the_quantized_product_of_the_raw_weight() {
+        let mut pe = ProcessingElement::new(format());
+        pe.load_weight(0.3);
+        let presum = Fixed::from_f32(1.0, format());
+        let out = pe.process_activation(presum, -0.7);
+        let expected = presum.saturating_add(Fixed::from_f32(-0.7 * 0.3, format()));
+        assert_eq!(out, expected);
+        assert_eq!(pe.process_activation(presum, 0.0), presum);
+        assert_eq!(pe.process_activation(presum, 1.0), pe.process(presum, true));
+        assert_eq!(pe.spike_count(), 3);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 
 use falvolt_systolic::executor::BypassPolicy;
 use falvolt_systolic::{
-    FaultMap, FoldPlan, StuckAt, SystolicConfig, SystolicExecutor, WeightMapping,
+    Fault, FaultMap, FoldPlan, PeCoord, ProductCache, StuckAt, SystolicArray, SystolicConfig,
+    SystolicExecutor, WeightMapping,
 };
-use falvolt_tensor::Tensor;
+use falvolt_tensor::{simd, SpikeIndex, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn small_grid() -> impl Strategy<Value = SystolicConfig> {
     (2usize..8, 2usize..8).prop_map(|(r, c)| SystolicConfig::new(r, c).unwrap())
@@ -42,53 +44,6 @@ proptest! {
     }
 
     #[test]
-    fn composed_and_cached_executors_match_replay_bit_for_bit(
-        config in small_grid(),
-        seed in 0u64..1000,
-        density_pct in 0usize..60,
-        bypass_choice in 0usize..2,
-    ) {
-        // Random grids, fault maps, spike densities and bypass policies:
-        // the composed event walk and the sweep-shared clean-product cache
-        // must reproduce the full k-step replay exactly — this is the
-        // "composed vs replayed mask chains" leg of the Fig 5 bit-identity
-        // guarantee, at the executor level where the chains live.
-        use falvolt_systolic::ProductCache;
-        use std::sync::Arc;
-
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(5));
-        let faulty = 1 + config.pe_count() / 4;
-        let map = FaultMap::random_msb_faults(&config, faulty, &mut rng).unwrap();
-        prop_assert!(!map.is_empty());
-        let policy = [BypassPolicy::None, BypassPolicy::SkipFaulty][bypass_choice];
-
-        // k wraps the grid rows a few times so folded PEs repeat masks; m is
-        // large enough for the executor's hash gate to consult the cache.
-        let k = config.rows() * 3 + 1;
-        let n = config.cols() * 2 + 1;
-        let a = Tensor::from_fn(&[50, k], |i| {
-            let r = (i * 2654435761 + seed as usize) % 100;
-            if r < density_pct { 1.0 } else if r == 99 { -0.5 } else { 0.0 }
-        });
-        let b = falvolt_tensor::init::uniform(&[k, n], -0.4, 0.4, &mut rng);
-
-        let mut replay = SystolicExecutor::with_bypass(config, map.clone(), policy);
-        replay.set_composed_mask_chains(false);
-        let reference = replay.matmul(&a, &b).unwrap();
-
-        let composed = SystolicExecutor::with_bypass(config, map.clone(), policy);
-        let composed_out = composed.matmul(&a, &b).unwrap();
-        prop_assert_eq!(composed_out.data(), reference.data());
-
-        let mut cached = SystolicExecutor::with_bypass(config, map, policy);
-        cached.set_product_cache(Some(Arc::new(ProductCache::new())));
-        for _ in 0..3 {
-            let cached_out = cached.matmul(&a, &b).unwrap();
-            prop_assert_eq!(cached_out.data(), reference.data());
-        }
-    }
-
-    #[test]
     fn matmul_scenarios_is_bit_identical_to_per_map_products(
         config in small_grid(),
         seed in 0u64..1000,
@@ -102,8 +57,6 @@ proptest! {
         // each map on its own executor — over random grids, map mixes
         // (including the empty map), densities, bypass policies, and with
         // or without a CSR spike index on the activations.
-        use std::sync::Arc;
-
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(97).wrapping_add(3));
         let policy = [BypassPolicy::None, BypassPolicy::SkipFaulty][bypass_choice];
         let indexed = indexed_choice == 1;
@@ -128,7 +81,7 @@ proptest! {
             }
         });
         let a = if indexed {
-            let index = falvolt_tensor::SpikeIndex::from_dense(a.data(), k).unwrap();
+            let index = SpikeIndex::from_dense(a.data(), k).unwrap();
             a.with_spike_index(Arc::new(index))
         } else {
             a
@@ -170,6 +123,9 @@ proptest! {
         // With an empty fault map the executor takes the clean blocked-kernel
         // fast path, so the result is *identical* to clean_matmul, not merely
         // within quantization tolerance.
+        // Dispatch-sensitive: both sides must run under the same ISA, so
+        // hold off the tests that force one.
+        let _lock = simd::test_override_lock();
         let mut rng = StdRng::seed_from_u64(seed);
         let k = 2 * config.rows() + 1;
         let n = config.cols() + 3;
@@ -302,7 +258,6 @@ proptest! {
         bypass_choice in 0usize..2,
         seed in 0u64..1000,
     ) {
-        use falvolt_tensor::simd;
         let _lock = simd::test_override_lock();
         let mut rng = StdRng::seed_from_u64(seed);
         let faulty = 1 + config.pe_count() / 4;
@@ -336,7 +291,6 @@ proptest! {
         scenarios in 1usize..5,
         seed in 0u64..1000,
     ) {
-        use falvolt_tensor::simd;
         let _lock = simd::test_override_lock();
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(97).wrapping_add(3));
         let maps: Vec<FaultMap> = (0..scenarios)
@@ -360,8 +314,7 @@ proptest! {
             prop_assert_eq!(batched.len(), maps.len());
             for (s, out) in batched.iter().enumerate() {
                 prop_assert_eq!(out.data(), scalar[s].data(), "isa {} scenario {}", isa, s);
-                let mut single = SystolicExecutor::new(config, maps[s].clone());
-                single.set_composed_mask_chains(true);
+                let single = SystolicExecutor::new(config, maps[s].clone());
                 let direct = single.matmul(&a, &b).unwrap();
                 if maps[s].is_empty() {
                     continue; // fault-free lanes take the float fast path
@@ -415,6 +368,133 @@ proptest! {
         let gathered = view.into_tensors().unwrap();
         for (s, t) in gathered.iter().enumerate() {
             prop_assert_eq!(t.data(), eager[s].data(), "scenario {}", s);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The hardware oracle: the structural PE-by-PE `SystolicArray` computes every
+// product under the executor's weight-stationary tiling (fold carry, partial
+// last fold, zero-started column tiles), so the executor must reproduce it
+// bit for bit on every fault map with at least one fault. (A fault-free map
+// is ideal hardware to the executor, which then returns the float product.)
+// ---------------------------------------------------------------------------
+
+/// Grids of 1-5 x 1-5 PEs, single-row and single-column arrays included.
+fn oracle_grid() -> impl Strategy<Value = SystolicConfig> {
+    (1usize..6, 1usize..6).prop_map(|(r, c)| SystolicConfig::new(r, c).unwrap())
+}
+
+/// A map of 1..=pe_count stuck-at faults, each on a random PE, accumulator
+/// bit and polarity (a PE may collect several).
+fn random_fault_map(config: &SystolicConfig, rng: &mut StdRng) -> FaultMap {
+    let bits = config.accumulator_format().total_bits();
+    let faults = (0..rng.gen_range(1..config.pe_count() + 1))
+        .map(|_| {
+            let pe = PeCoord::new(
+                rng.gen_range(0..config.rows()),
+                rng.gen_range(0..config.cols()),
+            );
+            let kind = if rng.gen_bool(0.5) {
+                StuckAt::One
+            } else {
+                StuckAt::Zero
+            };
+            Fault::new(pe, rng.gen_range(0..bits), kind)
+        })
+        .collect();
+    FaultMap::from_faults(*config, faults).unwrap()
+}
+
+/// The structural array's product under `map` and `policy`.
+fn oracle(
+    config: SystolicConfig,
+    map: &FaultMap,
+    policy: BypassPolicy,
+    a: &Tensor,
+    b: &Tensor,
+) -> Tensor {
+    let mut array = SystolicArray::new(config, map);
+    if policy == BypassPolicy::SkipFaulty {
+        array.bypass_faulty_pes();
+    }
+    array.matmul(a, b).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn executor_matches_structural_array_bit_for_bit(
+        config in oracle_grid(),
+        seed in 0u64..100_000,
+        class in 0usize..3,
+        bypass_choice in 0usize..2,
+    ) {
+        // k up to 4R+1 and n up to 4C+1 exercise the fold carry, the partial
+        // last fold and the ragged last column tile. Activation classes:
+        // binary spikes on dense operands, the same with a CSR spike index,
+        // and real-valued activations (encoder-layer pixels, negatives
+        // included). Weights sometimes reach the accumulator's saturation.
+        let _lock = simd::test_override_lock();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let policy = [BypassPolicy::None, BypassPolicy::SkipFaulty][bypass_choice];
+        let m = rng.gen_range(1..6);
+        let k = rng.gen_range(1..4 * config.rows() + 2);
+        let n = rng.gen_range(1..4 * config.cols() + 2);
+        let density = rng.gen_range(0.0..1.0);
+        let a = Tensor::from_fn(&[m, k], |_| {
+            if !rng.gen_bool(density) {
+                0.0
+            } else if class == 2 {
+                rng.gen_range(-2.0f32..2.0)
+            } else {
+                1.0
+            }
+        });
+        let a = if class == 1 {
+            let index = SpikeIndex::from_dense(a.data(), k).unwrap();
+            a.with_spike_index(Arc::new(index))
+        } else {
+            a
+        };
+        let scale = [0.4f32, 6.0][rng.gen_range(0..2)];
+        let b = falvolt_tensor::init::uniform(&[k, n], -scale, scale, &mut rng);
+        let maps: Vec<FaultMap> = (0..3).map(|_| random_fault_map(&config, &mut rng)).collect();
+        let expected: Vec<Tensor> =
+            maps.iter().map(|map| oracle(config, map, policy, &a, &b)).collect();
+
+        for isa in simd::available() {
+            let _g = simd::force(Some(isa));
+            let executor = SystolicExecutor::with_bypass(config, maps[0].clone(), policy);
+            let out = executor.matmul(&a, &b).unwrap();
+            prop_assert_eq!(out.data(), expected[0].data(), "isa {}", isa);
+
+            // Product cache on: skip, promote-and-fulfil, hit.
+            let shared = Arc::new(ProductCache::new());
+            let mut cached = executor.clone();
+            cached.set_product_cache(Some(Arc::clone(&shared)));
+            for call in 0..3 {
+                let out = cached.matmul(&a, &b).unwrap();
+                prop_assert_eq!(out.data(), expected[0].data(), "isa {} cached call {}", isa, call);
+            }
+            prop_assert!(shared.hits() >= 1, "the cached path was never exercised");
+
+            // Batched scenarios, checked per map, without and with a cache.
+            let mut batch = SystolicExecutor::with_bypass(config, FaultMap::new(config), policy);
+            for call in 0..3 {
+                let outs = batch.matmul_scenarios(&a, &b, &maps).unwrap();
+                for (s, out) in outs.iter().enumerate() {
+                    prop_assert_eq!(
+                        out.data(),
+                        expected[s].data(),
+                        "isa {} scenario {} call {}", isa, s, call
+                    );
+                }
+                if call == 0 {
+                    batch.set_product_cache(Some(Arc::new(ProductCache::new())));
+                }
+            }
         }
     }
 }

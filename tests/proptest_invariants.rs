@@ -4,12 +4,35 @@
 use falvolt::prune::PruneMasks;
 use falvolt_snn::config::ArchitectureConfig;
 use falvolt_snn::neuron::NeuronConfig;
-use falvolt_snn::{Mode, SpikingNetwork};
-use falvolt_systolic::{FaultMap, StuckAt, SystolicConfig};
-use falvolt_tensor::Tensor;
+use falvolt_snn::{MatmulBackend, MatmulOutput, MatmulRequest, Mode, SpikingNetwork};
+use falvolt_systolic::{FaultMap, StuckAt, SystolicArray, SystolicConfig};
+use falvolt_tensor::{Tensor, TensorError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Runs every product PE by PE on a fresh structural array holding
+/// `fault_map` — the hardware oracle as a network backend.
+#[derive(Debug)]
+struct StructuralBackend {
+    systolic: SystolicConfig,
+    fault_map: FaultMap,
+}
+
+impl MatmulBackend for StructuralBackend {
+    fn matmul_request(&self, req: MatmulRequest<'_>) -> falvolt_tensor::Result<MatmulOutput> {
+        SystolicArray::new(self.systolic, &self.fault_map)
+            .matmul(req.a(), req.b())
+            .map(MatmulOutput::new)
+            .map_err(|e| TensorError::InvalidArgument {
+                reason: e.to_string(),
+            })
+    }
+
+    fn name(&self) -> &str {
+        "structural"
+    }
+}
 
 fn tiny_network(threshold: f32) -> SpikingNetwork {
     ArchitectureConfig::tiny_test()
@@ -145,10 +168,10 @@ proptest! {
         // sweep (several fault maps, one of them non-empty by construction,
         // plus the empty map) must produce bit-identical accuracies
         //
-        //   * sequentially on per-clone deep copies with replayed mask
-        //     chains and no caches (the PR 2 engine), vs
+        //   * sequentially on per-clone deep copies with no caches and no
+        //     batching, vs
         //   * fanned out through `scenario_accuracies` (scenario views,
-        //     sweep + product caches, composed chains) with 1 worker, vs
+        //     sweep + product caches, multi-map batching) with 1 worker, vs
         //   * the same with several workers.
         use falvolt::vulnerability::{reference_accuracies, scenario_accuracies, SweepCaches};
         use falvolt_snn::EnginePreset;
@@ -215,42 +238,32 @@ proptest! {
     }
 
     #[test]
-    fn csr_forward_is_bit_identical_to_probe_forward(
+    fn faulty_forward_matches_structural_array_bit_for_bit(
         seed in 0u64..50,
         faulty_pes in 1usize..8,
+        bit in 0u32..16,
+        polarity in 0usize..2,
     ) {
-        // The CSR acceptance bar: with only the spike-index switch differing
-        // (spike kernels and prefix cache on in both runs), forwards must be
-        // bit-identical — on the float backend (index-walking kernels vs
-        // probe-based kernels) and through the systolic model with a
-        // non-empty FaultMap (index-fed event walk vs per-row scratch
-        // rebuild on the faulty path).
+        // The hardware oracle at network scale: a whole forward pass with
+        // every product run PE by PE on the structural array must equal the
+        // production executor bit for bit — encoder pixels, CSR-indexed
+        // spikes, the prefix cache and the dispatched ISA included.
         use falvolt::SystolicBackend;
-        use falvolt_snn::EnginePreset;
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(9000));
-        let input = falvolt_tensor::init::uniform(&[3, 1, 8, 8], 0.0, 1.6, &mut rng);
-        let probe_engine = EnginePreset::full().with_csr_spikes(false);
-
-        let mut csr = tiny_network(1.0);
-        let mut probe = tiny_network(1.0);
-        probe.set_engine_preset(probe_engine);
-        let a = csr.forward(&input, Mode::Eval).unwrap();
-        let b = probe.forward(&input, Mode::Eval).unwrap();
-        prop_assert_eq!(a.data(), b.data(), "float backend diverged");
-
         let systolic = SystolicConfig::new(4, 4).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(9000));
+        let kind = [StuckAt::Zero, StuckAt::One][polarity];
         let fault_map =
-            FaultMap::random_faulty_pes(&systolic, faulty_pes, 15, StuckAt::One, &mut rng)
-                .unwrap();
+            FaultMap::random_faulty_pes(&systolic, faulty_pes, bit, kind, &mut rng).unwrap();
         prop_assert!(!fault_map.is_empty());
-        let mut csr = tiny_network(1.0);
-        let mut probe = tiny_network(1.0);
-        csr.set_backend(SystolicBackend::shared(systolic, fault_map.clone()));
-        probe.set_backend(SystolicBackend::shared(systolic, fault_map));
-        probe.set_engine_preset(probe_engine);
-        let a = csr.forward(&input, Mode::Eval).unwrap();
-        let b = probe.forward(&input, Mode::Eval).unwrap();
-        prop_assert_eq!(a.data(), b.data(), "faulty systolic backend diverged");
+        let input = falvolt_tensor::init::uniform(&[3, 1, 8, 8], 0.0, 1.6, &mut rng);
+
+        let mut fast = tiny_network(1.0);
+        let mut oracle = tiny_network(1.0);
+        fast.set_backend(SystolicBackend::shared(systolic, fault_map.clone()));
+        oracle.set_backend(std::sync::Arc::new(StructuralBackend { systolic, fault_map }));
+        let a = fast.forward(&input, Mode::Eval).unwrap();
+        let b = oracle.forward(&input, Mode::Eval).unwrap();
+        prop_assert_eq!(a.data(), b.data());
     }
 
     #[test]
