@@ -13,17 +13,23 @@
 //!   from the current file (a bench that stops measuring must not pass
 //!   silently).
 //!
-//! The workspace has no JSON-parsing dependency (offline shims only), so the
-//! scan is a small key-path tracker over the machine-generated JSON: every
-//! `"speedup": <number>` is labelled with the `/`-joined path of enclosing
-//! object keys and array indices (e.g. `sparse_matmul_1024x512x64/[2]`),
-//! which is what lets current and baseline values be matched entry-by-entry
-//! even as new benches are added. A `"speedup"` whose value cannot be parsed
-//! as a finite number (`inf`, `NaN`, garbage) fails the gate rather than
-//! being skipped — a broken measurement must not pass silently.
+//! Both files are read with [`falvolt_tidy::schema::parse`] — the parser the
+//! tidy pass and `--schema-only` use — so the three readers of the file
+//! cannot disagree about what it says. A file that is not valid JSON
+//! (truncated, or an object repeating a key) fails as unreadable. Every
+//! `"speedup"` member of the parsed tree is labelled with the `/`-joined
+//! path of enclosing object keys and array indices (e.g.
+//! `sparse_matmul_1024x512x64/[2]/speedup`), which is what lets current and
+//! baseline values be matched entry-by-entry even as new benches are added.
+//! A `"speedup"` that is not a finite raw number (`inf`, `NaN`, a string, an
+//! object) fails the gate rather than being skipped — a broken measurement
+//! must not pass silently.
 //!
 //! `BENCH_GATE_MIN_SPEEDUP` overrides the absolute threshold for noisy
-//! shared runners.
+//! shared runners; it must be a finite number `> 0`.
+//! `BENCH_GATE_MAX_REGRESSION` must be a finite number in `[0, 1)`. An
+//! override outside its range fails the gate as `bad-config` instead of
+//! falling back to the default or loosening the floor below zero.
 //!
 //! `bench_gate --schema-only [PATH]` skips all speedup thresholds and
 //! instead validates the file against the bench schema the `falvolt-tidy`
@@ -57,6 +63,7 @@
 //! first failure encountered (file-level problems are detected before
 //! entry-level ones, so the exit code names the most fundamental fault).
 
+use falvolt_tidy::schema::{self, Node, Value};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -72,6 +79,7 @@ use std::process::ExitCode;
 /// | 6 | `baseline-unreadable` | the supplied baseline file cannot be read |
 /// | 7 | `baseline-regression` | an entry regressed vs (or vanished from) the baseline |
 /// | 8 | `schema-violation` | `--schema-only`: the file fails the tidy bench schema |
+/// | 9 | `bad-config` | an environment override is unparseable or out of range |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FailureKind {
     CurrentUnreadable = 2,
@@ -81,6 +89,7 @@ enum FailureKind {
     BaselineUnreadable = 6,
     BaselineRegression = 7,
     Schema = 8,
+    BadConfig = 9,
 }
 
 impl FailureKind {
@@ -98,6 +107,7 @@ impl FailureKind {
             FailureKind::BaselineUnreadable => "baseline-unreadable",
             FailureKind::BaselineRegression => "baseline-regression",
             FailureKind::Schema => "schema-violation",
+            FailureKind::BadConfig => "bad-config",
         }
     }
 }
@@ -139,6 +149,35 @@ fn report(failure: &Failure) {
     );
 }
 
+/// Reports a single failure that ends the run and returns its exit code.
+fn fail_now(kind: FailureKind, detail: String) -> ExitCode {
+    eprintln!("bench gate: {detail}");
+    report(&Failure {
+        kind,
+        label: String::new(),
+        detail,
+    });
+    ExitCode::from(kind.code())
+}
+
+/// Reads the environment override `name`, or `default` when it is unset.
+/// A value that does not parse or fails `valid` is a `bad-config` failure
+/// whose detail states `rule`.
+fn env_override(
+    name: &str,
+    default: f64,
+    valid: fn(f64) -> bool,
+    rule: &str,
+) -> Result<f64, String> {
+    let Ok(raw) = std::env::var(name) else {
+        return Ok(default);
+    };
+    match raw.trim().parse::<f64>() {
+        Ok(v) if valid(v) => Ok(v),
+        _ => Err(format!("{name}={raw:?} is invalid: it must be {rule}")),
+    }
+}
+
 /// One `"speedup"` occurrence: its key path and parsed value (or the
 /// offending token).
 type LabeledSpeedup = (String, Result<f64, String>);
@@ -161,99 +200,62 @@ impl BenchMetrics {
     }
 }
 
-/// Scans `text` for every `"speedup": <value>` and `"isa": "<name>"`
-/// occurrence, labelling each with the path of enclosing object keys / array
-/// indices. The scanner understands exactly the JSON shape the bench emits
-/// (string keys, nested objects and arrays, scalar values without embedded
-/// braces).
-fn extract_metrics(text: &str) -> BenchMetrics {
-    #[derive(Debug)]
-    enum Frame {
-        Object,
-        Array(usize),
-    }
+/// Reads and parses the bench JSON at `path`, then collects its metrics.
+/// The error is a one-line description naming the file (and, for a parse
+/// failure, the line).
+fn read_metrics(path: &str) -> Result<BenchMetrics, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    collect_metrics(&text).map_err(|e| format!("{path}:{}: not valid JSON: {}", e.line, e.message))
+}
+
+/// Parses `text` with the tidy bench parser and collects every `"speedup"`
+/// and string-valued `"isa"` member, labelled with its key path.
+fn collect_metrics(text: &str) -> Result<BenchMetrics, schema::ParseError> {
     let mut metrics = BenchMetrics::default();
-    let mut stack: Vec<(String, Frame)> = Vec::new();
-    let mut pending_key: Option<String> = None;
-    let mut chars = text.chars().peekable();
+    walk(&schema::parse(text)?, "", &mut metrics);
+    Ok(metrics)
+}
 
-    let path_of = |stack: &[(String, Frame)], key: &str| -> String {
-        let mut parts: Vec<String> = stack.iter().map(|(name, _)| name.clone()).collect();
-        parts.push(key.to_string());
-        parts.retain(|p| !p.is_empty());
-        parts.join("/")
+/// Collects the metrics under `value`, whose key path is `path`.
+fn walk(value: &Value, path: &str, metrics: &mut BenchMetrics) {
+    let child = |key: &str| {
+        if path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{path}/{key}")
+        }
     };
-
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => {
-                let mut s = String::new();
-                for sc in chars.by_ref() {
-                    if sc == '"' {
-                        break;
-                    }
-                    s.push(sc);
-                }
-                // A string followed by ':' is a key; otherwise it is a value
-                // (which consumes any pending key so it cannot leak onto the
-                // next container).
-                while matches!(chars.peek(), Some(w) if w.is_whitespace()) {
-                    chars.next();
-                }
-                if matches!(chars.peek(), Some(':')) {
-                    chars.next();
-                    pending_key = Some(s);
-                } else if pending_key.take().as_deref() == Some("isa") {
-                    metrics.isas.insert(path_of(&stack, "isa"), s);
-                }
-            }
-            '{' => {
-                let name = pending_key.take().unwrap_or_else(|| {
-                    // Array element object: label with the element index.
-                    match stack.last() {
-                        Some((_, Frame::Array(i))) => format!("[{i}]"),
-                        _ => String::new(),
-                    }
-                });
-                stack.push((name, Frame::Object));
-            }
-            '[' => {
-                let name = pending_key.take().unwrap_or_default();
-                stack.push((name, Frame::Array(0)));
-            }
-            '}' | ']' => {
-                stack.pop();
-            }
-            ',' => {
-                if let Some((_, Frame::Array(i))) = stack.last_mut() {
-                    *i += 1;
-                }
-            }
-            _ if !c.is_whitespace() => {
-                // A scalar value token (number, true, false, null).
-                let mut token = String::from(c);
-                while let Some(&w) = chars.peek() {
-                    if w.is_whitespace() || w == ',' || w == '}' || w == ']' {
-                        break;
-                    }
-                    token.push(w);
-                    chars.next();
-                }
-                if let Some(key) = pending_key.take() {
-                    if key == "speedup" {
-                        let label = path_of(&stack, &key);
-                        let value = match token.parse::<f64>() {
-                            Ok(v) if v.is_finite() => Ok(v),
-                            _ => Err(token.clone()),
+    match &value.node {
+        Node::Object(members) => {
+            for (key, member) in members {
+                let label = child(key);
+                match (key.as_str(), &member.node) {
+                    ("speedup", node) => {
+                        let value = match node {
+                            Node::Raw(token) => match token.parse::<f64>() {
+                                Ok(v) if v.is_finite() => Ok(v),
+                                _ => Err(token.clone()),
+                            },
+                            Node::Str(s) => Err(format!("\"{s}\"")),
+                            Node::Object(_) => Err("{…}".into()),
+                            Node::Array(_) => Err("[…]".into()),
                         };
                         metrics.speedups.push((label, value));
                     }
+                    ("isa", Node::Str(isa)) => {
+                        metrics.isas.insert(label, isa.clone());
+                    }
+                    _ => walk(member, &label, metrics),
                 }
             }
-            _ => {}
         }
+        Node::Array(items) => {
+            for (i, item) in items.iter().enumerate() {
+                walk(item, &child(&format!("[{i}]")), metrics);
+            }
+        }
+        Node::Str(_) | Node::Raw(_) => {}
     }
-    metrics
 }
 
 /// `--schema-only`: validate the bench JSON against the same schema the
@@ -265,14 +267,10 @@ fn run_schema_only(path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("bench gate: cannot read {path}: {e}");
-            let failure = Failure {
-                kind: FailureKind::CurrentUnreadable,
-                label: String::new(),
-                detail: format!("cannot read {path}: {e}"),
-            };
-            report(&failure);
-            return ExitCode::from(failure.kind.code());
+            return fail_now(
+                FailureKind::CurrentUnreadable,
+                format!("cannot read {path}: {e}"),
+            )
         }
     };
     let violations = falvolt_tidy::schema::check_bench_schema(&text);
@@ -317,40 +315,37 @@ fn main() -> ExitCode {
     let baseline_path = args
         .next()
         .or_else(|| std::env::var("BENCH_GATE_BASELINE").ok());
-    let threshold = std::env::var("BENCH_GATE_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.0);
-    let max_regression = std::env::var("BENCH_GATE_MAX_REGRESSION")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.10);
+    let threshold = env_override(
+        "BENCH_GATE_MIN_SPEEDUP",
+        1.0,
+        |v| v.is_finite() && v > 0.0,
+        "a finite number > 0",
+    );
+    let max_regression = env_override(
+        "BENCH_GATE_MAX_REGRESSION",
+        0.10,
+        |v| (0.0..1.0).contains(&v),
+        "a finite number in [0, 1)",
+    );
+    let (threshold, max_regression) = match (threshold, max_regression) {
+        (Ok(threshold), Ok(max_regression)) => (threshold, max_regression),
+        (Err(detail), _) | (_, Err(detail)) => return fail_now(FailureKind::BadConfig, detail),
+    };
 
     let mut failures: Vec<Failure> = Vec::new();
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("bench gate: cannot read {path}: {e}");
+    let metrics = match read_metrics(&path) {
+        Ok(metrics) => metrics,
+        Err(detail) => {
+            let code = fail_now(FailureKind::CurrentUnreadable, detail);
             eprintln!("run `cargo bench -p falvolt-bench --bench kernels` first");
-            let failure = Failure {
-                kind: FailureKind::CurrentUnreadable,
-                label: String::new(),
-                detail: format!("cannot read {path}: {e}"),
-            };
-            report(&failure);
-            return ExitCode::from(failure.kind.code());
+            return code;
         }
     };
-    let metrics = extract_metrics(&text);
     if metrics.speedups.is_empty() {
-        eprintln!("bench gate: {path} records no \"speedup\" entries — bench output is broken");
-        let failure = Failure {
-            kind: FailureKind::NoSpeedups,
-            label: String::new(),
-            detail: format!("{path} records no \"speedup\" entries"),
-        };
-        report(&failure);
-        return ExitCode::from(failure.kind.code());
+        return fail_now(
+            FailureKind::NoSpeedups,
+            format!("{path} records no \"speedup\" entries — bench output is broken"),
+        );
     }
 
     let mut current = BTreeMap::new();
@@ -380,10 +375,9 @@ fn main() -> ExitCode {
     }
 
     if let Some(baseline_path) = baseline_path {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(baseline_text) => {
+        match read_metrics(&baseline_path) {
+            Ok(baseline) => {
                 let floor = 1.0 - max_regression;
-                let baseline = extract_metrics(&baseline_text);
                 for (label, entry) in &baseline.speedups {
                     let Ok(base) = *entry else { continue };
                     // An entry measured on a different SIMD level than the
@@ -436,12 +430,12 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            Err(e) => {
-                eprintln!("bench gate: cannot read baseline {baseline_path}: {e}");
+            Err(detail) => {
+                eprintln!("bench gate: baseline: {detail}");
                 failures.push(Failure {
                     kind: FailureKind::BaselineUnreadable,
                     label: String::new(),
-                    detail: format!("cannot read baseline {baseline_path}: {e}"),
+                    detail: format!("baseline: {detail}"),
                 });
             }
         }
@@ -473,7 +467,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{extract_metrics, json_escape, FailureKind};
+    use super::{collect_metrics, json_escape, FailureKind};
 
     #[test]
     fn failure_kinds_have_distinct_stable_exit_codes() {
@@ -485,9 +479,10 @@ mod tests {
             FailureKind::BaselineUnreadable,
             FailureKind::BaselineRegression,
             FailureKind::Schema,
+            FailureKind::BadConfig,
         ];
         let codes: Vec<u8> = kinds.iter().map(|k| k.code()).collect();
-        assert_eq!(codes, vec![2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(codes, vec![2, 3, 4, 5, 6, 7, 8, 9]);
         let mut names: Vec<&str> = kinds.iter().map(|k| k.kind()).collect();
         names.sort_unstable();
         names.dedup();
@@ -504,7 +499,7 @@ mod tests {
     #[test]
     fn extracts_and_labels_all_speedup_values() {
         let json = r#"{ "a": { "speedup": 1.417 }, "b": [ { "speedup": 0.93 }, { "x": 1 } ] }"#;
-        let values = extract_metrics(json).speedups;
+        let values = collect_metrics(json).unwrap().speedups;
         assert_eq!(values.len(), 2);
         assert_eq!(values[0], ("a/speedup".to_string(), Ok(1.417)));
         assert_eq!(values[1], ("b/[0]/speedup".to_string(), Ok(0.93)));
@@ -513,7 +508,8 @@ mod tests {
     #[test]
     fn array_indices_advance_per_element() {
         let json = r#"{ "s": [ { "speedup": 1.0 }, { "speedup": 2.0 }, { "speedup": 3.0 } ] }"#;
-        let labels: Vec<String> = extract_metrics(json)
+        let labels: Vec<String> = collect_metrics(json)
+            .unwrap()
             .speedups
             .into_iter()
             .map(|(l, _)| l)
@@ -527,21 +523,21 @@ mod tests {
     #[test]
     fn handles_whitespace_and_exponents() {
         let json = "{ \"x\": { \"speedup\":   2.5e1 } }";
-        let values = extract_metrics(json).speedups;
+        let values = collect_metrics(json).unwrap().speedups;
         assert_eq!(values[0].1, Ok(25.0));
     }
 
     #[test]
     fn unparseable_values_are_reported_not_dropped() {
         let json = "{ \"a\": { \"speedup\": inf }, \"b\": { \"speedup\": NaN } }";
-        let values = extract_metrics(json).speedups;
+        let values = collect_metrics(json).unwrap().speedups;
         assert_eq!(values.len(), 2);
         assert!(values.iter().all(|(_, v)| v.is_err()));
     }
 
     #[test]
     fn empty_input_yields_no_values() {
-        let metrics = extract_metrics("{}");
+        let metrics = collect_metrics("{}").unwrap();
         assert!(metrics.speedups.is_empty());
         assert!(metrics.isas.is_empty());
     }
@@ -549,7 +545,7 @@ mod tests {
     #[test]
     fn string_values_with_spaces_do_not_confuse_the_scanner() {
         let json = r#"{ "command": "cargo bench -p x --bench y", "k": { "speedup": 1.2 } }"#;
-        let values = extract_metrics(json).speedups;
+        let values = collect_metrics(json).unwrap().speedups;
         assert_eq!(values, vec![("k/speedup".to_string(), Ok(1.2))]);
     }
 
@@ -557,7 +553,7 @@ mod tests {
     fn string_valued_members_do_not_leak_their_key_onto_the_next_element() {
         // A stale "note" key must not relabel the next array element.
         let json = r#"{ "arr": [ { "note": "x" }, { "speedup": 1.2 } ] }"#;
-        let values = extract_metrics(json).speedups;
+        let values = collect_metrics(json).unwrap().speedups;
         assert_eq!(values, vec![("arr/[1]/speedup".to_string(), Ok(1.2))]);
     }
 
@@ -567,7 +563,7 @@ mod tests {
             "a": { "isa": "avx512", "speedup": 1.4 },
             "b": [ { "isa": "avx2", "speedup": 2.0 }, { "speedup": 3.0 } ]
         }"#;
-        let metrics = extract_metrics(json);
+        let metrics = collect_metrics(json).unwrap();
         assert_eq!(metrics.isa_for("a/speedup"), Some("avx512"));
         assert_eq!(metrics.isa_for("b/[0]/speedup"), Some("avx2"));
         assert_eq!(metrics.isa_for("b/[1]/speedup"), None);
@@ -578,11 +574,40 @@ mod tests {
         // An "isa" on a parent object must not be attributed to a nested
         // entry's speedup.
         let json = r#"{ "outer": { "isa": "avx2", "inner": { "speedup": 1.5 } } }"#;
-        let metrics = extract_metrics(json);
+        let metrics = collect_metrics(json).unwrap();
         assert_eq!(
             metrics.isas.get("outer/isa").map(String::as_str),
             Some("avx2")
         );
         assert_eq!(metrics.isa_for("outer/inner/speedup"), None);
+    }
+
+    #[test]
+    fn string_valued_speedups_are_unparseable() {
+        let json = r#"{ "a": { "speedup": "0.5" }, "b": { "speedup": { "x": 1 } } }"#;
+        let values = collect_metrics(json).unwrap().speedups;
+        assert_eq!(
+            values,
+            vec![
+                ("a/speedup".to_string(), Err("\"0.5\"".to_string())),
+                ("b/speedup".to_string(), Err("{…}".to_string())),
+            ]
+        );
+    }
+
+    #[test]
+    fn truncated_json_is_a_parse_error() {
+        let json = "{\n  \"a\": { \"speedup\": 1.2 },\n  \"b\": { \"speedup\"";
+        let err = collect_metrics(json).unwrap_err();
+        assert_eq!(err.line, 3);
+    }
+
+    #[test]
+    fn a_repeated_key_is_a_parse_error() {
+        // One entry must never carry two speedups for the gate to pick from.
+        let json = "{ \"a\": {\n \"speedup\": 0.5,\n \"speedup\": 9.0 } }";
+        let err = collect_metrics(json).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("speedup"), "{}", err.message);
     }
 }

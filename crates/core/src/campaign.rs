@@ -45,8 +45,7 @@
 //!     println!("{} faulty PEs -> {:.1}%",
 //!         cell.spec.faulty_pes.unwrap_or(0), cell.accuracy * 100.0);
 //! }
-//! let table = run.into_table(); // plain-data rows, in plan order
-//! assert_eq!(table.axes, vec!["faulty_pes".to_string()]);
+//! assert_eq!(run.axes(), ["faulty_pes".to_string()]); // cells in plan order
 //! # Ok(())
 //! # }
 //! ```
@@ -65,7 +64,6 @@ use falvolt_tensor::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -271,7 +269,7 @@ impl fmt::Debug for Axis {
 }
 
 /// One swept value, typed per axis kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AxisValue {
     /// A fault rate.
     Rate(f64),
@@ -317,7 +315,7 @@ impl fmt::Display for AxisValue {
 }
 
 /// One `(axis, value)` coordinate of a cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Coord {
     /// Axis label.
     pub axis: String,
@@ -335,7 +333,7 @@ pub struct Coord {
 /// Custom axes and seed mixers read and edit the public fields; the
 /// scheduler resolves defaults at draw time (`bit` falls back to the
 /// accumulator MSB of the cell's grid, the polarity defaults to stuck-at-1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// The systolic-array configuration this cell runs against.
     pub systolic: SystolicConfig,
@@ -481,7 +479,7 @@ impl fmt::Display for SkipReason {
 }
 
 /// How one campaign cell ended. A non-`Completed` cell is result *data* —
-/// it rides in the [`ResultTable`] with `accuracy: 0.0, scenarios: 0` —
+/// it rides in the [`CampaignRun`] with `accuracy: 0.0, scenarios: 0` —
 /// never a process abort.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellStatus {
@@ -647,7 +645,7 @@ struct CheckpointCell {
 /// Emitted through [`Campaign::checkpoint_sink`] after each execution wave
 /// and consumed by [`Campaign::resume`]. Only `Completed` cells are
 /// recorded: failed and skipped cells are re-attempted on resume, so a
-/// killed-and-resumed run converges to the same [`ResultTable`] as an
+/// killed-and-resumed run converges to the same [`CampaignRun`] as an
 /// uninterrupted one.
 ///
 /// The JSON encoding ([`CampaignCheckpoint::to_json`]) stores every float as
@@ -869,7 +867,7 @@ fn f64_from_hex(v: &json::Value) -> std::result::Result<f64, CampaignError> {
 // ---------------------------------------------------------------------------
 
 /// The measured result of one campaign cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// The resolved cell specification (including its coordinates).
     pub spec: CellSpec,
@@ -907,8 +905,9 @@ impl CellResult {
 /// A finished campaign: the executed cells in plan order plus the context
 /// metadata the figure code needs.
 ///
-/// Iterate it for streaming consumption (`for cell in &run`), or serialize
-/// the whole thing via [`CampaignRun::into_table`].
+/// Iterate it for streaming consumption (`for cell in &run`) or read it
+/// through the accessors. For a bit-exact on-disk form, capture the run's
+/// final [`CampaignCheckpoint`] and write [`CampaignCheckpoint::to_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRun {
     axes: Vec<String>,
@@ -958,15 +957,6 @@ impl CampaignRun {
     /// Number of cells skipped by deadline expiry or cancellation.
     pub fn skipped(&self) -> usize {
         self.cells.iter().filter(|c| c.status.is_skipped()).count()
-    }
-
-    /// Converts the run into the serde-serializable [`ResultTable`].
-    pub fn into_table(self) -> ResultTable {
-        ResultTable {
-            axes: self.axes,
-            baseline_accuracy: self.baseline_accuracy,
-            cells: self.cells,
-        }
     }
 
     /// Groups the cells into accuracy series over the axis labelled
@@ -1024,19 +1014,6 @@ impl<'a> IntoIterator for &'a CampaignRun {
     fn into_iter(self) -> Self::IntoIter {
         self.cells.iter()
     }
-}
-
-/// The flat, plain-data view of a [`CampaignRun`] — what figure code and
-/// downstream tooling consume. For a bit-exact on-disk form, capture the
-/// run's final [`CampaignCheckpoint`] and write [`CampaignCheckpoint::to_json`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResultTable {
-    /// Axis labels, in plan order.
-    pub axes: Vec<String>,
-    /// Fault-free baseline accuracy.
-    pub baseline_accuracy: f32,
-    /// One row per cell, in plan order.
-    pub cells: Vec<CellResult>,
 }
 
 // ---------------------------------------------------------------------------
@@ -1812,10 +1789,10 @@ fn checkpoint_of(
 }
 
 // ---------------------------------------------------------------------------
-// Plan specs at the serde boundary
+// Plan specs at the plan-spec boundary
 // ---------------------------------------------------------------------------
 
-/// A campaign plan deserialized from JSON — the serde boundary of the sweep
+/// A campaign plan decoded from JSON — the plan-spec boundary of the sweep
 /// engine, with validation the in-process builder deliberately does not do
 /// (an empty [`Axis`] from the builder means "zero cells", but an empty axis
 /// arriving over the wire is almost certainly a producer bug and is
@@ -1833,6 +1810,11 @@ fn checkpoint_of(
 ///   ]
 /// }
 /// ```
+///
+/// Accepted top-level keys are `scenarios_per_cell`, `seed`,
+/// `retrain_epochs` and `axes`; accepted axis keys are `kind` and `values`.
+/// Any other key, and any key given twice, rejects the plan — a misspelled
+/// `"retrain_epoch"` must not silently run with the default.
 ///
 /// `seed` and `retrain_epochs` are optional. Axis kinds: `fault_rate`
 /// (floats in `[0, 1]`), `bit` (non-negative integers), `faulty_pes`,
@@ -1852,10 +1834,11 @@ impl PlanSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::InvalidPlan`] for malformed JSON, missing
-    /// fields, a zero `scenarios_per_cell`, an empty axes list, empty axis
-    /// value lists, unknown axis kinds, NaN / negative / out-of-range
-    /// numeric values, and unparseable strategy or polarity strings.
+    /// Returns [`CampaignError::InvalidPlan`] for malformed JSON, missing,
+    /// unknown or repeated keys, a zero `scenarios_per_cell`, an empty axes
+    /// list, empty axis value lists, unknown axis kinds, NaN / negative /
+    /// out-of-range numeric values, and unparseable strategy or polarity
+    /// strings.
     pub fn from_json(text: &str) -> std::result::Result<Self, CampaignError> {
         // The shared JSON reader reports CheckpointMalformed; at the plan
         // boundary every decode problem is a plan rejection.
@@ -1864,6 +1847,8 @@ impl PlanSpec {
             other => other,
         };
         let doc = json::parse(text).map_err(as_plan_error)?;
+        doc.only_keys(&["scenarios_per_cell", "seed", "retrain_epochs", "axes"])
+            .map_err(as_plan_error)?;
         let scenarios_per_cell = doc
             .field("scenarios_per_cell")
             .and_then(json::Value::as_usize)
@@ -1926,6 +1911,7 @@ impl PlanSpec {
 
 /// Decodes and validates one `{"kind": .., "values": [..]}` axis element.
 fn parse_axis(axis: &json::Value) -> std::result::Result<Axis, CampaignError> {
+    axis.only_keys(&["kind", "values"])?;
     let kind = axis.field("kind")?.as_str()?;
     let values = axis.field("values")?.as_arr()?;
     if values.is_empty() {
@@ -2267,10 +2253,8 @@ mod tests {
         assert!(series
             .iter()
             .all(|s| s.points.iter().all(|p| p.iterations == 2)));
-        // The table serializes the same cells.
-        let table = run.into_table();
-        assert_eq!(table.cells.len(), 4);
-        assert_eq!(table.axes.len(), 3);
+        assert_eq!(run.cells().len(), 4);
+        assert_eq!(run.axes().len(), 3);
     }
 
     #[test]
@@ -2483,7 +2467,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_specs_validate_at_the_serde_boundary() {
+    fn plan_specs_validate_at_the_plan_spec_boundary() {
         let good = r#"{
             "scenarios_per_cell": 2,
             "seed": 7,
@@ -2537,6 +2521,8 @@ mod tests {
             r#"{"scenarios_per_cell": 1, "axes": [{"kind": "array_size", "values": [0]}]}"#,
             // malformed JSON
             r#"{"scenarios_per_cell": 1, "axes": ["#,
+            // an axis that is not an object
+            r#"{"scenarios_per_cell": 1, "axes": [1]}"#,
         ] {
             assert!(
                 matches!(
@@ -2545,6 +2531,33 @@ mod tests {
                 ),
                 "`{bad}` should be rejected as an invalid plan"
             );
+        }
+        // Misspelled and repeated keys are rejected by name: the second
+        // value of a repeated key must not escape validation.
+        for (bad, key) in [
+            (
+                r#"{"scenarios_per_cell": 1, "retrain_epoch": 10, "axes": [{"kind": "bit", "values": [0]}]}"#,
+                "`retrain_epoch`",
+            ),
+            (
+                r#"{"scenarios_per_cell": 1, "axes": [{"kind": "bit", "values": [0], "valeus": [1]}]}"#,
+                "`valeus`",
+            ),
+            (
+                r#"{"scenarios_per_cell": 4, "scenarios_per_cell": 0, "axes": [{"kind": "bit", "values": [0]}]}"#,
+                "`scenarios_per_cell`",
+            ),
+            (
+                r#"{"scenarios_per_cell": 1, "axes": [{"kind": "bit", "kind": "voltage", "values": [0]}]}"#,
+                "`kind`",
+            ),
+        ] {
+            let err = PlanSpec::from_json(bad).unwrap_err();
+            assert!(
+                matches!(err, CampaignError::InvalidPlan { .. }),
+                "`{bad}` should be rejected as an invalid plan"
+            );
+            assert!(err.to_string().contains(key), "{err} should name {key}");
         }
     }
 

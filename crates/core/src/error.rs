@@ -27,14 +27,15 @@ pub enum FalvoltError {
 /// Typed failure domain of the campaign scheduler.
 ///
 /// The scheduler's contract is that a failing *cell* is data — a
-/// [`crate::campaign::CellStatus::Failed`] row in the result table — never a
+/// [`crate::campaign::CellStatus::Failed`] cell of the run — never a
 /// process abort. `CampaignError` covers the failures that sink the *run*
 /// itself: a plan that cannot be executed, a checkpoint that does not belong
 /// to this plan, or a malformed checkpoint payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
     /// The plan is not executable (zero scenarios per cell, NaN or negative
-    /// threshold values at the serde boundary, no axes, unknown axis kind).
+    /// threshold values at the plan-spec boundary, no axes, unknown axis
+    /// kind, unknown or repeated plan-spec keys).
     InvalidPlan {
         /// Human-readable description of the rejected plan element.
         reason: String,

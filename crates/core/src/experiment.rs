@@ -21,14 +21,13 @@ use falvolt_snn::trainer::{Batch, Trainer};
 use falvolt_snn::SpikingNetwork;
 use falvolt_systolic::SystolicConfig;
 use falvolt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Dataset kinds and experiment scales
 // ---------------------------------------------------------------------------
 
 /// Which of the paper's three workloads an experiment runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Static MNIST-like images.
     Mnist,
@@ -76,7 +75,7 @@ impl DatasetKind {
 /// How much compute an experiment run spends. All scales exercise identical
 /// code paths; they differ only in dataset size, epochs and fault-map
 /// iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// Minutes-long smoke scale used by unit/integration tests.
     Tiny,

@@ -1,12 +1,12 @@
 //! Minimal JSON reader/writer for checkpoints and plan specs.
 //!
-//! The workspace's `serde` is an offline no-op shim (derives expand to empty
-//! marker impls), so anything that must actually round-trip bytes —
-//! campaign checkpoints, plan specs arriving at the serde boundary — is
-//! encoded by hand against this module. The value model is deliberately
-//! small: objects keep insertion order, numbers are `f64`, and callers
-//! encode floats they need bit-exact as hex strings of their IEEE-754 bits
-//! (see [`crate::campaign::CampaignCheckpoint`]).
+//! Everything the campaign layer reads from or writes to disk — campaign
+//! checkpoints and plan specs arriving at the plan-spec boundary — is
+//! encoded by hand against this module; the workspace has no serialization
+//! framework. The value model is deliberately small: objects keep insertion
+//! order and reject repeated keys, numbers are `f64`, and callers encode
+//! floats they need bit-exact as hex strings of their IEEE-754 bits (see
+//! [`crate::campaign::CampaignCheckpoint`]).
 
 use crate::error::CampaignError;
 
@@ -40,6 +40,24 @@ impl Value {
     pub(crate) fn field(&self, key: &str) -> Result<&Value, CampaignError> {
         self.get(key)
             .ok_or_else(|| CampaignError::malformed(format!("missing field `{key}`")))
+    }
+
+    /// Rejects an object carrying a key outside `allowed`, naming the first
+    /// such key — a misspelled optional field must not be silently ignored.
+    pub(crate) fn only_keys(&self, allowed: &[&str]) -> Result<(), CampaignError> {
+        let Value::Obj(fields) = self else {
+            return Err(CampaignError::malformed(format!(
+                "expected an object, found {}",
+                self.kind()
+            )));
+        };
+        match fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            None => Ok(()),
+            Some((key, _)) => Err(CampaignError::malformed(format!(
+                "unknown field `{key}` (expected one of: {})",
+                allowed.join(", ")
+            ))),
+        }
     }
 
     /// The value as a string slice.
@@ -100,7 +118,7 @@ impl Value {
 }
 
 /// Parses one JSON document (surrounding whitespace allowed, trailing
-/// garbage rejected).
+/// garbage and repeated object keys rejected).
 pub(crate) fn parse(text: &str) -> Result<Value, CampaignError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
@@ -146,7 +164,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, CampaignError> {
             }
             loop {
                 skip_ws(bytes, pos);
+                let key_at = *pos;
                 let key = parse_string(bytes, pos)?;
+                if fields.iter().any(|(k, _)| *k == key) {
+                    return Err(CampaignError::malformed(format!(
+                        "duplicate key `{key}` at byte {key_at}"
+                    )));
+                }
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
                 let value = parse_value(bytes, pos)?;
@@ -342,6 +366,8 @@ mod tests {
             "12x",
             "[1] trailing",
             "",
+            r#"{"a": 1, "a": 2}"#,
+            r#"[{"k": {"x": 1, "y": 2, "x": 3}}]"#,
         ] {
             assert!(
                 matches!(parse(bad), Err(CampaignError::CheckpointMalformed { .. })),

@@ -73,7 +73,7 @@ pub mod vulnerability;
 pub use backend::{ScenarioProducts, SystolicBackend};
 pub use campaign::{
     Axis, Campaign, CampaignCheckpoint, CampaignRun, CellResult, CellStatus, CheckpointSink,
-    PlanSpec, ResultTable, RetryPolicy, RunBudget, SkipReason,
+    PlanSpec, RetryPolicy, RunBudget, SkipReason,
 };
 pub use error::{CampaignError, CellFailure, FalvoltError};
 pub use vulnerability::SweepCaches;

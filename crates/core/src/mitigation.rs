@@ -22,10 +22,9 @@ use falvolt_snn::trainer::Batch;
 use falvolt_snn::{Mode, SpikingNetwork};
 use falvolt_systolic::FaultMap;
 use falvolt_tensor::reduce;
-use serde::{Deserialize, Serialize};
 
 /// Which mitigation strategy to run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MitigationStrategy {
     /// Fault-aware pruning only (no retraining).
     FaP,
@@ -81,7 +80,7 @@ impl MitigationStrategy {
 }
 
 /// Hyper-parameters of the retraining loop shared by FaPIT and FalVolt.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetrainConfig {
     /// Adam learning rate.
     pub learning_rate: f32,
@@ -115,7 +114,7 @@ impl Default for RetrainConfig {
 }
 
 /// Accuracy (and loss) after one retraining epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochPoint {
     /// Epoch index (1-based; epoch 0 is "right after pruning").
     pub epoch: usize,
@@ -126,7 +125,7 @@ pub struct EpochPoint {
 }
 
 /// The result of running one mitigation strategy on one faulty chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationOutcome {
     /// Strategy label ("FaP", "FaPIT", "FalVolt").
     pub strategy: String,

@@ -12,7 +12,6 @@ use crate::Result;
 use falvolt_snn::SpikingNetwork;
 use falvolt_systolic::{FaultMap, WeightMapping};
 use falvolt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Per-layer prune masks derived from one fault map.
 ///
@@ -117,7 +116,7 @@ impl PruneMasks {
 }
 
 /// Pruning statistics for one layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrunedLayerReport {
     /// Layer name.
     pub layer: String,

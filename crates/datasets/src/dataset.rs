@@ -4,7 +4,6 @@ use falvolt_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Generation parameters shared by all synthetic datasets.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(config.size, 16);
 /// assert!(config.samples_per_class >= 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetConfig {
     /// Height and width of the (square) frames.
     pub size: usize,

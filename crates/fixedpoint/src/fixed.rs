@@ -1,7 +1,6 @@
 //! A fixed-point value paired with its format.
 
 use crate::QFormat;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A signed fixed-point value in a given [`QFormat`].
@@ -25,7 +24,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fixed {
     raw: i32,
     format: QFormat,

@@ -1,7 +1,6 @@
 //! Q-format descriptor for signed two's-complement fixed-point words.
 
 use crate::{FixedPointError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A signed two's-complement fixed-point format with `total_bits` bits of
@@ -23,7 +22,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QFormat {
     total_bits: u32,
     frac_bits: u32,

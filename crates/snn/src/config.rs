@@ -18,7 +18,6 @@ use crate::layers::{BatchNorm2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d, Sp
 use crate::network::SpikingNetwork;
 use crate::neuron::NeuronConfig;
 use crate::{Result, SnnError};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a PLIF-SNN classifier in the paper's architecture family.
 ///
@@ -35,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchitectureConfig {
     /// Human-readable name (also used in reports).
     pub name: String,

@@ -2,7 +2,6 @@
 
 use crate::{Result, SnnError};
 use falvolt_tensor::{reduce, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// A square confusion matrix for a `classes`-way classifier.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     classes: usize,
     counts: Vec<u64>,

@@ -7,10 +7,9 @@
 //! for comparison and for the ablation benches.
 
 use crate::surrogate::Surrogate;
-use serde::{Deserialize, Serialize};
 
 /// Which neuron dynamics a spiking layer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NeuronModel {
     /// Leaky integrate-and-fire with a fixed membrane time constant `tau`.
     Lif {
@@ -67,7 +66,7 @@ impl Default for NeuronModel {
 /// assert_eq!(config.v_reset, 0.0);
 /// assert!(matches!(config.model, NeuronModel::Plif { .. }));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeuronConfig {
     /// Neuron dynamics.
     pub model: NeuronModel,

@@ -1,7 +1,6 @@
 //! Gradient-descent optimizers.
 
 use crate::param::Param;
-use serde::{Deserialize, Serialize};
 
 /// An optimizer that updates [`Param`]s in place from their accumulated
 /// gradients. Frozen parameters (see [`Param::set_trainable`]) are skipped.
@@ -31,7 +30,7 @@ pub trait Optimizer: std::fmt::Debug {
 /// sgd.step(vec![&mut p]);
 /// assert!((p.value().data()[0] - 0.8).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
@@ -84,7 +83,7 @@ impl Optimizer for Sgd {
 }
 
 /// The Adam optimizer (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adam {
     lr: f32,
     beta1: f32,

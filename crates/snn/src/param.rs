@@ -2,7 +2,6 @@
 
 use crate::Result;
 use falvolt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A trainable parameter: a value tensor, its accumulated gradient and the
@@ -37,7 +36,7 @@ use std::sync::Arc;
 /// p.zero_grad();
 /// assert!(p.grad().data().iter().all(|&g| g == 0.0));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
     name: String,
     value: Arc<Tensor>,

@@ -6,8 +6,6 @@
 //! a smooth surrogate; the paper uses the triangular surrogate of Eq. (2):
 //! `∂o/∂z ≈ γ · max(0, 1 − |z|)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Surrogate-gradient family used when backpropagating through the spike
 /// non-linearity.
 ///
@@ -33,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// let d = Surrogate::default();           // ATan (reference-implementation default)
 /// assert!(d.grad(2.0) > 0.0);             // non-zero gradient everywhere
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Surrogate {
     /// The paper's triangular window `γ · max(0, 1 − |z|)`.
     Triangular {

@@ -7,7 +7,6 @@ use crate::network::SpikingNetwork;
 use crate::optim::Optimizer;
 use crate::{Result, SnnError};
 use falvolt_tensor::{reduce, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// One mini-batch: an input tensor (static `[N, C, H, W]` or temporal
 /// `[N, T, C, H, W]`) and its integer labels.
@@ -53,7 +52,7 @@ impl Batch {
 }
 
 /// Loss and accuracy of one pass over the data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochReport {
     /// Mean loss over all batches.
     pub loss: f32,

@@ -2,7 +2,6 @@
 
 use crate::{Result, SystolicError};
 use falvolt_fixedpoint::QFormat;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of an `rows x cols` weight-stationary systolic-array SNN
@@ -27,7 +26,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystolicConfig {
     rows: usize,
     cols: usize,

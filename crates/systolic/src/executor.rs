@@ -47,7 +47,6 @@ use falvolt_fixedpoint::{Fixed, QFormat};
 use falvolt_tensor::simd::{self, Isa, SimdLevel, SimdOp};
 use falvolt_tensor::{CancelToken, Fingerprint, MatmulHint, SpikeIndex, Tensor, TensorError};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Work threshold (in accumulation steps, `m * n * k`) below which the
@@ -56,7 +55,7 @@ use std::sync::Arc;
 const PARALLEL_ELEMENT_THRESHOLD: usize = 1 << 15;
 
 /// How the executor treats faulty PEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BypassPolicy {
     /// Faulty PEs stay in the datapath and corrupt partial sums (the
     /// vulnerability-analysis setting).
@@ -90,7 +89,7 @@ pub enum BypassPolicy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystolicExecutor {
     config: SystolicConfig,
     fault_map: FaultMap,

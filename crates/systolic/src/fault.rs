@@ -1,13 +1,12 @@
 //! Stuck-at fault primitives.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Polarity of a permanent stuck-at fault.
 ///
 /// The paper observes that stuck-at-1 faults in high-order accumulator bits
 /// are the most damaging fault class in a systolicSNN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StuckAt {
     /// The faulty bit always reads `0`.
     Zero,
@@ -30,7 +29,7 @@ impl fmt::Display for StuckAt {
 }
 
 /// Coordinate of a processing element in the systolic grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeCoord {
     /// Row index (0-based).
     pub row: usize,
@@ -68,7 +67,7 @@ impl From<(usize, usize)> for PeCoord {
 /// assert_eq!(fault.bit, 15);
 /// assert_eq!(fault.to_string(), "sa1@bit15 in PE(3, 7)");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// The faulty PE.
     pub pe: PeCoord,

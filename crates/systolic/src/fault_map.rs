@@ -10,13 +10,12 @@ use crate::{Fault, PeCoord, Result, StuckAt, SystolicConfig, SystolicError};
 use falvolt_fixedpoint::Fixed;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The composed effect of all stuck-at faults of one PE on its accumulator
 /// output word: `out = (acc & and_mask) | or_mask`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeMasks {
     /// AND mask (stuck-at-0 faults clear their bit here).
     pub and_mask: u32,
@@ -82,7 +81,7 @@ impl Default for PeMasks {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultMap {
     config: SystolicConfig,
     faults: Vec<Fault>,

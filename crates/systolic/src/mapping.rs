@@ -10,7 +10,6 @@
 
 use crate::{FaultMap, PeCoord};
 use falvolt_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Weight-stationary tiling of weight matrices onto an `rows x cols` PE grid.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeightMapping {
     rows: usize,
     cols: usize,

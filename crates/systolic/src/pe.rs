@@ -9,7 +9,6 @@
 
 use crate::fault_map::PeMasks;
 use falvolt_fixedpoint::{Fixed, QFormat};
-use serde::{Deserialize, Serialize};
 
 /// One processing element of the weight-stationary systolic array.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((out.to_f32() - 0.5).abs() < 1e-2);
 /// assert_eq!(pe.spike_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessingElement {
     format: QFormat,
     raw_weight: f32,

@@ -1,8 +1,9 @@
 //! Runtime mint-audit layer (the `audit` cargo feature).
 //!
 //! The id-keyed caches rest on one invariant: **id equality certifies byte
-//! equality**. Statically, `falvolt-tidy` checks the contract's
-//! preconditions (ids are `#[serde(skip)]`, mutable accessors re-mint).
+//! equality**. At compile time the contract's preconditions hold by
+//! construction: `Tensor`'s id and index fields are private, nothing derives
+//! or hand-writes a `Tensor` decoder, and every mutable accessor re-mints.
 //! This module checks the invariant itself at runtime: a process-global
 //! registry maps every *observed* content id to a fingerprint of the bytes
 //! it certified, and any later observation of the same id over different

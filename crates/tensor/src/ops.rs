@@ -7,7 +7,6 @@
 //! fault-injecting equivalent.
 
 use crate::{Result, Tensor, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a 2-D convolution (or pooling) over `[N, C, H, W]` inputs.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dDims {
     /// Batch size `N`.
     pub batch: usize,

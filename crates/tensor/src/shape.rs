@@ -1,7 +1,6 @@
 //! Shape handling for row-major dense tensors.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The shape of a dense, row-major tensor.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(s.ndim(), 3);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

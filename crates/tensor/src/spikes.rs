@@ -25,7 +25,6 @@
 //! * Any mutable access to the tensor's data drops the index
 //!   (see [`crate::Tensor::data_mut`]); a stale index cannot survive a write.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// CSR-style row index of the nonzero (spike) positions of a binary tensor.
@@ -42,7 +41,7 @@ use std::sync::Arc;
 /// assert_eq!(index.row(0), &[1]);
 /// assert_eq!(index.row(1), &[0, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpikeIndex {
     rows: usize,
     cols: usize,

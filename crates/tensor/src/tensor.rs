@@ -2,7 +2,6 @@
 
 use crate::spikes::SpikeIndex;
 use crate::{Result, Shape, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,22 +46,17 @@ fn fresh_content_id() -> u64 {
 /// Binary spike tensors may additionally carry a [`SpikeIndex`] — a CSR view
 /// of their nonzero positions that event-driven consumers walk instead of
 /// re-scanning the dense buffer. Any mutable data access drops the index.
-/// Neither the id nor the index participates in equality or serialization.
-#[derive(Debug, Serialize, Deserialize)]
+/// Neither the id nor the index participates in equality.
+#[derive(Debug)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
-    // Skipped by (a real) serde: a deserialized id must be freshly minted —
-    // an id that bypassed `NEXT_CONTENT_ID` could collide with a live
-    // tensor's and certify a false content equality to the id-keyed caches.
-    // The offline serde shim derives markers only, so nothing serializes at
-    // runtime either way; the attributes document the contract for a future
-    // real-serde swap.
-    #[serde(skip, default = "fresh_content_id")]
+    // Private, and no decoder exists: every id is minted by
+    // `NEXT_CONTENT_ID`, so it can never collide with a live tensor's and
+    // certify a false content equality to the id-keyed caches.
     content_id: u64,
-    // Skipped for the same reason: an index must only ever be attached
+    // Private for the same reason: an index must only ever be attached
     // through `attach_spike_index`, which validates it against the data.
-    #[serde(skip)]
     spike_index: Option<Arc<SpikeIndex>>,
 }
 
@@ -726,18 +720,5 @@ mod tests {
         assert!(t.to_string().contains("shape"));
         let big = Tensor::zeros(&[100]);
         assert!(big.to_string().contains("elements"));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let json = serde_json_like(&t);
-        assert!(json.contains("shape"));
-    }
-
-    // serde_json is not an allowed dependency; this only checks that the
-    // Serialize impl is derivable and callable through a trivial serializer.
-    fn serde_json_like(t: &Tensor) -> String {
-        format!("shape={:?} data={:?}", t.shape(), t.data())
     }
 }

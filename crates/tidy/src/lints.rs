@@ -18,7 +18,6 @@
 //! | `unsafe-header` | crate roots | every falvolt crate's `lib.rs` opens with `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]` |
 //! | `allow-unsafe` | all files | `#[allow(unsafe_code)]` (or `#![…]`) only in `crates/tensor/src/simd.rs` |
 //! | `allow-deprecated` | all files | no `allow(deprecated)` anywhere — migrate off a deprecated item instead of silencing it |
-//! | `serde-skip` | `tensor.rs` | `Tensor`'s `content_id` and `spike_index` fields carry `#[serde(skip…)]` — ids must never bypass the mint |
 //! | `bench-schema` | `BENCH_kernels.json` | every timing entry has a known `isa`; `speedup`/`*_ms` values are finite and in range (see [`crate::schema`]) |
 //!
 //! # Waivers
@@ -137,10 +136,6 @@ pub const LINTS: &[LintInfo] = &[
         summary: "allow(deprecated) is allowed in no file",
     },
     LintInfo {
-        name: "serde-skip",
-        summary: "Tensor's content_id/spike_index fields carry #[serde(skip…)]",
-    },
-    LintInfo {
         name: "bench-schema",
         summary: "BENCH_kernels.json entries carry a known isa; timings are finite",
     },
@@ -170,9 +165,6 @@ pub fn check_file(file: &SourceFile) -> FileReport {
     allow_confinement(file, &waivers, &mut report.violations);
     if file.path.ends_with("/lib.rs") || file.path == "src/lib.rs" {
         unsafe_header(file, &mut report.violations);
-    }
-    if file.path == "crates/tensor/src/tensor.rs" {
-        serde_skip(file, &mut report.violations);
     }
     report
 }
@@ -570,78 +562,6 @@ fn unsafe_header(file: &SourceFile, violations: &mut Vec<Violation>) {
     }
 }
 
-/// `serde-skip`: the mint-bypass guard on `Tensor`'s derived fields.
-fn serde_skip(file: &SourceFile, violations: &mut Vec<Violation>) {
-    let toks = &file.toks;
-    // Locate `struct Tensor {`.
-    let Some(start) = toks
-        .windows(3)
-        .position(|w| w[0].is_ident("struct") && w[1].is_ident("Tensor") && w[2].is_punct('{'))
-    else {
-        violations.push(Violation {
-            lint: "serde-skip",
-            file: file.path.clone(),
-            line: 1,
-            message: "struct Tensor not found — update the serde-skip lint's anchor".into(),
-        });
-        return;
-    };
-    let body_start = start + 3;
-    let body_end = skip_item(toks, start + 2);
-    for field in ["content_id", "spike_index"] {
-        let mut found = false;
-        let mut skipped = false;
-        let mut field_line = 1;
-        // Walk fields at struct-body depth: an attr sets the pending flag,
-        // a `name :` consumes it.
-        let mut pending_skip = false;
-        let mut depth = 0usize;
-        let mut i = body_start;
-        while i < body_end.saturating_sub(1) {
-            let t = &toks[i];
-            match t.kind {
-                TokKind::Punct('{') | TokKind::Punct('(') | TokKind::Punct('<') => depth += 1,
-                TokKind::Punct('}') | TokKind::Punct(')') | TokKind::Punct('>') => {
-                    depth = depth.saturating_sub(1)
-                }
-                TokKind::Punct('#') if depth == 0 => {
-                    let (end, _) = scan_attr(toks, i);
-                    let is_serde_skip = toks[i..end].iter().any(|t| t.is_ident("serde"))
-                        && toks[i..end].iter().any(|t| t.is_ident("skip"));
-                    if is_serde_skip {
-                        pending_skip = true;
-                    }
-                    i = end;
-                    continue;
-                }
-                TokKind::Ident
-                    if depth == 0
-                        && t.text == field
-                        && matches!(toks.get(i + 1), Some(n) if n.is_punct(':')) =>
-                {
-                    found = true;
-                    skipped = pending_skip;
-                    field_line = t.line;
-                }
-                TokKind::Punct(',') if depth == 0 => pending_skip = false,
-                _ => {}
-            }
-            i += 1;
-        }
-        if !found || !skipped {
-            violations.push(Violation {
-                lint: "serde-skip",
-                file: file.path.clone(),
-                line: field_line,
-                message: format!(
-                    "Tensor::{field} must exist and carry #[serde(skip…)] — a deserialized id \
-                     or index that bypassed the mint could certify a false content equality"
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -804,31 +724,6 @@ mod tests {
         // No file is exempt, test suites included.
         let bad = check_file(&file("tests/a.rs", "#![allow(deprecated)]\nfn f() {}\n"));
         assert!(lints_fired(&bad).contains(&"allow-deprecated"));
-    }
-
-    #[test]
-    fn serde_skip_demands_the_attr_on_both_fields() {
-        let good = r#"
-pub struct Tensor {
-    shape: Shape,
-    #[serde(skip, default = "fresh_content_id")]
-    content_id: u64,
-    #[serde(skip)]
-    spike_index: Option<Arc<SpikeIndex>>,
-}
-"#;
-        let report = check_file(&file("crates/tensor/src/tensor.rs", good));
-        assert!(report.violations.is_empty());
-        let missing = r#"
-pub struct Tensor {
-    #[serde(skip)]
-    content_id: u64,
-    spike_index: Option<Arc<SpikeIndex>>,
-}
-"#;
-        let report = check_file(&file("crates/tensor/src/tensor.rs", missing));
-        assert_eq!(lints_fired(&report), vec!["serde-skip"]);
-        assert!(report.violations[0].message.contains("spike_index"));
     }
 
     #[test]

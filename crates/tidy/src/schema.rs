@@ -5,7 +5,8 @@
 //! its `"isa"` strings), so a malformed file must fail fast with a precise
 //! diagnostic instead of silently weakening the gate. The rules:
 //!
-//! * the file parses as a JSON object;
+//! * the file parses as a JSON object, and no object repeats a key (an
+//!   entry must never carry two `"speedup"`s for a reader to pick from);
 //! * every **entry** — an object recording at least one timing field
 //!   (`"speedup"` or a key ending in `_ms`), at top level or as an element
 //!   of a top-level array — carries an `"isa"` string naming a known SIMD
@@ -16,7 +17,9 @@
 //!
 //! The check is exposed as a library function so `bench_gate --schema-only`
 //! and the `falvolt-tidy` pass enforce the **same** schema: the gate fails
-//! fast at bench time, tidy fails the committed baseline at lint time.
+//! fast at bench time, tidy fails the committed baseline at lint time. The
+//! parser ([`parse`]) is public too: `bench_gate` reads its speedups through
+//! it, so there is one reader of the file format.
 //!
 //! The parser is a minimal recursive-descent JSON reader (the workspace has
 //! no external dependencies) that tracks the 1-based line of every value so
@@ -206,7 +209,8 @@ pub struct ParseError {
 }
 
 /// Parses a JSON document. Numbers, booleans and `null` are kept as raw
-/// tokens (see [`Node::Raw`]).
+/// tokens (see [`Node::Raw`]). An object that repeats a key is an error at
+/// the repeated key's line.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         chars: text.chars().collect(),
@@ -278,7 +282,14 @@ impl Parser {
                 }
                 loop {
                     self.skip_ws();
+                    let key_line = self.line;
                     let key = self.string()?;
+                    if members.iter().any(|(k, _)| *k == key) {
+                        return Err(ParseError {
+                            line: key_line,
+                            message: format!("duplicate key {key:?}"),
+                        });
+                    }
                     self.skip_ws();
                     self.expect_char(':')?;
                     self.skip_ws();
@@ -462,6 +473,21 @@ mod tests {
         let v = check_bench_schema("{ \"a\": ");
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("JSON"));
+    }
+
+    #[test]
+    fn repeated_keys_are_a_parse_error_with_line() {
+        let json =
+            "{\n  \"a\": { \"isa\": \"avx2\",\n    \"speedup\": 0.5,\n    \"speedup\": 9.0 }\n}";
+        let err = parse(json).unwrap_err();
+        assert_eq!(err.line, 4);
+        assert_eq!(err.message, "duplicate key \"speedup\"");
+        let v = check_bench_schema(json);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].line, 4);
+        assert!(v[0].message.contains("duplicate key"));
+        // The same key in sibling objects is fine.
+        assert!(parse(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
     }
 
     #[test]

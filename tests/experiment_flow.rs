@@ -76,8 +76,8 @@ fn mnist_like_experiment_flow_reproduces_the_papers_shape() {
     );
 
     // Figure 6 shape: FalVolt actually learned per-layer thresholds (at least
-    // one layer moved away from the initial 1.0), and the run serializes into
-    // a result table the figure code can consume.
+    // one layer moved away from the initial 1.0), and the run carries the
+    // plan's axes and one cell per strategy for the figure code.
     let falvolt_outcome = comparison
         .cells()
         .iter()
@@ -93,12 +93,11 @@ fn mnist_like_experiment_flow_reproduces_the_papers_shape() {
         "FalVolt should adapt at least one layer threshold, got {:?}",
         falvolt_outcome.thresholds
     );
-    let table = comparison.into_table();
     assert_eq!(
-        table.axes,
-        vec!["fault_rate".to_string(), "strategy".to_string()]
+        comparison.axes(),
+        ["fault_rate".to_string(), "strategy".to_string()]
     );
-    assert_eq!(table.cells.len(), 3);
+    assert_eq!(comparison.cells().len(), 3);
 
     // Figure 8 shape: per-epoch histories exist for both strategies and
     // FalVolt's final point is at least as good as FaPIT's.
