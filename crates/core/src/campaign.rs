@@ -1510,12 +1510,12 @@ impl<'a> Campaign<'a> {
                                     }),
                                 );
                             };
-                            // The catch is INSIDE the worker body: the rayon
-                            // shim poisons its work queue when a map closure
-                            // unwinds through it. AssertUnwindSafe is sound
-                            // because a caught panic quarantines every shared
-                            // in-flight cache slot and the scenario view dies
-                            // with the closure.
+                            // The catch is INSIDE the worker body: a map
+                            // closure that unwinds through the rayon shim
+                            // aborts the whole call, every other cell with
+                            // it. AssertUnwindSafe is sound because a caught
+                            // panic quarantines every shared in-flight cache
+                            // slot and the scenario view dies with the closure.
                             let caught = catch_unwind(AssertUnwindSafe(
                                 || -> std::result::Result<Vec<MitigationOutcome>, CellTry> {
                                     if let Some(inject) = &injector {

@@ -44,15 +44,11 @@ use crate::fault_map::PeMasks;
 use crate::product_cache::{CacheDecision, ProductCache};
 use crate::{FaultMap, Result, SystolicConfig, SystolicError, WeightMapping};
 use falvolt_fixedpoint::{Fixed, QFormat};
+use falvolt_tensor::kernels::parallel_panel_rows;
 use falvolt_tensor::simd::{self, Isa, SimdLevel, SimdOp};
 use falvolt_tensor::{CancelToken, Fingerprint, MatmulHint, SpikeIndex, Tensor, TensorError};
 use rayon::prelude::*;
 use std::sync::Arc;
-
-/// Work threshold (in accumulation steps, `m * n * k`) below which the
-/// faulty path stays serial — tiny per-layer products are issued constantly
-/// during inference, often from already-parallel scenario workers.
-const PARALLEL_ELEMENT_THRESHOLD: usize = 1 << 15;
 
 /// How the executor treats faulty PEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -729,14 +725,7 @@ impl SystolicExecutor {
                     }
                 }
             };
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || m * n * k * fcount < PARALLEL_ELEMENT_THRESHOLD {
-            let (mut nz, mut q) = (Vec::new(), Vec::new());
-            for (i, row_chunk) in inter.chunks_mut(row_stride).enumerate() {
-                compute_row(i, row_chunk, &mut nz, &mut q);
-            }
-        } else {
-            let rows_per_panel = m.div_ceil(threads * 2).max(1);
+        if let Some(rows_per_panel) = parallel_panel_rows(m, m * n * k * fcount, 1) {
             inter
                 .par_chunks_mut(rows_per_panel * row_stride)
                 .enumerate()
@@ -747,6 +736,11 @@ impl SystolicExecutor {
                         compute_row(row0 + r, row_chunk, &mut nz, &mut q);
                     }
                 });
+        } else {
+            let (mut nz, mut q) = (Vec::new(), Vec::new());
+            for (i, row_chunk) in inter.chunks_mut(row_stride).enumerate() {
+                compute_row(i, row_chunk, &mut nz, &mut q);
+            }
         }
 
         // No de-interleave: faulty scenarios keep their lane in the
@@ -800,15 +794,13 @@ fn for_each_row_panel<F>(a: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
 where
     F: Fn(usize, &[f32], &mut [f32], &mut Vec<(usize, f32)>) + Sync,
 {
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || m * n * k < PARALLEL_ELEMENT_THRESHOLD {
+    let Some(rows_per_panel) = parallel_panel_rows(m, m * n * k, 1) else {
         let mut scratch = Vec::new();
         for (i, out_row) in out.chunks_mut(n).enumerate() {
             row_fn(i, &a[i * k..(i + 1) * k], out_row, &mut scratch);
         }
         return;
-    }
-    let rows_per_panel = m.div_ceil(threads * 2).max(1);
+    };
     out.par_chunks_mut(rows_per_panel * n)
         .enumerate()
         .for_each(|(panel, out_panel)| {

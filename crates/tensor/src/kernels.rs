@@ -47,9 +47,23 @@ pub const NR: usize = 8;
 /// 8 KiB, comfortably L1-resident while a row panel streams through.
 pub const KC: usize = 256;
 
-/// Work threshold (in multiply-adds) below which the serial path is used;
-/// spawning threads for tiny products costs more than the product.
-const PARALLEL_FLOP_THRESHOLD: usize = 1 << 16;
+/// Work (multiply-adds, or elements written) below which a kernel runs
+/// serially: a parallel call costs more than a product this small.
+const PARALLEL_WORK_THRESHOLD: usize = 1 << 16;
+
+/// The grain rule every row-parallel kernel shares. `None` means run the
+/// `rows` serially: this thread's budget is one thread, or `work` is below
+/// the parallel threshold. `Some(h)` means split them into panels of `h`
+/// rows, about two per thread so the queue stays balanced when row costs
+/// vary (sparse spike rows), and never fewer than `min_rows`. Panels split
+/// only between rows, so the choice never changes a result bit.
+pub fn parallel_panel_rows(rows: usize, work: usize, min_rows: usize) -> Option<usize> {
+    let threads = rayon::current_num_threads();
+    if threads <= 1 || work < PARALLEL_WORK_THRESHOLD {
+        return None;
+    }
+    Some(rows.div_ceil(threads * 2).max(min_rows))
+}
 
 /// Reference matrix product — the seed's straightforward `i-k-j` triple loop
 /// (contiguous over `b` and `out`, zero-skip on `a`). Kept as the baseline
@@ -100,14 +114,10 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
     if m == 0 || n == 0 {
         return;
     }
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || m * n * k < PARALLEL_FLOP_THRESHOLD {
+    let Some(rows_per_panel) = parallel_panel_rows(m, m * n * k, MR) else {
         matmul_panel(a, b, out, m, k, n);
         return;
-    }
-    // Split output rows into per-thread panels; a few panels per thread keep
-    // the queue balanced when row costs vary (e.g. sparse spike rows).
-    let rows_per_panel = m.div_ceil(threads * 2).max(MR);
+    };
     out.par_chunks_mut(rows_per_panel * n)
         .enumerate()
         .for_each(|(panel, out_panel)| {
@@ -618,12 +628,10 @@ pub fn matmul_sparse(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<
     if m == 0 || n == 0 {
         return out;
     }
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || m * n * k < PARALLEL_FLOP_THRESHOLD {
+    let Some(rows_per_panel) = parallel_panel_rows(m, m * n * k, 1) else {
         sparse_panel(a, b, &mut out, k, n);
         return out;
-    }
-    let rows_per_panel = m.div_ceil(threads * 2).max(1);
+    };
     out.par_chunks_mut(rows_per_panel * n)
         .enumerate()
         .for_each(|(panel, out_panel)| {
@@ -884,12 +892,10 @@ pub fn matmul_spikes_indexed(
     if m == 0 || n == 0 {
         return out;
     }
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || m * n * k < PARALLEL_FLOP_THRESHOLD {
+    let Some(rows_per_panel) = parallel_panel_rows(m, m * n * k, 1) else {
         indexed_panel(index, 0, b, &mut out, n);
         return out;
-    }
-    let rows_per_panel = m.div_ceil(threads * 2).max(1);
+    };
     out.par_chunks_mut(rows_per_panel * n)
         .enumerate()
         .for_each(|(panel, out_panel)| {
@@ -1083,17 +1089,21 @@ pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Im2colGeom) {
     if stripe == 0 {
         return;
     }
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || out.len() < PARALLEL_FLOP_THRESHOLD {
-        for (stripe_idx, out_stripe) in out.chunks_mut(stripe).enumerate() {
-            im2col_stripe(input, out_stripe, geom, stripe_idx);
-        }
-    } else {
-        out.par_chunks_mut(stripe)
-            .enumerate()
-            .for_each(|(stripe_idx, out_stripe)| {
+    match parallel_panel_rows(geom.batch * geom.out_h, out.len(), 1) {
+        None => {
+            for (stripe_idx, out_stripe) in out.chunks_mut(stripe).enumerate() {
                 im2col_stripe(input, out_stripe, geom, stripe_idx);
-            });
+            }
+        }
+        Some(panel) => {
+            out.par_chunks_mut(panel * stripe)
+                .enumerate()
+                .for_each(|(p, out_panel)| {
+                    for (j, out_stripe) in out_panel.chunks_mut(stripe).enumerate() {
+                        im2col_stripe(input, out_stripe, geom, p * panel + j);
+                    }
+                });
+        }
     }
 }
 
@@ -1147,17 +1157,21 @@ pub fn im2col_sparse_into(input: &[f32], out: &mut [f32], geom: &Im2colGeom) {
     if batch_stride == 0 {
         return;
     }
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || out.len() < PARALLEL_FLOP_THRESHOLD {
-        for (b, out_batch) in out.chunks_mut(batch_stride).enumerate() {
-            im2col_scatter_batch(input, out_batch, geom, b);
-        }
-    } else {
-        out.par_chunks_mut(batch_stride)
-            .enumerate()
-            .for_each(|(b, out_batch)| {
+    match parallel_panel_rows(geom.batch, out.len(), 1) {
+        None => {
+            for (b, out_batch) in out.chunks_mut(batch_stride).enumerate() {
                 im2col_scatter_batch(input, out_batch, geom, b);
-            });
+            }
+        }
+        Some(panel) => {
+            out.par_chunks_mut(panel * batch_stride)
+                .enumerate()
+                .for_each(|(p, out_panel)| {
+                    for (j, out_batch) in out_panel.chunks_mut(batch_stride).enumerate() {
+                        im2col_scatter_batch(input, out_batch, geom, p * panel + j);
+                    }
+                });
+        }
     }
 }
 
@@ -1236,16 +1250,21 @@ pub fn im2col_indexed(index: &SpikeIndex, geom: &Im2colGeom) -> (Vec<f32>, Spike
             SpikeIndex::from_parts(rows, cols.max(1), row_ptr, Vec::new()),
         );
     }
-    let threads = rayon::current_num_threads();
-    let parts: Vec<(Vec<u32>, Vec<u32>)> = if threads <= 1 || out.len() < PARALLEL_FLOP_THRESHOLD {
-        (0..geom.batch)
+    let parts: Vec<(Vec<u32>, Vec<u32>)> = match parallel_panel_rows(geom.batch, out.len(), 1) {
+        None => (0..geom.batch)
             .map(|b| im2col_index_batch(index, geom, b))
-            .collect()
-    } else {
-        (0..geom.batch)
-            .into_par_iter()
-            .map(|b| im2col_index_batch(index, geom, b))
-            .collect()
+            .collect(),
+        Some(panel) => {
+            let panels: Vec<Vec<(Vec<u32>, Vec<u32>)>> = (0..geom.batch.div_ceil(panel))
+                .into_par_iter()
+                .map(|p| {
+                    (p * panel..((p + 1) * panel).min(geom.batch))
+                        .map(|b| im2col_index_batch(index, geom, b))
+                        .collect()
+                })
+                .collect();
+            panels.into_iter().flatten().collect()
+        }
     };
     // Scatter the listed positions into the dense matrix (O(nnz)) and stitch
     // the per-batch CSR parts together.

@@ -2,76 +2,119 @@
 //!
 //! The build environment has no crates.io access, so data parallelism is
 //! provided by a small work-stealing-free scheduler on `std::thread::scope`:
-//! a locked work queue of items, one worker per available core, results
-//! written back by original index so ordering semantics match rayon's
-//! indexed parallel iterators.
+//! a locked work queue of items, results placed back by original index so
+//! ordering semantics match rayon's indexed parallel iterators.
+//!
+//! **One thread budget.** A parallel call over `n` items at
+//! `threads = current_num_threads()` runs `w = min(threads, n)` workers: the
+//! calling thread is one of them and `w - 1` scoped threads are spawned.
+//! Each worker runs its items on a share of the budget, `threads / w`
+//! (at least 1, as `w <= threads`), which [`current_num_threads`] reports
+//! inside the worker. A parallel call made from inside a worker (a kernel's
+//! row panels inside a campaign cell, say) therefore splits only that share:
+//! at two threads it runs inline on the worker's own thread and spawns
+//! nothing, and at 16 threads each of 3 outer workers still gets 5. The
+//! caller's own budget comes back when its share of the call returns or
+//! unwinds.
+//!
+//! **Panics.** An item that panics aborts the whole call: the remaining
+//! workers drain the queue, then the call re-raises an item's panic, with
+//! its original payload, on the calling thread. Callers that need per-item
+//! isolation catch the panic inside the item closure.
+//!
+//! **No persistent pool.** Running borrowed closures on long-lived threads
+//! needs `unsafe` lifetime erasure, which this workspace confines to its SIMD
+//! layer. The measured cost of the spawning scheduler came from nested calls
+//! spawning threads of their own, and the budget removes those in safe code.
 //!
 //! Supported surface (what the workspace's kernels and sweeps call):
 //!
 //! * `(a..b).into_par_iter().map(f).collect::<Vec<_>>()`
 //! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` / `.for_each(f)`
 //! * `slice.par_chunks_mut(n).enumerate().for_each(f)`
-//! * [`current_num_threads`], [`join`]
+//! * [`current_num_threads`]
 
 #![forbid(unsafe_code)]
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Process-wide worker-count override (0 = none). A shim extension beyond
 /// the real rayon API: tests that need to compare worker counts set this
-/// instead of mutating `RAYON_NUM_THREADS`, because `std::env::set_var`
-/// races with the `getenv` calls every parallel operation makes.
+/// instead of mutating `RAYON_NUM_THREADS`, which is read only once.
 static THREAD_COUNT_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Forces [`current_num_threads`] to report `n` (shim-only test hook;
-/// `0` clears the override). Data-race-free, unlike env mutation.
+/// `RAYON_NUM_THREADS`, else the machine's available parallelism, resolved
+/// on first use.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+
+thread_local! {
+    /// This thread's share of the thread budget while it is a worker of a
+    /// parallel call (0 = not a worker: the process-wide count applies).
+    static BUDGET: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Forces [`current_num_threads`] to report `n` outside parallel workers
+/// (shim-only test hook; `0` clears the override). Data-race-free, unlike
+/// env mutation.
 pub fn set_thread_count_override(n: usize) {
     THREAD_COUNT_OVERRIDE.store(n, Ordering::SeqCst);
 }
 
-/// Number of worker threads used for parallel execution.
+/// Number of threads a parallel call made from this thread may use.
 ///
-/// Honours the test override, then `RAYON_NUM_THREADS` (like the real
-/// rayon), and falls back to the machine's available parallelism.
+/// Inside a worker of a parallel call this is the worker's share of the
+/// budget. Elsewhere it honours the test override, then `RAYON_NUM_THREADS`
+/// (like the real rayon; read on first use, later changes are ignored), and
+/// falls back to the machine's available parallelism.
 pub fn current_num_threads() -> usize {
+    let share = BUDGET.with(Cell::get);
+    if share > 0 {
+        return share;
+    }
     let forced = THREAD_COUNT_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
     }
-    if let Ok(value) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon-shim: join worker panicked"))
+    *DEFAULT_THREADS.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|value| value.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
     })
 }
 
-/// Core executor: applies `f` to every `(index, item)` pair across worker
-/// threads and returns results in input order.
+/// Sets this thread's budget share for the guard's lifetime and restores the
+/// previous one on drop, including during unwinding.
+struct BudgetGuard {
+    previous: usize,
+}
+
+impl BudgetGuard {
+    fn enter(share: usize) -> Self {
+        BudgetGuard {
+            previous: BUDGET.with(|budget| budget.replace(share)),
+        }
+    }
+}
+
+impl Drop for BudgetGuard {
+    fn drop(&mut self) {
+        // `try_with` cannot panic, which a drop during unwinding must not.
+        let _ = BUDGET.try_with(|budget| budget.set(self.previous));
+    }
+}
+
+/// Core executor: applies `f` to every `(index, item)` pair across the
+/// calling thread and `w - 1` scoped threads and returns results in input
+/// order (see the module docs for the budget and panic rules).
 fn run_indexed<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
 where
     I: Send,
@@ -79,43 +122,44 @@ where
     F: Fn(usize, I) -> R + Sync,
 {
     let n = items.len();
-    let workers = current_num_threads().min(n);
+    let threads = current_num_threads();
+    let workers = threads.min(n);
     if workers <= 1 {
+        // One worker's share is the whole budget, so the caller's own
+        // budget stands.
         return items
             .into_iter()
             .enumerate()
             .map(|(i, x)| f(i, x))
             .collect();
     }
+    let share = threads / workers;
+    // The lock is held only to pop an item, never while one runs.
     let queue = Mutex::new(items.into_iter().enumerate());
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = queue
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .next();
-                match next {
-                    Some((i, item)) => {
-                        let r = f(i, item);
-                        *results[i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-                    }
-                    None => break,
-                }
-            });
+    let work = || {
+        let _budget = BudgetGuard::enter(share);
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            done.push((i, f(i, item)));
         }
+    };
+    let mut results = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut results = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(done) => results.extend(done),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        results
     });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("rayon-shim: slot poisoned")
-                .expect("rayon-shim: missing result")
-        })
-        .collect()
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// An indexed parallel iterator over owned items.
@@ -277,6 +321,14 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::{current_num_threads, BudgetGuard};
+    use std::collections::HashSet;
+    use std::sync::{Barrier, Mutex, PoisonError};
+    use std::thread::{self, ThreadId};
+
+    // Each test pins its thread count with a `BudgetGuard` on the test
+    // thread: the budget is thread-local and outranks every process-wide
+    // setting, so tests running in parallel cannot disturb one another.
 
     #[test]
     fn map_collect_preserves_order() {
@@ -312,9 +364,98 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = super::join(|| 21 * 2, || "ok");
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
+    fn nested_call_at_two_threads_runs_inline_on_the_worker() {
+        let _threads = BudgetGuard::enter(2);
+        let checks: Vec<bool> = (0..2)
+            .into_par_iter()
+            .map(|_| {
+                let worker = thread::current().id();
+                let inner: Vec<(ThreadId, usize)> = (0..8)
+                    .into_par_iter()
+                    .map(|_| (thread::current().id(), current_num_threads()))
+                    .collect();
+                current_num_threads() == 1
+                    && inner
+                        .iter()
+                        .all(|&(id, threads)| id == worker && threads == 1)
+            })
+            .collect();
+        assert_eq!(checks, [true, true]);
+    }
+
+    #[test]
+    fn nested_call_sees_its_workers_share_of_the_budget() {
+        let _threads = BudgetGuard::enter(4);
+        let shares: Vec<Vec<usize>> = (0..2)
+            .into_par_iter()
+            .map(|_| {
+                (0..3)
+                    .into_par_iter()
+                    .map(|_| current_num_threads())
+                    .collect()
+            })
+            .collect();
+        // Each outer worker owns 4 / 2 = 2 threads; its nested 3-item call
+        // runs 2 workers of 2 / 2 = 1 thread each.
+        assert_eq!(shares, [[1, 1, 1], [1, 1, 1]]);
+        let outer: Vec<usize> = (0..2)
+            .into_par_iter()
+            .map(|_| current_num_threads())
+            .collect();
+        assert_eq!(outer, [2, 2]);
+        assert_eq!(current_num_threads(), 4);
+    }
+
+    #[test]
+    fn call_uses_at_most_w_threads_including_the_caller() {
+        let workers = 3;
+        let _threads = BudgetGuard::enter(workers);
+        // The first `workers` items block until all of them have started,
+        // which only `workers` distinct threads can do at once.
+        let barrier = Barrier::new(workers);
+        let seen = Mutex::new(HashSet::new());
+        (0..64).into_par_iter().for_each(|i| {
+            if i < workers {
+                barrier.wait();
+            }
+            seen.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(thread::current().id());
+        });
+        let seen = seen.into_inner().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(seen.len(), workers);
+        assert!(seen.contains(&thread::current().id()));
+    }
+
+    #[test]
+    fn panicking_item_reaches_the_caller_and_restores_the_budget() {
+        let _threads = BudgetGuard::enter(4);
+        // Every item panics, so each worker stops at its first item and the
+        // caller, left with items the 3 helpers cannot take, unwinds through
+        // its own budget guard.
+        let caught = std::panic::catch_unwind(|| {
+            (0..16).into_par_iter().for_each(|_| panic!("item failed"));
+        });
+        let payload = caught.expect_err("the item's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item failed"));
+        assert_eq!(current_num_threads(), 4);
+    }
+
+    #[test]
+    fn order_is_preserved_when_item_costs_are_uneven() {
+        let _threads = BudgetGuard::enter(4);
+        let out: Vec<u64> = (0..40)
+            .into_par_iter()
+            .map(|i| {
+                // Early items are the slowest, so they finish last.
+                let mut acc = i as u64;
+                for step in 0..(40 - i) * 20_000 {
+                    acc = std::hint::black_box(acc.wrapping_mul(31).wrapping_add(step as u64));
+                }
+                std::hint::black_box(acc);
+                i as u64
+            })
+            .collect();
+        assert_eq!(out, (0..40).collect::<Vec<u64>>());
     }
 }
