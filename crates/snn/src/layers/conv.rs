@@ -115,6 +115,14 @@ impl Conv2d {
         &self.weight
     }
 
+    fn pop_cache(&mut self) -> Result<StepCache> {
+        self.caches
+            .pop()
+            .ok_or_else(|| SnnError::MissingForwardState {
+                layer: self.name.clone(),
+            })
+    }
+
     fn dims_for(&self, input: &Tensor) -> Result<Conv2dDims> {
         if input.ndim() != 4 {
             return Err(SnnError::invalid_input(format!(
@@ -266,17 +274,22 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self
-            .caches
-            .pop()
-            .ok_or_else(|| SnnError::MissingForwardState {
-                layer: self.name.clone(),
-            })?;
+        let cache = self.pop_cache()?;
         let grads =
             ops::conv2d_backward(grad_output, &cache.cols, self.weight.value(), &cache.dims)?;
         self.weight.accumulate_grad(&grads.grad_weight)?;
         self.bias.accumulate_grad(&grads.grad_bias)?;
         Ok(grads.grad_input)
+    }
+
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
+        // Skips the `grad_rows @ W` product and its col2im.
+        let cache = self.pop_cache()?;
+        let (grad_weight, grad_bias) =
+            ops::conv2d_param_grads(grad_output, &cache.cols, &cache.dims)?;
+        self.weight.accumulate_grad(&grad_weight)?;
+        self.bias.accumulate_grad(&grad_bias)?;
+        Ok(())
     }
 
     fn reset_state(&mut self) {
@@ -438,6 +451,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn param_only_backward_matches_full_backward_bit_for_bit() {
+        // Dispatch-sensitive: float outputs are compared bit-for-bit, so
+        // hold off any concurrent test forcing a different dispatch ISA.
+        let _lock = falvolt_tensor::simd::test_override_lock();
+        let backend = FloatBackend::new();
+        let mut full = Conv2d::new("c", 2, 3, 3, 2, 1, 11).unwrap();
+        let mut param_only = full.clone();
+        let ctx = train_ctx(&backend);
+        let steps: Vec<Tensor> = (0..2)
+            .map(|t| Tensor::from_fn(&[2, 2, 7, 6], |i| ((i * 7 + t) as f32 * 0.37).sin()))
+            .collect();
+        for x in &steps {
+            full.forward(x, &ctx).unwrap();
+            param_only.forward(x, &ctx).unwrap();
+        }
+        for t in 0..2 {
+            let g = Tensor::from_fn(&[2, 3, 4, 3], |i| ((i + 5 * t) as f32 * 0.91).cos() * 1e3);
+            full.backward(&g).unwrap();
+            param_only.accumulate_param_grads(&g).unwrap();
+        }
+        for (a, b) in full.params().into_iter().zip(param_only.params()) {
+            let bits = |p: &Param| {
+                p.grad()
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(a), bits(b), "{}", a.name());
+        }
+        assert!(matches!(
+            param_only.accumulate_param_grads(&Tensor::ones(&[2, 3, 4, 3])),
+            Err(SnnError::MissingForwardState { .. })
+        ));
     }
 
     #[test]

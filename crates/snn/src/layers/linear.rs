@@ -150,20 +150,25 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.accumulate_param_grads(grad_output)?;
+        // grad_x = grad_y @ W.
+        Ok(ops::matmul(grad_output, self.weight.value())?)
+    }
+
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
         let input = self
             .caches
             .pop()
             .ok_or_else(|| SnnError::MissingForwardState {
                 layer: self.name.clone(),
             })?;
-        // grad_W = grad_yᵀ @ x, grad_b = Σ_rows grad_y, grad_x = grad_y @ W.
+        // grad_W = grad_yᵀ @ x, grad_b = Σ_rows grad_y.
         let grad_output_t = ops::transpose2d(grad_output)?;
         let grad_weight = ops::matmul(&grad_output_t, &input)?;
         self.weight.accumulate_grad(&grad_weight)?;
         let grad_bias = falvolt_tensor::reduce::sum_axis0(grad_output)?;
         self.bias.accumulate_grad(&grad_bias)?;
-        let grad_input = ops::matmul(grad_output, self.weight.value())?;
-        Ok(grad_input)
+        Ok(())
     }
 
     fn reset_state(&mut self) {
@@ -246,6 +251,41 @@ mod tests {
         let mut fc = Linear::new("fc", 2, 1, 0).unwrap();
         assert!(matches!(
             fc.backward(&Tensor::zeros(&[1, 1])),
+            Err(SnnError::MissingForwardState { .. })
+        ));
+    }
+
+    #[test]
+    fn param_only_backward_matches_full_backward_bit_for_bit() {
+        // Dispatch-sensitive: float outputs are compared bit-for-bit, so
+        // hold off any concurrent test forcing a different dispatch ISA.
+        let _lock = falvolt_tensor::simd::test_override_lock();
+        let backend = FloatBackend::new();
+        let mut full = Linear::new("fc", 7, 5, 4).unwrap();
+        let mut param_only = full.clone();
+        let ctx = train_ctx(&backend);
+        for t in 0..3 {
+            let x = Tensor::from_fn(&[4, 7], |i| ((i * 3 + t) as f32 * 0.61).sin());
+            full.forward(&x, &ctx).unwrap();
+            param_only.forward(&x, &ctx).unwrap();
+        }
+        for t in 0..3 {
+            let g = Tensor::from_fn(&[4, 5], |i| ((i + 7 * t) as f32 * 1.3).cos() * 1e3);
+            full.backward(&g).unwrap();
+            param_only.accumulate_param_grads(&g).unwrap();
+        }
+        for (a, b) in full.params().into_iter().zip(param_only.params()) {
+            let bits = |p: &Param| {
+                p.grad()
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(a), bits(b), "{}", a.name());
+        }
+        assert!(matches!(
+            param_only.accumulate_param_grads(&Tensor::zeros(&[4, 5])),
             Err(SnnError::MissingForwardState { .. })
         ));
     }

@@ -58,9 +58,9 @@ pub struct ForwardContext<'a> {
     /// activations and pass operand-structure hints to the backend, and
     /// evaluation-mode spiking layers attach a CSR
     /// [`falvolt_tensor::SpikeIndex`] to their outputs (downstream layers
-    /// propagate it), so im2col becomes an index transform and products walk
-    /// the index instead of probing. Off pins every product to the dense
-    /// blocked kernel — the engine-off baseline.
+    /// propagate it), so the im2col lowering carries its own index and
+    /// products walk the index instead of probing. Off pins every product
+    /// to the dense blocked kernel — the engine-off baseline.
     pub spike_hints: bool,
     /// Sweep-driver-owned cross-call cache, when the network is evaluating
     /// inside a scenario sweep. Layers may use it to share backend-independent
@@ -202,6 +202,19 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// Returns [`crate::SnnError::MissingForwardState`] when no cached
     /// forward state is available.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
+
+    /// Backpropagates like [`Layer::backward`] but only accumulates the
+    /// parameter gradients: the gradient with respect to the input is not
+    /// computed. The network calls this on its first layer, whose input
+    /// gradient nobody reads. Overrides must leave every parameter gradient
+    /// bit-equal to what [`Layer::backward`] accumulates.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same errors as [`Layer::backward`].
+    fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward(grad_output).map(drop)
+    }
 
     /// Clears all cached forward state and any temporal state (membrane
     /// potentials). Called by the network before every sample/batch.

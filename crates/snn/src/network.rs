@@ -574,12 +574,19 @@ impl SpikingNetwork {
         // BPTT stack, and the spiking layers carry the membrane-potential
         // gradient across iterations, so identical seeds still produce
         // different per-layer work each time.
+        // The first layer's input gradient would be the gradient with
+        // respect to the network input, which nothing reads: that layer only
+        // accumulates its parameter gradients.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
         for _ in 0..self.time_steps {
             let mut grad: Option<Tensor> = None;
-            for layer in self.layers.iter_mut().rev() {
+            for layer in rest.iter_mut().rev() {
                 let next = layer.backward(grad.as_ref().unwrap_or(&per_step))?;
                 grad = Some(next);
             }
+            first.accumulate_param_grads(grad.as_ref().unwrap_or(&per_step))?;
         }
         Ok(())
     }
@@ -698,6 +705,47 @@ mod tests {
         assert!(network.backward(&Tensor::ones(&[2, 3])).is_err());
         network.forward(&input, Mode::Train).unwrap();
         assert!(network.backward(&Tensor::ones(&[2, 3])).is_ok());
+    }
+
+    #[test]
+    fn first_layer_skip_leaves_every_parameter_gradient_bit_equal() {
+        // Dispatch-sensitive: float outputs are compared bit-for-bit, so
+        // hold off any concurrent test forcing a different dispatch ISA.
+        let _lock = falvolt_tensor::simd::test_override_lock();
+        use crate::layers::Conv2d;
+        let mut network = SpikingNetwork::new(3);
+        network.push(Conv2d::new("conv1", 1, 2, 3, 1, 1, 5).unwrap());
+        network.push(SpikingLayer::new("sn1", NeuronConfig::paper_default()));
+        network.push(Flatten::new("flatten"));
+        network.push(Linear::new("fc", 2 * 4 * 4, 3, 6).unwrap());
+        network.push(SpikingLayer::new("sn2", NeuronConfig::paper_default()));
+        let mut reference = network.unshared_clone();
+        let input = Tensor::from_fn(&[2, 1, 4, 4], |i| (i % 5) as f32 * 0.6);
+        let grad_rates = Tensor::from_fn(&[2, 3], |i| (i as f32 * 0.7).cos());
+        network.forward(&input, Mode::Train).unwrap();
+        network.backward(&grad_rates).unwrap();
+        // The reference runs the full backward on every layer, first included.
+        reference.forward(&input, Mode::Train).unwrap();
+        let per_step = grad_rates.mul_scalar(1.0 / 3.0);
+        for _ in 0..3 {
+            let mut grad = per_step.clone();
+            for layer in reference.layers_mut().iter_mut().rev() {
+                grad = layer.backward(&grad).unwrap();
+            }
+        }
+        let bits = |p: &&mut Param| {
+            p.grad()
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let got: Vec<_> = network.params_mut().iter().map(bits).collect();
+        let want: Vec<_> = reference.params_mut().iter().map(bits).collect();
+        assert_eq!(got, want);
+        assert!(got[0].iter().any(|&b| f32::from_bits(b) != 0.0));
+        // An empty network has nothing to backpropagate through.
+        assert!(SpikingNetwork::new(2).backward(&grad_rates).is_ok());
     }
 
     #[test]

@@ -30,10 +30,30 @@
 //! scalar reference kernels, [`SPARSE_DENSITY_CUTOFF_SIMD`] once the dense
 //! tile runs vectorised) to [`matmul_sparse`], a gather-accumulate kernel
 //! that walks only the nonzero activations and turns binary entries into
-//! plain row additions (no multiply at all). [`im2col_sparse_into`] is the
-//! matching lowering for convolutions: it scatters only the nonzero input
-//! pixels into the (pre-zeroed) im2col matrix instead of copying every
-//! window cell.
+//! plain row additions (no multiply at all).
+//!
+//! # Convolution lowering
+//!
+//! The dense lowering copies each `[C, H, W]` input once into a zero-padded
+//! `[C, H+2p, W+2p]` buffer and precomputes the `C·k·k` column offsets
+//! `(ch·Hp + ky)·Wp + kx` (`PaddedTable`). Every im2col row is then a
+//! branch-free gather from its window's corner `oy·s·Wp + ox·s`
+//! ([`im2col_into`]); no cell needs a bounds check because the border is
+//! zero.
+//!
+//! Spike frames skip the gather. A frame carrying a CSR spike index lowers
+//! through [`im2col_spikes_into`], which walks the index, writes only the
+//! cells its spikes land in (`O(nnz·k²)`) and returns the lowered matrix's
+//! own CSR index; an un-indexed event-sparse frame takes
+//! [`im2col_sparse_into`], the same scatter driven by a scan of the dense
+//! buffer. At spike densities the scatter beats the full gather, and on
+//! small, near-silent frames it costs little more than the row count.
+//!
+//! [`col2im_into`] is the exact adjoint: it scatter-adds each row into the
+//! padded buffer through the same offsets, then crops. Rows are visited in
+//! order and each row's columns in order, so every in-bounds pixel receives
+//! the same additions in the same order as a bounds-checked walk of the
+//! windows, and the result is bit-identical to it.
 
 use crate::simd::{self, Isa, SimdLevel, SimdOp};
 use crate::spikes::SpikeIndex;
@@ -1068,31 +1088,118 @@ impl Im2colGeom {
     }
 }
 
-/// Lowers an `[N, C, H, W]` input (flat, row-major) into the im2col matrix,
-/// parallelised over `(batch, out_y)` stripes.
+/// The zero-padded offset table behind the dense lowering
+/// ([`im2col_into`]) and its adjoint ([`col2im_into`]).
+///
+/// The input is copied once into a `[N, C, Hp, Wp]` buffer
+/// (`Hp = H + 2p`, `Wp = W + 2p`) whose border is zero, so no window cell
+/// needs a bounds check. Window `(oy, ox)` of a batch starts at
+/// `oy * stride * Wp + ox * stride` in that batch's padded planes, and its
+/// im2col column `(ch * k + ky) * k + kx` sits `offsets[col] =
+/// (ch * Hp + ky) * Wp + kx` further on.
+struct PaddedTable {
+    /// Padded height `H + 2p`.
+    hp: usize,
+    /// Padded width `W + 2p`.
+    wp: usize,
+    /// One batch's padded planes, `C * Hp * Wp`.
+    batch_len: usize,
+    /// Window-cell offsets in im2col column order.
+    offsets: Vec<usize>,
+}
+
+impl PaddedTable {
+    fn new(geom: &Im2colGeom) -> Self {
+        let k = geom.kernel;
+        let hp = geom.in_h + 2 * geom.padding;
+        let wp = geom.in_w + 2 * geom.padding;
+        let mut offsets = Vec::with_capacity(geom.cols());
+        for ch in 0..geom.channels {
+            for ky in 0..k {
+                for kx in 0..k {
+                    offsets.push((ch * hp + ky) * wp + kx);
+                }
+            }
+        }
+        Self {
+            hp,
+            wp,
+            batch_len: geom.channels * hp * wp,
+            offsets,
+        }
+    }
+
+    /// Offset of window `(oy, 0)` inside its batch's padded planes.
+    fn stripe_base(&self, geom: &Im2colGeom, oy: usize) -> usize {
+        oy * geom.stride * self.wp
+    }
+
+    /// The input in the padded layout; borrowed as-is when there is no
+    /// padding (the layouts coincide).
+    fn pad<'a>(&self, input: &'a [f32], geom: &Im2colGeom) -> std::borrow::Cow<'a, [f32]> {
+        if geom.padding == 0 {
+            return std::borrow::Cow::Borrowed(input);
+        }
+        let (h, w, p) = (geom.in_h, geom.in_w, geom.padding);
+        let mut padded = vec![0.0f32; geom.batch * self.batch_len];
+        for plane in 0..geom.batch * geom.channels {
+            for iy in 0..h {
+                let dst = (plane * self.hp + iy + p) * self.wp + p;
+                let src = (plane * h + iy) * w;
+                padded[dst..dst + w].copy_from_slice(&input[src..src + w]);
+            }
+        }
+        std::borrow::Cow::Owned(padded)
+    }
+
+    /// Copies the interior of a padded buffer into the `[N, C, H, W]`
+    /// layout (the inverse of [`PaddedTable::pad`] on the interior).
+    fn crop(&self, padded: &[f32], out: &mut [f32], geom: &Im2colGeom) {
+        let (h, w, p) = (geom.in_h, geom.in_w, geom.padding);
+        for plane in 0..geom.batch * geom.channels {
+            for iy in 0..h {
+                let src = (plane * self.hp + iy + p) * self.wp + p;
+                let dst = (plane * h + iy) * w;
+                out[dst..dst + w].copy_from_slice(&padded[src..src + w]);
+            }
+        }
+    }
+}
+
+/// Checks an `[N, C, H, W]` image buffer and an im2col buffer against
+/// `geom`.
+fn check_lowering_lens(image: &[f32], lowered: &[f32], geom: &Im2colGeom) {
+    assert_eq!(
+        image.len(),
+        geom.batch * geom.channels * geom.in_h * geom.in_w,
+        "image buffer has the wrong length"
+    );
+    assert_eq!(
+        lowered.len(),
+        geom.rows() * geom.cols(),
+        "im2col buffer has the wrong length"
+    );
+}
+
+/// Lowers an `[N, C, H, W]` input (flat, row-major) into the im2col matrix:
+/// one padded copy of the input, then every row is a gather through the
+/// `PaddedTable` offsets. Parallelised over `(batch, out_y)` stripes.
 ///
 /// # Panics
 ///
 /// Panics if the buffer lengths disagree with `geom`.
 pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Im2colGeom) {
-    assert_eq!(
-        input.len(),
-        geom.batch * geom.channels * geom.in_h * geom.in_w,
-        "input buffer has the wrong length"
-    );
-    assert_eq!(
-        out.len(),
-        geom.rows() * geom.cols(),
-        "output buffer has the wrong length"
-    );
+    check_lowering_lens(input, out, geom);
     let stripe = geom.out_w * geom.cols();
     if stripe == 0 {
         return;
     }
+    let table = PaddedTable::new(geom);
+    let padded = table.pad(input, geom);
     match parallel_panel_rows(geom.batch * geom.out_h, out.len(), 1) {
         None => {
             for (stripe_idx, out_stripe) in out.chunks_mut(stripe).enumerate() {
-                im2col_stripe(input, out_stripe, geom, stripe_idx);
+                gather_stripe(&padded, &table, geom, stripe_idx, out_stripe);
             }
         }
         Some(panel) => {
@@ -1100,7 +1207,7 @@ pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Im2colGeom) {
                 .enumerate()
                 .for_each(|(p, out_panel)| {
                     for (j, out_stripe) in out_panel.chunks_mut(stripe).enumerate() {
-                        im2col_stripe(input, out_stripe, geom, p * panel + j);
+                        gather_stripe(&padded, &table, geom, p * panel + j, out_stripe);
                     }
                 });
         }
@@ -1108,26 +1215,231 @@ pub fn im2col_into(input: &[f32], out: &mut [f32], geom: &Im2colGeom) {
 }
 
 /// Fills one `(batch, out_y)` stripe (`out_w` rows) of the im2col matrix.
-fn im2col_stripe(input: &[f32], out_stripe: &mut [f32], geom: &Im2colGeom, stripe_idx: usize) {
-    let (c, h, w, k) = (geom.channels, geom.in_h, geom.in_w, geom.kernel);
-    let b = stripe_idx / geom.out_h;
-    let oy = stripe_idx % geom.out_h;
+fn gather_stripe(
+    padded: &[f32],
+    table: &PaddedTable,
+    geom: &Im2colGeom,
+    stripe_idx: usize,
+    out_stripe: &mut [f32],
+) {
+    let batch = &padded[(stripe_idx / geom.out_h) * table.batch_len..];
+    let mut base = table.stripe_base(geom, stripe_idx % geom.out_h);
+    for row in out_stripe.chunks_exact_mut(table.offsets.len()) {
+        let window = &batch[base..];
+        for (cell, &off) in row.iter_mut().zip(&table.offsets) {
+            *cell = window[off];
+        }
+        base += geom.stride;
+    }
+}
+
+/// Index-driven im2col for a binary spike frame: walks the input's CSR
+/// spike index (rows of the `[N, C, H]` pixel grid, width `W`) and writes a
+/// `1.0` into every window cell a spike lands in, so it costs
+/// `O(nnz * kernel^2 + rows)` instead of the `O(rows * cols)` of a gather.
+/// `out` must be zero-filled. Returns the lowered matrix's own CSR index:
+/// a counting pass sizes every row, a second pass fills them. Spikes are
+/// visited in `(channel, y, x)` order, which for a fixed window is
+/// ascending column order, so the index is valid CSR and equals
+/// [`SpikeIndex::from_dense`] of the lowered matrix. Parallelised over
+/// batches; every batch's CSR part is stitched on in order.
+///
+/// # Panics
+///
+/// Panics if the index geometry or the buffer length disagrees with `geom`.
+pub fn im2col_spikes_into(index: &SpikeIndex, out: &mut [f32], geom: &Im2colGeom) -> SpikeIndex {
+    assert_eq!(
+        index.rows(),
+        geom.batch * geom.channels * geom.in_h,
+        "spike index rows must cover the [N, C, H] pixel grid"
+    );
+    assert_eq!(
+        index.cols(),
+        geom.in_w.max(1),
+        "spike index width must be W"
+    );
+    assert_eq!(
+        out.len(),
+        geom.rows() * geom.cols(),
+        "im2col buffer has the wrong length"
+    );
+    let rows = geom.rows();
     let cols = geom.cols();
-    for ox in 0..geom.out_w {
-        let row = &mut out_stripe[ox * cols..(ox + 1) * cols];
+    let batch_stride = geom.out_h * geom.out_w * cols;
+    if batch_stride == 0 {
+        return SpikeIndex::from_parts(rows, cols.max(1), vec![0u32; rows + 1], Vec::new());
+    }
+    let parts: Vec<(Vec<u32>, Vec<u32>)> = match parallel_panel_rows(geom.batch, out.len(), 1) {
+        None => vec![scatter_spike_batches(index, geom, 0, out)],
+        Some(panel) => {
+            let panels: Vec<(usize, &mut [f32])> =
+                out.chunks_mut(panel * batch_stride).enumerate().collect();
+            panels
+                .into_par_iter()
+                .map(|(p, out_panel)| scatter_spike_batches(index, geom, p * panel, out_panel))
+                .collect()
+        }
+    };
+    let mut row_ptr = Vec::with_capacity(rows + 1);
+    row_ptr.push(0u32);
+    let mut col_idx = Vec::new();
+    for (row_ends, part) in parts {
+        let offset = col_idx.len() as u32;
+        row_ptr.extend(row_ends.iter().map(|&end| offset + end));
+        if col_idx.is_empty() {
+            col_idx = part;
+        } else {
+            col_idx.extend_from_slice(&part);
+        }
+    }
+    SpikeIndex::from_parts(rows, cols, row_ptr, col_idx)
+}
+
+/// Lowers the batches starting at `b0` that `out_panel` covers; returns
+/// each row's end offset into the returned column list.
+fn scatter_spike_batches(
+    index: &SpikeIndex,
+    geom: &Im2colGeom,
+    b0: usize,
+    out_panel: &mut [f32],
+) -> (Vec<u32>, Vec<u32>) {
+    let cols = geom.cols();
+    let panel_rows = out_panel.len() / cols;
+    let batches = b0..b0 + panel_rows / (geom.out_h * geom.out_w);
+    let mut cursor = vec![0u32; panel_rows];
+    for_each_spike_cell(index, geom, batches.clone(), |row, _| cursor[row] += 1);
+    let mut start = 0u32;
+    for slot in &mut cursor {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut col_idx = vec![0u32; start as usize];
+    for_each_spike_cell(index, geom, batches, |row, col| {
+        col_idx[cursor[row] as usize] = col as u32;
+        cursor[row] += 1;
+        out_panel[row * cols + col] = 1.0;
+    });
+    // Every cursor now sits at its row's end.
+    (cursor, col_idx)
+}
+
+/// Calls `cell(row, col)` for every im2col cell a spike of `batches` lands
+/// in, with `row` local to the first batch. A spike at `(ch, iy, ix)` lands
+/// in window `(oy, ox)` at `ky = iy + p - oy * s`, `kx = ix + p - ox * s`
+/// whenever both lie in `0..k`. Spikes are visited in `(ch, iy, ix)` order;
+/// within one window `ky` grows with `iy` and `kx` with `ix`, so each
+/// window's calls arrive in ascending column order.
+fn for_each_spike_cell(
+    index: &SpikeIndex,
+    geom: &Im2colGeom,
+    batches: std::ops::Range<usize>,
+    mut cell: impl FnMut(usize, usize),
+) {
+    let (c, h, k) = (geom.channels, geom.in_h, geom.kernel);
+    let (stride, padding) = (geom.stride, geom.padding);
+    // The windows `lo..=hi` along one axis that cover padded position `n`.
+    let windows = |n: usize, out_len: usize| {
+        let lo = (n + 1).saturating_sub(k).div_ceil(stride);
+        let hi = (n / stride).min(out_len - 1);
+        (lo, hi)
+    };
+    let batch_rows = geom.out_h * geom.out_w;
+    let mut spans: Vec<(usize, usize, usize)> = Vec::new();
+    for (local, b) in batches.enumerate() {
         for ch in 0..c {
-            for ky in 0..k {
-                let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                for kx in 0..k {
-                    let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                    let col = (ch * k + ky) * k + kx;
-                    row[col] = if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                        input[((b * c + ch) * h + iy as usize) * w + ix as usize]
-                    } else {
-                        0.0
-                    };
+            for iy in 0..h {
+                let spikes = index.row((b * c + ch) * h + iy);
+                if spikes.is_empty() {
+                    continue;
+                }
+                spans.clear();
+                spans.extend(spikes.iter().map(|&ix| {
+                    let nx = ix as usize + padding;
+                    let (lo, hi) = windows(nx, geom.out_w);
+                    (nx, lo, hi)
+                }));
+                let ny = iy + padding;
+                let (oy_lo, oy_hi) = windows(ny, geom.out_h);
+                for oy in oy_lo..=oy_hi {
+                    let row_base = local * batch_rows + oy * geom.out_w;
+                    let col_base = (ch * k + ny - oy * stride) * k;
+                    for &(nx, ox_lo, ox_hi) in &spans {
+                        for ox in ox_lo..=ox_hi {
+                            cell(row_base + ox, col_base + nx - ox * stride);
+                        }
+                    }
                 }
             }
+        }
+    }
+}
+
+/// The exact adjoint of [`im2col_into`]: scatter-adds every im2col row into
+/// a zero padded buffer through the same `PaddedTable` offsets, then crops
+/// the interior into `out` (overwritten). Rows are visited in order and
+/// each row's columns in order, so every in-bounds pixel receives the same
+/// additions in the same order as a bounds-checked walk of the windows —
+/// the result is bit-identical to it. The border cells collect the
+/// gradient of the zero padding, which the crop drops. Parallelised over
+/// batches (a batch's pixels receive additions only from that batch's
+/// rows).
+///
+/// # Panics
+///
+/// Panics if the buffer lengths disagree with `geom`.
+pub fn col2im_into(lowered: &[f32], out: &mut [f32], geom: &Im2colGeom) {
+    check_lowering_lens(out, lowered, geom);
+    let table = PaddedTable::new(geom);
+    if geom.padding == 0 {
+        out.fill(0.0);
+        scatter_add(lowered, out, &table, geom);
+    } else {
+        let mut padded = vec![0.0f32; geom.batch * table.batch_len];
+        scatter_add(lowered, &mut padded, &table, geom);
+        table.crop(&padded, out, geom);
+    }
+}
+
+/// Scatter-adds every im2col row into the zeroed padded buffer `acc`,
+/// parallelised over batches.
+fn scatter_add(lowered: &[f32], acc: &mut [f32], table: &PaddedTable, geom: &Im2colGeom) {
+    let batch_rows = geom.out_h * geom.out_w * geom.cols();
+    if batch_rows == 0 || table.batch_len == 0 {
+        return;
+    }
+    match parallel_panel_rows(geom.batch, lowered.len(), 1) {
+        None => {
+            for (b, acc_batch) in acc.chunks_mut(table.batch_len).enumerate() {
+                let rows = &lowered[b * batch_rows..(b + 1) * batch_rows];
+                scatter_add_batch(rows, acc_batch, table, geom);
+            }
+        }
+        Some(panel) => {
+            acc.par_chunks_mut(panel * table.batch_len)
+                .enumerate()
+                .for_each(|(p, acc_panel)| {
+                    for (j, acc_batch) in acc_panel.chunks_mut(table.batch_len).enumerate() {
+                        let b = p * panel + j;
+                        let rows = &lowered[b * batch_rows..(b + 1) * batch_rows];
+                        scatter_add_batch(rows, acc_batch, table, geom);
+                    }
+                });
+        }
+    }
+}
+
+/// Scatter-adds one batch's im2col rows into that batch's padded planes.
+fn scatter_add_batch(rows: &[f32], acc: &mut [f32], table: &PaddedTable, geom: &Im2colGeom) {
+    let stripe = geom.out_w * table.offsets.len();
+    for (oy, stripe_rows) in rows.chunks_exact(stripe).enumerate() {
+        let mut base = table.stripe_base(geom, oy);
+        for row in stripe_rows.chunks_exact(table.offsets.len()) {
+            let window = &mut acc[base..];
+            for (&g, &off) in row.iter().zip(&table.offsets) {
+                window[off] += g;
+            }
+            base += geom.stride;
         }
     }
 }
@@ -1143,16 +1455,7 @@ fn im2col_stripe(input: &[f32], out_stripe: &mut [f32], geom: &Im2colGeom, strip
 ///
 /// Panics if the buffer lengths disagree with `geom`.
 pub fn im2col_sparse_into(input: &[f32], out: &mut [f32], geom: &Im2colGeom) {
-    assert_eq!(
-        input.len(),
-        geom.batch * geom.channels * geom.in_h * geom.in_w,
-        "input buffer has the wrong length"
-    );
-    assert_eq!(
-        out.len(),
-        geom.rows() * geom.cols(),
-        "output buffer has the wrong length"
-    );
+    check_lowering_lens(input, out, geom);
     let batch_stride = geom.out_h * geom.out_w * geom.cols();
     if batch_stride == 0 {
         return;
@@ -1216,115 +1519,6 @@ fn im2col_scatter_batch(input: &[f32], out_batch: &mut [f32], geom: &Im2colGeom,
             }
         }
     }
-}
-
-/// Index-transform im2col for spike frames: consumes the input's CSR spike
-/// index (rows of the `[N, C, H]` pixel grid, width `W`) and produces both
-/// the dense im2col matrix and *its* CSR index in one pass — the lowering of
-/// a spike tensor is itself a spike tensor, so downstream products keep the
-/// event stream without ever re-probing.
-///
-/// Output rows are visited in order and columns are emitted ascending within
-/// each row, so the produced index is valid CSR; the dense matrix is exactly
-/// what [`im2col_into`] / [`im2col_sparse_into`] build for the same input.
-///
-/// # Panics
-///
-/// Panics if the index geometry disagrees with `geom`.
-pub fn im2col_indexed(index: &SpikeIndex, geom: &Im2colGeom) -> (Vec<f32>, SpikeIndex) {
-    assert_eq!(
-        index.rows(),
-        geom.batch * geom.channels * geom.in_h,
-        "spike index rows must cover the [N, C, H] pixel grid"
-    );
-    assert_eq!(index.cols(), geom.in_w, "spike index width must be W");
-    let rows = geom.rows();
-    let cols = geom.cols();
-    let mut out = vec![0.0f32; rows * cols];
-    let batch_rows = geom.out_h * geom.out_w;
-    let batch_stride = batch_rows * cols;
-    if batch_stride == 0 {
-        let row_ptr = vec![0u32; rows + 1];
-        return (
-            out,
-            SpikeIndex::from_parts(rows, cols.max(1), row_ptr, Vec::new()),
-        );
-    }
-    let parts: Vec<(Vec<u32>, Vec<u32>)> = match parallel_panel_rows(geom.batch, out.len(), 1) {
-        None => (0..geom.batch)
-            .map(|b| im2col_index_batch(index, geom, b))
-            .collect(),
-        Some(panel) => {
-            let panels: Vec<Vec<(Vec<u32>, Vec<u32>)>> = (0..geom.batch.div_ceil(panel))
-                .into_par_iter()
-                .map(|p| {
-                    (p * panel..((p + 1) * panel).min(geom.batch))
-                        .map(|b| im2col_index_batch(index, geom, b))
-                        .collect()
-                })
-                .collect();
-            panels.into_iter().flatten().collect()
-        }
-    };
-    // Scatter the listed positions into the dense matrix (O(nnz)) and stitch
-    // the per-batch CSR parts together.
-    let mut row_ptr = Vec::with_capacity(rows + 1);
-    row_ptr.push(0u32);
-    let mut col_idx = Vec::new();
-    for (b, (rp, ci)) in parts.into_iter().enumerate() {
-        let out_batch = &mut out[b * batch_stride..(b + 1) * batch_stride];
-        for local_row in 0..batch_rows {
-            let row = &ci[rp[local_row] as usize..rp[local_row + 1] as usize];
-            for &col in row {
-                out_batch[local_row * cols + col as usize] = 1.0;
-            }
-        }
-        let base = col_idx.len() as u32;
-        for &offset in &rp[1..] {
-            row_ptr.push(base + offset);
-        }
-        col_idx.extend_from_slice(&ci);
-    }
-    (out, SpikeIndex::from_parts(rows, cols, row_ptr, col_idx))
-}
-
-/// Builds one batch's CSR part of the indexed im2col matrix: walks the
-/// output rows in order and, per `(channel, ky)` block, gathers the input
-/// row's spike positions inside the window via the sorted CSR row. For
-/// window base `x0 = ox * stride - padding`, pixel `ix` lands at
-/// `kx = ix - x0`, column `(ch * k + ky) * k + kx` — emitted ascending, so
-/// the part is valid CSR.
-fn im2col_index_batch(index: &SpikeIndex, geom: &Im2colGeom, b: usize) -> (Vec<u32>, Vec<u32>) {
-    let (c, h, w, k) = (geom.channels, geom.in_h, geom.in_w, geom.kernel);
-    let mut row_ptr = Vec::with_capacity(geom.out_h * geom.out_w + 1);
-    let mut col_idx: Vec<u32> = Vec::new();
-    row_ptr.push(0u32);
-    for oy in 0..geom.out_h {
-        for ox in 0..geom.out_w {
-            let x0 = (ox * geom.stride) as isize - geom.padding as isize;
-            let lo = x0.max(0) as u32;
-            let hi = (x0 + k as isize).min(w as isize);
-            for ch in 0..c {
-                for ky in 0..k {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    if iy < 0 || iy as usize >= h || hi <= lo as isize {
-                        continue;
-                    }
-                    let src = index.row((b * c + ch) * h + iy as usize);
-                    let start = src.partition_point(|&ix| ix < lo);
-                    for &ix in &src[start..] {
-                        if (ix as isize) >= hi {
-                            break;
-                        }
-                        let kx = (ix as isize - x0) as usize;
-                        col_idx.push(((ch * k + ky) * k + kx) as u32);
-                    }
-                }
-            }
-            row_ptr.push(col_idx.len() as u32);
-        }
-    }
-    (row_ptr, col_idx)
 }
 
 #[cfg(test)]
@@ -1517,7 +1711,8 @@ mod tests {
             let index = SpikeIndex::from_dense(&input, in_w).unwrap();
             let mut dense_out = vec![0.0f32; geom.rows() * geom.cols()];
             im2col_into(&input, &mut dense_out, &geom);
-            let (indexed_out, out_index) = im2col_indexed(&index, &geom);
+            let mut indexed_out = vec![0.0f32; geom.rows() * geom.cols()];
+            let out_index = im2col_spikes_into(&index, &mut indexed_out, &geom);
             assert_eq!(dense_out, indexed_out, "stride {stride} padding {padding}");
             assert!(
                 out_index.matches_dense(&indexed_out),

@@ -249,10 +249,12 @@ pub fn im2col(input: &Tensor, dims: &Conv2dDims) -> Result<Tensor> {
     Tensor::from_vec(vec![dims.col_rows(), dims.col_cols()], out)
 }
 
-/// Structure-aware im2col lowering: when `profile` reports an event-sparse
-/// input (spike frames), scatters only the nonzero pixels
-/// ([`crate::kernels::im2col_sparse_into`]); otherwise performs the dense
-/// copy. Both paths produce the identical matrix.
+/// Structure-aware im2col lowering. A spike frame carrying a CSR index
+/// lowers through [`crate::kernels::im2col_spikes_into`], which walks the
+/// index and returns the lowered matrix with its own index; an un-indexed
+/// input whose `profile` reports it event-sparse scatters only its nonzero
+/// pixels ([`crate::kernels::im2col_sparse_into`]); anything else takes the
+/// dense gather. All paths produce the identical matrix.
 ///
 /// # Errors
 ///
@@ -264,35 +266,29 @@ pub fn im2col_with_profile(
     profile: crate::kernels::OperandProfile,
 ) -> Result<Tensor> {
     check_input_shape(input, dims)?;
-    // A spike frame carrying a CSR index lowers as an index transform: the
-    // input's spike positions are mapped straight to their window cells and
-    // the produced matrix carries its own index, so the downstream product
-    // (and the systolic executor's event walk) never re-probes. The dense
-    // bytes are identical to the probe-based lowerings.
-    if let Some(index) = input
-        .spike_index()
-        .filter(|ix| ix.rows() == dims.batch * dims.in_channels * dims.in_h)
-    {
-        let geom = dims.geom();
-        let (out, out_index) = crate::kernels::im2col_indexed(index, &geom);
-        let cols = Tensor::from_vec(vec![dims.col_rows(), dims.col_cols()], out)?;
-        if dims.col_cols() > 0 {
-            return Ok(cols.with_spike_index(std::sync::Arc::new(out_index)));
-        }
-        return Ok(cols);
-    }
     let geom = dims.geom();
+    let shape = vec![dims.col_rows(), dims.col_cols()];
     let mut out = vec![0.0f32; dims.col_rows() * dims.col_cols()];
+    // The lowering of a spike tensor is itself a spike tensor: attaching its
+    // index lets the downstream product (and the systolic executor's event
+    // walk) skip re-probing it.
+    let index = input
+        .spike_index()
+        .filter(|ix| ix.rows() == dims.batch * dims.in_channels * dims.in_h);
+    if let Some(index) = index.filter(|_| dims.col_cols() > 0) {
+        let index = crate::kernels::im2col_spikes_into(index, &mut out, &geom);
+        return Ok(Tensor::from_vec(shape, out)?.with_spike_index(std::sync::Arc::new(index)));
+    }
     if profile.is_event_sparse() {
         crate::kernels::im2col_sparse_into(input.data(), &mut out, &geom);
     } else {
         crate::kernels::im2col_into(input.data(), &mut out, &geom);
     }
-    Tensor::from_vec(vec![dims.col_rows(), dims.col_cols()], out)
+    Tensor::from_vec(shape, out)
 }
 
 /// Scatters an `im2col`-shaped gradient back onto the `[N, C, H, W]` input
-/// layout (the adjoint of [`im2col`]).
+/// layout (the adjoint of [`im2col`], see [`crate::kernels::col2im_into`]).
 ///
 /// # Errors
 ///
@@ -306,31 +302,8 @@ pub fn col2im(cols: &Tensor, dims: &Conv2dDims) -> Result<Tensor> {
         });
     }
     let (n, c, h, w) = (dims.batch, dims.in_channels, dims.in_h, dims.in_w);
-    let k = dims.kernel;
     let mut out = vec![0.0f32; n * c * h * w];
-    let data = cols.data();
-    let ncols = dims.col_cols();
-    for b in 0..n {
-        for oy in 0..dims.out_h {
-            for ox in 0..dims.out_w {
-                let row = (b * dims.out_h + oy) * dims.out_w + ox;
-                let base = row * ncols;
-                for ch in 0..c {
-                    for ky in 0..k {
-                        let iy = (oy * dims.stride + ky) as isize - dims.padding as isize;
-                        for kx in 0..k {
-                            let ix = (ox * dims.stride + kx) as isize - dims.padding as isize;
-                            if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                                let col = (ch * k + ky) * k + kx;
-                                out[((b * c + ch) * h + iy as usize) * w + ix as usize] +=
-                                    data[base + col];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    crate::kernels::col2im_into(cols.data(), &mut out, &dims.geom());
     Tensor::from_vec(vec![n, c, h, w], out)
 }
 
@@ -491,25 +464,61 @@ pub fn conv2d_backward(
     weight: &Tensor,
     dims: &Conv2dDims,
 ) -> Result<Conv2dGrads> {
+    let (grad_weight, grad_bias) = conv2d_param_grads(grad_output, cols, dims)?;
     let grad_rows = feature_map_to_rows(grad_output, dims)?; // [R, O]
-    let grad_rows_t = transpose2d(&grad_rows)?; // [O, R]
-    let grad_weight = matmul(&grad_rows_t, cols)?; // [O, C*k*k]
     let grad_cols = matmul(&grad_rows, weight)?; // [R, C*k*k]
     let grad_input = col2im(&grad_cols, dims)?;
-    // Bias gradient: sum of grad_output over batch and spatial positions.
-    let o = dims.out_channels;
-    let mut grad_bias = vec![0.0f32; o];
-    let rows = grad_rows.data();
-    for r in 0..dims.col_rows() {
-        for ch in 0..o {
-            grad_bias[ch] += rows[r * o + ch];
-        }
-    }
     Ok(Conv2dGrads {
         grad_input,
         grad_weight,
-        grad_bias: Tensor::from_vec(vec![o], grad_bias)?,
+        grad_bias,
     })
+}
+
+/// The parameter half of [`conv2d_backward`]: the weight gradient
+/// `[O, C*k*k]` and the bias gradient `[O]`, without the input gradient.
+/// Bit-identical to the corresponding fields of [`conv2d_backward`].
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when `grad_output` does not have
+/// the `[N, O, out_h, out_w]` shape implied by `dims`, and propagates shape
+/// errors from the product with `cols`.
+pub fn conv2d_param_grads(
+    grad_output: &Tensor,
+    cols: &Tensor,
+    dims: &Conv2dDims,
+) -> Result<(Tensor, Tensor)> {
+    let expected = [dims.batch, dims.out_channels, dims.out_h, dims.out_w];
+    if grad_output.shape() != expected {
+        return Err(TensorError::ShapeMismatch {
+            left: grad_output.shape().to_vec(),
+            right: expected.to_vec(),
+        });
+    }
+    // grad_rowsᵀ [O, R], R = N * out_h * out_w: channel `o`'s row is the
+    // concatenation of the `[b, o]` planes of `grad_output` over `b`.
+    let (o, r, plane) = (dims.out_channels, dims.col_rows(), dims.out_h * dims.out_w);
+    let go = grad_output.data();
+    let mut rows_t = vec![0.0f32; o * r];
+    for b in 0..dims.batch {
+        for ch in 0..o {
+            let src = (b * o + ch) * plane;
+            let dst = ch * r + b * plane;
+            rows_t[dst..dst + plane].copy_from_slice(&go[src..src + plane]);
+        }
+    }
+    // Bias gradient: sum of grad_output over batch and spatial positions,
+    // accumulated in row order from +0.0.
+    let grad_bias: Vec<f32> = (0..o)
+        .map(|ch| {
+            rows_t[ch * r..(ch + 1) * r]
+                .iter()
+                .fold(0.0f32, |acc, &g| acc + g)
+        })
+        .collect();
+    let grad_weight = matmul(&Tensor::from_vec(vec![o, r], rows_t)?, cols)?; // [O, C*k*k]
+    Ok((grad_weight, Tensor::from_vec(vec![o], grad_bias)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -561,8 +570,11 @@ pub fn avg_pool2d_forward(input: &Tensor, kernel: usize) -> Result<Tensor> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] when `grad_output` does not match
-/// the pooled shape of `input_shape`.
+/// Returns [`TensorError::RankMismatch`] for a non-4-D `input_shape`,
+/// [`TensorError::InvalidConvConfig`] when `kernel` is zero or does not
+/// evenly divide the spatial extents (as [`avg_pool2d_forward`] does), and
+/// [`TensorError::ShapeMismatch`] when `grad_output` does not match the
+/// pooled shape of `input_shape`.
 pub fn avg_pool2d_backward(
     grad_output: &Tensor,
     input_shape: &[usize],
@@ -580,6 +592,11 @@ pub fn avg_pool2d_backward(
         input_shape[2],
         input_shape[3],
     );
+    if kernel == 0 || h % kernel != 0 || w % kernel != 0 {
+        return Err(TensorError::InvalidConvConfig {
+            reason: format!("pool kernel {kernel} does not evenly divide {h}x{w}"),
+        });
+    }
     let oh = h / kernel;
     let ow = w / kernel;
     if grad_output.shape() != [n, c, oh, ow] {
@@ -633,8 +650,11 @@ pub fn max_pool2d_forward(input: &Tensor, kernel: usize) -> Result<(Tensor, Vec<
         for ch in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
+                    // Start at the window's first cell, so a window with
+                    // no value above -inf (all -inf or NaN) still records
+                    // an index inside itself.
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
+                    let mut best_idx = ((b * c + ch) * h + oy * kernel) * w + ox * kernel;
                     for ky in 0..kernel {
                         for kx in 0..kernel {
                             let iy = oy * kernel + ky;
@@ -662,7 +682,7 @@ pub fn max_pool2d_forward(input: &Tensor, kernel: usize) -> Result<(Tensor, Vec<
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] when `argmax` length differs from
-/// `grad_output`.
+/// `grad_output` or an `argmax` entry lies outside `input_shape`.
 pub fn max_pool2d_backward(
     grad_output: &Tensor,
     input_shape: &[usize],
@@ -676,7 +696,12 @@ pub fn max_pool2d_backward(
     let total: usize = input_shape.iter().product();
     let mut out = vec![0.0f32; total];
     for (g, &idx) in grad_output.data().iter().zip(argmax) {
-        out[idx] += g;
+        let Some(cell) = out.get_mut(idx) else {
+            return Err(TensorError::InvalidArgument {
+                reason: format!("argmax entry {idx} outside an input of {total} elements"),
+            });
+        };
+        *cell += g;
     }
     Tensor::from_vec(input_shape.to_vec(), out)
 }
@@ -914,6 +939,59 @@ mod tests {
         let grad =
             max_pool2d_backward(&Tensor::ones(&[1, 1, 1, 1]), &[1, 1, 2, 2], &argmax).unwrap();
         approx_eq(grad.data(), &[0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn max_pool_argmax_stays_inside_an_all_neg_inf_window() {
+        // Second 2x2 window (columns 2..4) is all -inf: its argmax must be
+        // its own first cell (flat 2), not element 0 of the input.
+        let ninf = f32::NEG_INFINITY;
+        let input = Tensor::from_vec(
+            vec![1, 1, 2, 4],
+            vec![1.0, 2.0, ninf, ninf, 3.0, 4.0, ninf, ninf],
+        )
+        .unwrap();
+        let (out, argmax) = max_pool2d_forward(&input, 2).unwrap();
+        assert_eq!(out.data(), &[4.0, ninf]);
+        assert_eq!(argmax, vec![5, 2]);
+        let grad =
+            max_pool2d_backward(&Tensor::ones(&[1, 1, 1, 2]), &[1, 1, 2, 4], &argmax).unwrap();
+        assert_eq!(grad.data(), &[0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+        // A NaN window behaves the same way.
+        let nan = Tensor::from_vec(vec![1, 1, 2, 2], vec![f32::NAN; 4]).unwrap();
+        let (_, argmax) = max_pool2d_forward(&nan, 2).unwrap();
+        assert_eq!(argmax, vec![0]);
+    }
+
+    #[test]
+    fn avg_pool_backward_rejects_a_zero_kernel() {
+        let grad = Tensor::ones(&[1, 1, 1, 1]);
+        assert!(matches!(
+            avg_pool2d_backward(&grad, &[1, 1, 2, 2], 0),
+            Err(TensorError::InvalidConvConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn avg_pool_backward_rejects_a_kernel_that_does_not_divide_the_input() {
+        // 3x3 input, kernel 2: the forward rejects it, so must the backward
+        // (it used to accept the truncated [1, 1, 1, 1] gradient).
+        assert!(avg_pool2d_forward(&Tensor::ones(&[1, 1, 3, 3]), 2).is_err());
+        let grad = Tensor::ones(&[1, 1, 1, 1]);
+        assert!(matches!(
+            avg_pool2d_backward(&grad, &[1, 1, 3, 3], 2),
+            Err(TensorError::InvalidConvConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn max_pool_backward_rejects_an_out_of_range_argmax() {
+        let grad = Tensor::ones(&[1, 1, 1, 1]);
+        assert!(matches!(
+            max_pool2d_backward(&grad, &[1, 1, 2, 2], &[4]),
+            Err(TensorError::InvalidArgument { .. })
+        ));
+        assert!(max_pool2d_backward(&grad, &[1, 1, 2, 2], &[3]).is_ok());
     }
 
     #[test]

@@ -308,3 +308,378 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Padded-table lowering against the bounds-checked kernels it replaced. The
+// reference bodies below are the previous per-element kernels kept verbatim
+// (their parallel splits reduced to serial loops, which never changed a
+// bit), so the new lowering, its CSR index, col2im and the conv backward are
+// checked bit for bit against an independent implementation.
+// ---------------------------------------------------------------------------
+
+mod reference {
+    use falvolt_tensor::kernels::Im2colGeom;
+    use falvolt_tensor::ops::Conv2dDims;
+    use falvolt_tensor::{ops, SpikeIndex, Tensor};
+
+    /// Bounds-checked dense im2col: one `(batch, out_y)` stripe per call.
+    pub fn im2col(input: &[f32], geom: &Im2colGeom) -> Vec<f32> {
+        let mut out = vec![0.0f32; geom.rows() * geom.cols()];
+        let stripe = geom.out_w * geom.cols();
+        if stripe == 0 {
+            return out;
+        }
+        for (stripe_idx, out_stripe) in out.chunks_mut(stripe).enumerate() {
+            im2col_stripe(input, out_stripe, geom, stripe_idx);
+        }
+        out
+    }
+
+    fn im2col_stripe(input: &[f32], out_stripe: &mut [f32], geom: &Im2colGeom, stripe_idx: usize) {
+        let (c, h, w, k) = (geom.channels, geom.in_h, geom.in_w, geom.kernel);
+        let b = stripe_idx / geom.out_h;
+        let oy = stripe_idx % geom.out_h;
+        let cols = geom.cols();
+        for ox in 0..geom.out_w {
+            let row = &mut out_stripe[ox * cols..(ox + 1) * cols];
+            for ch in 0..c {
+                for ky in 0..k {
+                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
+                    for kx in 0..k {
+                        let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
+                        let col = (ch * k + ky) * k + kx;
+                        row[col] = if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
+                            input[((b * c + ch) * h + iy as usize) * w + ix as usize]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Index-transform im2col: walks the input's CSR spike index with one
+    /// binary search per output row × channel × ky.
+    pub fn im2col_indexed(index: &SpikeIndex, geom: &Im2colGeom) -> (Vec<f32>, SpikeIndex) {
+        let rows = geom.rows();
+        let cols = geom.cols();
+        let mut out = vec![0.0f32; rows * cols];
+        let batch_rows = geom.out_h * geom.out_w;
+        let batch_stride = batch_rows * cols;
+        if batch_stride == 0 {
+            let row_ptr = vec![0u32; rows + 1];
+            return (
+                out,
+                SpikeIndex::from_parts(rows, cols.max(1), row_ptr, Vec::new()),
+            );
+        }
+        let parts: Vec<(Vec<u32>, Vec<u32>)> = (0..geom.batch)
+            .map(|b| im2col_index_batch(index, geom, b))
+            .collect();
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0u32);
+        let mut col_idx = Vec::new();
+        for (b, (rp, ci)) in parts.into_iter().enumerate() {
+            let out_batch = &mut out[b * batch_stride..(b + 1) * batch_stride];
+            for local_row in 0..batch_rows {
+                let row = &ci[rp[local_row] as usize..rp[local_row + 1] as usize];
+                for &col in row {
+                    out_batch[local_row * cols + col as usize] = 1.0;
+                }
+            }
+            let base = col_idx.len() as u32;
+            for &offset in &rp[1..] {
+                row_ptr.push(base + offset);
+            }
+            col_idx.extend_from_slice(&ci);
+        }
+        (out, SpikeIndex::from_parts(rows, cols, row_ptr, col_idx))
+    }
+
+    fn im2col_index_batch(index: &SpikeIndex, geom: &Im2colGeom, b: usize) -> (Vec<u32>, Vec<u32>) {
+        let (c, h, w, k) = (geom.channels, geom.in_h, geom.in_w, geom.kernel);
+        let mut row_ptr = Vec::with_capacity(geom.out_h * geom.out_w + 1);
+        let mut col_idx: Vec<u32> = Vec::new();
+        row_ptr.push(0u32);
+        for oy in 0..geom.out_h {
+            for ox in 0..geom.out_w {
+                let x0 = (ox * geom.stride) as isize - geom.padding as isize;
+                let lo = x0.max(0) as u32;
+                let hi = (x0 + k as isize).min(w as isize);
+                for ch in 0..c {
+                    for ky in 0..k {
+                        let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
+                        if iy < 0 || iy as usize >= h || hi <= lo as isize {
+                            continue;
+                        }
+                        let src = index.row((b * c + ch) * h + iy as usize);
+                        let start = src.partition_point(|&ix| ix < lo);
+                        for &ix in &src[start..] {
+                            if (ix as isize) >= hi {
+                                break;
+                            }
+                            let kx = (ix as isize - x0) as usize;
+                            col_idx.push(((ch * k + ky) * k + kx) as u32);
+                        }
+                    }
+                }
+                row_ptr.push(col_idx.len() as u32);
+            }
+        }
+        (row_ptr, col_idx)
+    }
+
+    /// Bounds-checked col2im: walks every window cell in (row, column)
+    /// order and adds the in-bounds ones.
+    pub fn col2im(data: &[f32], dims: &Conv2dDims) -> Vec<f32> {
+        let (n, c, h, w) = (dims.batch, dims.in_channels, dims.in_h, dims.in_w);
+        let k = dims.kernel;
+        let mut out = vec![0.0f32; n * c * h * w];
+        let ncols = dims.col_cols();
+        for b in 0..n {
+            for oy in 0..dims.out_h {
+                for ox in 0..dims.out_w {
+                    let row = (b * dims.out_h + oy) * dims.out_w + ox;
+                    let base = row * ncols;
+                    for ch in 0..c {
+                        for ky in 0..k {
+                            let iy = (oy * dims.stride + ky) as isize - dims.padding as isize;
+                            for kx in 0..k {
+                                let ix = (ox * dims.stride + kx) as isize - dims.padding as isize;
+                                if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
+                                    let col = (ch * k + ky) * k + kx;
+                                    out[((b * c + ch) * h + iy as usize) * w + ix as usize] +=
+                                        data[base + col];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Conv backward through `feature_map_to_rows` + `transpose2d`, with
+    /// the reference col2im: `(grad_input, grad_weight, grad_bias)`.
+    pub fn conv2d_backward(
+        grad_output: &Tensor,
+        cols: &Tensor,
+        weight: &Tensor,
+        dims: &Conv2dDims,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let grad_rows = ops::feature_map_to_rows(grad_output, dims).unwrap(); // [R, O]
+        let grad_rows_t = ops::transpose2d(&grad_rows).unwrap(); // [O, R]
+        let grad_weight = ops::matmul(&grad_rows_t, cols).unwrap(); // [O, C*k*k]
+        let grad_cols = ops::matmul(&grad_rows, weight).unwrap(); // [R, C*k*k]
+        let grad_input = col2im(grad_cols.data(), dims);
+        let o = dims.out_channels;
+        let mut grad_bias = vec![0.0f32; o];
+        let rows = grad_rows.data();
+        for r in 0..dims.col_rows() {
+            for ch in 0..o {
+                grad_bias[ch] += rows[r * o + ch];
+            }
+        }
+        (grad_input, grad_weight.data().to_vec(), grad_bias)
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A conv geometry from raw draws: stride 1–3, kernel 1–5, padding
+/// `0..=kernel`, and an input that fits the padded kernel (possibly smaller
+/// than the kernel itself when padded).
+fn conv_dims(
+    batch: usize,
+    channels: usize,
+    out_channels: usize,
+    extra: (usize, usize),
+    kernel: usize,
+    stride: usize,
+    pad_draw: usize,
+) -> ops::Conv2dDims {
+    let padding = pad_draw % (kernel + 1);
+    let min_side = kernel.saturating_sub(2 * padding).max(1);
+    ops::Conv2dDims::new(
+        batch,
+        channels,
+        out_channels,
+        min_side + extra.0,
+        min_side + extra.1,
+        kernel,
+        stride,
+        padding,
+    )
+    .unwrap()
+}
+
+fn spike_frame(shape: &[usize], density_pct: u64, seed: u64) -> Tensor {
+    Tensor::from_fn(shape, |i| {
+        let r = (i as u64).wrapping_mul(2_654_435_761).wrapping_add(seed) % 100;
+        f32::from(u8::from(r < density_pct))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn padded_lowering_matches_bounds_checked_reference(
+        batch in 1usize..3,
+        channels in 1usize..4,
+        extra_h in 0usize..7,
+        extra_w in 0usize..90,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad_draw in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        let dims = conv_dims(batch, channels, 1, (extra_h, extra_w), kernel, stride, pad_draw);
+        let geom = dims.geom();
+        let shape = [batch, channels, dims.in_h, dims.in_w];
+        // Dense, sign-mixed input (including -0.0 and exact zeros).
+        let input = Tensor::from_fn(&shape, |i| match i % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => hashed(i, seed, 3.0),
+        });
+        let expected = reference::im2col(input.data(), &geom);
+        let lowered = ops::im2col(&input, &dims).unwrap();
+        prop_assert_eq!(bits(lowered.data()), bits(&expected));
+    }
+
+    #[test]
+    fn indexed_lowering_matches_reference_bytes_and_csr(
+        batch in 1usize..3,
+        channels in 1usize..4,
+        extra_h in 0usize..7,
+        extra_w in 0usize..90,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad_draw in 0usize..6,
+        density_pct in 0u64..60,
+        seed in 0u64..1000,
+    ) {
+        let dims = conv_dims(batch, channels, 1, (extra_h, extra_w), kernel, stride, pad_draw);
+        let geom = dims.geom();
+        let frame = spike_frame(&[batch, channels, dims.in_h, dims.in_w], density_pct, seed);
+        let index = SpikeIndex::from_dense(frame.data(), dims.in_w).unwrap();
+        let (expected, expected_index) = reference::im2col_indexed(&index, &geom);
+
+        let mut lowered = vec![0.0f32; geom.rows() * geom.cols()];
+        let lowered_index = kernels::im2col_spikes_into(&index, &mut lowered, &geom);
+        prop_assert_eq!(bits(&lowered), bits(&expected));
+        prop_assert_eq!(&lowered_index, &expected_index);
+        prop_assert_eq!(
+            &lowered_index,
+            &SpikeIndex::from_dense(&lowered, geom.cols()).unwrap()
+        );
+
+        // Through the tensor API: an indexed input takes the same path and
+        // the lowered tensor carries the index.
+        let indexed_frame = frame.clone().with_spike_index(std::sync::Arc::new(index));
+        let profile = kernels::OperandProfile::measure(frame.data());
+        let cols = ops::im2col_with_profile(&indexed_frame, &dims, profile).unwrap();
+        prop_assert_eq!(bits(cols.data()), bits(&expected));
+        prop_assert_eq!(cols.spike_index().map(|ix| ix.as_ref()), Some(&expected_index));
+    }
+
+    #[test]
+    fn adjoint_col2im_matches_reference_bits(
+        batch in 1usize..3,
+        channels in 1usize..4,
+        extra_h in 0usize..7,
+        extra_w in 0usize..90,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad_draw in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        let dims = conv_dims(batch, channels, 1, (extra_h, extra_w), kernel, stride, pad_draw);
+        // Mixed magnitudes make the sums order-sensitive, so a reordered
+        // accumulation shows up in the low bits.
+        let grad_cols = Tensor::from_fn(&[dims.col_rows(), dims.col_cols()], |i| {
+            hashed(i, seed, 1.0) * [1.0, 1e-3, 1e4][i % 3]
+        });
+        let expected = reference::col2im(grad_cols.data(), &dims);
+        let unlowered = ops::col2im(&grad_cols, &dims).unwrap();
+        prop_assert_eq!(bits(unlowered.data()), bits(&expected));
+    }
+
+    #[test]
+    fn conv_backward_matches_reference_bits(
+        batch in 1usize..3,
+        channels in 1usize..4,
+        out_channels in 1usize..5,
+        extra_h in 0usize..6,
+        extra_w in 0usize..70,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad_draw in 0usize..6,
+        seed in 0u64..1000,
+    ) {
+        // The dense products must run on one ISA throughout: hold the
+        // dispatch-override lock so no other test forces a level mid-case.
+        let _lock = simd::test_override_lock();
+        let dims = conv_dims(
+            batch, channels, out_channels, (extra_h, extra_w), kernel, stride, pad_draw,
+        );
+        let input = Tensor::from_fn(&[batch, channels, dims.in_h, dims.in_w], |i| {
+            hashed(i, seed, 1.0)
+        });
+        let cols = ops::im2col(&input, &dims).unwrap();
+        let weight = Tensor::from_fn(&[out_channels, dims.col_cols()], |i| {
+            hashed(i, seed ^ 0xC0DE, 0.5)
+        });
+        let grad_output = Tensor::from_fn(
+            &[batch, out_channels, dims.out_h, dims.out_w],
+            |i| hashed(i, seed ^ 0xBEEF, 2.0) * [1.0, 1e-3, 1e3][i % 3],
+        );
+        let (grad_input, grad_weight, grad_bias) =
+            reference::conv2d_backward(&grad_output, &cols, &weight, &dims);
+        let grads = ops::conv2d_backward(&grad_output, &cols, &weight, &dims).unwrap();
+        prop_assert_eq!(bits(grads.grad_input.data()), bits(&grad_input));
+        prop_assert_eq!(bits(grads.grad_weight.data()), bits(&grad_weight));
+        prop_assert_eq!(bits(grads.grad_bias.data()), bits(&grad_bias));
+        let (param_weight, param_bias) = ops::conv2d_param_grads(&grad_output, &cols, &dims).unwrap();
+        prop_assert_eq!(bits(param_weight.data()), bits(&grad_weight));
+        prop_assert_eq!(bits(param_bias.data()), bits(&grad_bias));
+    }
+}
+
+#[test]
+fn lowering_matches_reference_on_a_wide_single_channel_input() {
+    // W > 64 and C = 1 pinned (the proptest geometries reach them only by
+    // chance), at a size large enough to take the parallel panel split.
+    for &(kernel, stride, padding) in &[(3usize, 1usize, 1usize), (5, 2, 2), (2, 3, 0)] {
+        let dims = ops::Conv2dDims::new(4, 1, 1, 33, 97, kernel, stride, padding).unwrap();
+        let geom = dims.geom();
+        let frame = spike_frame(&[4, 1, 33, 97], 20, kernel as u64);
+        let index = SpikeIndex::from_dense(frame.data(), 97).unwrap();
+        let (expected, expected_index) = reference::im2col_indexed(&index, &geom);
+        assert_eq!(
+            bits(&reference::im2col(frame.data(), &geom)),
+            bits(&expected)
+        );
+
+        let dense = ops::im2col(&frame, &dims).unwrap();
+        assert_eq!(bits(dense.data()), bits(&expected));
+        let mut lowered = vec![0.0f32; geom.rows() * geom.cols()];
+        let lowered_index = kernels::im2col_spikes_into(&index, &mut lowered, &geom);
+        assert_eq!(bits(&lowered), bits(&expected));
+        assert_eq!(lowered_index, expected_index);
+
+        let grad_cols = Tensor::from_fn(&[dims.col_rows(), dims.col_cols()], |i| {
+            hashed(i, 7, 1.0) * [1.0, 1e-3, 1e4][i % 3]
+        });
+        let unlowered = ops::col2im(&grad_cols, &dims).unwrap();
+        assert_eq!(
+            bits(unlowered.data()),
+            bits(&reference::col2im(grad_cols.data(), &dims))
+        );
+    }
+}
