@@ -87,20 +87,27 @@ impl MatmulBackend for SystolicBackend {
     }
 
     fn fingerprint(&self) -> u64 {
-        // Everything that changes this backend's products: the array
-        // geometry and accumulator format, the fault map's composed masks
-        // and the bypass policy. (The product cache is an execution
-        // strategy, not result state — the executor guarantees bit-identity
-        // with and without it.)
-        let mut fp = Fingerprint::new();
-        fp.write_str("systolic");
-        fp.write_u64(self.executor.fault_map().fingerprint());
-        fp.write_u64(match self.executor.bypass_policy() {
-            BypassPolicy::None => 0,
-            BypassPolicy::SkipFaulty => 1,
-        });
-        fp.finish() as u64
+        systolic_fingerprint(&self.executor)
     }
+}
+
+/// The fingerprint of every single-map systolic backend: everything that
+/// changes its products — the array geometry and accumulator format, the
+/// fault map's composed masks (all three in the map's fingerprint) and the
+/// bypass policy. (The product cache and the scenario batch store are execution
+/// strategies, not result state: the executor guarantees bit-identity with
+/// and without them, so a [`ScenarioProducts`] member fingerprints equal to
+/// the [`SystolicBackend`] with the same map and sweep-cache sharing carries
+/// over unchanged.)
+fn systolic_fingerprint(executor: &SystolicExecutor) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.write_str("systolic");
+    fp.write_u64(executor.fault_map().fingerprint());
+    fp.write_u64(match executor.bypass_policy() {
+        BypassPolicy::None => 0,
+        BypassPolicy::SkipFaulty => 1,
+    });
+    fp.finish() as u64
 }
 
 /// Default bound on value-bearing batched entries (each holds one output per
@@ -326,18 +333,8 @@ impl MatmulBackend for ScenarioMemberBackend {
     }
 
     fn fingerprint(&self) -> u64 {
-        // A member is semantically a single-map systolic backend: the batch
-        // store is an execution strategy, not result state, so the
-        // fingerprint matches `SystolicBackend` with the same map installed
-        // and sweep-cache sharing semantics carry over unchanged.
-        let mut fp = Fingerprint::new();
-        fp.write_str("systolic");
-        fp.write_u64(self.executor.fault_map().fingerprint());
-        fp.write_u64(match self.executor.bypass_policy() {
-            BypassPolicy::None => 0,
-            BypassPolicy::SkipFaulty => 1,
-        });
-        fp.finish() as u64
+        // A member is semantically a single-map systolic backend.
+        systolic_fingerprint(&self.executor)
     }
 }
 
@@ -398,6 +395,29 @@ mod tests {
         let a = Tensor::ones(&[2, 3]);
         let b = Tensor::ones(&[4, 2]);
         assert!(backend.matmul(&a, &b).is_err());
+    }
+
+    #[test]
+    fn scenario_members_fingerprint_like_single_map_backends() {
+        let config = SystolicConfig::new(4, 4).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let maps = vec![
+            FaultMap::new(config),
+            FaultMap::random_msb_faults(&config, 2, &mut rng).unwrap(),
+            FaultMap::random_msb_faults(&config, 5, &mut rng).unwrap(),
+        ];
+        let set = Arc::new(ScenarioProducts::new(
+            config,
+            maps.clone(),
+            Arc::new(ProductCache::new()),
+        ));
+        for (i, map) in maps.iter().enumerate() {
+            let member = ScenarioProducts::member(&set, i).unwrap();
+            let single = SystolicBackend::new(config, map.clone());
+            let bypassed = SystolicBackend::with_bypass(config, map.clone());
+            assert_eq!(member.fingerprint(), single.fingerprint(), "member {i}");
+            assert_ne!(member.fingerprint(), bypassed.fingerprint(), "member {i}");
+        }
     }
 
     #[test]

@@ -23,16 +23,22 @@
 //!   ([`falvolt_tensor::kernels`]) and drops the fixed-point quantization.
 //!   Only maps with at least one fault run the quantized datapath.
 //!
-//! Execution is structured around a [`FoldPlan`]: the masked chain positions
-//! of every column fold are resolved once per product, output columns whose
-//! PE column is fault-free take a maskless quantized loop, and corruptible
-//! columns walk a merged event stream, parallelised over output rows (fault
-//! application is per-output-element, so rows are independent). Stuck-at
-//! masks compose associatively ([`PeMasks::then`]), so the run of masks
-//! between two nonzero activations collapses into one (AND, OR) pair: a
-//! faulty column walks only the nonzero activations and its fold's masked
-//! positions instead of all `k` steps, applying the same adds and the same
-//! masks in the same order.
+//! Every product runs through one driver,
+//! [`SystolicExecutor::matmul_scenarios_view`], which evaluates a set of
+//! fault maps in one pass; a single-map [`SystolicExecutor::matmul`] is the
+//! one-map batch. Each map's masked chain positions are resolved once per
+//! product into a [`FoldPlan`]. Every output row is seeded with the maskless
+//! quantized chain, then the columns of each map's corruptible folds walk a
+//! merged event stream, parallelised over output rows (fault application is
+//! per output element, so rows are independent). Stuck-at masks compose
+//! associatively ([`PeMasks::then`]), so the run of masks between two
+//! nonzero activations collapses into one (AND, OR) pair: a faulty column
+//! walks only the nonzero activations and its fold's masked positions
+//! instead of all `k` steps, applying the same adds and the same masks in
+//! the same order. One column walker and one lane walker (its SIMD form)
+//! perform every such walk; a fold corrupted by one map computes its
+//! quantized contributions inline, a fold corrupted by several maps
+//! computes them once and replays them per map.
 //!
 //! With a [`crate::ProductCache`] installed, the maskless quantized chain of
 //! a product's fault-free columns is computed once per distinct activation
@@ -208,6 +214,9 @@ impl SystolicExecutor {
     /// `(k mod rows, n mod cols)`; the partial sum of output `(m, n)` passes
     /// through that PE's accumulator, where its stuck-at faults are applied.
     ///
+    /// This is the one-map batch: [`SystolicExecutor::matmul_scenarios_view`]
+    /// with the installed fault map as the only scenario.
+    ///
     /// `hint` steers the fault-free fast path onto the event-driven sparse
     /// kernel for spike activations. The faulty path ignores it: fault
     /// corruption runs the exact quantized accumulator chain regardless, so
@@ -225,196 +234,18 @@ impl SystolicExecutor {
         weights: &Tensor,
         hint: MatmulHint,
     ) -> Result<Tensor> {
-        self.check_cancelled()?;
-        let (m, k) = matrix_dims(activations)?;
-        let (k2, n) = matrix_dims(weights)?;
-        if k != k2 {
-            return Err(SystolicError::Tensor(TensorError::MatmulDimMismatch {
-                left_cols: k,
-                right_rows: k2,
-            }));
-        }
-        let a = activations.data();
-        let w = weights.data();
-
-        // Cache keys are O(1) content-id fingerprints (no operand hashing),
-        // so every product — including the deep fully connected ones whose
-        // operands previously cost more to hash than to multiply — consults
-        // the sweep-shared store when one is installed.
-        let cache = self.cache.as_ref();
-
-        // Hoist all per-(k, col-fold) fault state out of the element loops.
-        let plan = FoldPlan::new(&self.config, &self.fault_map, k);
-
-        // Fast path: with no fault anywhere in the array the datapath cannot
-        // corrupt anything, so the product folds to the kernel layer's
-        // structure-aware dispatch (blocked dense, or gather-accumulate for
-        // sparse spike activations). (This also drops the hardware's
-        // fixed-point quantization — an ideal-hardware idealisation bounded
-        // by k * resolution; only faulty maps run the quantized datapath
-        // below.)
-        if !plan.any_fault() {
-            let out = fault_free_product(activations, weights, m, k, n, hint, cache);
-            return Ok(Tensor::from_vec(vec![m, n], out)?);
-        }
-        if m == 0 || n == 0 {
-            return Ok(Tensor::from_vec(vec![m, n], Vec::new())?);
-        }
-
-        // Faulty path. Every column runs the hardware's quantized
-        // accumulator chain (so the executor agrees with the structural
-        // array simulation). Columns whose PE column is fault-free take a
-        // maskless fast loop — served from the sweep-shared clean product
-        // when available (fault-free columns cannot depend on the fault
-        // map). Corruptible columns walk the merged event stream of nonzero
-        // activations and masked positions, composing mask runs.
-        let format = self.config.accumulator_format();
-        let bypass = matches!(self.bypass, BypassPolicy::SkipFaulty);
-
-        let clean_shared: Option<Arc<Vec<f32>>> = match cache {
-            Some(cache) => {
-                let key = product_key(
-                    "quantized-clean",
-                    activations,
-                    weights,
-                    m,
-                    k,
-                    n,
-                    u64::from(format.total_bits()) << 8 | u64::from(format.frac_bits()),
-                );
-                match cache.lookup(key) {
-                    CacheDecision::Hit(shared) => Some(shared),
-                    CacheDecision::Compute => {
-                        let full = Arc::new(quantized_clean_product(a, w, m, k, n, format));
-                        cache.fulfill(key, Arc::clone(&full));
-                        Some(full)
-                    }
-                    CacheDecision::Skip => None,
-                }
-            }
-            None => None,
-        };
-
-        // A CSR spike index on the activations makes the per-row event list
-        // a free view: the executor walks the index instead of re-scanning
-        // (and re-allocating) the nonzero scratch per product.
-        let spike_index = spike_index_for(activations, m, k);
-        // Binary activations contribute `quantize(1.0 * w) == quantize(w)`
-        // per event — a pure function of the weights and the format, shared
-        // across every scenario, time step and batch through the cache. A
-        // table read replaces the multiply+round+clamp per accumulation.
-        let qweights = quantized_weight_table(
-            spike_index.is_some().then_some(weights),
-            w,
-            k,
-            n,
-            format,
-            cache,
-        );
-        let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
-        let cols = self.config.cols();
-        let qw_slice: Option<&[i32]> = qweights.as_deref().map(Vec::as_slice);
-        // Lane engine: `Isa::Scalar` keeps the per-column loop exactly.
-        let use_lanes = !matches!(simd::active(), Isa::Scalar);
-        let cancel = self.cancel.as_ref();
-        let compute_row =
-            |i: usize, a_row: &[f32], out_row: &mut [f32], nz: &mut Vec<(usize, f32)>| {
-                // Fold-chain granularity cancellation: a tripped token stops
-                // the remaining rows cheaply; the post-loop check below turns
-                // the partial buffer into `Cancelled` before it can be served.
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return;
-                }
-                let clean_row = clean_shared.as_ref().map(|v| &v[i * n..(i + 1) * n]);
-                // Event skip-list: the nonzero activations of this row, resolved
-                // once and reused by every output column (the seed re-scanned
-                // all k activations for each of the n columns). The buffer is
-                // caller-owned scratch, reused across the rows of a panel —
-                // served from the CSR index when the activations carry one.
-                fill_nonzeros(nz, spike_index, i, a_row);
-                if use_lanes {
-                    // Fill the whole row with the maskless chain (a copy when
-                    // the sweep cache shares one), then overwrite the columns
-                    // of corruptible folds with the composed lane walk.
-                    match clean_row {
-                        Some(clean) => out_row.copy_from_slice(clean),
-                        None => simd::dispatch(CleanRowOp {
-                            nz,
-                            w,
-                            qw: qw_slice,
-                            out_row: &mut *out_row,
-                            n,
-                            format,
-                            min_raw,
-                            max_raw,
-                        }),
-                    }
-                    simd::dispatch(FaultyFoldsOp {
-                        plan: &plan,
-                        nz,
-                        w,
-                        qw: qw_slice,
-                        out_row,
-                        n,
-                        cols,
-                        format,
-                        min_raw,
-                        max_raw,
-                        bypass,
-                    });
-                    return;
-                }
-                for (j, out_elem) in out_row.iter_mut().enumerate() {
-                    if plan.column_is_clean(j) {
-                        if let Some(clean) = clean_row {
-                            // Sweep-shared value of the identical maskless chain.
-                            *out_elem = clean[j];
-                            continue;
-                        }
-                        *out_elem = match &qweights {
-                            Some(qw) => {
-                                quantized_clean_element_tab(nz, qw, n, j, format, min_raw, max_raw)
-                            }
-                            None => quantized_clean_element(nz, w, n, j, format, min_raw, max_raw),
-                        };
-                        continue;
-                    }
-                    *out_elem = if let Some(qw) = &qweights {
-                        faulty_column_composed_tab(
-                            plan.fold_masked(j),
-                            nz,
-                            qw,
-                            n,
-                            j,
-                            format,
-                            min_raw,
-                            max_raw,
-                            bypass,
-                        )
-                    } else {
-                        faulty_column_composed(
-                            plan.fold_masked(j),
-                            nz,
-                            w,
-                            n,
-                            j,
-                            format,
-                            min_raw,
-                            max_raw,
-                            bypass,
-                        )
-                    };
-                }
-            };
-
-        let mut out = vec![0.0f32; m * n];
-        for_each_row_panel(a, &mut out, m, k, n, compute_row);
-        self.check_cancelled()?;
-        Ok(Tensor::from_vec(vec![m, n], out)?)
+        self.matmul_scenarios_view(
+            activations,
+            weights,
+            std::slice::from_ref(&self.fault_map),
+            hint,
+        )?
+        .into_tensor(0)
     }
 
-    /// Multi-map batched product with [`MatmulHint::Auto`]; see
-    /// [`SystolicExecutor::matmul_scenarios_hinted`].
+    /// Multi-map batched product with [`MatmulHint::Auto`], materialised as
+    /// one tensor per map (in input order); see
+    /// [`SystolicExecutor::matmul_scenarios_view`].
     ///
     /// # Errors
     ///
@@ -426,13 +257,17 @@ impl SystolicExecutor {
         weights: &Tensor,
         maps: &[FaultMap],
     ) -> Result<Vec<Tensor>> {
-        self.matmul_scenarios_hinted(activations, weights, maps, MatmulHint::Auto)
+        self.matmul_scenarios_view(activations, weights, maps, MatmulHint::Auto)?
+            .into_tensors()
     }
 
     /// Computes `activations x weights` under every fault map of a scenario
-    /// set in **one pass over the event stream**, returning one output per
-    /// map (in input order) — each bit-identical to
-    /// [`SystolicExecutor::matmul_hinted`] with that map installed.
+    /// set in **one pass over the event stream** — the executor's one
+    /// product driver. Scenario `s` of the returned view is bit-identical to
+    /// the structural array ([`crate::SystolicArray::matmul`]) under
+    /// `maps[s]` when that map holds a fault (a fault-free map takes the
+    /// float idealisation of the module docs), and a single-map
+    /// [`SystolicExecutor::matmul_hinted`] is this call with one map.
     ///
     /// A figure sweep replays the *same* activations against dozens of fault
     /// maps; evaluating them per map repeats all the map-independent work.
@@ -440,13 +275,18 @@ impl SystolicExecutor {
     ///
     /// * each row's nonzero event list is resolved **once** for all maps
     ///   (free when the activations carry a CSR spike index),
-    /// * each corruptible column's quantized contribution sequence
-    ///   (`quantize(a_ip * w[p, j])`, map-independent) is computed **once**
-    ///   and replayed per map with that map's composed mask events,
-    /// * the maskless quantized clean product is computed **once** in-call
-    ///   (and shared across calls through the [`ProductCache`] when
-    ///   installed), serving every map's fault-free columns,
+    /// * a column fold corrupted by several maps materialises its quantized
+    ///   contribution sequence (`quantize(a_ip * w[p, j])`, map-independent)
+    ///   **once** and replays it per map with that map's composed mask
+    ///   events; a fold corrupted by one map computes it inline,
+    /// * the maskless quantized chain is computed **once** per row and
+    ///   seeds every map's fault-free columns (shared across calls through
+    ///   the [`ProductCache`] when installed),
     /// * fault-free maps share one structure-aware fast-path product.
+    ///
+    /// The interleaved buffer is returned as a [`ScenarioMatrices`] view:
+    /// callers that consume rows (or a subset of scenarios) skip the
+    /// O(maps · m · n) de-interleave copy entirely.
     ///
     /// The executor's own fault map is ignored; its grid, accumulator format
     /// and bypass policy apply to every scenario. All maps must target this
@@ -455,29 +295,8 @@ impl SystolicExecutor {
     /// # Errors
     ///
     /// Returns a tensor error for non-matrix inputs or mismatched inner
-    /// dimensions.
-    pub fn matmul_scenarios_hinted(
-        &self,
-        activations: &Tensor,
-        weights: &Tensor,
-        maps: &[FaultMap],
-        hint: MatmulHint,
-    ) -> Result<Vec<Tensor>> {
-        self.matmul_scenarios_view(activations, weights, maps, hint)?
-            .into_tensors()
-    }
-
-    /// [`SystolicExecutor::matmul_scenarios_hinted`] without the per-map
-    /// materialisation: the batched walk's interleaved buffer is returned as
-    /// a [`ScenarioMatrices`] view. Callers that consume rows (or a subset
-    /// of scenarios) skip the O(maps · m · n) de-interleave copy entirely;
-    /// [`ScenarioMatrices::tensor`] materialises any single scenario on
-    /// demand, bit-identical to the eager API.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error for non-matrix inputs or mismatched inner
-    /// dimensions.
+    /// dimensions, and [`TensorError::Cancelled`] once the installed token
+    /// trips.
     pub fn matmul_scenarios_view(
         &self,
         activations: &Tensor,
@@ -494,27 +313,26 @@ impl SystolicExecutor {
                 right_rows: k2,
             }));
         }
-        if maps.is_empty() {
-            return Ok(ScenarioMatrices {
-                m,
-                n,
-                lanes: 0,
-                inter: Vec::new(),
-                lane_of: Vec::new(),
-            });
-        }
         let a = activations.data();
         let w = weights.data();
+        // Cache keys are O(1) content-id fingerprints (no operand hashing),
+        // so every product consults the sweep-shared store when one is
+        // installed.
         let cache = self.cache.as_ref();
+        // Hoist all per-(k, col-fold) fault state out of the element loops.
         let plans: Vec<FoldPlan> = maps
             .iter()
             .map(|map| FoldPlan::new(&self.config, map, k))
             .collect();
         let mut lane_of: Vec<Option<ScenarioLane>> = vec![None; maps.len()];
 
-        // Fault-free maps cannot corrupt anything: they share one fast-path
-        // product (identical to the single-map fast path, cache included) —
-        // one tensor, shared by reference across every fault-free scenario.
+        // Fault-free maps cannot corrupt anything, so their product folds to
+        // the kernel layer's structure-aware dispatch (blocked dense, or
+        // gather-accumulate for sparse spike activations) — one tensor,
+        // shared by reference across every fault-free scenario. (This also
+        // drops the hardware's fixed-point quantization — an ideal-hardware
+        // idealisation bounded by k * resolution; only faulty maps run the
+        // quantized datapath below.)
         let mut fast: Option<Arc<Tensor>> = None;
         for (s, plan) in plans.iter().enumerate() {
             if plan.any_fault() {
@@ -531,6 +349,7 @@ impl SystolicExecutor {
             };
             lane_of[s] = Some(ScenarioLane::Shared(shared));
         }
+        drop(fast);
 
         let faulty: Vec<usize> = plans
             .iter()
@@ -538,30 +357,33 @@ impl SystolicExecutor {
             .filter(|(_, plan)| plan.any_fault())
             .map(|(s, _)| s)
             .collect();
+        for (fi, &s) in faulty.iter().enumerate() {
+            lane_of[s] = Some(ScenarioLane::Lane(fi));
+        }
+        let lane_of = lane_table(lane_of)?;
         if faulty.is_empty() || m == 0 || n == 0 {
-            for (fi, &s) in faulty.iter().enumerate() {
-                lane_of[s] = Some(ScenarioLane::Lane(fi));
-            }
             return Ok(ScenarioMatrices {
                 m,
                 n,
                 lanes: faulty.len(),
                 inter: Vec::new(),
-                lane_of: lane_table(lane_of)?,
+                lane_of,
             });
         }
 
+        // Faulty path. Every column runs the hardware's quantized
+        // accumulator chain (so the executor agrees with the structural
+        // array simulation). Each row is seeded with the maskless chain —
+        // the value of every column a map leaves clean — and the columns of
+        // each map's corruptible folds are then overwritten by the merged
+        // walk of nonzero activations and masked positions.
         let format = self.config.accumulator_format();
         let bypass = matches!(self.bypass, BypassPolicy::SkipFaulty);
-        let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
 
-        // Every map's fault-free columns read the maskless quantized value.
-        // It is the corrupted chain *without* the mask events — the same
-        // per-column q sequence folded without masks — so the batched walk
-        // derives it from the q scratch it builds anyway instead of running
-        // a separate clean product (an extra quantize pass over the whole
-        // matrix). A sweep-shared clean product is still consumed when the
-        // cache holds one, and fulfilled when the cache promotes this key.
+        // The maskless chain does not depend on the fault map, so a
+        // sweep-shared clean product is consumed when the cache holds one.
+        // When the cache promotes this key, the walk derives the value into
+        // an extra clean lane and fulfils it afterwards.
         let (shared_clean, fulfil_clean): (Option<Arc<Vec<f32>>>, Option<u128>) = match cache {
             Some(cache) => {
                 let key = product_key(
@@ -582,19 +404,16 @@ impl SystolicExecutor {
             None => (None, None),
         };
 
-        // Which faulty scenarios actually walk each column fold; the rest of
-        // the maps copy the shared clean value.
         let cols = self.config.cols();
-        let mut fold_users: Vec<Vec<usize>> = vec![Vec::new(); cols];
-        for (fi, &s) in faulty.iter().enumerate() {
-            for (fold, users) in fold_users.iter_mut().enumerate() {
-                if !plans[s].column_is_clean(fold) {
-                    users.push(fi);
-                }
-            }
-        }
-
+        let folds = FoldUsers::new(&plans, &faulty, cols.min(n));
+        // A CSR spike index on the activations makes the per-row event list
+        // a free view: the executor walks the index instead of re-scanning
+        // (and re-allocating) the nonzero scratch per product.
         let spike_index = spike_index_for(activations, m, k);
+        // Binary activations contribute `quantize(1.0 * w) == quantize(w)`
+        // per event — a pure function of the weights and the format, shared
+        // across every scenario, time step and batch through the cache. A
+        // table read replaces the multiply+round+clamp per accumulation.
         let qweights = quantized_weight_table(
             spike_index.is_some().then_some(weights),
             w,
@@ -604,150 +423,35 @@ impl SystolicExecutor {
             cache,
         );
         let fcount = faulty.len();
-        // One extra lane holds the derived clean values when no shared clean
-        // product is available (lane `fcount`, later fulfilled to the cache
-        // if this call was promoted).
-        let lanes = fcount + usize::from(shared_clean.is_none());
-        let row_stride = lanes * n;
+        // Lane `fcount` holds the derived clean values of a promoted call.
+        let clean_lane = fulfil_clean.map(|_| fcount);
+        let lanes = fcount + usize::from(clean_lane.is_some());
         // Interleaved output: row-major, all scenarios of one row contiguous,
         // so the row walk stays embarrassingly parallel across threads.
-        let mut inter = vec![0.0f32; m * row_stride];
-        let qw_slice: Option<&[i32]> = qweights.as_deref().map(Vec::as_slice);
-        // Per-fold `(scenario lane, masked list)` pairs, resolved once for
-        // the lane engine.
-        let fold_user_masked: Vec<FoldLaneMasks<'_>> = fold_users
-            .iter()
-            .enumerate()
-            .map(|(fold, users)| {
-                users
-                    .iter()
-                    .map(|&fi| (fi, plans[faulty[fi]].fold_masked(fold)))
-                    .collect()
-            })
-            .collect();
-        let use_lanes = !matches!(simd::active(), Isa::Scalar);
-        let cancel = self.cancel.as_ref();
-        let compute_row =
-            |i: usize, row_chunk: &mut [f32], nz: &mut Vec<(usize, f32)>, q: &mut Vec<i64>| {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    return;
-                }
-                fill_nonzeros(nz, spike_index, i, &a[i * k..(i + 1) * k]);
-                let shared_row = shared_clean.as_ref().map(|v| &v[i * n..(i + 1) * n]);
-                if use_lanes {
-                    // Seed every scenario lane with the maskless chain (and
-                    // derive it into the clean lane when the sweep cache does
-                    // not share one), then overwrite the columns of each
-                    // corruptible fold with the shared-q lane walk.
-                    match shared_row {
-                        Some(row) => {
-                            for fi in 0..fcount {
-                                row_chunk[fi * n..(fi + 1) * n].copy_from_slice(row);
-                            }
-                        }
-                        None => {
-                            simd::dispatch(CleanRowOp {
-                                nz,
-                                w,
-                                qw: qw_slice,
-                                out_row: &mut row_chunk[fcount * n..(fcount + 1) * n],
-                                n,
-                                format,
-                                min_raw,
-                                max_raw,
-                            });
-                            let (user_lanes, clean_lane) = row_chunk.split_at_mut(fcount * n);
-                            for fi in 0..fcount {
-                                user_lanes[fi * n..(fi + 1) * n].copy_from_slice(&clean_lane[..n]);
-                            }
-                        }
-                    }
-                    simd::dispatch(ScenarioFoldsOp {
-                        folds: &fold_user_masked,
-                        nz,
-                        w,
-                        qw: qw_slice,
-                        row_chunk,
-                        q,
-                        n,
-                        cols,
-                        format,
-                        min_raw,
-                        max_raw,
-                        bypass,
-                    });
-                    return;
-                }
-                for j in 0..n {
-                    let users = &fold_users[j % cols];
-                    // The quantized contribution sequence of this (row, column)
-                    // is map-independent: compute it once and replay it under
-                    // every map that can corrupt this fold (read straight from
-                    // the weight table when binary activations allow one). With
-                    // no shared clean product it is needed for every column —
-                    // the clean value is the same chain folded without masks.
-                    let need_q = !users.is_empty() || shared_row.is_none();
-                    if need_q {
-                        q.clear();
-                        match &qweights {
-                            Some(qw) => q.extend(nz.iter().map(|&(p, _)| i64::from(qw[p * n + j]))),
-                            None => q.extend(
-                                nz.iter()
-                                    .map(|&(p, v)| i64::from(format.quantize(v * w[p * n + j]))),
-                            ),
-                        }
-                    }
-                    let clean_v = match shared_row {
-                        Some(row) => row[j],
-                        None => {
-                            let mut acc = 0i64;
-                            for &qv in q.iter() {
-                                acc = (acc + qv).clamp(min_raw, max_raw);
-                            }
-                            let v = format.dequantize(acc as i32);
-                            row_chunk[fcount * n + j] = v;
-                            v
-                        }
-                    };
-                    for fi in 0..fcount {
-                        row_chunk[fi * n + j] = clean_v;
-                    }
-                    for &fi in users {
-                        row_chunk[fi * n + j] = faulty_column_from_q(
-                            plans[faulty[fi]].fold_masked(j),
-                            nz,
-                            q,
-                            format,
-                            min_raw,
-                            max_raw,
-                            bypass,
-                        );
-                    }
-                }
-            };
-        if let Some(rows_per_panel) = parallel_panel_rows(m, m * n * k * fcount, 1) {
-            inter
-                .par_chunks_mut(rows_per_panel * row_stride)
-                .enumerate()
-                .for_each(|(panel, out_panel)| {
-                    let row0 = panel * rows_per_panel;
-                    let (mut nz, mut q) = (Vec::new(), Vec::new());
-                    for (r, row_chunk) in out_panel.chunks_mut(row_stride).enumerate() {
-                        compute_row(row0 + r, row_chunk, &mut nz, &mut q);
-                    }
-                });
-        } else {
-            let (mut nz, mut q) = (Vec::new(), Vec::new());
-            for (i, row_chunk) in inter.chunks_mut(row_stride).enumerate() {
-                compute_row(i, row_chunk, &mut nz, &mut q);
-            }
+        let mut inter = vec![0.0f32; m * lanes * n];
+        let walk = RowWalk {
+            a,
+            k,
+            n,
+            cols,
+            spike_index,
+            shared_clean: shared_clean.as_deref().map(Vec::as_slice),
+            folds: &folds,
+            lanes,
+            clean_lane,
+            format,
+            bypass,
+            // Lane engine: `Isa::Scalar` keeps the per-column loop exactly.
+            use_lanes: !matches!(simd::active(), Isa::Scalar),
+            cancel: self.cancel.as_ref(),
+        };
+        // The table-or-multiply choice is made once per product, so every
+        // walk below is monomorphic in it.
+        match qweights.as_deref() {
+            Some(table) => walk.rows(table.as_slice(), &mut inter),
+            None => walk.rows(Scaled { w, format }, &mut inter),
         }
 
-        // No de-interleave: faulty scenarios keep their lane in the
-        // interleaved buffer and materialise on demand through the view.
-        for (fi, &s) in faulty.iter().enumerate() {
-            lane_of[s] = Some(ScenarioLane::Lane(fi));
-        }
         if let Err(cancelled) = self.check_cancelled() {
             // The interleaved buffer is partial: release the clean-product
             // promotion (if this call held one) instead of fulfilling it.
@@ -756,65 +460,18 @@ impl SystolicExecutor {
             }
             return Err(cancelled);
         }
-        if let (Some(key), Some(cache)) = (fulfil_clean, cache) {
-            let mut data = vec![0.0f32; m * n];
-            for i in 0..m {
-                let src = &inter[i * row_stride + fcount * n..i * row_stride + (fcount + 1) * n];
-                data[i * n..(i + 1) * n].copy_from_slice(src);
-            }
-            cache.fulfill(key, Arc::new(data));
-        }
-        Ok(ScenarioMatrices {
+        let view = ScenarioMatrices {
             m,
             n,
             lanes,
             inter,
-            lane_of: lane_table(lane_of)?,
-        })
-    }
-
-    /// Reference clean product computed in floating point (no quantization,
-    /// no faults) — used by tests and by callers that need the ideal output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error for invalid matrix shapes.
-    pub fn clean_matmul(&self, activations: &Tensor, weights: &Tensor) -> Result<Tensor> {
-        Ok(falvolt_tensor::ops::matmul(activations, weights)?)
-    }
-}
-
-/// Runs `row_fn` over every output row of an `m x n` product — serially
-/// below the parallel work threshold (tiny per-layer products, and
-/// nested-parallel scenario workers, skip the fan-out machinery), otherwise
-/// in row panels across threads (rows are embarrassingly parallel: fault
-/// application is per-output-element). Each call receives the row index, the
-/// row's activation slice and a per-panel scratch buffer for nonzero lists.
-fn for_each_row_panel<F>(a: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, row_fn: F)
-where
-    F: Fn(usize, &[f32], &mut [f32], &mut Vec<(usize, f32)>) + Sync,
-{
-    let Some(rows_per_panel) = parallel_panel_rows(m, m * n * k, 1) else {
-        let mut scratch = Vec::new();
-        for (i, out_row) in out.chunks_mut(n).enumerate() {
-            row_fn(i, &a[i * k..(i + 1) * k], out_row, &mut scratch);
+            lane_of,
+        };
+        if let (Some(key), Some(cache)) = (fulfil_clean, cache) {
+            cache.fulfill(key, Arc::new(view.gather(fcount)));
         }
-        return;
-    };
-    out.par_chunks_mut(rows_per_panel * n)
-        .enumerate()
-        .for_each(|(panel, out_panel)| {
-            let row0 = panel * rows_per_panel;
-            let mut scratch = Vec::new();
-            for (r, out_row) in out_panel.chunks_mut(n).enumerate() {
-                row_fn(
-                    row0 + r,
-                    &a[(row0 + r) * k..(row0 + r + 1) * k],
-                    out_row,
-                    &mut scratch,
-                );
-            }
-        });
+        Ok(view)
+    }
 }
 
 /// Stable tag of a hint for cache keying (the dispatch decision is a pure
@@ -944,120 +601,128 @@ fn quantized_weight_table(
     }
 }
 
-/// [`quantized_clean_element`] with the contribution read from a
-/// quantized-weight table (binary activations only): same chain, same bits.
-fn quantized_clean_element_tab(
-    nonzero: &[(usize, f32)],
-    qw: &[i32],
-    n: usize,
-    j: usize,
-    format: QFormat,
-    min_raw: i64,
-    max_raw: i64,
-) -> f32 {
-    let mut acc = 0i64;
-    for &(p, _) in nonzero {
-        acc = (acc + i64::from(qw[p * n + j])).clamp(min_raw, max_raw);
-    }
-    format.dequantize(acc as i32)
+/// The quantized weight an activation event `(p, v)` adds to the chain of
+/// column `j`, read at weight index `idx = p * n + j`.
+trait QuantizedWeights: Copy + Sync {
+    /// One column: exactly `quantize(v * w[idx])`.
+    fn at(self, idx: usize, v: f32) -> i64;
+    /// `I64_LANES` contiguous columns starting at `idx`, each lane exactly
+    /// [`QuantizedWeights::at`].
+    fn contiguous<S: SimdLevel>(self, idx: usize, v: f32) -> S::I64;
 }
 
-/// [`faulty_column_composed`] with the contributions read from a
-/// quantized-weight table (binary activations only): same adds, same
-/// composed masks, same order — bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn faulty_column_composed_tab(
-    masked: &[(u32, PeMasks)],
-    nonzero: &[(usize, f32)],
-    qw: &[i32],
-    n: usize,
-    j: usize,
-    format: QFormat,
-    min_raw: i64,
-    max_raw: i64,
-    bypass: bool,
-) -> f32 {
-    let mut acc = 0i64;
-    let mut mi = 0usize;
-    if bypass {
-        for &(p, _) in nonzero {
-            while mi < masked.len() && (masked[mi].0 as usize) < p {
-                mi += 1;
-            }
-            if mi < masked.len() && masked[mi].0 as usize == p {
-                continue;
-            }
-            acc = (acc + i64::from(qw[p * n + j])).clamp(min_raw, max_raw);
-        }
-        return format.dequantize(acc as i32);
+/// Binary activations read the sweep-shared table of `quantize(w)`: every
+/// nonzero is `1.0`, so `quantize(1.0 * w) == quantize(w)` exactly.
+impl QuantizedWeights for &[i32] {
+    #[inline(always)]
+    fn at(self, idx: usize, _: f32) -> i64 {
+        i64::from(self[idx])
     }
-    for &(p, _) in nonzero {
-        if mi < masked.len() && (masked[mi].0 as usize) < p {
-            let mut composed = masked[mi].1;
-            mi += 1;
-            while mi < masked.len() && (masked[mi].0 as usize) < p {
-                composed = composed.then(masked[mi].1);
-                mi += 1;
-            }
-            acc = apply_masks_raw(acc, composed, format);
-        }
-        acc = (acc + i64::from(qw[p * n + j])).clamp(min_raw, max_raw);
+
+    #[inline(always)]
+    fn contiguous<S: SimdLevel>(self, idx: usize, _: f32) -> S::I64 {
+        S::i64_load_i32(&self[idx..])
     }
-    if mi < masked.len() {
-        let mut composed = masked[mi].1;
-        mi += 1;
-        while mi < masked.len() {
-            composed = composed.then(masked[mi].1);
-            mi += 1;
-        }
-        acc = apply_masks_raw(acc, composed, format);
-    }
-    format.dequantize(acc as i32)
 }
 
-/// One element of the maskless quantized accumulator chain: identical to the
-/// fault-free fold of the faulty path (quantize-and-saturate on raw words,
-/// zero contributions skipped — a zero leaves the clamped accumulator
-/// unchanged).
-#[allow(clippy::too_many_arguments)]
-fn quantized_clean_element(
-    nonzero: &[(usize, f32)],
-    w: &[f32],
-    n: usize,
-    j: usize,
+/// Any activations: `quantize(v * w)`, computed per event.
+#[derive(Clone, Copy)]
+struct Scaled<'a> {
+    w: &'a [f32],
     format: QFormat,
-    min_raw: i64,
-    max_raw: i64,
-) -> f32 {
-    let mut acc = 0i64;
-    for &(p, a_ip) in nonzero {
-        let q = i64::from(format.quantize(a_ip * w[p * n + j]));
-        acc = (acc + q).clamp(min_raw, max_raw);
-    }
-    format.dequantize(acc as i32)
 }
 
-/// The full maskless quantized product (every column treated as clean) — the
-/// sweep-shared value that any scenario's fault-free columns can be copied
-/// from. Row-parallel like the faulty path.
-fn quantized_clean_product(
-    a: &[f32],
-    w: &[f32],
-    m: usize,
-    k: usize,
+impl QuantizedWeights for Scaled<'_> {
+    #[inline(always)]
+    fn at(self, idx: usize, v: f32) -> i64 {
+        i64::from(self.format.quantize(v * self.w[idx]))
+    }
+
+    #[inline(always)]
+    fn contiguous<S: SimdLevel>(self, idx: usize, v: f32) -> S::I64 {
+        let format = self.format;
+        let scale = (1i64 << format.frac_bits()) as f32;
+        let x = S::f32h_scale(S::f32h_load(&self.w[idx..]), v);
+        S::f32h_quantize(x, scale, format.min_raw() as f32, format.max_raw() as f32)
+    }
+}
+
+/// Where a fold walk reads its quantized contributions: the `e`-th nonzero
+/// event `(p, v)` of the row adds [`Contributions::word`] to one column's
+/// accumulator, or [`Contributions::block`] to `I64_LANES` columns at once.
+trait Contributions: Copy {
+    /// The source narrowed to a walk of `events` events, so its per-event
+    /// reads are provably in bounds.
+    fn for_events(self, events: usize) -> Self;
+    fn word(self, e: usize, p: usize, v: f32) -> i64;
+    fn block<S: SimdLevel>(self, e: usize, p: usize, v: f32) -> S::I64;
+}
+
+/// Contributions computed on the fly for the columns `base`, `base +
+/// stride`, ...: the walk of a fold only one map corrupts reads them here.
+#[derive(Clone, Copy)]
+struct InlineQ<W> {
+    weights: W,
     n: usize,
-    format: QFormat,
-) -> Vec<f32> {
-    let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
-    let mut out = vec![0.0f32; m * n];
-    for_each_row_panel(a, &mut out, m, k, n, |_, a_row, out_row, nz| {
-        nz.clear();
-        nz.extend(a_row.iter().copied().enumerate().filter(|&(_, v)| v != 0.0));
-        for (j, out_elem) in out_row.iter_mut().enumerate() {
-            *out_elem = quantized_clean_element(nz, w, n, j, format, min_raw, max_raw);
+    base: usize,
+    stride: usize,
+}
+
+impl<W: QuantizedWeights> InlineQ<W> {
+    /// Materialises the contributions of `lanes` columns for every event,
+    /// event-major (`lanes` words per event), for the walks of several maps
+    /// to replay through [`ReplayQ`].
+    #[inline(always)]
+    fn fill(self, q: &mut Vec<i64>, nz: &[(usize, f32)], lanes: usize) {
+        q.clear();
+        q.resize(nz.len() * lanes, 0);
+        for (block, &(p, v)) in q.chunks_exact_mut(lanes).zip(nz) {
+            let row = p * self.n + self.base;
+            for (lane, word) in block.iter_mut().enumerate() {
+                *word = self.weights.at(row + lane * self.stride, v);
+            }
         }
-    });
-    out
+    }
+}
+
+impl<W: QuantizedWeights> Contributions for InlineQ<W> {
+    #[inline(always)]
+    fn for_events(self, _: usize) -> Self {
+        self
+    }
+
+    #[inline(always)]
+    fn word(self, _: usize, p: usize, v: f32) -> i64 {
+        self.weights.at(p * self.n + self.base, v)
+    }
+
+    #[inline(always)]
+    fn block<S: SimdLevel>(self, _: usize, p: usize, v: f32) -> S::I64 {
+        let row = p * self.n + self.base;
+        S::i64_from_fn(|lane| self.weights.at(row + lane * self.stride, v))
+    }
+}
+
+/// Contributions replayed from a sequence [`InlineQ::fill`] materialised
+/// once (one word per event for a column walk, `I64_LANES` for a block).
+#[derive(Clone, Copy)]
+struct ReplayQ<'a>(&'a [i64]);
+
+impl Contributions for ReplayQ<'_> {
+    #[inline(always)]
+    fn for_events(self, events: usize) -> Self {
+        ReplayQ(&self.0[..events])
+    }
+
+    #[inline(always)]
+    fn word(self, e: usize, _: usize, _: f32) -> i64 {
+        self.0[e]
+    }
+
+    #[inline(always)]
+    fn block<S: SimdLevel>(self, e: usize, _: usize, _: f32) -> S::I64 {
+        S::i64_load(&self.0[e * S::I64_LANES..])
+    }
 }
 
 /// Applies a composed mask pair to a raw accumulator word — exactly
@@ -1067,42 +732,43 @@ fn apply_masks_raw(acc: i64, masks: PeMasks, format: QFormat) -> i64 {
     i64::from(masks.apply(Fixed::from_raw(acc as i32, format)).raw())
 }
 
-/// Faulty column via the composed event walk: merge the row's nonzero
+/// One output column via the composed event walk: merge the row's nonzero
 /// activations with the fold's masked positions in `p` order (add before
-/// mask at equal positions, exactly the original loop's order) and collapse
+/// mask at equal positions, exactly the PE-by-PE chain's order) and collapse
 /// every run of masks between two adds into one composed pair. The
 /// accumulator lives as a raw word with the same quantize-and-saturate chain
 /// the [`Fixed`] arithmetic performs (format bounds hoisted by the caller).
-#[allow(clippy::too_many_arguments)]
-fn faulty_column_composed(
+///
+/// The contributions come from `q`: computed inline ([`InlineQ`]) when one
+/// walk reads them, or replayed ([`ReplayQ`]) when several walks share one
+/// materialised sequence. An empty `masked` list walks the maskless chain.
+fn faulty_column_from_q(
     masked: &[(u32, PeMasks)],
     nonzero: &[(usize, f32)],
-    w: &[f32],
-    n: usize,
-    j: usize,
+    q: impl Contributions,
     format: QFormat,
     min_raw: i64,
     max_raw: i64,
     bypass: bool,
 ) -> f32 {
+    let q = q.for_events(nonzero.len());
     let mut acc = 0i64;
     let mut mi = 0usize;
     if bypass {
         // Bypassed PEs contribute nothing and corrupt nothing: the product
         // reduces to the nonzero activations whose position is unmasked.
-        for &(p, a_ip) in nonzero {
+        for (e, &(p, v)) in nonzero.iter().enumerate() {
             while mi < masked.len() && (masked[mi].0 as usize) < p {
                 mi += 1;
             }
             if mi < masked.len() && masked[mi].0 as usize == p {
                 continue;
             }
-            let q = i64::from(format.quantize(a_ip * w[p * n + j]));
-            acc = (acc + q).clamp(min_raw, max_raw);
+            acc = (acc + q.word(e, p, v)).clamp(min_raw, max_raw);
         }
         return format.dequantize(acc as i32);
     }
-    for &(p, a_ip) in nonzero {
+    for (e, &(p, v)) in nonzero.iter().enumerate() {
         // Compose and apply every mask strictly before this add. Masks ahead
         // of the first nonzero act on the zero accumulator, exactly as the
         // PE-by-PE chain does.
@@ -1115,8 +781,7 @@ fn faulty_column_composed(
             }
             acc = apply_masks_raw(acc, composed, format);
         }
-        let q = i64::from(format.quantize(a_ip * w[p * n + j]));
-        acc = (acc + q).clamp(min_raw, max_raw);
+        acc = (acc + q.word(e, p, v)).clamp(min_raw, max_raw);
     }
     // Tail: masks at and after the last add (an add at position p is masked
     // by position p's own PE after the accumulation step).
@@ -1132,58 +797,190 @@ fn faulty_column_composed(
     format.dequantize(acc as i32)
 }
 
-/// Faulty column via the composed event walk with a **precomputed quantized
-/// contribution sequence**: `q[idx]` is `quantize(a_ip * w[p, j])` for the
-/// `idx`-th nonzero — exactly what [`faulty_column_composed`] computes
-/// inline, so the chain (same adds, same composed masks, same order) is
-/// bit-identical. The batched scenario walk shares one `q` across every
-/// fault map that corrupts the column, amortising the multiply+quantize.
-#[allow(clippy::too_many_arguments)]
-fn faulty_column_from_q(
-    masked: &[(u32, PeMasks)],
-    nonzero: &[(usize, f32)],
-    q: &[i64],
+/// The faulty scenarios that walk each column fold: the `(scenario lane,
+/// masked list)` pairs of every map whose plan corrupts the fold, stored
+/// flat over the `cols.min(n)` folds a product touches.
+struct FoldUsers<'a> {
+    /// Fold `f`'s pairs are `users[start[f]..start[f + 1]]`.
+    start: Vec<usize>,
+    users: Vec<(usize, &'a [(u32, PeMasks)])>,
+}
+
+impl<'a> FoldUsers<'a> {
+    /// Resolves the users of folds `0..folds` for the faulty scenarios
+    /// `faulty` (indices into `plans`; lane `fi` is `faulty[fi]`).
+    fn new(plans: &'a [FoldPlan], faulty: &[usize], folds: usize) -> Self {
+        let mut start = Vec::with_capacity(folds + 1);
+        let mut users = Vec::new();
+        for fold in 0..folds {
+            start.push(users.len());
+            for (fi, &s) in faulty.iter().enumerate() {
+                if !plans[s].column_is_clean(fold) {
+                    users.push((fi, plans[s].fold_masked(fold)));
+                }
+            }
+        }
+        start.push(users.len());
+        Self { start, users }
+    }
+
+    /// Number of folds covered.
+    fn folds(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The pairs of fold `fold`, in lane order.
+    fn users(&self, fold: usize) -> &[(usize, &'a [(u32, PeMasks)])] {
+        &self.users[self.start[fold]..self.start[fold + 1]]
+    }
+}
+
+/// The per-product state of the faulty row walk of
+/// [`SystolicExecutor::matmul_scenarios_view`]: each output row is seeded
+/// with the maskless chain in every lane, then each lane's corruptible
+/// columns are overwritten with that map's masked walk.
+struct RowWalk<'a> {
+    a: &'a [f32],
+    k: usize,
+    n: usize,
+    cols: usize,
+    spike_index: Option<&'a SpikeIndex>,
+    /// The sweep-shared maskless product, when the cache holds one.
+    shared_clean: Option<&'a [f32]>,
+    folds: &'a FoldUsers<'a>,
+    /// Interleaved lanes per row: one per faulty map, plus `clean_lane`.
+    lanes: usize,
+    /// The lane that receives the derived maskless chain of a call that
+    /// fulfils the sweep-shared clean product.
+    clean_lane: Option<usize>,
     format: QFormat,
-    min_raw: i64,
-    max_raw: i64,
     bypass: bool,
-) -> f32 {
-    let mut acc = 0i64;
-    let mut mi = 0usize;
-    if bypass {
-        for (&(p, _), &qv) in nonzero.iter().zip(q) {
-            while mi < masked.len() && (masked[mi].0 as usize) < p {
-                mi += 1;
+    use_lanes: bool,
+    cancel: Option<&'a CancelToken>,
+}
+
+impl RowWalk<'_> {
+    /// Walks every row of the interleaved buffer — serially below the
+    /// parallel work threshold, otherwise in row panels across threads
+    /// (fault application is per output element, so rows are independent).
+    fn rows<W: QuantizedWeights>(&self, weights: W, inter: &mut [f32]) {
+        let row_stride = self.lanes * self.n;
+        let m = inter.len() / row_stride;
+        let faulty_lanes = self.lanes - usize::from(self.clean_lane.is_some());
+        let work = m * self.n * self.k * faulty_lanes;
+        let Some(rows_per_panel) = parallel_panel_rows(m, work, 1) else {
+            let (mut nz, mut q) = (Vec::new(), Vec::new());
+            for (i, row_chunk) in inter.chunks_mut(row_stride).enumerate() {
+                self.row(weights, i, row_chunk, &mut nz, &mut q);
             }
-            if mi < masked.len() && masked[mi].0 as usize == p {
-                continue;
+            return;
+        };
+        inter
+            .par_chunks_mut(rows_per_panel * row_stride)
+            .enumerate()
+            .for_each(|(panel, out_panel)| {
+                let row0 = panel * rows_per_panel;
+                let (mut nz, mut q) = (Vec::new(), Vec::new());
+                for (r, row_chunk) in out_panel.chunks_mut(row_stride).enumerate() {
+                    self.row(weights, row0 + r, row_chunk, &mut nz, &mut q);
+                }
+            });
+    }
+
+    /// Output row `i` of every lane; `nz` and `q` are per-panel scratch.
+    fn row<W: QuantizedWeights>(
+        &self,
+        weights: W,
+        i: usize,
+        row_chunk: &mut [f32],
+        nz: &mut Vec<(usize, f32)>,
+        q: &mut Vec<i64>,
+    ) {
+        // Fold-chain granularity cancellation: a tripped token stops the
+        // remaining rows cheaply; the driver's post-loop check turns the
+        // partial buffer into `Cancelled` before it can be served.
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            return;
+        }
+        let (k, n, lanes) = (self.k, self.n, self.lanes);
+        let (format, bypass) = (self.format, self.bypass);
+        let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
+        fill_nonzeros(nz, self.spike_index, i, &self.a[i * k..(i + 1) * k]);
+        let shared_row = self.shared_clean.map(|v| &v[i * n..(i + 1) * n]);
+        if self.use_lanes {
+            // Seed one lane with the maskless chain (the clean lane of a
+            // promoted call, else lane 0) and copy it to the others, then
+            // overwrite the columns of each corruptible fold.
+            let seed = self.clean_lane.unwrap_or(0);
+            let seed_row = &mut row_chunk[seed * n..(seed + 1) * n];
+            match shared_row {
+                Some(row) => seed_row.copy_from_slice(row),
+                None => simd::dispatch(CleanRowOp {
+                    nz,
+                    weights,
+                    out_row: seed_row,
+                    n,
+                    format,
+                    min_raw,
+                    max_raw,
+                }),
             }
-            acc = (acc + qv).clamp(min_raw, max_raw);
-        }
-        return format.dequantize(acc as i32);
-    }
-    for (&(p, _), &qv) in nonzero.iter().zip(q) {
-        if mi < masked.len() && (masked[mi].0 as usize) < p {
-            let mut composed = masked[mi].1;
-            mi += 1;
-            while mi < masked.len() && (masked[mi].0 as usize) < p {
-                composed = composed.then(masked[mi].1);
-                mi += 1;
+            for lane in (0..lanes).filter(|&lane| lane != seed) {
+                row_chunk.copy_within(seed * n..(seed + 1) * n, lane * n);
             }
-            acc = apply_masks_raw(acc, composed, format);
+            simd::dispatch(ScenarioFoldsOp {
+                folds: self.folds,
+                nz,
+                weights,
+                row_chunk,
+                q,
+                n,
+                cols: self.cols,
+                format,
+                min_raw,
+                max_raw,
+                bypass,
+            });
+            return;
         }
-        acc = (acc + qv).clamp(min_raw, max_raw);
-    }
-    if mi < masked.len() {
-        let mut composed = masked[mi].1;
-        mi += 1;
-        while mi < masked.len() {
-            composed = composed.then(masked[mi].1);
-            mi += 1;
+        for j in 0..n {
+            let users = self.folds.users(j % self.cols);
+            // The maskless value serves the lanes this fold leaves clean and
+            // the clean lane; it is derived from the column's own chain
+            // unless the cache shares it.
+            let need_clean = users.len() < lanes;
+            let derive_clean = need_clean && shared_row.is_none();
+            // The quantized contribution sequence of this (row, column) is
+            // map-independent: materialise it once when several walks
+            // replay it, else compute it inline.
+            let replay = users.len() + usize::from(derive_clean) > 1;
+            let inline = InlineQ {
+                weights,
+                n,
+                base: j,
+                stride: 1,
+            };
+            if replay {
+                inline.fill(q, nz, 1);
+            }
+            let walk = |masked: &[(u32, PeMasks)]| {
+                if replay {
+                    faulty_column_from_q(masked, nz, ReplayQ(q), format, min_raw, max_raw, bypass)
+                } else {
+                    faulty_column_from_q(masked, nz, inline, format, min_raw, max_raw, bypass)
+                }
+            };
+            if need_clean {
+                let clean_v = shared_row.map_or_else(|| walk(&[]), |row| row[j]);
+                for lane in 0..lanes {
+                    row_chunk[lane * n + j] = clean_v;
+                }
+            }
+            for &(fi, masked) in users {
+                row_chunk[fi * n + j] = walk(masked);
+            }
         }
-        acc = apply_masks_raw(acc, composed, format);
     }
-    format.dequantize(acc as i32)
 }
 
 // ---------------------------------------------------------------------------
@@ -1193,17 +990,12 @@ fn faulty_column_from_q(
 // engines only change *which columns* advance together.
 // ---------------------------------------------------------------------------
 
-/// One fold's worth of batched-scenario work: the `(scenario lane, masked
-/// column list)` pairs of every scenario whose plan corrupts that fold.
-type FoldLaneMasks<'a> = Vec<(usize, &'a [(u32, PeMasks)])>;
-
 /// One row of the maskless quantized chain across `I64_LANES` contiguous
-/// columns at a time; each lane bit-identical to [`quantized_clean_element`]
-/// (or the `_tab` variant), which also handle the column tail.
-struct CleanRowOp<'a> {
+/// columns at a time; each lane bit-identical to [`faulty_column_from_q`]
+/// with no masks, which also handles the column tail.
+struct CleanRowOp<'a, W> {
     nz: &'a [(usize, f32)],
-    w: &'a [f32],
-    qw: Option<&'a [i32]>,
+    weights: W,
     out_row: &'a mut [f32],
     n: usize,
     format: QFormat,
@@ -1211,15 +1003,14 @@ struct CleanRowOp<'a> {
     max_raw: i64,
 }
 
-impl SimdOp for CleanRowOp<'_> {
+impl<W: QuantizedWeights> SimdOp for CleanRowOp<'_, W> {
     type Output = ();
 
     #[inline(always)]
     fn run<S: SimdLevel>(self) {
         let Self {
             nz,
-            w,
-            qw,
+            weights,
             out_row,
             n,
             format,
@@ -1227,171 +1018,39 @@ impl SimdOp for CleanRowOp<'_> {
             max_raw,
         } = self;
         let lanes = S::I64_LANES;
-        let scale = (1i64 << format.frac_bits()) as f32;
-        let (min_f, max_f) = (format.min_raw() as f32, format.max_raw() as f32);
         let resolution = format.resolution();
         let mut j = 0usize;
         while j + lanes <= n {
             let mut acc = S::i64_zero();
-            match qw {
-                Some(qw) => {
-                    for &(p, _) in nz {
-                        let q = S::i64_load_i32(&qw[p * n + j..]);
-                        acc = S::i64_clamp(S::i64_add(acc, q), min_raw, max_raw);
-                    }
-                }
-                None => {
-                    for &(p, v) in nz {
-                        let x = S::f32h_scale(S::f32h_load(&w[p * n + j..]), v);
-                        let q = S::f32h_quantize(x, scale, min_f, max_f);
-                        acc = S::i64_clamp(S::i64_add(acc, q), min_raw, max_raw);
-                    }
-                }
+            for &(p, v) in nz {
+                let q = weights.contiguous::<S>(p * n + j, v);
+                acc = S::i64_clamp(S::i64_add(acc, q), min_raw, max_raw);
             }
             S::i64_dequantize_store(acc, resolution, &mut out_row[j..]);
             j += lanes;
         }
         for (j, o) in out_row.iter_mut().enumerate().take(n).skip(j) {
-            *o = match qw {
-                Some(qw) => quantized_clean_element_tab(nz, qw, n, j, format, min_raw, max_raw),
-                None => quantized_clean_element(nz, w, n, j, format, min_raw, max_raw),
+            let q = InlineQ {
+                weights,
+                n,
+                base: j,
+                stride: 1,
             };
+            *o = faulty_column_from_q(&[], nz, q, format, min_raw, max_raw, false);
         }
     }
 }
 
-/// The quantized contributions of activation event `(p, v)` for `I64_LANES`
-/// same-fold columns (`stride` apart): exactly `quantize(v * w[p, j])` per
-/// lane, or a table read for binary activations.
-#[inline(always)]
-fn strided_q<S: SimdLevel>(
-    qw: Option<&[i32]>,
-    w: &[f32],
-    v: f32,
-    base: usize,
-    stride: usize,
-    format: QFormat,
-) -> S::I64 {
-    match qw {
-        Some(qw) => S::i64_from_fn(|lane| i64::from(qw[base + lane * stride])),
-        None => S::i64_from_fn(|lane| i64::from(format.quantize(v * w[base + lane * stride]))),
-    }
-}
-
-/// The corruptible folds of one output row: all columns of a fold share one
-/// masked list, so `I64_LANES` of them walk the composed event stream
-/// together — each lane bit-identical to [`faulty_column_composed`] (or the
-/// `_tab` variant), which also handle the per-fold column tail.
-struct FaultyFoldsOp<'a> {
-    plan: &'a FoldPlan,
+/// The corruptible folds of one output row, for every scenario lane: all
+/// columns of a fold share one masked list per map, so `I64_LANES` of them
+/// walk the composed event stream together ([`walk_q_block`]). A fold one
+/// map corrupts computes its contributions inline; a fold several maps
+/// corrupt materialises the strided q block once and replays it per map.
+/// [`faulty_column_from_q`] handles the per-fold column tail the same way.
+struct ScenarioFoldsOp<'a, W> {
+    folds: &'a FoldUsers<'a>,
     nz: &'a [(usize, f32)],
-    w: &'a [f32],
-    qw: Option<&'a [i32]>,
-    out_row: &'a mut [f32],
-    n: usize,
-    cols: usize,
-    format: QFormat,
-    min_raw: i64,
-    max_raw: i64,
-    bypass: bool,
-}
-
-impl SimdOp for FaultyFoldsOp<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run<S: SimdLevel>(self) {
-        let Self {
-            plan,
-            nz,
-            w,
-            qw,
-            out_row,
-            n,
-            cols,
-            format,
-            min_raw,
-            max_raw,
-            bypass,
-        } = self;
-        let lanes = S::I64_LANES;
-        for fold in 0..cols.min(n) {
-            if plan.column_is_clean(fold) {
-                continue;
-            }
-            let masked = plan.fold_masked(fold);
-            let count = (n - fold).div_ceil(cols);
-            let mut g = 0usize;
-            while g + lanes <= count {
-                let base = fold + g * cols;
-                let mut acc = S::i64_zero();
-                let mut mi = 0usize;
-                if bypass {
-                    for &(p, v) in nz {
-                        while mi < masked.len() && (masked[mi].0 as usize) < p {
-                            mi += 1;
-                        }
-                        if mi < masked.len() && masked[mi].0 as usize == p {
-                            continue;
-                        }
-                        let q = strided_q::<S>(qw, w, v, p * n + base, cols, format);
-                        acc = S::i64_clamp(S::i64_add(acc, q), min_raw, max_raw);
-                    }
-                } else {
-                    for &(p, v) in nz {
-                        if mi < masked.len() && (masked[mi].0 as usize) < p {
-                            let mut composed = masked[mi].1;
-                            mi += 1;
-                            while mi < masked.len() && (masked[mi].0 as usize) < p {
-                                composed = composed.then(masked[mi].1);
-                                mi += 1;
-                            }
-                            acc = S::i64_map(acc, |raw| apply_masks_raw(raw, composed, format));
-                        }
-                        let q = strided_q::<S>(qw, w, v, p * n + base, cols, format);
-                        acc = S::i64_clamp(S::i64_add(acc, q), min_raw, max_raw);
-                    }
-                    if mi < masked.len() {
-                        let mut composed = masked[mi].1;
-                        mi += 1;
-                        while mi < masked.len() {
-                            composed = composed.then(masked[mi].1);
-                            mi += 1;
-                        }
-                        acc = S::i64_map(acc, |raw| apply_masks_raw(raw, composed, format));
-                    }
-                }
-                for lane in 0..lanes {
-                    out_row[base + lane * cols] =
-                        format.dequantize(S::i64_extract(acc, lane) as i32);
-                }
-                g += lanes;
-            }
-            while g < count {
-                let j = fold + g * cols;
-                out_row[j] = match qw {
-                    Some(qw) => faulty_column_composed_tab(
-                        masked, nz, qw, n, j, format, min_raw, max_raw, bypass,
-                    ),
-                    None => faulty_column_composed(
-                        masked, nz, w, n, j, format, min_raw, max_raw, bypass,
-                    ),
-                };
-                g += 1;
-            }
-        }
-    }
-}
-
-/// The batched scenario walk: per fold, the strided q block (event-major,
-/// `I64_LANES` same-fold columns per event) is built once and replayed under
-/// every scenario that corrupts the fold — each lane bit-identical to
-/// [`faulty_column_from_q`], which also handles the per-fold column tail.
-struct ScenarioFoldsOp<'a> {
-    folds: &'a [FoldLaneMasks<'a>],
-    nz: &'a [(usize, f32)],
-    w: &'a [f32],
-    qw: Option<&'a [i32]>,
+    weights: W,
     row_chunk: &'a mut [f32],
     q: &'a mut Vec<i64>,
     n: usize,
@@ -1402,7 +1061,7 @@ struct ScenarioFoldsOp<'a> {
     bypass: bool,
 }
 
-impl SimdOp for ScenarioFoldsOp<'_> {
+impl<W: QuantizedWeights> SimdOp for ScenarioFoldsOp<'_, W> {
     type Output = ();
 
     #[inline(always)]
@@ -1410,8 +1069,7 @@ impl SimdOp for ScenarioFoldsOp<'_> {
         let Self {
             folds,
             nz,
-            w,
-            qw,
+            weights,
             row_chunk,
             q,
             n,
@@ -1422,33 +1080,31 @@ impl SimdOp for ScenarioFoldsOp<'_> {
             bypass,
         } = self;
         let lanes = S::I64_LANES;
-        for (fold, users) in folds.iter().enumerate() {
-            if users.is_empty() || fold >= n {
+        for fold in 0..folds.folds() {
+            let users = folds.users(fold);
+            if users.is_empty() {
                 continue;
             }
+            let replay = users.len() > 1;
             let count = (n - fold).div_ceil(cols);
             let mut g = 0usize;
             while g + lanes <= count {
                 let base = fold + g * cols;
-                q.clear();
-                match qw {
-                    Some(qw) => {
-                        for &(p, _) in nz {
-                            q.extend(
-                                (0..lanes).map(|lane| i64::from(qw[p * n + base + lane * cols])),
-                            );
-                        }
-                    }
-                    None => {
-                        for &(p, v) in nz {
-                            q.extend((0..lanes).map(|lane| {
-                                i64::from(format.quantize(v * w[p * n + base + lane * cols]))
-                            }));
-                        }
-                    }
+                let inline = InlineQ {
+                    weights,
+                    n,
+                    base,
+                    stride: cols,
+                };
+                if replay {
+                    inline.fill(q, nz, lanes);
                 }
-                for &(fi, masked) in users.iter() {
-                    let acc = walk_q_block::<S>(masked, nz, q, format, min_raw, max_raw, bypass);
+                for &(fi, masked) in users {
+                    let acc = if replay {
+                        walk_q_block::<S>(masked, nz, ReplayQ(q), format, min_raw, max_raw, bypass)
+                    } else {
+                        walk_q_block::<S>(masked, nz, inline, format, min_raw, max_raw, bypass)
+                    };
                     for lane in 0..lanes {
                         row_chunk[fi * n + base + lane * cols] =
                             format.dequantize(S::i64_extract(acc, lane) as i32);
@@ -1458,17 +1114,29 @@ impl SimdOp for ScenarioFoldsOp<'_> {
             }
             while g < count {
                 let j = fold + g * cols;
-                q.clear();
-                match qw {
-                    Some(qw) => q.extend(nz.iter().map(|&(p, _)| i64::from(qw[p * n + j]))),
-                    None => q.extend(
-                        nz.iter()
-                            .map(|&(p, v)| i64::from(format.quantize(v * w[p * n + j]))),
-                    ),
+                let inline = InlineQ {
+                    weights,
+                    n,
+                    base: j,
+                    stride: 1,
+                };
+                if replay {
+                    inline.fill(q, nz, 1);
                 }
-                for &(fi, masked) in users.iter() {
-                    row_chunk[fi * n + j] =
-                        faulty_column_from_q(masked, nz, q, format, min_raw, max_raw, bypass);
+                for &(fi, masked) in users {
+                    row_chunk[fi * n + j] = if replay {
+                        faulty_column_from_q(
+                            masked,
+                            nz,
+                            ReplayQ(q),
+                            format,
+                            min_raw,
+                            max_raw,
+                            bypass,
+                        )
+                    } else {
+                        faulty_column_from_q(masked, nz, inline, format, min_raw, max_raw, bypass)
+                    };
                 }
                 g += 1;
             }
@@ -1476,36 +1144,34 @@ impl SimdOp for ScenarioFoldsOp<'_> {
     }
 }
 
-/// [`faulty_column_from_q`] across `I64_LANES` columns at once: `q_block` is
-/// event-major (`I64_LANES` words per nonzero event). Same merged walk, same
-/// composed masks, same per-lane order.
+/// [`faulty_column_from_q`] across `I64_LANES` columns at once, reading
+/// each event's contributions as a block. Same merged walk, same composed
+/// masks, same per-lane order.
 #[inline(always)]
 fn walk_q_block<S: SimdLevel>(
     masked: &[(u32, PeMasks)],
     nonzero: &[(usize, f32)],
-    q_block: &[i64],
+    q: impl Contributions,
     format: QFormat,
     min_raw: i64,
     max_raw: i64,
     bypass: bool,
 ) -> S::I64 {
-    let lanes = S::I64_LANES;
     let mut acc = S::i64_zero();
     let mut mi = 0usize;
     if bypass {
-        for (e, &(p, _)) in nonzero.iter().enumerate() {
+        for (e, &(p, v)) in nonzero.iter().enumerate() {
             while mi < masked.len() && (masked[mi].0 as usize) < p {
                 mi += 1;
             }
             if mi < masked.len() && masked[mi].0 as usize == p {
                 continue;
             }
-            let q = S::i64_load(&q_block[e * lanes..]);
-            acc = S::i64_clamp(S::i64_add(acc, q), min_raw, max_raw);
+            acc = S::i64_clamp(S::i64_add(acc, q.block::<S>(e, p, v)), min_raw, max_raw);
         }
         return acc;
     }
-    for (e, &(p, _)) in nonzero.iter().enumerate() {
+    for (e, &(p, v)) in nonzero.iter().enumerate() {
         if mi < masked.len() && (masked[mi].0 as usize) < p {
             let mut composed = masked[mi].1;
             mi += 1;
@@ -1515,8 +1181,7 @@ fn walk_q_block<S: SimdLevel>(
             }
             acc = S::i64_map(acc, |raw| apply_masks_raw(raw, composed, format));
         }
-        let q = S::i64_load(&q_block[e * lanes..]);
-        acc = S::i64_clamp(S::i64_add(acc, q), min_raw, max_raw);
+        acc = S::i64_clamp(S::i64_add(acc, q.block::<S>(e, p, v)), min_raw, max_raw);
     }
     if mi < masked.len() {
         let mut composed = masked[mi].1;
@@ -1642,14 +1307,14 @@ enum ScenarioLane {
 /// de-interleaving it into one tensor per map — an O(maps · m · n) memcpy
 /// that dominated short batched products. Rows are read in place with
 /// [`ScenarioMatrices::row`]; a full tensor for one scenario is gathered on
-/// demand with [`ScenarioMatrices::tensor`], bit-identical to the eager
-/// [`SystolicExecutor::matmul_scenarios_hinted`] output.
+/// demand with [`ScenarioMatrices::tensor`], or moved out without a copy
+/// where the layout allows with [`ScenarioMatrices::into_tensor`].
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrices {
     m: usize,
     n: usize,
     /// Interleaved lane count: faulty scenarios plus the derived-clean lane
-    /// when no sweep-shared clean product was available.
+    /// of a call that fulfils the sweep-shared clean product.
     lanes: usize,
     /// `m * lanes * n` interleaved values (empty when every scenario is
     /// fault-free or a dimension is zero).
@@ -1699,16 +1364,33 @@ impl ScenarioMatrices {
     pub fn tensor(&self, s: usize) -> Result<Tensor> {
         match &self.lane_of[s] {
             ScenarioLane::Shared(t) => Ok(t.as_ref().clone()),
-            ScenarioLane::Lane(fi) => {
-                let mut data = vec![0.0f32; self.m * self.n];
-                let row_stride = self.lanes * self.n;
-                for i in 0..self.m {
-                    let start = i * row_stride + fi * self.n;
-                    data[i * self.n..(i + 1) * self.n]
-                        .copy_from_slice(&self.inter[start..start + self.n]);
-                }
-                Ok(Tensor::from_vec(vec![self.m, self.n], data)?)
+            ScenarioLane::Lane(fi) => Ok(Tensor::from_vec(vec![self.m, self.n], self.gather(*fi))?),
+        }
+    }
+
+    /// [`ScenarioMatrices::tensor`] that consumes the view: a one-lane
+    /// buffer already is the scenario's row-major matrix and moves into the
+    /// tensor, and a fault-free scenario's shared product is unwrapped when
+    /// no other scenario holds it. Other layouts gather. Bit-identical to
+    /// [`ScenarioMatrices::tensor`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a tensor error when the buffer cannot form an `[m, n]`
+    /// tensor (cannot happen for a view built by the executor).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `s` is out of range.
+    pub fn into_tensor(mut self, s: usize) -> Result<Tensor> {
+        match self.lane_of.swap_remove(s) {
+            ScenarioLane::Shared(t) => {
+                Ok(Arc::try_unwrap(t).unwrap_or_else(|t| t.as_ref().clone()))
             }
+            ScenarioLane::Lane(_) if self.lanes == 1 => {
+                Ok(Tensor::from_vec(vec![self.m, self.n], self.inter)?)
+            }
+            ScenarioLane::Lane(fi) => Ok(Tensor::from_vec(vec![self.m, self.n], self.gather(fi))?),
         }
     }
 
@@ -1720,6 +1402,16 @@ impl ScenarioMatrices {
     /// (cannot happen for a view built by the executor).
     pub fn into_tensors(self) -> Result<Vec<Tensor>> {
         (0..self.scenarios()).map(|s| self.tensor(s)).collect()
+    }
+
+    /// Lane `lane` of the interleaved buffer, gathered row-major.
+    fn gather(&self, lane: usize) -> Vec<f32> {
+        let mut data = Vec::with_capacity(self.m * self.n);
+        for i in 0..self.m {
+            let start = (i * self.lanes + lane) * self.n;
+            data.extend_from_slice(&self.inter[start..start + self.n]);
+        }
+        data
     }
 }
 
@@ -1751,6 +1443,7 @@ mod tests {
     use crate::{Fault, PeCoord, StuckAt};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::Ordering;
 
     fn config() -> SystolicConfig {
         SystolicConfig::new(4, 4).unwrap()
@@ -1772,7 +1465,7 @@ mod tests {
         let a = falvolt_tensor::init::uniform(&[5, 7], 0.0, 1.0, &mut rng);
         let b = falvolt_tensor::init::uniform(&[7, 6], -0.5, 0.5, &mut rng);
         let faulty = executor.matmul(&a, &b).unwrap();
-        let clean = executor.clean_matmul(&a, &b).unwrap();
+        let clean = falvolt_tensor::ops::matmul(&a, &b).unwrap();
         // Each of the 7 accumulation steps quantizes to 1/256 resolution.
         assert!(max_abs_diff(&faulty, &clean) < 7.0 / 256.0 + 1e-4);
     }
@@ -1786,7 +1479,7 @@ mod tests {
         let a = Tensor::from_vec(vec![2, 4], vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0]).unwrap();
         let b = Tensor::from_fn(&[4, 3], |i| (i % 5) as f32 * 0.25);
         let faulty = executor.matmul(&a, &b).unwrap();
-        let clean = executor.clean_matmul(&a, &b).unwrap();
+        let clean = falvolt_tensor::ops::matmul(&a, &b).unwrap();
         assert_eq!(faulty.data(), clean.data());
     }
 
@@ -1803,7 +1496,7 @@ mod tests {
         let a = Tensor::ones(&[1, 4]);
         let b = Tensor::full(&[4, 4], 0.5);
         let out = executor.matmul(&a, &b).unwrap();
-        let clean = executor.clean_matmul(&a, &b).unwrap();
+        let clean = falvolt_tensor::ops::matmul(&a, &b).unwrap();
         for j in 0..4 {
             let diff = (out.get(&[0, j]) - clean.get(&[0, j])).abs();
             if j == 1 {
@@ -1826,7 +1519,7 @@ mod tests {
         let a = Tensor::ones(&[1, 4]);
         let b = Tensor::full(&[4, 4], 0.5);
         let out = executor.matmul(&a, &b).unwrap();
-        let clean = executor.clean_matmul(&a, &b).unwrap();
+        let clean = falvolt_tensor::ops::matmul(&a, &b).unwrap();
         // LSB stuck-at-0 can change each pass by at most one resolution step.
         assert!(max_abs_diff(&out, &clean) <= 4.0 / 256.0 + 1e-6);
     }
@@ -1883,6 +1576,118 @@ mod tests {
         assert_eq!(out.shape(), &[3, 0]);
         let empty_rows = executor.matmul(&Tensor::zeros(&[0, 4]), &Tensor::zeros(&[4, 2]));
         assert_eq!(empty_rows.unwrap().shape(), &[0, 2]);
+        let empty_both = executor.matmul(&Tensor::zeros(&[0, 4]), &Tensor::zeros(&[4, 0]));
+        assert_eq!(empty_both.unwrap().shape(), &[0, 0]);
+        let maps = [executor.fault_map().clone(), FaultMap::new(config)];
+        let view = executor
+            .matmul_scenarios_view(
+                &Tensor::zeros(&[0, 4]),
+                &Tensor::zeros(&[4, 0]),
+                &maps,
+                MatmulHint::Auto,
+            )
+            .unwrap();
+        assert_eq!(view.dims(), (0, 0));
+        for s in 0..maps.len() {
+            assert_eq!(view.clone().into_tensor(s).unwrap().shape(), &[0, 0]);
+        }
+    }
+
+    fn is_cancelled<T: std::fmt::Debug>(result: Result<T>) -> bool {
+        matches!(result, Err(SystolicError::Tensor(TensorError::Cancelled)))
+    }
+
+    #[test]
+    fn tripped_token_cancels_single_and_batched_products() {
+        let config = config();
+        let map = FaultMap::from_faults(
+            config,
+            vec![Fault::new(PeCoord::new(0, 0), 15, StuckAt::One)],
+        )
+        .unwrap();
+        let mut executor = SystolicExecutor::new(config, map.clone());
+        let token = CancelToken::new();
+        executor.set_cancel_token(Some(token.clone()));
+        let a = Tensor::ones(&[3, 4]);
+        let b = Tensor::full(&[4, 4], 0.5);
+        assert!(executor.matmul(&a, &b).is_ok());
+        token.cancel();
+        assert!(is_cancelled(executor.matmul(&a, &b)));
+        let maps = [map, FaultMap::new(config)];
+        assert!(is_cancelled(executor.matmul_scenarios_view(
+            &a,
+            &b,
+            &maps,
+            MatmulHint::Auto
+        )));
+    }
+
+    /// A token tripped while a call that promoted the clean product walks
+    /// its rows must release the promotion, never fulfil the partial buffer:
+    /// the next call promotes again and returns the oracle's bits. The trip
+    /// comes from a second thread once the promotion is visible, so a call
+    /// that finishes first is retried on a larger product.
+    #[test]
+    fn cancelled_call_abandons_its_clean_product_promotion() {
+        let config = config();
+        let map = FaultMap::from_faults(
+            config,
+            vec![Fault::new(PeCoord::new(1, 2), 14, StuckAt::One)],
+        )
+        .unwrap();
+        let b = Tensor::from_fn(&[24, 8], |i| (i % 7) as f32 * 0.05 - 0.15);
+        let mut m = 1024;
+        for attempt in 0..8 {
+            // Real-valued activations: the clean product is the only cache
+            // key the product promotes.
+            let a = Tensor::from_fn(&[m, 24], |i| ((i * 37 + attempt) % 11) as f32 * 0.1);
+            let expected = crate::SystolicArray::new(config, &map)
+                .matmul(&a, &b)
+                .unwrap();
+            let cache = Arc::new(ProductCache::new());
+            let mut executor = SystolicExecutor::new(config, map.clone());
+            executor.set_product_cache(Some(Arc::clone(&cache)));
+            // First sighting records interest; the second promotes.
+            assert_eq!(executor.matmul(&a, &b).unwrap().data(), expected.data());
+            let promoted = cache.promotions();
+            let token = CancelToken::new();
+            executor.set_cancel_token(Some(token.clone()));
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let second = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while cache.promotions() == promoted && !done.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    token.cancel();
+                });
+                let out = executor.matmul(&a, &b);
+                done.store(true, Ordering::Release);
+                out
+            });
+            match second {
+                Ok(out) => {
+                    // The call finished before the trip: it fulfilled the
+                    // whole product. Retry on a larger one.
+                    assert_eq!(out.data(), expected.data());
+                    m *= 2;
+                }
+                Err(e) => {
+                    assert!(is_cancelled(Err::<(), _>(e)));
+                    let hits = cache.hits();
+                    executor.set_cancel_token(None);
+                    let third = executor.matmul(&a, &b).unwrap();
+                    assert_eq!(third.data(), expected.data());
+                    assert_eq!(cache.hits(), hits, "a cancelled value was served");
+                    assert_eq!(
+                        cache.promotions(),
+                        promoted + 2,
+                        "the key did not promote again"
+                    );
+                    return;
+                }
+            }
+        }
+        panic!("no call was cancelled mid-walk");
     }
 
     #[test]
