@@ -1,6 +1,8 @@
 //! Golden figures: every paper figure's [`Campaign`] plan, run at a small
 //! size on one trained Tiny MNIST context, must reproduce the committed
-//! final checkpoint in `tests/golden/<fig>.json` **byte for byte**.
+//! final checkpoint in `tests/golden/<fig>.json` **byte for byte**. One
+//! Fig-5b plan also runs on a Tiny DVS-Gesture context, to pin the
+//! temporal path.
 //!
 //! The checkpoint JSON stores every accuracy, learned threshold and
 //! per-epoch history entry as IEEE-754 bit hex, so a byte-equal file means
@@ -30,16 +32,22 @@ use falvolt_tensor::simd::{self, Isa};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// One shared trained context, prepared under scalar kernels so the
-/// baseline the goldens build on is ISA-independent. The mutex serialises
-/// the figures: campaigns borrow the context mutably, and the SIMD and
-/// worker-count overrides below are process-global.
-fn ctx() -> &'static Mutex<ExperimentContext> {
-    static CTX: OnceLock<Mutex<ExperimentContext>> = OnceLock::new();
-    CTX.get_or_init(|| {
+/// One shared trained context per dataset, prepared under scalar kernels
+/// so the baseline the goldens build on is ISA-independent. The mutex
+/// serialises the figures: campaigns borrow the context mutably, and the
+/// SIMD and worker-count overrides below are process-global.
+fn ctx(kind: DatasetKind) -> &'static Mutex<ExperimentContext> {
+    static MNIST: OnceLock<Mutex<ExperimentContext>> = OnceLock::new();
+    static DVS: OnceLock<Mutex<ExperimentContext>> = OnceLock::new();
+    let cell = match kind {
+        DatasetKind::Mnist => &MNIST,
+        DatasetKind::DvsGesture => &DVS,
+        other => panic!("no golden context for {}", other.label()),
+    };
+    cell.get_or_init(|| {
         let _scalar = simd::force(Some(Isa::Scalar));
         Mutex::new(
-            ExperimentContext::prepare(DatasetKind::Mnist, ExperimentScale::Tiny, 42)
+            ExperimentContext::prepare(kind, ExperimentScale::Tiny, 42)
                 .expect("golden context must prepare"),
         )
     })
@@ -80,10 +88,16 @@ fn checkpoint_json(ctx: &mut ExperimentContext, plan: fn(Campaign<'_>) -> Campai
     checkpoint.to_json()
 }
 
-/// The two checks every figure makes (see the module docs).
+/// The two checks every figure makes (see the module docs), on the Tiny
+/// MNIST context.
 fn check_figure(name: &str, plan: fn(Campaign<'_>) -> Campaign<'_>) {
+    check_figure_on(DatasetKind::Mnist, name, plan);
+}
+
+/// [`check_figure`] on the Tiny context of `kind`.
+fn check_figure_on(kind: DatasetKind, name: &str, plan: fn(Campaign<'_>) -> Campaign<'_>) {
     let _simd = simd::test_override_lock();
-    let mut ctx = ctx()
+    let mut ctx = ctx(kind)
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
 
@@ -174,6 +188,20 @@ fn fig5c_matches_golden() {
             .scenarios_per_cell(vuln.iterations)
             .seed(vuln.seed)
             .seed_mixer(mixers::per_array_size)
+    });
+}
+
+/// Fig 5b on DVS-Gesture: the temporal path, where every forward step
+/// carries membrane state, so the prefix cache is bypassed and only the
+/// lowered store and the systolic product stores share work.
+#[test]
+fn fig5b_dvs_matches_golden() {
+    check_figure_on(DatasetKind::DvsGesture, "fig5b_dvs", |c| {
+        let vuln = ExperimentScale::Tiny.vulnerability_config();
+        c.axis(Axis::FaultyPes(vec![0, 8, 32]))
+            .scenarios_per_cell(2)
+            .seed(vuln.seed)
+            .seed_mixer(mixers::per_faulty_pe_count)
     });
 }
 
