@@ -3,10 +3,9 @@
 use falvolt_snn::{MatmulBackend, MatmulOutput, MatmulRequest};
 use falvolt_systolic::executor::BypassPolicy;
 use falvolt_systolic::{
-    FaultMap, ProductCache, ScenarioMatrices, SharedStore, StoreDecision, SystolicConfig,
-    SystolicExecutor,
+    FaultMap, ProductCache, ScenarioMatrices, SystolicConfig, SystolicExecutor,
 };
-use falvolt_tensor::{Fingerprint, MatmulHint, Tensor, TensorError};
+use falvolt_tensor::{Fingerprint, MatmulHint, SharedStore, StoreDecision, Tensor, TensorError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -165,7 +164,7 @@ impl ScenarioProducts {
             maps,
             product_cache,
             batch_executor,
-            store: SharedStore::new(),
+            store: SharedStore::new(SCENARIO_BATCH_CAPACITY),
             batches: AtomicUsize::new(0),
         }
     }
@@ -238,12 +237,38 @@ impl ScenarioProducts {
     /// on first sighting instead of letting one worker pay the single-map
     /// path first.
     fn lookup(&self, key: u128, eager: bool) -> StoreDecision<ScenarioMatrices> {
-        self.store.lookup(key, SCENARIO_BATCH_CAPACITY, eager)
+        self.store.lookup(key, eager)
     }
 
     fn fulfill(&self, key: u128, outputs: Arc<ScenarioMatrices>) {
+        #[cfg(feature = "audit")]
+        self.audit_fulfill(key, &outputs);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.store.fulfill(key, outputs);
+    }
+
+    /// Under audit, a key fulfilled twice (first write quarantined, a later
+    /// member recomputed) must carry byte-identical rows for every scenario.
+    /// The store key names only the operands (the maps are the set's), so
+    /// the audit keys on the maps too: two sets over different maps fulfil
+    /// one operand key with different rows, legitimately.
+    #[cfg(feature = "audit")]
+    fn audit_fulfill(&self, key: u128, outputs: &ScenarioMatrices) {
+        let mut set_key = Fingerprint::new();
+        set_key.write_u64(key as u64);
+        set_key.write_u64((key >> 64) as u64);
+        for map in &self.maps {
+            set_key.write_u64(map.fingerprint());
+        }
+        let (m, _) = outputs.dims();
+        let rows = (0..outputs.scenarios()).flat_map(|s| (0..m).map(move |i| outputs.row(s, i)));
+        falvolt_tensor::audit::check_fulfill(
+            "scenario-products",
+            set_key.finish(),
+            falvolt_tensor::audit::fingerprint_bytes(
+                rows.flatten().flat_map(|v| v.to_bits().to_le_bytes()),
+            ),
+        );
     }
 
     fn abandon(&self, key: u128) {
@@ -418,6 +443,53 @@ mod tests {
             assert_eq!(member.fingerprint(), single.fingerprint(), "member {i}");
             assert_ne!(member.fingerprint(), bypassed.fingerprint(), "member {i}");
         }
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    fn batch_store_rejects_fulfil_twice_with_different_rows() {
+        let config = SystolicConfig::new(4, 4).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
+        let maps = vec![
+            FaultMap::new(config),
+            FaultMap::random_msb_faults(&config, 3, &mut rng).unwrap(),
+        ];
+        let set = ScenarioProducts::new(config, maps, Arc::new(ProductCache::new()));
+        let weights = Tensor::full(&[4, 4], 0.5);
+        let batch = |a: Tensor| {
+            let outputs = set
+                .batch_executor
+                .matmul_scenarios_view(&a, &weights, &set.maps, MatmulHint::Dense)
+                .unwrap();
+            Arc::new(outputs)
+        };
+        let key = 0x5ce7_a810_ba7c_u128;
+        assert!(matches!(set.lookup(key, true), StoreDecision::Compute));
+        set.fulfill(key, batch(Tensor::ones(&[2, 4])));
+        // Byte-identical refulfilment (a quarantined member's recompute) is
+        // legal: the store discards it, the audit accepts it.
+        set.fulfill(key, batch(Tensor::ones(&[2, 4])));
+        // Different rows under the same key: fingerprint collision or an
+        // impure batch. The audit panics before the store decides.
+        let divergent = batch(Tensor::full(&[2, 4], 0.25));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.fulfill(key, divergent)));
+        assert!(outcome.is_err(), "divergent refulfilment must be caught");
+        // A set over other maps is its own namespace: the same operand key
+        // with other rows is fine there.
+        let other_maps = vec![FaultMap::random_msb_faults(&config, 6, &mut rng).unwrap()];
+        let other = ScenarioProducts::new(config, other_maps, Arc::new(ProductCache::new()));
+        assert!(matches!(other.lookup(key, true), StoreDecision::Compute));
+        let outputs = other
+            .batch_executor
+            .matmul_scenarios_view(
+                &Tensor::ones(&[2, 4]),
+                &weights,
+                &other.maps,
+                MatmulHint::Dense,
+            )
+            .unwrap();
+        other.fulfill(key, Arc::new(outputs));
     }
 
     #[test]

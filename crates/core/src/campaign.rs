@@ -1529,8 +1529,7 @@ impl<'a> Campaign<'a> {
                                         if run_token.is_cancelled() {
                                             return Err(CellTry::Cancelled);
                                         }
-                                        let mut network =
-                                            retrain_view(baseline, &retrain_cache, &preset);
+                                        let mut network = retrain_view(baseline, &retrain_cache);
                                         let outcome = mitigator
                                             .run(&mut network, map, train, test, strategy)
                                             .map_err(|e| {
@@ -2041,19 +2040,11 @@ fn parse_strategy(s: &str) -> std::result::Result<MitigationStrategy, CampaignEr
 }
 
 /// Builds one retraining worker: a scenario view of the baseline with the
-/// shared sweep cache and the campaign preset installed.
-fn retrain_view(
-    baseline: &SpikingNetwork,
-    sweep_cache: &Arc<SweepCache>,
-    preset: &EnginePreset,
-) -> SpikingNetwork {
+/// full engine preset and the shared sweep cache installed.
+fn retrain_view(baseline: &SpikingNetwork, sweep_cache: &Arc<SweepCache>) -> SpikingNetwork {
     let mut network = baseline.scenario_view();
-    network.set_engine_preset(*preset);
-    network.set_sweep_cache(if preset.prefix_cache() {
-        Some(Arc::clone(sweep_cache))
-    } else {
-        None
-    });
+    network.set_engine_preset(EnginePreset::full());
+    network.set_sweep_cache(Some(Arc::clone(sweep_cache)));
     network
 }
 

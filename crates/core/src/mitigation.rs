@@ -18,7 +18,7 @@ use crate::prune::PruneMasks;
 use crate::Result;
 use falvolt_snn::loss::{Loss, MseRateLoss};
 use falvolt_snn::optim::{Adam, Optimizer};
-use falvolt_snn::trainer::Batch;
+use falvolt_snn::trainer::{evaluate, Batch};
 use falvolt_snn::{Mode, SpikingNetwork};
 use falvolt_systolic::FaultMap;
 use falvolt_tensor::reduce;
@@ -286,15 +286,6 @@ impl Mitigator {
             epochs_run: epochs,
         })
     }
-}
-
-/// Evaluates classification accuracy over test batches (evaluation mode).
-///
-/// # Errors
-///
-/// Propagates forward-pass errors.
-pub fn evaluate(network: &mut SpikingNetwork, test: &[Batch]) -> Result<f32> {
-    Ok(falvolt_snn::trainer::evaluate(network, test)?)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use crate::layers::{ForwardContext, Layer};
 use crate::param::Param;
 use crate::{Result, SnnError};
 use falvolt_tensor::ops::{self, Conv2dDims};
-use falvolt_tensor::{init, Fingerprint, MatmulHint, OperandProfile, Tensor};
+use falvolt_tensor::{init, Fingerprint, MatmulHint, OperandProfile, StoreDecision, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -213,10 +213,9 @@ impl Layer for Conv2d {
                 // worker's cols (and their content id) become the shared
                 // operand every later worker keys its products on.
                 match cache.lookup_lowered_eager(key) {
-                    crate::sweep_cache::SweepDecision::Hit(hit) => shared_cols = Some(hit),
+                    StoreDecision::Hit(hit) => shared_cols = Some(hit),
                     decision => {
-                        let promoted =
-                            matches!(decision, crate::sweep_cache::SweepDecision::Compute);
+                        let promoted = matches!(decision, StoreDecision::Compute);
                         let computed = match ops::im2col_with_profile(input, &dims, profile) {
                             Ok(cols) => Arc::new(cols),
                             Err(e) => {

@@ -118,7 +118,7 @@ pub(crate) fn shared_weight_transpose(
     local: &mut Option<(u64, std::sync::Arc<Tensor>)>,
     cache: Option<&SweepCache>,
 ) -> Result<std::sync::Arc<Tensor>> {
-    use crate::sweep_cache::SweepDecision;
+    use falvolt_tensor::StoreDecision;
     use std::sync::Arc;
     if local.as_ref().map(|(v, _)| *v) != Some(weight.version()) {
         let computed: Arc<Tensor> = match cache {
@@ -131,9 +131,9 @@ pub(crate) fn shared_weight_transpose(
                 // evaluation sweep (scenario views share the frozen weight
                 // buffer), so promote on first sighting.
                 match cache.lookup_lowered_eager(key) {
-                    SweepDecision::Hit(hit) => hit,
+                    StoreDecision::Hit(hit) => hit,
                     decision => {
-                        let promoted = matches!(decision, SweepDecision::Compute);
+                        let promoted = matches!(decision, StoreDecision::Compute);
                         match falvolt_tensor::ops::transpose2d(weight.value()) {
                             Ok(t) => {
                                 let t = Arc::new(t);

@@ -65,7 +65,7 @@ pub use error::SnnError;
 pub use layers::{ForwardContext, Layer, Mode};
 pub use network::{EnginePreset, SpikingNetwork};
 pub use param::Param;
-pub use sweep_cache::{SweepCache, SweepDecision};
+pub use sweep_cache::SweepCache;
 
 // Re-export the tensor type (every public API in this crate speaks `Tensor`)
 // and the operand-structure hint the backend trait takes.

@@ -5,7 +5,7 @@ use crate::layers::{ForwardContext, Layer, Mode};
 use crate::param::Param;
 use crate::sweep_cache::SweepCache;
 use crate::{Result, SnnError};
-use falvolt_tensor::{reduce, Fingerprint, Tensor};
+use falvolt_tensor::{reduce, Fingerprint, StoreDecision, Tensor};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -500,9 +500,9 @@ impl SpikingNetwork {
                 if prefix_out.is_none() {
                     if let (Some(cache), Some(key)) = (&sweep_cache, prefix_key) {
                         match cache.lookup_prefix(key) {
-                            crate::sweep_cache::SweepDecision::Hit(hit) => prefix_out = Some(hit),
-                            crate::sweep_cache::SweepDecision::Compute => fulfill = true,
-                            crate::sweep_cache::SweepDecision::Skip => {}
+                            StoreDecision::Hit(hit) => prefix_out = Some(hit),
+                            StoreDecision::Compute => fulfill = true,
+                            StoreDecision::Skip => {}
                         }
                     }
                 }

@@ -20,47 +20,30 @@
 //! ([`falvolt_tensor::Fingerprint`]); entries are `Arc`-shared tensors, so a
 //! hit costs one clone of an `Arc`.
 //!
-//! Both stores **promote on second request**: the first sighting of a key
-//! only records interest ([`SweepDecision::Skip`] — compute inline, store
-//! nothing), and a second sighting proves the key is shared, so that caller
-//! computes and fulfils the entry ([`SweepDecision::Compute`]). Retraining
-//! cells generate an endless stream of one-shot keys (weights change every
-//! epoch); without the policy those would flood the bounded stores with
-//! batch-sized tensors that can never hit and lock out the genuinely shared
-//! entries. Only one caller per key is told to compute; racers fall back to
-//! inline computation. Tracked keys are bounded; once full, new keys are
-//! never promoted (retention cannot change results, only hit rates).
-
+//! Both stores are [`SharedStore`]s and **promote on second request**: the
+//! first sighting of a key only records interest ([`StoreDecision::Skip`] —
+//! compute inline, store nothing), and a second sighting proves the key is
+//! shared, so that caller computes and fulfils the entry
+//! ([`StoreDecision::Compute`]). Retraining cells generate an endless stream
+//! of one-shot keys (weights change every epoch); without the policy those
+//! would flood the bounded stores with batch-sized tensors that can never
+//! hit and lock out the genuinely shared entries. Only one caller per key is
+//! told to compute; racers fall back to inline computation. Tracked keys are
+//! bounded; once full, new keys are never promoted (retention cannot change
+//! results, only hit rates).
 //!
-//! Like the systolic-side stores, the cache survives panicking workers:
-//! locks recover from poison (conservatively quarantining in-flight
-//! promotions the dead holder may have left half-done), promotions are
-//! generation-tagged, and [`SweepCache::quarantine_in_flight`] lets a
-//! scheduler that caught a worker panic revert every in-flight promotion so
-//! a stale fulfilment is discarded, not served. Cached values are pure
-//! functions of their keys, so discarding is always safe.
+//! The stores survive panicking workers (see [`SharedStore`]'s resilience
+//! notes): [`SweepCache::quarantine_in_flight`] lets a scheduler that caught
+//! a worker panic revert every in-flight promotion so a stale fulfilment is
+//! discarded, not served. Cached values are pure functions of their keys,
+//! so discarding is always safe.
 
-use falvolt_tensor::Tensor;
-use std::collections::HashMap;
+use falvolt_tensor::{SharedStore, StoreDecision, Tensor};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-/// Default bound on tracked keys per store (pending and fulfilled).
+/// Default bound on promoted keys per store.
 const DEFAULT_CAPACITY: usize = 256;
-
-/// What a store lookup tells the caller to do.
-#[derive(Debug, Clone)]
-pub enum SweepDecision {
-    /// The value is cached — use it.
-    Hit(Arc<Tensor>),
-    /// Second sighting of a shared key: compute the value and hand it back
-    /// via the matching `fulfill_*` call.
-    Compute,
-    /// First sighting (or the key is being computed / cannot be tracked):
-    /// compute inline, store nothing.
-    Skip,
-}
 
 /// Counters of one cache store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,187 +57,20 @@ pub struct CacheStats {
     pub promotions: usize,
 }
 
-enum Slot {
-    /// Seen once; not yet worth materialising.
-    Pending,
-    /// A worker is computing the shared value; tagged with the store
-    /// generation at promotion time so quarantines can be audited.
-    Computing(u64),
-    /// Computed and shared.
-    Ready(Arc<Tensor>),
-}
-
-#[derive(Default)]
-struct StoreInner {
-    slots: HashMap<u128, Slot>,
-    /// Keys promoted to `Computing`/`Ready` — the value-bearing entries the
-    /// capacity bounds. Pending markers are 16-byte bookkeeping and get a
-    /// separate, much larger bound, so a flood of one-shot keys (every
-    /// retraining epoch mints new prefix keys) cannot lock genuinely shared
-    /// keys out of promotion.
-    promoted: usize,
-    /// Bumped on every quarantine; promotions are tagged with it.
-    generation: u64,
-}
-
-impl StoreInner {
-    /// Reverts every in-flight `Computing` slot to `Pending` (releasing its
-    /// capacity) and bumps the generation. Returns how many were reverted.
-    fn quarantine(&mut self) -> usize {
-        let mut reverted = 0usize;
-        for slot in self.slots.values_mut() {
-            if matches!(slot, Slot::Computing(_)) {
-                *slot = Slot::Pending;
-                reverted += 1;
-            }
+impl CacheStats {
+    fn of(store: &SharedStore<Tensor>) -> Self {
+        Self {
+            hits: store.hits(),
+            misses: store.skips(),
+            promotions: store.promotions(),
         }
-        self.promoted -= reverted;
-        self.generation += 1;
-        reverted
-    }
-}
-
-#[derive(Default)]
-struct Store {
-    inner: Mutex<StoreInner>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    promotions: AtomicUsize,
-    quarantined: AtomicUsize,
-    discarded_fulfills: AtomicUsize,
-    poison_recoveries: AtomicUsize,
-}
-
-/// Tracked-key bound as a multiple of the value capacity (Pending markers
-/// are tiny; this only stops the map itself from growing without limit).
-const TRACKED_PER_CAPACITY: usize = 16;
-
-impl Store {
-    /// The poison-recovering lock accessor: a worker that dies holding the
-    /// lock must not wedge every other worker. Recovery conservatively
-    /// quarantines in-flight promotions (the dead holder may have left
-    /// bookkeeping half-done); fulfilled values are kept — they were
-    /// complete before the crash.
-    fn guard(&self) -> MutexGuard<'_, StoreInner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.inner.clear_poison();
-                let mut guard = poisoned.into_inner();
-                let reverted = guard.quarantine();
-                self.quarantined.fetch_add(reverted, Ordering::Relaxed);
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                guard
-            }
-        }
-    }
-
-    fn lookup(&self, key: u128, capacity: usize, eager: bool) -> SweepDecision {
-        let mut inner = self.guard();
-        let generation = inner.generation;
-        match inner.slots.get(&key) {
-            Some(Slot::Ready(value)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                SweepDecision::Hit(Arc::clone(value))
-            }
-            Some(Slot::Pending) => {
-                if inner.promoted < capacity {
-                    self.promotions.fetch_add(1, Ordering::Relaxed);
-                    inner.promoted += 1;
-                    inner.slots.insert(key, Slot::Computing(generation));
-                    SweepDecision::Compute
-                } else {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    SweepDecision::Skip
-                }
-            }
-            Some(Slot::Computing(_)) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                SweepDecision::Skip
-            }
-            None => {
-                // Eager callers know their key is shared by construction
-                // (e.g. a lowering of the scenario-invariant prefix input):
-                // the value is being computed either way, so promote on
-                // first sighting and let every later worker hit it.
-                if eager && inner.promoted < capacity {
-                    self.promotions.fetch_add(1, Ordering::Relaxed);
-                    inner.promoted += 1;
-                    inner.slots.insert(key, Slot::Computing(generation));
-                    return SweepDecision::Compute;
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if inner.slots.len() < capacity * TRACKED_PER_CAPACITY {
-                    inner.slots.insert(key, Slot::Pending);
-                }
-                SweepDecision::Skip
-            }
-        }
-    }
-
-    fn fulfill(&self, key: u128, value: Arc<Tensor>) {
-        // The write only lands while the slot is still in flight: a
-        // fulfilment whose promotion was quarantined is discarded, not
-        // served (values are pure functions of keys — a later caller
-        // re-promotes and recomputes).
-        let mut inner = self.guard();
-        if matches!(inner.slots.get(&key), Some(Slot::Computing(_))) {
-            inner.slots.insert(key, Slot::Ready(value));
-        } else {
-            self.discarded_fulfills.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn abandon(&self, key: u128) {
-        // The promoted computation failed: release the in-flight slot so a
-        // later caller can promote the key again instead of skipping
-        // forever.
-        let mut inner = self.guard();
-        if matches!(inner.slots.get(&key), Some(Slot::Computing(_))) {
-            inner.promoted -= 1;
-            inner.slots.insert(key, Slot::Pending);
-        }
-    }
-
-    fn quarantine_in_flight(&self) -> usize {
-        let mut inner = self.guard();
-        let reverted = inner.quarantine();
-        self.quarantined.fetch_add(reverted, Ordering::Relaxed);
-        reverted
-    }
-
-    /// The oldest generation tag among in-flight promotions, if any — an
-    /// audit hook: a tag older than the current generation would mean a
-    /// pre-quarantine promotion survived, which quarantine forbids.
-    fn oldest_in_flight_generation(&self) -> Option<u64> {
-        self.guard()
-            .slots
-            .values()
-            .filter_map(|slot| match slot {
-                Slot::Computing(generation) => Some(*generation),
-                _ => None,
-            })
-            .min()
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.guard().slots.len()
     }
 }
 
 /// Keyed cross-call caches owned by a sweep driver (see the module docs).
 pub struct SweepCache {
-    prefix: Store,
-    lowered: Store,
-    capacity: usize,
+    prefix: SharedStore<Tensor>,
+    lowered: SharedStore<Tensor>,
 }
 
 impl SweepCache {
@@ -263,22 +79,21 @@ impl SweepCache {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// Creates an empty cache tracking at most `capacity` keys per store.
+    /// Creates an empty cache promoting at most `capacity` keys per store.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            prefix: Store::default(),
-            lowered: Store::default(),
-            capacity,
+            prefix: SharedStore::new(capacity),
+            lowered: SharedStore::new(capacity),
         }
     }
 
     /// Looks up a stateless-prefix output.
-    pub fn lookup_prefix(&self, key: u128) -> SweepDecision {
-        self.prefix.lookup(key, self.capacity, false)
+    pub fn lookup_prefix(&self, key: u128) -> StoreDecision<Tensor> {
+        self.prefix.lookup(key, false)
     }
 
     /// Stores a prefix output previously answered with
-    /// [`SweepDecision::Compute`].
+    /// [`StoreDecision::Compute`].
     pub fn fulfill_prefix(&self, key: u128, value: Arc<Tensor>) {
         // Under audit, a key fulfilled twice (first write quarantined, a
         // later worker recomputed) must carry byte-identical content.
@@ -292,7 +107,7 @@ impl SweepCache {
     }
 
     /// Releases a prefix promotion whose computation failed (see
-    /// [`SweepDecision::Compute`]); a later caller may promote the key
+    /// [`StoreDecision::Compute`]); a later caller may promote the key
     /// again.
     pub fn abandon_prefix(&self, key: u128) {
         self.prefix.abandon(key);
@@ -300,8 +115,8 @@ impl SweepCache {
 
     /// Looks up an im2col lowering (or any other shared derivation in the
     /// lowering store, e.g. transposed weights).
-    pub fn lookup_lowered(&self, key: u128) -> SweepDecision {
-        self.lowered.lookup(key, self.capacity, false)
+    pub fn lookup_lowered(&self, key: u128) -> StoreDecision<Tensor> {
+        self.lowered.lookup(key, false)
     }
 
     /// [`SweepCache::lookup_lowered`] with **promote-on-first-sighting**:
@@ -311,12 +126,12 @@ impl SweepCache {
     /// by one worker — the value is computed either way, fulfilment just
     /// keeps it. One-shot keys must keep using the non-eager lookup so they
     /// cannot crowd the bounded value store.
-    pub fn lookup_lowered_eager(&self, key: u128) -> SweepDecision {
-        self.lowered.lookup(key, self.capacity, true)
+    pub fn lookup_lowered_eager(&self, key: u128) -> StoreDecision<Tensor> {
+        self.lowered.lookup(key, true)
     }
 
     /// Stores an im2col lowering previously answered with
-    /// [`SweepDecision::Compute`].
+    /// [`StoreDecision::Compute`].
     pub fn fulfill_lowered(&self, key: u128, value: Arc<Tensor>) {
         #[cfg(feature = "audit")]
         falvolt_tensor::audit::check_fulfill(
@@ -334,12 +149,12 @@ impl SweepCache {
 
     /// Counters of the prefix store.
     pub fn prefix_stats(&self) -> CacheStats {
-        self.prefix.stats()
+        CacheStats::of(&self.prefix)
     }
 
     /// Counters of the im2col store.
     pub fn lowered_stats(&self) -> CacheStats {
-        self.lowered.stats()
+        CacheStats::of(&self.lowered)
     }
 
     /// Quarantines every in-flight promotion in both stores: reverts
@@ -355,24 +170,17 @@ impl SweepCache {
     /// In-flight promotions reverted by quarantines (explicit or on poison
     /// recovery), both stores.
     pub fn quarantined(&self) -> usize {
-        self.prefix.quarantined.load(Ordering::Relaxed)
-            + self.lowered.quarantined.load(Ordering::Relaxed)
+        self.prefix.quarantined() + self.lowered.quarantined()
     }
 
     /// Stale fulfilments discarded instead of served, both stores.
     pub fn discarded_fulfills(&self) -> usize {
-        self.prefix.discarded_fulfills.load(Ordering::Relaxed)
-            + self.lowered.discarded_fulfills.load(Ordering::Relaxed)
-    }
-
-    /// Poisoned-lock recoveries, both stores.
-    pub fn poison_recoveries(&self) -> usize {
-        self.prefix.poison_recoveries.load(Ordering::Relaxed)
-            + self.lowered.poison_recoveries.load(Ordering::Relaxed)
+        self.prefix.discarded_fulfills() + self.lowered.discarded_fulfills()
     }
 
     /// The oldest generation tag among in-flight promotions across both
-    /// stores, if any (audit hook — see the module docs).
+    /// stores, if any (audit hook — see
+    /// [`SharedStore::oldest_in_flight_generation`]).
     pub fn oldest_in_flight_generation(&self) -> Option<u64> {
         [
             self.prefix.oldest_in_flight_generation(),
@@ -404,9 +212,9 @@ impl fmt::Debug for SweepCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SweepCache")
             .field("prefix_keys", &self.prefix.len())
-            .field("prefix_stats", &self.prefix.stats())
+            .field("prefix_stats", &self.prefix_stats())
             .field("lowered_keys", &self.lowered.len())
-            .field("lowered_stats", &self.lowered.stats())
+            .field("lowered_stats", &self.lowered_stats())
             .finish()
     }
 }
@@ -419,14 +227,14 @@ mod tests {
     fn promotes_on_second_request_then_hits() {
         let cache = SweepCache::new();
         assert!(cache.is_empty());
-        assert!(matches!(cache.lookup_prefix(1), SweepDecision::Skip));
-        assert!(matches!(cache.lookup_prefix(1), SweepDecision::Compute));
+        assert!(matches!(cache.lookup_prefix(1), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_prefix(1), StoreDecision::Compute));
         // While the promoted caller computes, racers skip.
-        assert!(matches!(cache.lookup_prefix(1), SweepDecision::Skip));
+        assert!(matches!(cache.lookup_prefix(1), StoreDecision::Skip));
         cache.fulfill_prefix(1, Arc::new(Tensor::ones(&[2])));
-        assert!(matches!(cache.lookup_prefix(1), SweepDecision::Hit(_)));
+        assert!(matches!(cache.lookup_prefix(1), StoreDecision::Hit(_)));
         // The lowered store does not see prefix keys.
-        assert!(matches!(cache.lookup_lowered(1), SweepDecision::Skip));
+        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Skip));
         let stats = cache.prefix_stats();
         assert_eq!((stats.hits, stats.misses, stats.promotions), (1, 2, 1));
     }
@@ -435,14 +243,14 @@ mod tests {
     fn value_capacity_bounds_promotions_not_pending_markers() {
         let cache = SweepCache::with_capacity(1);
         // Key 1 takes the single value slot.
-        assert!(matches!(cache.lookup_lowered(1), SweepDecision::Skip));
-        assert!(matches!(cache.lookup_lowered(1), SweepDecision::Compute));
+        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Compute));
         cache.fulfill_lowered(1, Arc::new(Tensor::zeros(&[1])));
         // Key 2 is tracked (cheap Pending marker) but can never promote
         // while the value capacity is used up — and key 1 still hits.
-        assert!(matches!(cache.lookup_lowered(2), SweepDecision::Skip));
-        assert!(matches!(cache.lookup_lowered(2), SweepDecision::Skip));
-        assert!(matches!(cache.lookup_lowered(1), SweepDecision::Hit(_)));
+        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Hit(_)));
         assert_eq!(cache.len(), 2);
     }
 
@@ -450,13 +258,13 @@ mod tests {
     fn abandon_releases_an_in_flight_promotion() {
         let cache = SweepCache::with_capacity(1);
         let _ = cache.lookup_prefix(5);
-        assert!(matches!(cache.lookup_prefix(5), SweepDecision::Compute));
+        assert!(matches!(cache.lookup_prefix(5), StoreDecision::Compute));
         // The promoted computation failed: the key returns to Pending and a
         // later caller promotes it again.
         cache.abandon_prefix(5);
-        assert!(matches!(cache.lookup_prefix(5), SweepDecision::Compute));
+        assert!(matches!(cache.lookup_prefix(5), StoreDecision::Compute));
         cache.fulfill_prefix(5, Arc::new(Tensor::zeros(&[1])));
-        assert!(matches!(cache.lookup_prefix(5), SweepDecision::Hit(_)));
+        assert!(matches!(cache.lookup_prefix(5), StoreDecision::Hit(_)));
     }
 
     #[test]
@@ -464,40 +272,20 @@ mod tests {
         let cache = SweepCache::new();
         // One fulfilled entry, one in-flight promotion.
         let _ = cache.lookup_prefix(1);
-        assert!(matches!(cache.lookup_prefix(1), SweepDecision::Compute));
+        assert!(matches!(cache.lookup_prefix(1), StoreDecision::Compute));
         cache.fulfill_prefix(1, Arc::new(Tensor::ones(&[2])));
         let _ = cache.lookup_lowered(2);
-        assert!(matches!(cache.lookup_lowered(2), SweepDecision::Compute));
+        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Compute));
         // A scenario worker panicked: the in-flight promotion is reverted,
         // the complete value survives.
         assert_eq!(cache.quarantine_in_flight(), 1);
         assert_eq!(cache.quarantined(), 1);
         assert_eq!(cache.oldest_in_flight_generation(), None);
-        assert!(matches!(cache.lookup_prefix(1), SweepDecision::Hit(_)));
+        assert!(matches!(cache.lookup_prefix(1), StoreDecision::Hit(_)));
         // The dead worker's write arrives late: discarded, not served.
         cache.fulfill_lowered(2, Arc::new(Tensor::zeros(&[9])));
         assert_eq!(cache.discarded_fulfills(), 1);
-        assert!(matches!(cache.lookup_lowered(2), SweepDecision::Compute));
-    }
-
-    #[test]
-    fn poisoned_lock_recovers_without_wedging_workers() {
-        let cache = Arc::new(SweepCache::new());
-        let _ = cache.lookup_prefix(3);
-        assert!(matches!(cache.lookup_prefix(3), SweepDecision::Compute));
-        let poisoner = Arc::clone(&cache);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.prefix.inner.lock();
-            panic!("worker dies holding the sweep-cache lock");
-        })
-        .join();
-        assert!(cache.prefix.inner.is_poisoned());
-        // The next lock access recovers, quarantining the in-flight
-        // promotion — the key promotes again instead of wedging.
-        assert!(matches!(cache.lookup_prefix(3), SweepDecision::Compute));
-        assert_eq!(cache.poison_recoveries(), 1);
-        cache.fulfill_prefix(3, Arc::new(Tensor::ones(&[1])));
-        assert!(matches!(cache.lookup_prefix(3), SweepDecision::Hit(_)));
+        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Compute));
     }
 
     #[test]
@@ -508,7 +296,7 @@ mod tests {
         let _ = cache.lookup_prefix(9);
         cache.fulfill_prefix(9, Arc::clone(&tensor));
         match cache.lookup_prefix(9) {
-            SweepDecision::Hit(hit) => assert!(Arc::ptr_eq(&tensor, &hit)),
+            StoreDecision::Hit(hit) => assert!(Arc::ptr_eq(&tensor, &hit)),
             other => panic!("expected hit, got {other:?}"),
         }
     }

@@ -6,7 +6,7 @@ use crate::metrics;
 use crate::network::SpikingNetwork;
 use crate::optim::Optimizer;
 use crate::{Result, SnnError};
-use falvolt_tensor::{reduce, Tensor};
+use falvolt_tensor::{reduce, CancelToken, Tensor, TensorError};
 
 /// One mini-batch: an input tensor (static `[N, C, H, W]` or temporal
 /// `[N, T, C, H, W]`) and its integer labels.
@@ -163,15 +163,6 @@ impl<O: Optimizer, L: Loss> Trainer<O, L> {
             accuracy: (total_correct / total_samples as f64) as f32,
         })
     }
-
-    /// Evaluates classification accuracy without updating parameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward-pass errors.
-    pub fn evaluate(&self, network: &mut SpikingNetwork, batches: &[Batch]) -> Result<f32> {
-        evaluate(network, batches)
-    }
 }
 
 /// Evaluates classification accuracy of a network over batches (evaluation
@@ -182,6 +173,21 @@ impl<O: Optimizer, L: Loss> Trainer<O, L> {
 /// Returns [`SnnError::InvalidInput`] for an empty batch list and propagates
 /// forward-pass errors.
 pub fn evaluate(network: &mut SpikingNetwork, batches: &[Batch]) -> Result<f32> {
+    evaluate_cancellable(network, batches, None)
+}
+
+/// [`evaluate`] with a cooperative cancellation check before every batch —
+/// bit-identical accuracy when it completes.
+///
+/// # Errors
+///
+/// As [`evaluate`], plus [`TensorError::Cancelled`] (wrapped in
+/// [`SnnError::Tensor`]) once `cancel` trips.
+pub fn evaluate_cancellable(
+    network: &mut SpikingNetwork,
+    batches: &[Batch],
+    cancel: Option<&CancelToken>,
+) -> Result<f32> {
     if batches.is_empty() {
         return Err(SnnError::invalid_input(
             "no batches to evaluate".to_string(),
@@ -190,6 +196,9 @@ pub fn evaluate(network: &mut SpikingNetwork, batches: &[Batch]) -> Result<f32> 
     let mut correct = 0usize;
     let mut total = 0usize;
     for batch in batches {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(TensorError::Cancelled.into());
+        }
         let predictions = network.predict(&batch.input)?;
         correct += predictions
             .iter()
@@ -270,15 +279,20 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_matches_trainer_evaluate() {
+    fn cancellable_evaluate_matches_evaluate_until_cancelled() {
         let config = ArchitectureConfig::tiny_test();
         let mut network = config.build(7).unwrap();
-        let trainer = Trainer::new(Adam::new(1e-3), MseRateLoss::new(), config.classes);
         let batches = toy_batches(&config, 2, 9);
-        let a = trainer.evaluate(&mut network, &batches).unwrap();
+        let token = CancelToken::new();
+        let a = evaluate_cancellable(&mut network, &batches, Some(&token)).unwrap();
         let b = evaluate(&mut network, &batches).unwrap();
         assert_eq!(a, b);
         assert!((0.0..=1.0).contains(&a));
+        token.cancel();
+        assert!(matches!(
+            evaluate_cancellable(&mut network, &batches, Some(&token)),
+            Err(SnnError::Tensor(TensorError::Cancelled))
+        ));
     }
 
     #[test]

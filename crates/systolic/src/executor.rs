@@ -47,12 +47,14 @@
 //! promote-on-second-request policy.
 
 use crate::fault_map::PeMasks;
-use crate::product_cache::{CacheDecision, ProductCache};
+use crate::product_cache::ProductCache;
 use crate::{FaultMap, Result, SystolicConfig, SystolicError, WeightMapping};
 use falvolt_fixedpoint::{Fixed, QFormat};
 use falvolt_tensor::kernels::parallel_panel_rows;
 use falvolt_tensor::simd::{self, Isa, SimdLevel, SimdOp};
-use falvolt_tensor::{CancelToken, Fingerprint, MatmulHint, SpikeIndex, Tensor, TensorError};
+use falvolt_tensor::{
+    CancelToken, Fingerprint, MatmulHint, SpikeIndex, StoreDecision, Tensor, TensorError,
+};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -396,9 +398,9 @@ impl SystolicExecutor {
                     u64::from(format.total_bits()) << 8 | u64::from(format.frac_bits()),
                 );
                 match cache.lookup(key) {
-                    CacheDecision::Hit(shared) => (Some(shared), None),
-                    CacheDecision::Compute => (None, Some(key)),
-                    CacheDecision::Skip => (None, None),
+                    StoreDecision::Hit(shared) => (Some(shared), None),
+                    StoreDecision::Compute => (None, Some(key)),
+                    StoreDecision::Skip => (None, None),
                 }
             }
             None => (None, None),
@@ -555,13 +557,13 @@ fn fault_free_product(
     if let Some(cache) = cache {
         let key = product_key("float", activations, weights, m, k, n, hint_tag(hint));
         match cache.lookup(key) {
-            CacheDecision::Hit(shared) => return shared.as_ref().clone(),
-            CacheDecision::Compute => {
+            StoreDecision::Hit(shared) => return shared.as_ref().clone(),
+            StoreDecision::Compute => {
                 let out = Arc::new(dispatch());
                 cache.fulfill(key, Arc::clone(&out));
                 return out.as_ref().clone();
             }
-            CacheDecision::Skip => {}
+            StoreDecision::Skip => {}
         }
     }
     dispatch()
@@ -591,13 +593,13 @@ fn quantized_weight_table(
     fp.write_u64(weights.content_id());
     let key = fp.finish();
     match cache.lookup_qweights(key) {
-        CacheDecision::Hit(table) => Some(table),
-        CacheDecision::Compute => {
+        StoreDecision::Hit(table) => Some(table),
+        StoreDecision::Compute => {
             let table: Arc<Vec<i32>> = Arc::new(w.iter().map(|&x| format.quantize(x)).collect());
             cache.fulfill_qweights(key, Arc::clone(&table));
             Some(table)
         }
-        CacheDecision::Skip => None,
+        StoreDecision::Skip => None,
     }
 }
 

@@ -60,7 +60,6 @@ pub mod fault_map;
 pub mod mapping;
 pub mod pe;
 pub mod product_cache;
-pub mod shared_store;
 
 pub use array::SystolicArray;
 pub use config::SystolicConfig;
@@ -70,8 +69,7 @@ pub use fault::{Fault, PeCoord, StuckAt};
 pub use fault_map::{FaultMap, PeMasks};
 pub use mapping::WeightMapping;
 pub use pe::ProcessingElement;
-pub use product_cache::{CacheDecision, ProductCache};
-pub use shared_store::{SharedStore, StoreDecision};
+pub use product_cache::ProductCache;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, SystolicError>;

@@ -18,7 +18,7 @@
 //! ([`ProductCache::lookup_qweights`]).
 //!
 //! Both stores follow the **promote-on-second-request** protocol of
-//! [`crate::SharedStore`]: mid-network activations diverge across scenarios
+//! [`SharedStore`]: mid-network activations diverge across scenarios
 //! (different corruption → different spikes), so the first sighting of a key
 //! only records interest and a second sighting proves the key is shared.
 //! Encoder products promote on the second scenario; per-scenario suffix
@@ -30,22 +30,17 @@
 //! accumulator format), so sharing cannot change results — sweeps remain
 //! bit-identical to the per-clone baseline.
 
-use crate::shared_store::SharedStore;
+use falvolt_tensor::{SharedStore, StoreDecision};
 use std::fmt;
 use std::sync::Arc;
 
 /// Default bound on value-bearing (promoted) keys per store.
 const DEFAULT_CAPACITY: usize = 512;
 
-/// What the caller should do after a cache lookup — the shared-store
-/// decision, defaulted to the clean-product value type.
-pub use crate::shared_store::StoreDecision as CacheDecision;
-
 /// Shared clean-product and quantized-weight store (see the module docs).
 pub struct ProductCache {
     products: SharedStore<Vec<f32>>,
     qweights: SharedStore<Vec<i32>>,
-    capacity: usize,
 }
 
 impl Default for ProductCache {
@@ -63,9 +58,8 @@ impl ProductCache {
     /// Creates an empty cache promoting at most `capacity` keys per store.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            products: SharedStore::new(),
-            qweights: SharedStore::new(),
-            capacity,
+            products: SharedStore::new(capacity),
+            qweights: SharedStore::new(capacity),
         }
     }
 
@@ -74,12 +68,12 @@ impl ProductCache {
     /// transitions the slot to an in-flight state, so concurrent workers
     /// racing on the same key fall back to inline computation of their own
     /// subset instead of all duplicating the full shared product.
-    pub fn lookup(&self, key: u128) -> CacheDecision<Vec<f32>> {
-        self.products.lookup(key, self.capacity, false)
+    pub fn lookup(&self, key: u128) -> StoreDecision<Vec<f32>> {
+        self.products.lookup(key, false)
     }
 
     /// Stores a computed clean product for a key previously answered with
-    /// [`CacheDecision::Compute`]. Discarded (never served) if the
+    /// [`StoreDecision::Compute`]. Discarded (never served) if the
     /// promotion was quarantined in the meantime.
     pub fn fulfill(&self, key: u128, value: Arc<Vec<f32>>) {
         // Under audit, a key fulfilled twice (first write quarantined, a
@@ -102,12 +96,12 @@ impl ProductCache {
     /// Looks up a quantized-weight table (`quantize(w[p, j])` for every
     /// weight element, the per-event contribution of binary activations).
     /// Same promote-on-second-request protocol as [`ProductCache::lookup`].
-    pub fn lookup_qweights(&self, key: u128) -> CacheDecision<Vec<i32>> {
-        self.qweights.lookup(key, self.capacity, false)
+    pub fn lookup_qweights(&self, key: u128) -> StoreDecision<Vec<i32>> {
+        self.qweights.lookup(key, false)
     }
 
     /// Stores a quantized-weight table previously answered with
-    /// [`CacheDecision::Compute`].
+    /// [`StoreDecision::Compute`].
     pub fn fulfill_qweights(&self, key: u128, value: Arc<Vec<i32>>) {
         #[cfg(feature = "audit")]
         falvolt_tensor::audit::check_fulfill(
@@ -186,11 +180,11 @@ mod tests {
     #[test]
     fn promotes_on_second_request_then_hits() {
         let cache = ProductCache::new();
-        assert!(matches!(cache.lookup(7), CacheDecision::Skip));
-        assert!(matches!(cache.lookup(7), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(7), StoreDecision::Skip));
+        assert!(matches!(cache.lookup(7), StoreDecision::Compute));
         cache.fulfill(7, Arc::new(vec![1.0, 2.0]));
         match cache.lookup(7) {
-            CacheDecision::Hit(v) => assert_eq!(v.as_slice(), &[1.0, 2.0]),
+            StoreDecision::Hit(v) => assert_eq!(v.as_slice(), &[1.0, 2.0]),
             other => panic!("expected hit, got {other:?}"),
         }
         assert_eq!((cache.skips(), cache.promotions(), cache.hits()), (1, 1, 1));
@@ -202,27 +196,27 @@ mod tests {
     #[test]
     fn only_one_caller_is_told_to_compute() {
         let cache = ProductCache::new();
-        assert!(matches!(cache.lookup(21), CacheDecision::Skip));
-        assert!(matches!(cache.lookup(21), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(21), StoreDecision::Skip));
+        assert!(matches!(cache.lookup(21), StoreDecision::Compute));
         // While the promoted worker computes, racing workers skip (inline
         // subset computation) instead of duplicating the full product.
-        assert!(matches!(cache.lookup(21), CacheDecision::Skip));
+        assert!(matches!(cache.lookup(21), StoreDecision::Skip));
         cache.fulfill(21, Arc::new(vec![4.0]));
-        assert!(matches!(cache.lookup(21), CacheDecision::Hit(_)));
+        assert!(matches!(cache.lookup(21), StoreDecision::Hit(_)));
     }
 
     #[test]
     fn value_capacity_bounds_promotions_not_pending_markers() {
         let cache = ProductCache::with_capacity(1);
         // Key 31 takes the single value slot.
-        assert!(matches!(cache.lookup(31), CacheDecision::Skip));
-        assert!(matches!(cache.lookup(31), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(31), StoreDecision::Skip));
+        assert!(matches!(cache.lookup(31), StoreDecision::Compute));
         cache.fulfill(31, Arc::new(vec![2.0]));
         // Key 32 is tracked (cheap Pending marker) but can never promote
         // while the value capacity is used up — and key 31 still hits.
-        assert!(matches!(cache.lookup(32), CacheDecision::Skip));
-        assert!(matches!(cache.lookup(32), CacheDecision::Skip));
-        assert!(matches!(cache.lookup(31), CacheDecision::Hit(_)));
+        assert!(matches!(cache.lookup(32), StoreDecision::Skip));
+        assert!(matches!(cache.lookup(32), StoreDecision::Skip));
+        assert!(matches!(cache.lookup(31), StoreDecision::Hit(_)));
         assert_eq!(cache.len(), 2);
     }
 
@@ -230,40 +224,40 @@ mod tests {
     fn quarantine_spans_both_stores_and_discards_stale_fulfills() {
         let cache = ProductCache::new();
         let _ = cache.lookup(41);
-        assert!(matches!(cache.lookup(41), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(41), StoreDecision::Compute));
         let _ = cache.lookup_qweights(42);
-        assert!(matches!(cache.lookup_qweights(42), CacheDecision::Compute));
+        assert!(matches!(cache.lookup_qweights(42), StoreDecision::Compute));
         assert_eq!(cache.quarantine_in_flight(), 2);
         assert_eq!(cache.quarantined(), 2);
         // Stale writes from the quarantined workers are discarded.
         cache.fulfill(41, Arc::new(vec![1.0]));
         cache.fulfill_qweights(42, Arc::new(vec![5]));
         assert_eq!(cache.discarded_fulfills(), 2);
-        assert!(matches!(cache.lookup(41), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(41), StoreDecision::Compute));
     }
 
     #[test]
     fn abandon_releases_a_clean_product_promotion() {
         let cache = ProductCache::with_capacity(1);
         let _ = cache.lookup(4);
-        assert!(matches!(cache.lookup(4), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(4), StoreDecision::Compute));
         cache.abandon(4);
-        assert!(matches!(cache.lookup(4), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(4), StoreDecision::Compute));
     }
 
     #[test]
     fn qweight_store_is_independent_of_the_product_store() {
         let cache = ProductCache::new();
         // Same key, different stores: promotions do not interfere.
-        assert!(matches!(cache.lookup(9), CacheDecision::Skip));
-        assert!(matches!(cache.lookup_qweights(9), CacheDecision::Skip));
-        assert!(matches!(cache.lookup_qweights(9), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(9), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_qweights(9), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_qweights(9), StoreDecision::Compute));
         cache.fulfill_qweights(9, Arc::new(vec![3, -4]));
         match cache.lookup_qweights(9) {
-            CacheDecision::Hit(v) => assert_eq!(v.as_slice(), &[3, -4]),
+            StoreDecision::Hit(v) => assert_eq!(v.as_slice(), &[3, -4]),
             other => panic!("expected hit, got {other:?}"),
         }
         // The product store still sees its own promotion protocol.
-        assert!(matches!(cache.lookup(9), CacheDecision::Compute));
+        assert!(matches!(cache.lookup(9), StoreDecision::Compute));
     }
 }

@@ -12,7 +12,9 @@
 //! * `im2col`/`col2im` and convolution / pooling kernels used by the SNN
 //!   layers ([`ops`]),
 //! * reductions and classification helpers ([`reduce`]),
-//! * random initializers ([`init`]).
+//! * random initializers ([`init`]),
+//! * the promote-on-second-request store behind every sweep-sharing cache
+//!   ([`SharedStore`]).
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ pub mod init;
 pub mod kernels;
 pub mod ops;
 pub mod reduce;
+pub mod shared_store;
 pub mod simd;
 pub mod spikes;
 
@@ -55,6 +58,7 @@ pub use error::TensorError;
 pub use fingerprint::Fingerprint;
 pub use kernels::{MatmulHint, OperandProfile};
 pub use shape::Shape;
+pub use shared_store::{SharedStore, StoreDecision};
 pub use spikes::{SharedSpikeIndex, SpikeIndex};
 pub use tensor::Tensor;
 

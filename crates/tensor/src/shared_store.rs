@@ -1,14 +1,18 @@
 //! Generic promote-on-second-request value store.
 //!
-//! Several sweep-sharing caches follow the same protocol: the first sighting
-//! of a key only records interest (compute inline, store nothing), a second
+//! The sweep-sharing caches follow one protocol: the first sighting of a
+//! key only records interest (compute inline, store nothing), a second
 //! sighting proves the key is shared across workers (that caller computes
 //! and fulfils the shared value), and everyone after hits. Exactly one
 //! caller per key is ever told to compute — racers fall back to inline
-//! computation while the value is in flight. [`SharedStore`] is the single
-//! implementation behind the clean-product and quantized-weight stores of
-//! [`crate::ProductCache`] and the multi-map batch store of the experiment
-//! layer, so the subtle locking logic lives in one place.
+//! computation while the value is in flight. [`SharedStore`] backs five
+//! stores:
+//!
+//! * the stateless-prefix outputs and the im2col lowerings of
+//!   `falvolt_snn::SweepCache`;
+//! * the clean products and the quantized-weight tables of
+//!   `falvolt_systolic::ProductCache`;
+//! * the multi-map batched products of `falvolt::ScenarioProducts`.
 //!
 //! # Resilience
 //!
@@ -94,6 +98,8 @@ impl<T> Inner<T> {
 /// One promote-on-second-request store (see the module docs).
 pub struct SharedStore<T> {
     inner: Mutex<Inner<T>>,
+    /// Bound on promoted (value-bearing) keys.
+    capacity: usize,
     hits: AtomicUsize,
     promotions: AtomicUsize,
     skips: AtomicUsize,
@@ -102,14 +108,16 @@ pub struct SharedStore<T> {
     poison_recoveries: AtomicUsize,
 }
 
-impl<T> Default for SharedStore<T> {
-    fn default() -> Self {
+impl<T> SharedStore<T> {
+    /// Creates an empty store promoting at most `capacity` keys.
+    pub fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 slots: HashMap::new(),
                 promoted: 0,
                 generation: 0,
             }),
+            capacity,
             hits: AtomicUsize::new(0),
             promotions: AtomicUsize::new(0),
             skips: AtomicUsize::new(0),
@@ -117,13 +125,6 @@ impl<T> Default for SharedStore<T> {
             discarded_fulfills: AtomicUsize::new(0),
             poison_recoveries: AtomicUsize::new(0),
         }
-    }
-}
-
-impl<T> SharedStore<T> {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
     }
 
     /// The poison-recovering lock accessor. A panicked holder may have left
@@ -159,11 +160,12 @@ impl<T> SharedStore<T> {
         guard
     }
 
-    /// Looks `key` up under a `capacity` bound on promoted values. `eager`
-    /// callers know their key is shared by construction (the value is being
-    /// computed either way, fulfilment just keeps it), so a first sighting
-    /// promotes immediately instead of waiting for a second worker.
-    pub fn lookup(&self, key: u128, capacity: usize, eager: bool) -> StoreDecision<T> {
+    /// Looks `key` up. `eager` callers know their key is shared by
+    /// construction (the value is being computed either way, fulfilment just
+    /// keeps it), so a first sighting promotes immediately instead of
+    /// waiting for a second worker.
+    pub fn lookup(&self, key: u128, eager: bool) -> StoreDecision<T> {
+        let capacity = self.capacity;
         let mut inner = self.guard();
         let generation = inner.generation;
         match inner.slots.get(&key) {
@@ -307,34 +309,34 @@ mod tests {
 
     #[test]
     fn promote_on_second_then_hit_and_abandon_releases() {
-        let store: SharedStore<Vec<u8>> = SharedStore::new();
-        assert!(matches!(store.lookup(1, 4, false), StoreDecision::Skip));
-        assert!(matches!(store.lookup(1, 4, false), StoreDecision::Compute));
+        let store: SharedStore<Vec<u8>> = SharedStore::new(4);
+        assert!(matches!(store.lookup(1, false), StoreDecision::Skip));
+        assert!(matches!(store.lookup(1, false), StoreDecision::Compute));
         // In flight: racers skip; abandon returns the key to Pending.
-        assert!(matches!(store.lookup(1, 4, false), StoreDecision::Skip));
+        assert!(matches!(store.lookup(1, false), StoreDecision::Skip));
         store.abandon(1);
-        assert!(matches!(store.lookup(1, 4, false), StoreDecision::Compute));
+        assert!(matches!(store.lookup(1, false), StoreDecision::Compute));
         store.fulfill(1, Arc::new(vec![7]));
-        assert!(matches!(store.lookup(1, 4, false), StoreDecision::Hit(_)));
+        assert!(matches!(store.lookup(1, false), StoreDecision::Hit(_)));
         assert_eq!((store.hits(), store.promotions()), (1, 2));
     }
 
     #[test]
     fn eager_promotes_on_first_sighting_within_capacity() {
-        let store: SharedStore<u32> = SharedStore::new();
-        assert!(matches!(store.lookup(5, 1, true), StoreDecision::Compute));
+        let store: SharedStore<u32> = SharedStore::new(1);
+        assert!(matches!(store.lookup(5, true), StoreDecision::Compute));
         store.fulfill(5, Arc::new(9));
         // Capacity exhausted: further eager first-sightings degrade to the
         // pending protocol.
-        assert!(matches!(store.lookup(6, 1, true), StoreDecision::Skip));
-        assert!(matches!(store.lookup(5, 1, true), StoreDecision::Hit(_)));
+        assert!(matches!(store.lookup(6, true), StoreDecision::Skip));
+        assert!(matches!(store.lookup(5, true), StoreDecision::Hit(_)));
     }
 
     #[test]
     fn quarantine_reverts_in_flight_promotions_and_discards_stale_fulfills() {
-        let store: SharedStore<u32> = SharedStore::new();
-        assert!(matches!(store.lookup(1, 4, true), StoreDecision::Compute));
-        assert!(matches!(store.lookup(2, 4, true), StoreDecision::Compute));
+        let store: SharedStore<u32> = SharedStore::new(4);
+        assert!(matches!(store.lookup(1, true), StoreDecision::Compute));
+        assert!(matches!(store.lookup(2, true), StoreDecision::Compute));
         assert_eq!(store.generation(), 0);
         // A worker panicked mid-promotion: both in-flight slots revert.
         assert_eq!(store.quarantine_in_flight(), 2);
@@ -344,12 +346,12 @@ mod tests {
         store.fulfill(1, Arc::new(13));
         assert_eq!(store.discarded_fulfills(), 1);
         assert!(
-            matches!(store.lookup(1, 4, false), StoreDecision::Compute),
+            matches!(store.lookup(1, false), StoreDecision::Compute),
             "a quarantined key must re-promote, not serve the stale value"
         );
         // The re-promoted computation fulfils normally.
         store.fulfill(1, Arc::new(42));
-        match store.lookup(1, 4, false) {
+        match store.lookup(1, false) {
             StoreDecision::Hit(v) => assert_eq!(*v, 42),
             other => panic!("expected hit, got {other:?}"),
         }
@@ -357,25 +359,25 @@ mod tests {
 
     #[test]
     fn quarantine_keeps_fulfilled_values_and_releases_capacity() {
-        let store: SharedStore<u32> = SharedStore::new();
-        assert!(matches!(store.lookup(1, 1, true), StoreDecision::Compute));
+        let store: SharedStore<u32> = SharedStore::new(1);
+        assert!(matches!(store.lookup(1, true), StoreDecision::Compute));
         store.fulfill(1, Arc::new(5));
         // Capacity 1 is used by the Ready value; nothing is in flight.
         assert_eq!(store.quarantine_in_flight(), 0);
-        assert!(matches!(store.lookup(1, 1, false), StoreDecision::Hit(_)));
+        assert!(matches!(store.lookup(1, false), StoreDecision::Hit(_)));
         // An in-flight promotion at full capacity: quarantining it releases
         // the capacity it held.
-        let store: SharedStore<u32> = SharedStore::new();
-        assert!(matches!(store.lookup(1, 1, true), StoreDecision::Compute));
-        assert!(matches!(store.lookup(2, 1, true), StoreDecision::Skip));
+        let store: SharedStore<u32> = SharedStore::new(1);
+        assert!(matches!(store.lookup(1, true), StoreDecision::Compute));
+        assert!(matches!(store.lookup(2, true), StoreDecision::Skip));
         assert_eq!(store.quarantine_in_flight(), 1);
-        assert!(matches!(store.lookup(2, 1, false), StoreDecision::Compute));
+        assert!(matches!(store.lookup(2, false), StoreDecision::Compute));
     }
 
     #[test]
     fn poisoned_lock_recovers_and_quarantines_in_flight() {
-        let store: Arc<SharedStore<u32>> = Arc::new(SharedStore::new());
-        assert!(matches!(store.lookup(1, 4, true), StoreDecision::Compute));
+        let store: Arc<SharedStore<u32>> = Arc::new(SharedStore::new(4));
+        assert!(matches!(store.lookup(1, true), StoreDecision::Compute));
         // Poison the mutex: a worker dies while holding the lock.
         let poisoner = Arc::clone(&store);
         let _ = std::thread::spawn(move || {
@@ -390,17 +392,17 @@ mod tests {
         assert_eq!(store.poison_recoveries(), 1);
         assert_eq!(store.quarantined(), 1);
         assert!(!store.inner.is_poisoned(), "poison is cleared on recovery");
-        assert!(matches!(store.lookup(1, 4, false), StoreDecision::Compute));
+        assert!(matches!(store.lookup(1, false), StoreDecision::Compute));
         store.fulfill(1, Arc::new(7));
-        assert!(matches!(store.lookup(1, 4, false), StoreDecision::Hit(_)));
+        assert!(matches!(store.lookup(1, false), StoreDecision::Hit(_)));
     }
 
     #[test]
     fn fulfill_without_promotion_is_discarded() {
-        let store: SharedStore<u32> = SharedStore::new();
+        let store: SharedStore<u32> = SharedStore::new(4);
         // Never promoted: the write has no in-flight slot to land on.
         store.fulfill(9, Arc::new(1));
         assert_eq!(store.discarded_fulfills(), 1);
-        assert!(matches!(store.lookup(9, 4, false), StoreDecision::Skip));
+        assert!(matches!(store.lookup(9, false), StoreDecision::Skip));
     }
 }

@@ -10,9 +10,9 @@
 #![cfg(feature = "audit")]
 
 use falvolt_snn::config::ArchitectureConfig;
-use falvolt_snn::sweep_cache::{SweepCache, SweepDecision};
-use falvolt_systolic::{CacheDecision, ProductCache};
-use falvolt_tensor::{audit, Tensor};
+use falvolt_snn::sweep_cache::SweepCache;
+use falvolt_systolic::ProductCache;
+use falvolt_tensor::{audit, StoreDecision, Tensor};
 use std::sync::Arc;
 
 fn tensor(data: &[f32]) -> Tensor {
@@ -51,7 +51,7 @@ fn a_forged_id_over_different_bytes_panics() {
 fn product_cache_rejects_fulfil_twice_with_different_bytes() {
     let cache = ProductCache::new();
     let _ = cache.lookup(42);
-    assert!(matches!(cache.lookup(42), CacheDecision::Compute));
+    assert!(matches!(cache.lookup(42), StoreDecision::Compute));
     cache.fulfill(42, Arc::new(vec![1.0, 2.0]));
     // Byte-identical refulfilment (a quarantined worker's recompute) is
     // legal — the store discards it, the audit accepts it.
@@ -66,12 +66,12 @@ fn product_cache_rejects_fulfil_twice_with_different_bytes() {
 fn qweight_store_is_audited_separately_from_products() {
     let cache = ProductCache::new();
     let _ = cache.lookup_qweights(7);
-    assert!(matches!(cache.lookup_qweights(7), CacheDecision::Compute));
+    assert!(matches!(cache.lookup_qweights(7), StoreDecision::Compute));
     cache.fulfill_qweights(7, Arc::new(vec![3, -4]));
     // The product store may hold different bytes under the same key value —
     // the stores are distinct namespaces.
     let _ = cache.lookup(7);
-    assert!(matches!(cache.lookup(7), CacheDecision::Compute));
+    assert!(matches!(cache.lookup(7), StoreDecision::Compute));
     cache.fulfill(7, Arc::new(vec![0.5]));
     let outcome = std::panic::catch_unwind(|| cache.fulfill_qweights(7, Arc::new(vec![3, 4])));
     assert!(outcome.is_err());
@@ -81,7 +81,7 @@ fn qweight_store_is_audited_separately_from_products() {
 fn sweep_cache_audits_prefix_and_lowered_fulfilments() {
     let cache = SweepCache::new();
     let _ = cache.lookup_prefix(11);
-    assert!(matches!(cache.lookup_prefix(11), SweepDecision::Compute));
+    assert!(matches!(cache.lookup_prefix(11), StoreDecision::Compute));
     cache.fulfill_prefix(11, Arc::new(tensor(&[1.0, 0.0, 1.0])));
     cache.fulfill_prefix(11, Arc::new(tensor(&[1.0, 0.0, 1.0])));
     let bad = tensor(&[0.0, 0.0, 0.0]);
@@ -94,7 +94,7 @@ fn sweep_cache_audits_prefix_and_lowered_fulfilments() {
     // is fine there.
     assert!(matches!(
         cache.lookup_lowered_eager(11),
-        SweepDecision::Compute
+        StoreDecision::Compute
     ));
     cache.fulfill_lowered(11, Arc::new(tensor(&[5.0])));
 }
