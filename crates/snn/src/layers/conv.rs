@@ -4,15 +4,43 @@ use crate::layers::{ForwardContext, Layer};
 use crate::param::Param;
 use crate::{Result, SnnError};
 use falvolt_tensor::ops::{self, Conv2dDims};
-use falvolt_tensor::{init, Fingerprint, MatmulHint, OperandProfile, StoreDecision, Tensor};
+use falvolt_tensor::{
+    init, Fingerprint, MatmulHint, OperandProfile, SpikeIndex, StoreDecision, Tensor,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct StepCache {
-    cols: Tensor,
+    cols: SavedLowering,
     dims: Conv2dDims,
+}
+
+/// The lowering a training step keeps for its backward pass: only the CSR
+/// index when the input was an indexed spike frame (the `{0, 1}` matrix is
+/// dropped after the forward product), the dense matrix otherwise (the
+/// encoder's analog input).
+#[derive(Debug, Clone)]
+enum SavedLowering {
+    Dense(Tensor),
+    Spikes(Arc<SpikeIndex>),
+}
+
+impl SavedLowering {
+    fn keep(cols: Tensor) -> Self {
+        match cols.spike_index() {
+            Some(index) => SavedLowering::Spikes(Arc::clone(index)),
+            None => SavedLowering::Dense(cols),
+        }
+    }
+
+    fn lowering(&self) -> ops::Lowering<'_> {
+        match self {
+            SavedLowering::Dense(cols) => ops::Lowering::Dense(cols),
+            SavedLowering::Spikes(index) => ops::Lowering::Spikes(index),
+        }
+    }
 }
 
 /// A 2-D convolution over `[N, C, H, W]` inputs with square kernels.
@@ -266,7 +294,7 @@ impl Layer for Conv2d {
         let mut feature_map = ops::rows_to_feature_map(&rows, &dims)?;
         ops::add_channel_bias(&mut feature_map, self.bias.value())?;
         if ctx.mode.is_train() {
-            let cols = local_cols.expect("training lowers locally");
+            let cols = SavedLowering::keep(local_cols.expect("training lowers locally"));
             self.caches.push(StepCache { cols, dims });
         }
         Ok(feature_map)
@@ -274,18 +302,22 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         let cache = self.pop_cache()?;
-        let grads =
-            ops::conv2d_backward(grad_output, &cache.cols, self.weight.value(), &cache.dims)?;
+        let grads = ops::conv2d_backward(
+            grad_output,
+            cache.cols.lowering(),
+            self.weight.value(),
+            &cache.dims,
+        )?;
         self.weight.accumulate_grad(&grads.grad_weight)?;
         self.bias.accumulate_grad(&grads.grad_bias)?;
         Ok(grads.grad_input)
     }
 
     fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Result<()> {
-        // Skips the `grad_rows @ W` product and its col2im.
+        // Skips the input gradient and its `grad_rows @ W` product.
         let cache = self.pop_cache()?;
         let (grad_weight, grad_bias) =
-            ops::conv2d_param_grads(grad_output, &cache.cols, &cache.dims)?;
+            ops::conv2d_param_grads(grad_output, cache.cols.lowering(), &cache.dims)?;
         self.weight.accumulate_grad(&grad_weight)?;
         self.bias.accumulate_grad(&grad_bias)?;
         Ok(())

@@ -56,11 +56,12 @@ pub struct ForwardContext<'a> {
     pub backend: &'a dyn MatmulBackend,
     /// The spike-event kernel switch. On, layers may probe their
     /// activations and pass operand-structure hints to the backend, and
-    /// evaluation-mode spiking layers attach a CSR
-    /// [`falvolt_tensor::SpikeIndex`] to their outputs (downstream layers
-    /// propagate it), so the im2col lowering carries its own index and
-    /// products walk the index instead of probing. Off pins every product
-    /// to the dense blocked kernel — the engine-off baseline.
+    /// spiking layers attach a CSR [`falvolt_tensor::SpikeIndex`] to their
+    /// outputs (downstream layers propagate it), so the im2col lowering
+    /// carries its own index, products walk the index instead of probing,
+    /// and in training a convolution keeps only that index for its weight
+    /// gradient. Off pins every product to the dense blocked kernel — the
+    /// engine-off baseline.
     pub spike_hints: bool,
     /// Sweep-driver-owned cross-call cache, when the network is evaluating
     /// inside a scenario sweep. Layers may use it to share backend-independent

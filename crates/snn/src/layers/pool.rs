@@ -121,8 +121,9 @@ impl Layer for MaxPool2d {
         // Max pooling preserves the binary amplitude of spikes, so a spike
         // input yields a spike output: re-index it (one O(len) scan of the
         // smaller pooled tensor) to keep the event stream flowing into the
-        // next convolution block.
-        if input.spike_index().is_some() && !ctx.mode.is_train() {
+        // next convolution block (in training too: its index is all that
+        // convolution keeps for its weight gradient).
+        if input.spike_index().is_some() {
             if let Some(cols) = output.shape().last().copied().filter(|&c| c > 0) {
                 if let Some(index) = falvolt_tensor::SpikeIndex::from_dense(output.data(), cols) {
                     output.attach_spike_index(std::sync::Arc::new(index));

@@ -26,12 +26,13 @@ use falvolt_tensor::Tensor;
 /// drives the learnable threshold toward zero.
 const MIN_THRESHOLD: f32 = 0.05;
 
+/// One training step's tape. The spikes are not kept: backward recomputes
+/// them from `charged` with the forward's expression.
 #[derive(Debug, Clone)]
 struct StepCache {
     input: Tensor,
     v_prev: Tensor,
     charged: Tensor,
-    spikes: Tensor,
 }
 
 /// A layer of LIF/PLIF spiking neurons with a shared, optionally learnable,
@@ -160,16 +161,17 @@ impl Layer for SpikingLayer {
                 input: input.clone(),
                 v_prev,
                 charged,
-                spikes: spikes.clone(),
             });
-        } else if ctx.spike_hints {
+        }
+        if ctx.spike_hints {
             // Emit the spike event stream directly: the firing layer is the
             // one place that knows exactly which elements are nonzero, so it
             // indexes them once (CSR over last-dimension rows) and every
             // downstream consumer — im2col, the gather-accumulate kernel,
-            // the systolic executor's event walk — reads the index instead
-            // of re-probing the dense buffer. Spikes are binary by
-            // construction, so `from_dense` always succeeds.
+            // the systolic executor's event walk, and in training the conv
+            // weight gradient — reads the index instead of re-probing the
+            // dense buffer. Spikes are binary by construction, so
+            // `from_dense` always succeeds.
             if let Some(cols) = spikes.shape().last().copied().filter(|&c| c > 0) {
                 if let Some(index) = falvolt_tensor::SpikeIndex::from_dense(spikes.data(), cols) {
                     spikes.attach_spike_index(std::sync::Arc::new(index));
@@ -186,12 +188,12 @@ impl Layer for SpikingLayer {
             .ok_or_else(|| SnnError::MissingForwardState {
                 layer: self.name.clone(),
             })?;
-        if grad_output.shape() != cache.spikes.shape() {
+        if grad_output.shape() != cache.charged.shape() {
             return Err(SnnError::invalid_input(format!(
                 "spiking layer '{}' got gradient of shape {:?}, expected {:?}",
                 self.name,
                 grad_output.shape(),
-                cache.spikes.shape()
+                cache.charged.shape()
             )));
         }
 
@@ -215,18 +217,19 @@ impl Layer for SpikingLayer {
             let go = grad_output.data();
             let gv = grad_v_carry.data();
             let h = cache.charged.data();
-            let s = cache.spikes.data();
             let x = cache.input.data();
             let vp = cache.v_prev.data();
             let gi = grad_input.data_mut();
             let gvp = grad_v_prev.data_mut();
 
             for i in 0..n {
+                // The forward's expression, so `s` is the spike it fired.
                 let z = h[i] / v_threshold - 1.0;
+                let s = heaviside(z);
                 let sg = surrogate.grad(z);
                 // dL/dh through the spike output and through the (detached-
                 // reset) membrane update v = (1 - s) h + s v_reset.
-                let dl_dh = go[i] * sg / v_threshold + gv[i] * (1.0 - s[i]);
+                let dl_dh = go[i] * sg / v_threshold + gv[i] * (1.0 - s);
                 // Threshold gradient, Eq. (4): dz/dV = -h / V^2.
                 grad_threshold_acc +=
                     (go[i] * sg) as f64 * (-(h[i]) / (v_threshold * v_threshold)) as f64;

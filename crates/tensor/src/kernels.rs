@@ -19,6 +19,29 @@
 //! results differ from the naive triple loop only by floating-point
 //! re-association across k-block boundaries (bounded by ~`k * eps`).
 //!
+//! # Accumulation contract
+//!
+//! [`matmul`] fixes exactly which additions each output cell receives, and
+//! every kernel that claims its bits ([`matmul_spike_rhs`],
+//! [`conv_input_grad_into`]) follows the same rule:
+//!
+//! * **Tile rows** are the first `m - m % MR` rows, grouped in [`MR`]-row
+//!   tiles; the last `m % MR` rows are **tail rows**.
+//! * **Strip columns** are the first `n - n % w` columns, where `w` is
+//!   [`NR`] under [`Isa::Scalar`] and the vector width otherwise; the rest
+//!   are **tail columns**.
+//! * A cell in a tile row *and* a strip column sums each [`KC`] block of
+//!   `k` separately, from `+0` in increasing `k`, and adds the block sums
+//!   onto the cell block by block.
+//! * Every other cell is one running chain: its products are added
+//!   straight onto the cell in increasing `k`, skipping zero lhs entries.
+//! * Strip columns fuse each multiply-add under a vector level (one
+//!   rounding); the scalar engine and every tail column round the product
+//!   and the sum separately.
+//!
+//! Row panels split at multiples of `MR` rows ([`parallel_panel_rows`]), so
+//! a row's class, and every result bit, is the same at every thread count.
+//!
 //! # Event-driven kernels
 //!
 //! Activations downstream of a spiking layer are binary `{0, 1}` tensors
@@ -49,11 +72,18 @@
 //! buffer. At spike densities the scatter beats the full gather, and on
 //! small, near-silent frames it costs little more than the row count.
 //!
-//! [`col2im_into`] is the exact adjoint: it scatter-adds each row into the
-//! padded buffer through the same offsets, then crops. Rows are visited in
-//! order and each row's columns in order, so every in-bounds pixel receives
-//! the same additions in the same order as a bounds-checked walk of the
-//! windows, and the result is bit-identical to it.
+//! The convolution's input gradient is the adjoint lowering of
+//! `grad_rows @ weight`. [`conv_input_grad_into`] never builds either
+//! matrix: it computes a few [`MR`]-aligned rows at a time with
+//! [`matmul`]'s panel kernel and scatter-adds each row into the padded
+//! buffer through the same offsets, then crops. Rows are visited in order
+//! and each row's columns in order, so every in-bounds pixel receives the
+//! same additions in the same order as a bounds-checked walk of the windows
+//! over the whole product, and the result is bit-identical to it.
+//!
+//! The weight gradient `gradᵀ @ cols` of a spike lowering runs as
+//! [`matmul_spike_rhs`], a walk over the lowering's CSR index that keeps
+//! [`matmul`]'s accumulation contract.
 
 use crate::simd::{self, Isa, SimdLevel, SimdOp};
 use crate::spikes::SpikeIndex;
@@ -75,14 +105,16 @@ const PARALLEL_WORK_THRESHOLD: usize = 1 << 16;
 /// `rows` serially: this thread's budget is one thread, or `work` is below
 /// the parallel threshold. `Some(h)` means split them into panels of `h`
 /// rows, about two per thread so the queue stays balanced when row costs
-/// vary (sparse spike rows), and never fewer than `min_rows`. Panels split
-/// only between rows, so the choice never changes a result bit.
+/// vary (sparse spike rows). `h` is a nonzero multiple of `min_rows`, so a
+/// kernel that groups rows by `min_rows` (the [`MR`]-row tiles of
+/// [`matmul`]) sees the same groups in every panel split as in a serial
+/// run, and the split never changes a result bit.
 pub fn parallel_panel_rows(rows: usize, work: usize, min_rows: usize) -> Option<usize> {
     let threads = rayon::current_num_threads();
     if threads <= 1 || work < PARALLEL_WORK_THRESHOLD {
         return None;
     }
-    Some(rows.div_ceil(threads * 2).max(min_rows))
+    Some(rows.div_ceil(threads * 2).max(1).next_multiple_of(min_rows))
 }
 
 /// Reference matrix product — the seed's straightforward `i-k-j` triple loop
@@ -1028,6 +1060,127 @@ fn indexed_row(cols: &[u32], b: &[f32], out_row: &mut [f32], n: usize) {
     }
 }
 
+/// `a (m x k) @ b (k x n)` for a binary right-hand side given only by its
+/// CSR index (row `p` lists the columns `j` where `b[p][j] = 1`): the
+/// weight gradient `gradᵀ @ cols` of a convolution whose lowering is a
+/// spike matrix. Walks the spike events instead of the `k x n` matrix, so it
+/// costs `O(nnz * m + k * m)` instead of `O(m * k * n)`.
+///
+/// For finite `a` the result equals [`matmul`] on the dense `b` bit for
+/// bit, under the accumulation contract in the module docs: a product with
+/// `b = 1` is the lhs entry itself (fused or not), a product with `b = 0`
+/// adds a zero that leaves a sum started at `+0` unchanged, so each cell
+/// receives exactly the lhs entries of its events, per `KC` block for a
+/// tile-row strip-column cell and in one running chain otherwise.
+/// Parallelised over output columns; a column's additions never depend on
+/// the split.
+///
+/// # Panics
+///
+/// Panics if `a` is not `m x k` or the index is not `k x n`.
+pub fn matmul_spike_rhs(a: &[f32], b: &SpikeIndex, m: usize, k: usize, n: usize) -> Vec<f32> {
+    assert_eq!(a.len(), m * k, "lhs has the wrong length");
+    assert_eq!(b.rows(), k, "spike index row count must be k");
+    let mut out = vec![0.0f32; m * n];
+    if m == 0 || n == 0 {
+        return out;
+    }
+    assert_eq!(b.cols(), n, "spike index row width must be n");
+    let strip_end = n - n % strip_width();
+    // Accumulate transposed, one m-vector per output column, so an event
+    // adds one contiguous lhs column.
+    let mut out_t = vec![0.0f32; n * m];
+    match parallel_panel_rows(n, b.nnz() * m, 1) {
+        None => spike_rhs_columns(a, b, m, k, 0, strip_end, &mut out_t),
+        Some(panel) => out_t
+            .par_chunks_mut(panel * m)
+            .enumerate()
+            .for_each(|(p, cols)| spike_rhs_columns(a, b, m, k, p * panel, strip_end, cols)),
+    }
+    for (j, column) in out_t.chunks_exact(m).enumerate() {
+        for (r, &v) in column.iter().enumerate() {
+            out[r * n + j] = v;
+        }
+    }
+    out
+}
+
+/// The width of [`matmul`]'s column strips under the active ISA: [`NR`] for
+/// the scalar engine, the vector width for every SIMD level.
+fn strip_width() -> usize {
+    match simd::active() {
+        Isa::Scalar => NR,
+        isa => isa.f32_lanes(),
+    }
+}
+
+/// Accumulates output columns `j0..` of [`matmul_spike_rhs`] into
+/// `out_t` (`m` values per column). Tile rows of strip columns collect each
+/// `KC` block in `block` and add it on at the block's end; every other cell
+/// takes its events straight onto `out_t`.
+fn spike_rhs_columns(
+    a: &[f32],
+    b: &SpikeIndex,
+    m: usize,
+    k: usize,
+    j0: usize,
+    strip_end: usize,
+    out_t: &mut [f32],
+) {
+    let j1 = j0 + out_t.len() / m;
+    let m_tile = m - m % MR;
+    let block_cols = strip_end.clamp(j0, j1) - j0;
+    let mut block = vec![0.0f32; block_cols * m_tile];
+    let mut column = vec![0.0f32; m];
+    let mut kb = 0;
+    while kb < k {
+        let kb_end = (kb + KC).min(k);
+        for p in kb..kb_end {
+            let events = b.row(p);
+            let lo = events.partition_point(|&j| (j as usize) < j0);
+            let hi = events.partition_point(|&j| (j as usize) < j1);
+            if lo == hi {
+                continue;
+            }
+            for (r, v) in column.iter_mut().enumerate() {
+                *v = a[r * k + p];
+            }
+            for &j in &events[lo..hi] {
+                let local = j as usize - j0;
+                let cell = &mut out_t[local * m..(local + 1) * m];
+                let chained = if local < block_cols {
+                    add_into(
+                        &mut block[local * m_tile..(local + 1) * m_tile],
+                        &column[..m_tile],
+                    );
+                    m_tile
+                } else {
+                    0
+                };
+                add_into(&mut cell[chained..], &column[chained..]);
+            }
+        }
+        if m_tile > 0 {
+            for (cell, sums) in out_t
+                .chunks_exact_mut(m)
+                .zip(block.chunks_exact_mut(m_tile))
+            {
+                add_into(&mut cell[..m_tile], sums);
+                sums.fill(0.0);
+            }
+        }
+        kb = kb_end;
+    }
+}
+
+/// `acc += values`, element by element.
+#[inline(always)]
+fn add_into(acc: &mut [f32], values: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(values) {
+        *a += v;
+    }
+}
+
 /// Gather-accumulate update of one output row from the nonzeros of `a_row`.
 fn sparse_row(a_row: &[f32], b: &[f32], out_row: &mut [f32], n: usize) {
     for (p, &v) in a_row.iter().enumerate() {
@@ -1089,7 +1242,7 @@ impl Im2colGeom {
 }
 
 /// The zero-padded offset table behind the dense lowering
-/// ([`im2col_into`]) and its adjoint ([`col2im_into`]).
+/// ([`im2col_into`]) and its adjoint ([`conv_input_grad_into`]).
 ///
 /// The input is copied once into a `[N, C, Hp, Wp]` buffer
 /// (`Hp = H + 2p`, `Wp = W + 2p`) whose border is zero, so no window cell
@@ -1375,71 +1528,153 @@ fn for_each_spike_cell(
     }
 }
 
-/// The exact adjoint of [`im2col_into`]: scatter-adds every im2col row into
-/// a zero padded buffer through the same `PaddedTable` offsets, then crops
-/// the interior into `out` (overwritten). Rows are visited in order and
-/// each row's columns in order, so every in-bounds pixel receives the same
-/// additions in the same order as a bounds-checked walk of the windows —
-/// the result is bit-identical to it. The border cells collect the
-/// gradient of the zero padding, which the crop drops. Parallelised over
-/// batches (a batch's pixels receive additions only from that batch's
-/// rows).
+/// Rows of the lowered input gradient [`conv_input_grad_into`] holds at a
+/// time: a multiple of [`MR`], so every block starts on a tile boundary.
+const STREAM_ROWS: usize = 16 * MR;
+
+/// The input gradient of a convolution: the adjoint of [`im2col_into`]
+/// applied to `grad_rows @ weight`, where `grad_rows` is the
+/// `[N * out_h * out_w, O]` row layout of `grad_output` (`[N, O, out_h,
+/// out_w]`) and `weight` is `[O, C * k * k]`. `out` (`[N, C, H, W]`) is
+/// overwritten.
+///
+/// Neither matrix exists whole. Each batch's rows are computed
+/// [`STREAM_ROWS`] at a time by [`matmul`]'s serial panel kernel into a
+/// small buffer, and each row is scatter-added at once into the batch's
+/// zero-padded planes through the `PaddedTable` offsets; the interior is
+/// then cropped into `out`. Row blocks start at multiples of [`MR`] in the
+/// global row numbering (a block may compute a few rows of the neighbouring
+/// batch and drop them), so every row is a tile or a tail row exactly as in
+/// the whole product, and its values are [`matmul`]'s bits. Rows are
+/// scattered in order and each row's columns in order, so every pixel
+/// receives the additions of a bounds-checked walk of the windows in the
+/// same order, from `+0`. Parallelised over batches (a batch's pixels
+/// receive additions only from that batch's rows).
 ///
 /// # Panics
 ///
-/// Panics if the buffer lengths disagree with `geom`.
-pub fn col2im_into(lowered: &[f32], out: &mut [f32], geom: &Im2colGeom) {
-    check_lowering_lens(out, lowered, geom);
+/// Panics if the buffer lengths disagree with `geom` and `out_channels`.
+pub fn conv_input_grad_into(
+    grad_output: &[f32],
+    weight: &[f32],
+    out_channels: usize,
+    out: &mut [f32],
+    geom: &Im2colGeom,
+) {
+    let plane = geom.out_h * geom.out_w;
+    assert_eq!(
+        grad_output.len(),
+        geom.batch * out_channels * plane,
+        "output gradient has the wrong length"
+    );
+    assert_eq!(
+        weight.len(),
+        out_channels * geom.cols(),
+        "weight has the wrong length"
+    );
+    assert_eq!(
+        out.len(),
+        geom.batch * geom.channels * geom.in_h * geom.in_w,
+        "image buffer has the wrong length"
+    );
     let table = PaddedTable::new(geom);
+    let stream = GradStream {
+        grad_output,
+        weight,
+        out_channels,
+        geom,
+        table: &table,
+    };
     if geom.padding == 0 {
         out.fill(0.0);
-        scatter_add(lowered, out, &table, geom);
+        stream.scatter(out);
     } else {
         let mut padded = vec![0.0f32; geom.batch * table.batch_len];
-        scatter_add(lowered, &mut padded, &table, geom);
+        stream.scatter(&mut padded);
         table.crop(&padded, out, geom);
     }
 }
 
-/// Scatter-adds every im2col row into the zeroed padded buffer `acc`,
-/// parallelised over batches.
-fn scatter_add(lowered: &[f32], acc: &mut [f32], table: &PaddedTable, geom: &Im2colGeom) {
-    let batch_rows = geom.out_h * geom.out_w * geom.cols();
-    if batch_rows == 0 || table.batch_len == 0 {
-        return;
-    }
-    match parallel_panel_rows(geom.batch, lowered.len(), 1) {
-        None => {
-            for (b, acc_batch) in acc.chunks_mut(table.batch_len).enumerate() {
-                let rows = &lowered[b * batch_rows..(b + 1) * batch_rows];
-                scatter_add_batch(rows, acc_batch, table, geom);
-            }
-        }
-        Some(panel) => {
-            acc.par_chunks_mut(panel * table.batch_len)
-                .enumerate()
-                .for_each(|(p, acc_panel)| {
-                    for (j, acc_batch) in acc_panel.chunks_mut(table.batch_len).enumerate() {
-                        let b = p * panel + j;
-                        let rows = &lowered[b * batch_rows..(b + 1) * batch_rows];
-                        scatter_add_batch(rows, acc_batch, table, geom);
-                    }
-                });
-        }
-    }
+/// The operands of one [`conv_input_grad_into`] call.
+struct GradStream<'a> {
+    grad_output: &'a [f32],
+    weight: &'a [f32],
+    out_channels: usize,
+    geom: &'a Im2colGeom,
+    table: &'a PaddedTable,
 }
 
-/// Scatter-adds one batch's im2col rows into that batch's padded planes.
-fn scatter_add_batch(rows: &[f32], acc: &mut [f32], table: &PaddedTable, geom: &Im2colGeom) {
-    let stripe = geom.out_w * table.offsets.len();
-    for (oy, stripe_rows) in rows.chunks_exact(stripe).enumerate() {
-        let mut base = table.stripe_base(geom, oy);
-        for row in stripe_rows.chunks_exact(table.offsets.len()) {
-            let window = &mut acc[base..];
-            for (&g, &off) in row.iter().zip(&table.offsets) {
-                window[off] += g;
+impl GradStream<'_> {
+    /// Scatter-adds every batch's rows into the zeroed padded planes `acc`.
+    fn scatter(&self, acc: &mut [f32]) {
+        let geom = self.geom;
+        let work = geom.rows() * self.out_channels * geom.cols();
+        if work == 0 || self.table.batch_len == 0 {
+            return;
+        }
+        let batch_len = self.table.batch_len;
+        match parallel_panel_rows(geom.batch, work, 1) {
+            None => {
+                for (b, acc_batch) in acc.chunks_mut(batch_len).enumerate() {
+                    self.scatter_batch(b, acc_batch);
+                }
             }
-            base += geom.stride;
+            Some(panel) => {
+                acc.par_chunks_mut(panel * batch_len)
+                    .enumerate()
+                    .for_each(|(p, acc_panel)| {
+                        for (j, acc_batch) in acc_panel.chunks_mut(batch_len).enumerate() {
+                            self.scatter_batch(p * panel + j, acc_batch);
+                        }
+                    });
+            }
+        }
+    }
+
+    /// Computes batch `b`'s rows block by block and scatter-adds them into
+    /// its padded planes.
+    fn scatter_batch(&self, b: usize, acc: &mut [f32]) {
+        let geom = self.geom;
+        let (o, cols) = (self.out_channels, geom.cols());
+        let plane = geom.out_h * geom.out_w;
+        let rows = geom.rows();
+        let (r0, r1) = (b * plane, (b + 1) * plane);
+        // The last block stops at the tile boundary after the batch (or at
+        // the last row): a shorter block would turn tile rows into tails.
+        let blocks_end = r1.next_multiple_of(MR).min(rows);
+        let mut lhs = vec![0.0f32; STREAM_ROWS * o];
+        let mut lowered = vec![0.0f32; STREAM_ROWS * cols];
+        let mut g = r0 - r0 % MR;
+        while g < r1 {
+            let g_end = (g + STREAM_ROWS).min(blocks_end);
+            let block_rows = g_end - g;
+            for (i, lhs_row) in lhs.chunks_exact_mut(o).take(block_rows).enumerate() {
+                let (rb, pos) = ((g + i) / plane, (g + i) % plane);
+                for (ch, v) in lhs_row.iter_mut().enumerate() {
+                    *v = self.grad_output[(rb * o + ch) * plane + pos];
+                }
+            }
+            let lowered = &mut lowered[..block_rows * cols];
+            lowered.fill(0.0);
+            matmul_panel(
+                &lhs[..block_rows * o],
+                self.weight,
+                lowered,
+                block_rows,
+                o,
+                cols,
+            );
+            for row in g.max(r0)..g_end.min(r1) {
+                let pos = row - r0;
+                let base =
+                    self.table.stripe_base(geom, pos / geom.out_w) + pos % geom.out_w * geom.stride;
+                let window = &mut acc[base..];
+                let values = &lowered[(row - g) * cols..(row - g + 1) * cols];
+                for (&v, &off) in values.iter().zip(&self.table.offsets) {
+                    window[off] += v;
+                }
+            }
+            g = g_end;
         }
     }
 }

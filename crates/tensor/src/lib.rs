@@ -9,8 +9,8 @@
 //! * an owned, row-major, dynamically shaped [`Tensor`],
 //! * element-wise arithmetic and mapping helpers,
 //! * 2-D matrix multiplication and transposition ([`ops`]),
-//! * `im2col`/`col2im` and convolution / pooling kernels used by the SNN
-//!   layers ([`ops`]),
+//! * the `im2col` lowering, its adjoint and convolution / pooling kernels
+//!   used by the SNN layers ([`ops`]),
 //! * reductions and classification helpers ([`reduce`]),
 //! * random initializers ([`init`]),
 //! * the promote-on-second-request store behind every sweep-sharing cache

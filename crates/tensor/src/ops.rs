@@ -6,7 +6,7 @@
 //! executes, which lets the systolic simulator replace [`matmul`] with its
 //! fault-injecting equivalent.
 
-use crate::{Result, Tensor, TensorError};
+use crate::{Result, SpikeIndex, Tensor, TensorError};
 
 /// Geometry of a 2-D convolution (or pooling) over `[N, C, H, W]` inputs.
 ///
@@ -231,7 +231,7 @@ fn as_matrix_dims(t: &Tensor) -> Result<(usize, usize)> {
 }
 
 // ---------------------------------------------------------------------------
-// im2col / col2im
+// im2col
 // ---------------------------------------------------------------------------
 
 /// Lowers an `[N, C, H, W]` input into the `im2col` matrix
@@ -285,26 +285,6 @@ pub fn im2col_with_profile(
         crate::kernels::im2col_into(input.data(), &mut out, &geom);
     }
     Tensor::from_vec(shape, out)
-}
-
-/// Scatters an `im2col`-shaped gradient back onto the `[N, C, H, W]` input
-/// layout (the adjoint of [`im2col`], see [`crate::kernels::col2im_into`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when `cols` does not have the
-/// `[N * out_h * out_w, C * k * k]` shape implied by `dims`.
-pub fn col2im(cols: &Tensor, dims: &Conv2dDims) -> Result<Tensor> {
-    if cols.shape() != [dims.col_rows(), dims.col_cols()] {
-        return Err(TensorError::ShapeMismatch {
-            left: cols.shape().to_vec(),
-            right: vec![dims.col_rows(), dims.col_cols()],
-        });
-    }
-    let (n, c, h, w) = (dims.batch, dims.in_channels, dims.in_h, dims.in_w);
-    let mut out = vec![0.0f32; n * c * h * w];
-    crate::kernels::col2im_into(cols.data(), &mut out, &dims.geom());
-    Tensor::from_vec(vec![n, c, h, w], out)
 }
 
 fn check_input_shape(input: &Tensor, dims: &Conv2dDims) -> Result<()> {
@@ -450,26 +430,61 @@ pub struct Conv2dGrads {
     pub grad_bias: Tensor,
 }
 
+/// The `im2col` lowering a convolution's forward pass saved for its
+/// backward pass.
+#[derive(Debug, Clone, Copy)]
+pub enum Lowering<'a> {
+    /// The dense `[N * out_h * out_w, C * k * k]` matrix.
+    Dense(&'a Tensor),
+    /// The CSR index of a binary lowering (the lowering of a spike frame);
+    /// the `{0, 1}` matrix itself is not needed.
+    Spikes(&'a SpikeIndex),
+}
+
+impl<'a> From<&'a Tensor> for Lowering<'a> {
+    fn from(cols: &'a Tensor) -> Self {
+        Lowering::Dense(cols)
+    }
+}
+
 /// Backward pass of [`conv2d_forward`].
 ///
 /// `grad_output` has shape `[N, O, out_h, out_w]`; `cols` is the `im2col`
-/// matrix saved from the forward pass.
+/// lowering saved from the forward pass, dense or as a spike index. The
+/// input gradient streams through [`crate::kernels::conv_input_grad_into`]
+/// and the parameter gradients come from [`conv2d_param_grads`]; both are
+/// bit-identical to lowering `grad_rows @ weight` and `grad_rowsᵀ @ cols`
+/// whole with [`matmul`] and unlowering the former.
 ///
 /// # Errors
 ///
-/// Propagates shape errors from the underlying matrix operations.
-pub fn conv2d_backward(
+/// Returns [`TensorError::ShapeMismatch`] when `grad_output`, `cols` or
+/// `weight` disagree with `dims`.
+pub fn conv2d_backward<'a>(
     grad_output: &Tensor,
-    cols: &Tensor,
+    cols: impl Into<Lowering<'a>>,
     weight: &Tensor,
     dims: &Conv2dDims,
 ) -> Result<Conv2dGrads> {
     let (grad_weight, grad_bias) = conv2d_param_grads(grad_output, cols, dims)?;
-    let grad_rows = feature_map_to_rows(grad_output, dims)?; // [R, O]
-    let grad_cols = matmul(&grad_rows, weight)?; // [R, C*k*k]
-    let grad_input = col2im(&grad_cols, dims)?;
+    let expected = [dims.out_channels, dims.col_cols()];
+    if weight.shape() != expected {
+        return Err(TensorError::ShapeMismatch {
+            left: weight.shape().to_vec(),
+            right: expected.to_vec(),
+        });
+    }
+    let (n, c, h, w) = (dims.batch, dims.in_channels, dims.in_h, dims.in_w);
+    let mut grad_input = vec![0.0f32; n * c * h * w];
+    crate::kernels::conv_input_grad_into(
+        grad_output.data(),
+        weight.data(),
+        dims.out_channels,
+        &mut grad_input,
+        &dims.geom(),
+    );
     Ok(Conv2dGrads {
-        grad_input,
+        grad_input: Tensor::from_vec(vec![n, c, h, w], grad_input)?,
         grad_weight,
         grad_bias,
     })
@@ -477,16 +492,19 @@ pub fn conv2d_backward(
 
 /// The parameter half of [`conv2d_backward`]: the weight gradient
 /// `[O, C*k*k]` and the bias gradient `[O]`, without the input gradient.
-/// Bit-identical to the corresponding fields of [`conv2d_backward`].
+/// Bit-identical to the corresponding fields of [`conv2d_backward`]. A
+/// spike lowering takes [`crate::kernels::matmul_spike_rhs`], which walks
+/// its events and keeps [`matmul`]'s bits.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `grad_output` does not have
-/// the `[N, O, out_h, out_w]` shape implied by `dims`, and propagates shape
-/// errors from the product with `cols`.
-pub fn conv2d_param_grads(
+/// the `[N, O, out_h, out_w]` shape implied by `dims` or a spike lowering
+/// is not `[N * out_h * out_w, C * k * k]`, and propagates shape errors
+/// from the product with dense `cols`.
+pub fn conv2d_param_grads<'a>(
     grad_output: &Tensor,
-    cols: &Tensor,
+    cols: impl Into<Lowering<'a>>,
     dims: &Conv2dDims,
 ) -> Result<(Tensor, Tensor)> {
     let expected = [dims.batch, dims.out_channels, dims.out_h, dims.out_w];
@@ -517,7 +535,20 @@ pub fn conv2d_param_grads(
                 .fold(0.0f32, |acc, &g| acc + g)
         })
         .collect();
-    let grad_weight = matmul(&Tensor::from_vec(vec![o, r], rows_t)?, cols)?; // [O, C*k*k]
+    let grad_weight = match cols.into() {
+        Lowering::Dense(cols) => matmul(&Tensor::from_vec(vec![o, r], rows_t)?, cols)?,
+        Lowering::Spikes(index) => {
+            let ckk = dims.col_cols();
+            if index.rows() != r || index.cols() != ckk {
+                return Err(TensorError::ShapeMismatch {
+                    left: vec![index.rows(), index.cols()],
+                    right: vec![r, ckk],
+                });
+            }
+            let grad = crate::kernels::matmul_spike_rhs(&rows_t, index, o, r, ckk);
+            Tensor::from_vec(vec![o, ckk], grad)?
+        }
+    }; // [O, C*k*k]
     Ok((grad_weight, Tensor::from_vec(vec![o], grad_bias)?))
 }
 
@@ -906,16 +937,22 @@ mod tests {
     }
 
     #[test]
-    fn im2col_col2im_are_adjoint_on_counts() {
-        // col2im(im2col(ones)) counts how many windows each input position
-        // participates in; with stride 1, kernel 2 on 3x3, the centre is hit
-        // 4 times.
+    fn conv_input_gradient_counts_window_hits() {
+        // With a unit weight and a unit output gradient, the input gradient
+        // counts how many windows each input position participates in;
+        // with stride 1, kernel 2 on 3x3, the centre is hit 4 times.
         let dims = Conv2dDims::new(1, 1, 1, 3, 3, 2, 1, 0).unwrap();
         let ones = Tensor::ones(&[1, 1, 3, 3]);
         let cols = im2col(&ones, &dims).unwrap();
-        let counts = col2im(&cols, &dims).unwrap();
+        let grads = conv2d_backward(
+            &Tensor::ones(&[1, 1, 2, 2]),
+            &cols,
+            &Tensor::ones(&[1, 4]),
+            &dims,
+        )
+        .unwrap();
         approx_eq(
-            counts.data(),
+            grads.grad_input.data(),
             &[1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0],
         );
     }

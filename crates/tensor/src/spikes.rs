@@ -12,8 +12,10 @@
 //!
 //! * The index is a **companion view** of a dense [`crate::Tensor`], not a
 //!   replacement: the dense buffer stays the single source of truth, which is
-//!   what keeps every dense fallback (training, engine-off baselines, layers
-//!   that never learned about spikes) bit-identical for free.
+//!   what keeps every dense fallback (engine-off baselines, layers that
+//!   never learned about spikes) bit-identical for free. A training step
+//!   may keep the index alone once the dense buffer is no longer read (the
+//!   conv weight gradient needs only the events).
 //! * The matrix view is *rows of the last dimension*: a `[m, k]` activation
 //!   matrix indexes as `m` rows of width `k`, and an `[N, C, H, W]` spike
 //!   frame as `N*C*H` pixel rows of width `W` — exactly the row walks the

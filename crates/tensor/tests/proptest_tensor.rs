@@ -313,14 +313,15 @@ proptest! {
 // Padded-table lowering against the bounds-checked kernels it replaced. The
 // reference bodies below are the previous per-element kernels kept verbatim
 // (their parallel splits reduced to serial loops, which never changed a
-// bit), so the new lowering, its CSR index, col2im and the conv backward are
-// checked bit for bit against an independent implementation.
+// bit), so the lowering, its CSR index and the conv backward (streamed input
+// gradient, spike-indexed weight gradient) are checked bit for bit against
+// an independent implementation that builds every matrix whole.
 // ---------------------------------------------------------------------------
 
 mod reference {
     use falvolt_tensor::kernels::Im2colGeom;
     use falvolt_tensor::ops::Conv2dDims;
-    use falvolt_tensor::{ops, SpikeIndex, Tensor};
+    use falvolt_tensor::{kernels, ops, simd, SpikeIndex, Tensor};
 
     /// Bounds-checked dense im2col: one `(batch, out_y)` stripe per call.
     pub fn im2col(input: &[f32], geom: &Im2colGeom) -> Vec<f32> {
@@ -484,6 +485,54 @@ mod reference {
         }
         (grad_input, grad_weight.data().to_vec(), grad_bias)
     }
+
+    /// `a (m x k) @ b (k x n)` written cell by cell from the accumulation
+    /// contract in the `kernels` module docs, for the ISA `isa`: tile-row
+    /// strip-column cells sum each KC block from +0 and add the block sums
+    /// on; every other cell is one running chain that skips zero lhs
+    /// entries. Strip columns fuse under a vector ISA.
+    pub fn contract_matmul(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        isa: simd::Isa,
+    ) -> Vec<f32> {
+        let scalar = isa == simd::Isa::Scalar;
+        let width = if scalar { kernels::NR } else { isa.f32_lanes() };
+        let (m_tile, strip_end) = (m - m % kernels::MR, n - n % width);
+        let step = |acc: f32, x: f32, y: f32, fused: bool| {
+            if fused {
+                x.mul_add(y, acc)
+            } else {
+                acc + x * y
+            }
+        };
+        let mut out = vec![0.0f32; m * n];
+        for r in 0..m {
+            for j in 0..n {
+                let fused = !scalar && j < strip_end;
+                let cell = &mut out[r * n + j];
+                if r < m_tile && j < strip_end {
+                    for kb in (0..k).step_by(kernels::KC) {
+                        let mut acc = 0.0f32;
+                        for p in kb..(kb + kernels::KC).min(k) {
+                            acc = step(acc, a[r * k + p], b[p * n + j], fused);
+                        }
+                        *cell += acc;
+                    }
+                } else {
+                    for p in 0..k {
+                        if a[r * k + p] != 0.0 {
+                            *cell = step(*cell, a[r * k + p], b[p * n + j], fused);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -589,28 +638,6 @@ proptest! {
     }
 
     #[test]
-    fn adjoint_col2im_matches_reference_bits(
-        batch in 1usize..3,
-        channels in 1usize..4,
-        extra_h in 0usize..7,
-        extra_w in 0usize..90,
-        kernel in 1usize..6,
-        stride in 1usize..4,
-        pad_draw in 0usize..6,
-        seed in 0u64..1000,
-    ) {
-        let dims = conv_dims(batch, channels, 1, (extra_h, extra_w), kernel, stride, pad_draw);
-        // Mixed magnitudes make the sums order-sensitive, so a reordered
-        // accumulation shows up in the low bits.
-        let grad_cols = Tensor::from_fn(&[dims.col_rows(), dims.col_cols()], |i| {
-            hashed(i, seed, 1.0) * [1.0, 1e-3, 1e4][i % 3]
-        });
-        let expected = reference::col2im(grad_cols.data(), &dims);
-        let unlowered = ops::col2im(&grad_cols, &dims).unwrap();
-        prop_assert_eq!(bits(unlowered.data()), bits(&expected));
-    }
-
-    #[test]
     fn conv_backward_matches_reference_bits(
         batch in 1usize..3,
         channels in 1usize..4,
@@ -649,6 +676,171 @@ proptest! {
         prop_assert_eq!(bits(param_weight.data()), bits(&grad_weight));
         prop_assert_eq!(bits(param_bias.data()), bits(&grad_bias));
     }
+
+    #[test]
+    fn spike_lowered_conv_backward_matches_reference_bits(
+        batch_draw in 0usize..3,
+        channels in 1usize..4,
+        out_channels in 1usize..10,
+        extra_h in 0usize..6,
+        extra_w in 0usize..40,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad_draw in 0usize..6,
+        density_pct in 0u64..60,
+        seed in 0u64..1000,
+    ) {
+        // A spike frame's lowering kept only as its CSR index: the weight
+        // gradient walks its events and must still equal the dense product
+        // on every ISA, with enough rows (R > KC) for several k-blocks.
+        let _lock = simd::test_override_lock();
+        let one = conv_dims(1, channels, out_channels, (extra_h, extra_w), kernel, stride, pad_draw);
+        let batch = batch_draw + kernels::KC / (one.out_h * one.out_w) + 1;
+        let dims = conv_dims(
+            batch, channels, out_channels, (extra_h, extra_w), kernel, stride, pad_draw,
+        );
+        prop_assert!(dims.col_rows() > kernels::KC);
+        let frame = spike_frame(&[batch, channels, dims.in_h, dims.in_w], density_pct, seed);
+        let index = SpikeIndex::from_dense(frame.data(), dims.in_w).unwrap();
+        let frame = frame.with_spike_index(std::sync::Arc::new(index));
+        let profile = kernels::OperandProfile::measure(frame.data());
+        let cols = ops::im2col_with_profile(&frame, &dims, profile).unwrap();
+        let lowered = std::sync::Arc::clone(cols.spike_index().unwrap());
+        let weight = Tensor::from_fn(&[out_channels, dims.col_cols()], |i| {
+            hashed(i, seed ^ 0xC0DE, 0.5)
+        });
+        let grad_output = Tensor::from_fn(
+            &[batch, out_channels, dims.out_h, dims.out_w],
+            |i| hashed(i, seed ^ 0xBEEF, 2.0) * [1.0, 1e-3, 1e3][i % 3],
+        );
+        for isa in simd::available() {
+            let _g = simd::force(Some(isa));
+            let (grad_input, grad_weight, grad_bias) =
+                reference::conv2d_backward(&grad_output, &cols, &weight, &dims);
+            let grads =
+                ops::conv2d_backward(&grad_output, ops::Lowering::Spikes(&lowered), &weight, &dims).unwrap();
+            prop_assert_eq!(bits(grads.grad_input.data()), bits(&grad_input), "isa {}", isa);
+            prop_assert_eq!(bits(grads.grad_weight.data()), bits(&grad_weight), "isa {}", isa);
+            prop_assert_eq!(bits(grads.grad_bias.data()), bits(&grad_bias), "isa {}", isa);
+            let (param_weight, _) =
+                ops::conv2d_param_grads(&grad_output, ops::Lowering::Spikes(&lowered), &dims).unwrap();
+            prop_assert_eq!(bits(param_weight.data()), bits(&grad_weight), "isa {}", isa);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Thread-count independence. The worker-count override is process-global:
+// these tests serialise on one lock and clear the override on drop, and every
+// other computation in this binary is worker-count-independent anyway.
+// ---------------------------------------------------------------------------
+
+/// Runs `f` with the kernels' thread budget forced to `threads`.
+fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    struct ClearOverride;
+    impl Drop for ClearOverride {
+        fn drop(&mut self) {
+            rayon::set_thread_count_override(0);
+        }
+    }
+    let _lock = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _clear = ClearOverride;
+    rayon::set_thread_count_override(threads);
+    f()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn spike_rhs_gather_matches_dense_matmul_bits(
+        m in 1usize..14,
+        k in 1usize..(3 * kernels::KC),
+        n in 1usize..40,
+        density_pct in 0u64..70,
+        seed in 0u64..500,
+    ) {
+        let _lock = simd::test_override_lock();
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| hashed(i, seed, 2.0) * [1.0, 1e-3, 1e3][i % 3])
+            .collect();
+        let b = spike_frame(&[k, n], density_pct, seed ^ 0x5EED);
+        let index = SpikeIndex::from_dense(b.data(), n).unwrap();
+        for isa in simd::available() {
+            let _g = simd::force(Some(isa));
+            for threads in [1usize, 3] {
+                let (dense, gathered) = with_threads(threads, || {
+                    (
+                        kernels::matmul(&a, b.data(), m, k, n),
+                        kernels::matmul_spike_rhs(&a, &index, m, k, n),
+                    )
+                });
+                prop_assert_eq!(
+                    bits(&gathered),
+                    bits(&dense),
+                    "isa {} threads {}",
+                    isa,
+                    threads
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn blocked_matmul_follows_the_accumulation_contract(
+        m in 1usize..11,
+        k in 1usize..(3 * kernels::KC),
+        n in 1usize..45,
+        zero_pct in 0u64..40,
+        seed in 0u64..500,
+    ) {
+        // Mixed magnitudes and exact zeros in the lhs make every choice of
+        // block sums, chains, fusion and zero skips visible in the bits.
+        let _lock = simd::test_override_lock();
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| {
+                let r = (i as u64).wrapping_mul(2_654_435_761).wrapping_add(seed) % 100;
+                if r < zero_pct { 0.0 } else { hashed(i, seed, 2.0) * [1.0, 1e-3, 1e3][i % 3] }
+            })
+            .collect();
+        let b: Vec<f32> = (0..k * n).map(|i| hashed(i, seed ^ 0xFACE, 1.0)).collect();
+        for isa in simd::available() {
+            let _g = simd::force(Some(isa));
+            prop_assert_eq!(
+                bits(&kernels::matmul(&a, &b, m, k, n)),
+                bits(&reference::contract_matmul(&a, &b, m, k, n, isa)),
+                "isa {}",
+                isa
+            );
+        }
+    }
+}
+
+#[test]
+fn blocked_matmul_bits_do_not_depend_on_the_thread_count() {
+    // k > KC makes tile rows and tail rows round differently, so a panel
+    // split that moved a row between the two classes would show here.
+    let _lock = simd::test_override_lock();
+    for &(m, k, n) in &[(20usize, 600usize, 16usize), (64, 300, 128)] {
+        let a: Vec<f32> = (0..m * k).map(|i| hashed(i, 3, 1.0)).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| hashed(i, 4, 1.0)).collect();
+        let serial = with_threads(1, || kernels::matmul(&a, &b, m, k, n));
+        for threads in 2..=6 {
+            let parallel = with_threads(threads, || kernels::matmul(&a, &b, m, k, n));
+            assert_eq!(
+                bits(&parallel),
+                bits(&serial),
+                "m{m} k{k} n{n} at {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]
@@ -673,13 +865,38 @@ fn lowering_matches_reference_on_a_wide_single_channel_input() {
         assert_eq!(bits(&lowered), bits(&expected));
         assert_eq!(lowered_index, expected_index);
 
-        let grad_cols = Tensor::from_fn(&[dims.col_rows(), dims.col_cols()], |i| {
+        // The adjoint: the streamed input gradient of a one-channel conv
+        // against the reference `col2im(grad_rows @ weight)`.
+        let weight = Tensor::from_fn(&[1, dims.col_cols()], |i| hashed(i, 5, 0.5));
+        let grad_output = Tensor::from_fn(&[4, 1, dims.out_h, dims.out_w], |i| {
             hashed(i, 7, 1.0) * [1.0, 1e-3, 1e4][i % 3]
         });
-        let unlowered = ops::col2im(&grad_cols, &dims).unwrap();
-        assert_eq!(
-            bits(unlowered.data()),
-            bits(&reference::col2im(grad_cols.data(), &dims))
-        );
+        let (expected_input, _, _) =
+            reference::conv2d_backward(&grad_output, &dense, &weight, &dims);
+        let grads = ops::conv2d_backward(&grad_output, &dense, &weight, &dims).unwrap();
+        assert_eq!(bits(grads.grad_input.data()), bits(&expected_input));
+    }
+}
+
+#[test]
+fn streamed_input_gradient_keeps_tile_rows_across_stripes() {
+    // O > KC gives the `grad_rows @ weight` product two k-blocks, so a tile
+    // row and a tail row round differently; out_w = 7 and 7x5 planes put
+    // MR-row tiles across stripe and batch boundaries. The streamed input
+    // gradient must still classify every row as the whole product does.
+    let _lock = simd::test_override_lock();
+    let out_channels = kernels::KC + 44;
+    let dims = ops::Conv2dDims::new(3, 2, out_channels, 5, 7, 3, 1, 1).unwrap();
+    let input = Tensor::from_fn(&[3, 2, 5, 7], |i| hashed(i, 11, 1.0));
+    let cols = ops::im2col(&input, &dims).unwrap();
+    let weight = Tensor::from_fn(&[out_channels, dims.col_cols()], |i| hashed(i, 12, 0.5));
+    let grad_output = Tensor::from_fn(&[3, out_channels, dims.out_h, dims.out_w], |i| {
+        hashed(i, 13, 2.0) * [1.0, 1e-3, 1e3][i % 3]
+    });
+    for isa in simd::available() {
+        let _g = simd::force(Some(isa));
+        let (expected, _, _) = reference::conv2d_backward(&grad_output, &cols, &weight, &dims);
+        let grads = ops::conv2d_backward(&grad_output, &cols, &weight, &dims).unwrap();
+        assert_eq!(bits(grads.grad_input.data()), bits(&expected), "isa {isa}");
     }
 }
