@@ -54,10 +54,8 @@ use crate::error::{CampaignError, CellFailure};
 use crate::experiment::ExperimentContext;
 use crate::json;
 use crate::mitigation::{MitigationOutcome, MitigationStrategy, Mitigator, RetrainConfig};
-use crate::vulnerability::{
-    panic_message, scenario_outcomes, ScenarioOutcome, SweepPoint, SweepSeries,
-};
-use crate::Result;
+use crate::vulnerability::{isolated, scenario_halts, Halt, SweepPoint, SweepSeries};
+use crate::{FalvoltError, Result};
 use falvolt_snn::{EnginePreset, SpikingNetwork, SweepCache};
 use falvolt_systolic::{FaultMap, StuckAt, SystolicConfig};
 use falvolt_tensor::CancelToken;
@@ -65,7 +63,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,19 +79,13 @@ use std::time::{Duration, Instant};
 /// # Example
 ///
 /// ```
-/// use falvolt::campaign::{Axis, CellSpec};
+/// use falvolt::campaign::Axis;
 ///
-/// // Typed axes are plain data...
 /// let bits = Axis::BitPosition(vec![0, 8, 15]);
 /// assert_eq!(bits.label(), "bit");
 /// assert_eq!(bits.len(), 3);
-/// // ...and anything they cannot express becomes a closure axis.
-/// let rows = Axis::custom("array_rows", vec![8.0, 16.0], |spec: &mut CellSpec, rows| {
-///     spec.systolic = falvolt_systolic::SystolicConfig::new(rows as usize, 16).unwrap();
-/// });
-/// assert_eq!(rows.label(), "array_rows");
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub enum Axis {
     /// Fraction of faulty PEs; each cell draws maps with
     /// [`FaultMap::random_with_rate`]. Takes precedence over
@@ -117,35 +108,9 @@ pub enum Axis {
     Mitigation(Vec<MitigationStrategy>),
     /// Stuck-at polarity of the drawn faults (defaults to stuck-at-1).
     Polarity(Vec<StuckAt>),
-    /// A closure axis for sweep dimensions the typed variants cannot
-    /// express: the closure edits the [`CellSpec`] for each value.
-    Custom {
-        /// Axis label used in coordinates and tables.
-        label: String,
-        /// The swept values.
-        values: Vec<f64>,
-        /// Spec editor applied per value.
-        apply: SpecEditor,
-    },
 }
 
-/// Shared spec-editing closure of an [`Axis::Custom`] axis.
-pub type SpecEditor = Arc<dyn Fn(&mut CellSpec, f64) + Send + Sync>;
-
 impl Axis {
-    /// Builds a closure axis (see [`Axis::Custom`]).
-    pub fn custom(
-        label: impl Into<String>,
-        values: Vec<f64>,
-        apply: impl Fn(&mut CellSpec, f64) + Send + Sync + 'static,
-    ) -> Self {
-        Axis::Custom {
-            label: label.into(),
-            values,
-            apply: Arc::new(apply),
-        }
-    }
-
     /// The axis label used in coordinates and result tables.
     pub fn label(&self) -> &str {
         match self {
@@ -156,7 +121,6 @@ impl Axis {
             Axis::Threshold(_) => "threshold",
             Axis::Mitigation(_) => "strategy",
             Axis::Polarity(_) => "polarity",
-            Axis::Custom { label, .. } => label,
         }
     }
 
@@ -170,7 +134,6 @@ impl Axis {
             Axis::Threshold(v) => v.len(),
             Axis::Mitigation(v) => v.len(),
             Axis::Polarity(v) => v.len(),
-            Axis::Custom { values, .. } => values.len(),
         }
     }
 
@@ -242,29 +205,8 @@ impl Axis {
                     out.push(s);
                 }
             }
-            Axis::Custom { values, apply, .. } => {
-                for &value in values {
-                    let mut s = spec.clone();
-                    apply(&mut s, value);
-                    s.push_coord(&label, AxisValue::Custom(value));
-                    out.push(s);
-                }
-            }
         }
         Ok(out)
-    }
-}
-
-impl fmt::Debug for Axis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Axis::Custom { label, values, .. } => f
-                .debug_struct("Custom")
-                .field("label", label)
-                .field("values", values)
-                .finish_non_exhaustive(),
-            other => write!(f, "Axis::{}[{}]", other.label(), other.len()),
-        }
     }
 }
 
@@ -285,15 +227,13 @@ pub enum AxisValue {
     Strategy(String),
     /// A stuck-at polarity label (`"sa0"` / `"sa1"`).
     Polarity(String),
-    /// A custom-axis value.
-    Custom(f64),
 }
 
 impl AxisValue {
     /// The value as an `f64` plotting coordinate (labels hash to `0.0`).
     pub fn as_f64(&self) -> f64 {
         match self {
-            AxisValue::Rate(v) | AxisValue::Custom(v) => *v,
+            AxisValue::Rate(v) => *v,
             AxisValue::Bit(v) => f64::from(*v),
             AxisValue::Pes(v) | AxisValue::Size(v) => *v as f64,
             AxisValue::Threshold(v) => f64::from(*v),
@@ -305,7 +245,7 @@ impl AxisValue {
 impl fmt::Display for AxisValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AxisValue::Rate(v) | AxisValue::Custom(v) => write!(f, "{v}"),
+            AxisValue::Rate(v) => write!(f, "{v}"),
             AxisValue::Bit(v) => write!(f, "{v}"),
             AxisValue::Pes(v) | AxisValue::Size(v) => write!(f, "{v}"),
             AxisValue::Threshold(v) => write!(f, "{v}"),
@@ -327,12 +267,12 @@ pub struct Coord {
 // Cell specs
 // ---------------------------------------------------------------------------
 
-/// The fully resolved specification of one campaign cell: what the axes (and
-/// any custom closures) decided this cell sweeps.
+/// The fully resolved specification of one campaign cell: what the axes
+/// decided this cell sweeps.
 ///
-/// Custom axes and seed mixers read and edit the public fields; the
-/// scheduler resolves defaults at draw time (`bit` falls back to the
-/// accumulator MSB of the cell's grid, the polarity defaults to stuck-at-1).
+/// Seed mixers read the public fields; the scheduler resolves defaults at
+/// draw time (`bit` falls back to the accumulator MSB of the cell's grid,
+/// the polarity defaults to stuck-at-1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellSpec {
     /// The systolic-array configuration this cell runs against.
@@ -456,13 +396,13 @@ impl PoolKey {
 }
 
 // ---------------------------------------------------------------------------
-// Resilience: statuses, budgets, retries, checkpoints
+// Resilience: statuses, retries, checkpoints
 // ---------------------------------------------------------------------------
 
 /// Why a cell was skipped rather than executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
-    /// The run's [`RunBudget`] deadline expired before the cell started (or
+    /// The run's [`Campaign::deadline`] expired before the cell started (or
     /// while it was cooperatively winding down).
     Deadline,
     /// The run's [`CancelToken`] was tripped externally.
@@ -515,55 +455,6 @@ impl CellStatus {
     /// `true` when the cell was skipped (deadline or cancellation).
     pub fn is_skipped(&self) -> bool {
         matches!(self, CellStatus::Skipped { .. })
-    }
-}
-
-/// Resource budget of one [`Campaign::run`]: wall-clock deadline, concurrent
-/// cell admission, and a byte budget gating how many drawn fault scenarios
-/// are admitted per execution wave.
-///
-/// All three knobs default to unlimited, which also keeps the scheduler on
-/// its fastest path (one wave containing every cell, so cross-cell
-/// [`crate::ScenarioProducts`] batching sees the whole scenario axis).
-///
-/// On deadline expiry the run does NOT error: it returns the completed
-/// prefix, with every remaining cell marked
-/// [`CellStatus::Skipped`]`{ reason: `[`SkipReason::Deadline`]` }`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunBudget {
-    deadline: Option<Duration>,
-    max_concurrent_cells: Option<usize>,
-    scenario_bytes_budget: Option<usize>,
-}
-
-impl RunBudget {
-    /// No deadline, no admission limits — the default.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// Wall-clock budget measured from [`Campaign::run`] entry. Checked at
-    /// wave and retry boundaries, at worker start, and between evaluation
-    /// batches; expiry also trips the run's cancel token so in-flight
-    /// executors stop at fold-chain granularity.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// At most this many cells in flight per execution wave (clamped to at
-    /// least 1). Bounds peak memory at the cost of cross-cell batching.
-    pub fn max_concurrent_cells(mut self, cells: usize) -> Self {
-        self.max_concurrent_cells = Some(cells.max(1));
-        self
-    }
-
-    /// Admission gate on the estimated bytes of drawn fault-map scenarios
-    /// per wave (a wave always admits at least one cell, so a single huge
-    /// cell cannot deadlock the schedule).
-    pub fn scenario_bytes_budget(mut self, bytes: usize) -> Self {
-        self.scenario_bytes_budget = Some(bytes);
-        self
     }
 }
 
@@ -719,7 +610,8 @@ impl CampaignCheckpoint {
     /// # Errors
     ///
     /// Returns [`CampaignError::CheckpointMalformed`] for syntax errors,
-    /// missing fields, wrong types, or float-bit strings that do not decode.
+    /// missing fields, wrong types, float-bit strings that do not decode, and
+    /// cell indexes that are out of range or repeated.
     pub fn from_json(text: &str) -> std::result::Result<Self, CampaignError> {
         let doc = json::parse(text)?;
         let version = doc.field("version")?.as_usize()?;
@@ -731,12 +623,19 @@ impl CampaignCheckpoint {
         let fingerprint = u64_from_hex(doc.field("fingerprint")?)?;
         let baseline_accuracy = f32_from_hex(doc.field("baseline_accuracy")?)?;
         let total_cells = doc.field("total_cells")?.as_usize()?;
-        let mut cells = Vec::new();
+        let mut cells: Vec<CheckpointCell> = Vec::new();
         for cell in doc.field("cells")?.as_arr()? {
             let index = cell.field("index")?.as_usize()?;
             if index >= total_cells {
                 return Err(CampaignError::malformed(format!(
                     "cell index {index} out of range for a plan of {total_cells} cells"
+                )));
+            }
+            // A repeated index would let `is_complete` count one cell twice
+            // while another is missing.
+            if cells.iter().any(|c| c.index == index) {
+                return Err(CampaignError::malformed(format!(
+                    "cell index {index} is recorded twice"
                 )));
             }
             let accuracy = f32_from_hex(cell.field("accuracy")?)?;
@@ -886,6 +785,18 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    /// The row of a cell that did not complete: no accuracy, no scenarios,
+    /// no outcomes, only the status saying why.
+    fn unfinished(spec: CellSpec, status: CellStatus) -> Self {
+        Self {
+            spec,
+            accuracy: 0.0,
+            scenarios: 0,
+            outcomes: Vec::new(),
+            status,
+        }
+    }
+
     /// The cell's coordinates, one per axis in axis order.
     pub fn coords(&self) -> &[Coord] {
         self.spec.coords()
@@ -1026,9 +937,9 @@ pub type SeedMixer = Arc<dyn Fn(u64, &CellSpec) -> u64 + Send + Sync>;
 /// A declarative sweep plan over one prepared [`ExperimentContext`].
 ///
 /// Build it with [`Campaign::new`], add [`Axis`] values (first axis
-/// outermost), tune the per-cell scenario count / seed / engine preset, and
-/// [`Campaign::run`] it. See the [module docs](crate::campaign) for what the
-/// scheduler owns.
+/// outermost), set the per-cell scenario count, seed, seed mixer and, for
+/// [`Axis::Threshold`] plans, the retraining epochs, and [`Campaign::run`]
+/// it. See the [module docs](crate::campaign) for what the scheduler owns.
 ///
 /// # Example
 ///
@@ -1062,8 +973,7 @@ pub struct Campaign<'a> {
     seed: u64,
     mixer: SeedMixer,
     retrain_epochs: Option<usize>,
-    retrain_config: RetrainConfig,
-    budget: RunBudget,
+    deadline: Option<Duration>,
     retry: RetryPolicy,
     cancel: Option<CancelToken>,
     checkpoint_every: Option<usize>,
@@ -1074,8 +984,9 @@ pub struct Campaign<'a> {
 
 impl<'a> Campaign<'a> {
     /// Starts a plan over `ctx` with no axes, one scenario per cell, the
-    /// context's seed, the default seed mixer and the paper's retraining
-    /// configuration. Cells run under [`EnginePreset::full`].
+    /// context's seed and the default seed mixer. Evaluation cells run under
+    /// [`EnginePreset::full`]; retraining cells use
+    /// [`RetrainConfig::paper_like`].
     pub fn new(ctx: &'a mut ExperimentContext) -> Self {
         let seed = ctx.seed();
         Self {
@@ -1085,8 +996,7 @@ impl<'a> Campaign<'a> {
             seed,
             mixer: Arc::new(default_seed_mix),
             retrain_epochs: None,
-            retrain_config: RetrainConfig::paper_like(),
-            budget: RunBudget::default(),
+            deadline: None,
             retry: RetryPolicy::default(),
             cancel: None,
             checkpoint_every: None,
@@ -1135,31 +1045,15 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Overrides the retraining hyper-parameters (default:
-    /// [`RetrainConfig::paper_like`]).
-    pub fn retrain_config(mut self, config: RetrainConfig) -> Self {
-        self.retrain_config = config;
-        self
-    }
-
-    /// Applies a deserialized [`PlanSpec`] (axes, scenario count, optional
-    /// seed and epoch budget) on top of the builder's current state.
-    pub fn plan(mut self, spec: PlanSpec) -> Self {
-        self.scenarios_per_cell = spec.scenarios_per_cell;
-        if let Some(seed) = spec.seed {
-            self.seed = seed;
-        }
-        if let Some(epochs) = spec.retrain_epochs {
-            self.retrain_epochs = Some(epochs);
-        }
-        self.axes.extend(spec.axes);
-        self
-    }
-
-    /// Installs a [`RunBudget`] (deadline, concurrent-cell cap, scenario
-    /// byte budget). Default: [`RunBudget::unlimited`].
-    pub fn budget(mut self, budget: RunBudget) -> Self {
-        self.budget = budget;
+    /// Wall-clock budget measured from [`Campaign::run`] entry (default:
+    /// none). Checked at wave and retry boundaries, at worker start, and
+    /// between evaluation batches; expiry also trips the run's cancel token
+    /// so in-flight executors stop at fold-chain granularity. Expiry does
+    /// not error the run: it returns the completed prefix, with every
+    /// remaining cell marked
+    /// [`CellStatus::Skipped`]`{ reason: `[`SkipReason::Deadline`]` }`.
+    pub fn deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(deadline);
         self
     }
 
@@ -1233,9 +1127,9 @@ impl<'a> Campaign<'a> {
     /// retraining cells across scenario views, and returns the cells in
     /// plan order. The context's baseline is restored before and after.
     ///
-    /// Execution proceeds in *waves* sized by [`Campaign::checkpoint_every`]
-    /// and the [`RunBudget`] admission knobs (by default one wave holds the
-    /// whole plan, preserving cross-cell scenario batching). Cell failures —
+    /// Execution proceeds in *waves*: [`Campaign::checkpoint_every`]-sized
+    /// chunks of the pending cells (by default one wave holds the whole
+    /// plan, preserving cross-cell scenario batching). Cell failures —
     /// worker panics included — are caught, retried per the
     /// [`RetryPolicy`], and recorded as [`CellStatus::Failed`] rows; deadline
     /// expiry and cancellation mark the unexecuted remainder
@@ -1256,8 +1150,7 @@ impl<'a> Campaign<'a> {
             seed,
             mixer,
             retrain_epochs,
-            retrain_config,
-            budget,
+            deadline,
             retry,
             cancel,
             checkpoint_every,
@@ -1265,7 +1158,6 @@ impl<'a> Campaign<'a> {
             resume_from,
             injector,
         } = self;
-        let preset = EnginePreset::full();
         if scenarios_per_cell == 0 {
             return Err(CampaignError::invalid_plan(
                 "a campaign needs at least one scenario per cell",
@@ -1314,14 +1206,7 @@ impl<'a> Campaign<'a> {
 
         // 3. Fingerprint the plan and replay any checkpoint: completed cells
         // are reused verbatim, everything else is (re)executed.
-        let fingerprint = plan_fingerprint(
-            ctx,
-            &specs,
-            &payloads,
-            &cell_seeds,
-            scenarios_per_cell,
-            &retrain_config,
-        );
+        let fingerprint = plan_fingerprint(ctx, &specs, &payloads, &cell_seeds, scenarios_per_cell);
         let mut done: Vec<Option<CellResult>> = vec![None; specs.len()];
         if let Some(checkpoint) = resume_from {
             if checkpoint.fingerprint != fingerprint {
@@ -1349,40 +1234,13 @@ impl<'a> Campaign<'a> {
                 });
             }
         }
-
-        // 4. Partition the pending cells into execution waves: capped by the
-        // checkpoint cadence and the budget's concurrency / byte admission
-        // (with no caps set, one wave holds the whole plan — the fast path
-        // with full cross-cell batching).
         let pending: Vec<usize> = (0..specs.len()).filter(|&i| done[i].is_none()).collect();
-        let wave_cap = checkpoint_every
-            .unwrap_or(usize::MAX)
-            .min(budget.max_concurrent_cells.unwrap_or(usize::MAX))
-            .max(1);
-        let mut waves: Vec<Vec<usize>> = Vec::new();
-        let mut wave: Vec<usize> = Vec::new();
-        let mut wave_bytes = 0usize;
-        for &cell in &pending {
-            let bytes = pool_bytes(&pools[cell_pool[cell]].1);
-            let over_bytes = budget
-                .scenario_bytes_budget
-                .is_some_and(|b| wave_bytes + bytes > b);
-            if !wave.is_empty() && (wave.len() >= wave_cap || over_bytes) {
-                waves.push(std::mem::take(&mut wave));
-                wave_bytes = 0;
-            }
-            wave.push(cell);
-            wave_bytes += bytes;
-        }
-        if !wave.is_empty() {
-            waves.push(wave);
-        }
 
-        // 5. Execute the waves against the restored baseline, with a shared
-        // deadline-aware cancel token and per-cell panic isolation.
+        // 4. Execute the pending cells in waves against the restored
+        // baseline, with a shared deadline-aware cancel token and per-worker
+        // panic isolation.
         ctx.restore_baseline()?;
-        let started = Instant::now();
-        let deadline = budget.deadline.map(|d| started + d);
+        let deadline = deadline.map(|d| Instant::now() + d);
         let expired = move || deadline.is_some_and(|d| Instant::now() >= d);
         let run_token = cancel.unwrap_or_default();
         {
@@ -1398,194 +1256,131 @@ impl<'a> Campaign<'a> {
                     None
                 }
             };
-            let mitigator = Mitigator::new(ctx.classes(), retrain_config);
+            let mitigator = Mitigator::new(ctx.classes(), RetrainConfig::paper_like());
             let retrain_cache = Arc::new(SweepCache::new());
+            let (baseline, caches) = (ctx.network(), ctx.caches());
+            let (train, test) = (ctx.train_batches(), ctx.test_batches());
 
-            // One attempt over a set of cells: evaluation cells fan out
-            // through the shared-cache scenario engine, retraining cells
-            // across panic-isolated scenario views.
+            // Every worker starts here: an expired deadline trips the shared
+            // token, a tripped token stops the worker, and the chaos/test
+            // injector fires (`fire` is false for every scenario of an
+            // evaluation cell but its first).
+            let start = |cell: usize, attempt: usize, fire: bool| {
+                if expired() {
+                    run_token.cancel();
+                }
+                if run_token.is_cancelled() {
+                    return Err(Halt::Cancelled);
+                }
+                match &injector {
+                    Some(inject) if fire => inject(cell, attempt)
+                        .map_err(|message| Halt::Error(FalvoltError::invalid_config(message))),
+                    _ => Ok(()),
+                }
+            };
+            let completed = |cell: usize, accuracy: f32, scenarios: usize, outcomes| CellResult {
+                spec: specs[cell].clone(),
+                accuracy,
+                scenarios,
+                outcomes,
+                status: CellStatus::Completed,
+            };
+
+            // One attempt over a set of cells: the scenarios of every
+            // evaluation cell fan out through one shared-cache scenario
+            // engine call, retraining cells fan out one worker per cell.
             let run_cells = |cells: &[usize], attempt: usize| -> Vec<(usize, CellTry)> {
-                let mut out: Vec<(usize, CellTry)> = Vec::new();
-
-                let eval_cells: Vec<usize> = cells
+                let eval: Vec<usize> = cells
                     .iter()
                     .copied()
-                    .filter(|&c| matches!(payloads[c], CellPayload::Eval))
+                    .filter(|&c| payloads[c] == CellPayload::Eval)
                     .collect();
-                if !eval_cells.is_empty() {
-                    let mut scenarios = Vec::with_capacity(eval_cells.len() * scenarios_per_cell);
-                    for &cell in &eval_cells {
-                        for map in pools[cell_pool[cell]].1.iter() {
-                            scenarios.push((specs[cell].systolic, map.clone()));
-                        }
-                    }
-                    // The scenario hook runs at worker start: it surfaces
-                    // deadline expiry to in-flight workers and routes the
-                    // chaos/test injector to the first scenario of each cell.
-                    let hook_owner: Option<Box<crate::vulnerability::ScenarioHook>> =
-                        if deadline.is_some() || injector.is_some() {
-                            let injector = injector.clone();
-                            let token = run_token.clone();
-                            let eval_cells = eval_cells.clone();
-                            Some(Box::new(move |flat: usize| {
-                                if expired() {
-                                    token.cancel();
-                                }
-                                if flat.is_multiple_of(scenarios_per_cell) {
-                                    if let Some(inject) = &injector {
-                                        inject(eval_cells[flat / scenarios_per_cell], attempt)?;
-                                    }
-                                }
-                                Ok(())
-                            }))
-                        } else {
-                            None
-                        };
-                    let outcomes = scenario_outcomes(
-                        ctx.network(),
-                        scenarios,
-                        ctx.test_batches(),
-                        ctx.caches(),
-                        &preset,
-                        Some(&run_token),
-                        hook_owner.as_deref(),
-                    );
-                    for (slot, chunk) in eval_cells.iter().zip(outcomes.chunks(scenarios_per_cell))
-                    {
-                        // Accumulate in chunk order — bit-identical to the
-                        // pre-resilience `.sum()` over the same values.
-                        let mut sum = 0.0f32;
-                        let mut failed: Option<CellFailure> = None;
-                        let mut cancelled = false;
-                        for outcome in chunk {
-                            match outcome {
-                                ScenarioOutcome::Done(accuracy) => sum += accuracy,
-                                ScenarioOutcome::Failed(cause) => {
-                                    if failed.is_none() {
-                                        failed = Some(cause.clone());
-                                    }
-                                }
-                                ScenarioOutcome::Cancelled => cancelled = true,
-                            }
-                        }
-                        let tried = if cancelled {
-                            CellTry::Cancelled
-                        } else if let Some(cause) = failed {
-                            CellTry::Failed(cause)
-                        } else {
-                            CellTry::Done {
-                                accuracy: sum / chunk.len() as f32,
-                                scenarios: chunk.len(),
-                                outcomes: Vec::new(),
-                            }
-                        };
-                        out.push((*slot, tried));
+                let mut scenarios = Vec::with_capacity(eval.len() * scenarios_per_cell);
+                for &cell in &eval {
+                    for map in pools[cell_pool[cell]].1.iter() {
+                        scenarios.push((specs[cell].systolic, map.clone()));
                     }
                 }
-
-                let retrain_cells: Vec<usize> = cells
+                let halts = scenario_halts(
+                    baseline,
+                    scenarios,
+                    test,
+                    caches,
+                    &EnginePreset::full(),
+                    Some(&run_token),
+                    &|flat| {
+                        let cell = eval[flat / scenarios_per_cell];
+                        start(cell, attempt, flat.is_multiple_of(scenarios_per_cell))
+                    },
+                );
+                let mut out: Vec<(usize, CellTry)> = eval
                     .iter()
-                    .copied()
-                    .filter(|&c| matches!(payloads[c], CellPayload::Retrain(_)))
+                    .zip(halts.chunks(scenarios_per_cell))
+                    .map(|(&cell, chunk)| {
+                        // A cancelled scenario makes the cell cancelled, else
+                        // the first failed one makes it failed.
+                        let tried = if chunk.iter().any(|h| matches!(h, Err(Halt::Cancelled))) {
+                            Err(Halt::Cancelled)
+                        } else {
+                            chunk
+                                .iter()
+                                .cloned()
+                                .collect::<std::result::Result<Vec<f32>, _>>()
+                        };
+                        let tried = tried.map(|accuracies| {
+                            let mean = accuracies.iter().sum::<f32>() / accuracies.len() as f32;
+                            completed(cell, mean, accuracies.len(), Vec::new())
+                        });
+                        (cell, tried)
+                    })
                     .collect();
-                if !retrain_cells.is_empty() {
-                    let baseline = ctx.network();
-                    let (train, test) = (ctx.train_batches(), ctx.test_batches());
-                    let caches = ctx.caches();
-                    let results: Vec<(usize, CellTry)> = retrain_cells
-                        .into_par_iter()
-                        .map(|cell| {
-                            if expired() {
-                                run_token.cancel();
-                            }
-                            if run_token.is_cancelled() {
-                                return (cell, CellTry::Cancelled);
-                            }
-                            let CellPayload::Retrain(strategy) = payloads[cell] else {
-                                return (
-                                    cell,
-                                    CellTry::Failed(CellFailure::Error {
-                                        message: "scheduler misrouted an evaluation cell"
-                                            .to_string(),
-                                    }),
+
+                let retrain: Vec<(usize, MitigationStrategy)> = cells
+                    .iter()
+                    .filter_map(|&c| match payloads[c] {
+                        CellPayload::Retrain(strategy) => Some((c, strategy)),
+                        CellPayload::Eval => None,
+                    })
+                    .collect();
+                let quarantine = || {
+                    retrain_cache.quarantine_in_flight();
+                    caches.sweep.quarantine_in_flight();
+                    caches.product.quarantine_in_flight();
+                };
+                let retrained: Vec<(usize, CellTry)> = retrain
+                    .into_par_iter()
+                    .map(|(cell, strategy)| {
+                        let tried = isolated(quarantine, || {
+                            start(cell, attempt, true)?;
+                            let maps = &pools[cell_pool[cell]].1;
+                            let mut outcomes = Vec::with_capacity(maps.len());
+                            for map in maps.iter() {
+                                if run_token.is_cancelled() {
+                                    return Err(Halt::Cancelled);
+                                }
+                                let mut network = retrain_view(baseline, &retrain_cache);
+                                outcomes.push(
+                                    mitigator
+                                        .run(&mut network, map, train, test, strategy)
+                                        .map_err(Halt::Error)?,
                                 );
-                            };
-                            // The catch is INSIDE the worker body: a map
-                            // closure that unwinds through the rayon shim
-                            // aborts the whole call, every other cell with
-                            // it. AssertUnwindSafe is sound because a caught
-                            // panic quarantines every shared in-flight cache
-                            // slot and the scenario view dies with the closure.
-                            let caught = catch_unwind(AssertUnwindSafe(
-                                || -> std::result::Result<Vec<MitigationOutcome>, CellTry> {
-                                    if let Some(inject) = &injector {
-                                        inject(cell, attempt).map_err(|message| {
-                                            CellTry::Failed(CellFailure::Error { message })
-                                        })?;
-                                    }
-                                    let mut outcomes =
-                                        Vec::with_capacity(pools[cell_pool[cell]].1.len());
-                                    for map in pools[cell_pool[cell]].1.iter() {
-                                        if run_token.is_cancelled() {
-                                            return Err(CellTry::Cancelled);
-                                        }
-                                        let mut network = retrain_view(baseline, &retrain_cache);
-                                        let outcome = mitigator
-                                            .run(&mut network, map, train, test, strategy)
-                                            .map_err(|e| {
-                                                CellTry::Failed(CellFailure::Error {
-                                                    message: e.to_string(),
-                                                })
-                                            })?;
-                                        outcomes.push(outcome);
-                                    }
-                                    Ok(outcomes)
-                                },
-                            ));
-                            match caught {
-                                Ok(Ok(outcomes)) => {
-                                    let accuracy =
-                                        outcomes.iter().map(|o| o.final_accuracy).sum::<f32>()
-                                            / outcomes.len() as f32;
-                                    (
-                                        cell,
-                                        CellTry::Done {
-                                            accuracy,
-                                            scenarios: outcomes.len(),
-                                            outcomes,
-                                        },
-                                    )
-                                }
-                                Ok(Err(tried)) => (cell, tried),
-                                Err(payload) => {
-                                    retrain_cache.quarantine_in_flight();
-                                    caches.sweep.quarantine_in_flight();
-                                    caches.product.quarantine_in_flight();
-                                    (
-                                        cell,
-                                        CellTry::Failed(CellFailure::Panic {
-                                            message: panic_message(payload),
-                                        }),
-                                    )
-                                }
                             }
-                        })
-                        .collect();
-                    out.extend(results);
-                }
+                            let accuracy = outcomes.iter().map(|o| o.final_accuracy).sum::<f32>()
+                                / outcomes.len() as f32;
+                            Ok(completed(cell, accuracy, outcomes.len(), outcomes))
+                        });
+                        (cell, tried)
+                    })
+                    .collect();
+                out.extend(retrained);
                 out
             };
 
-            for wave in &waves {
+            for wave in pending.chunks(checkpoint_every.unwrap_or(usize::MAX)) {
                 if let Some(reason) = stop_reason() {
                     for &cell in wave {
-                        done[cell] = Some(CellResult {
-                            spec: specs[cell].clone(),
-                            accuracy: 0.0,
-                            scenarios: 0,
-                            outcomes: Vec::new(),
-                            status: CellStatus::Skipped { reason },
-                        });
+                        let status = CellStatus::Skipped { reason };
+                        done[cell] = Some(CellResult::unfinished(specs[cell].clone(), status));
                     }
                     continue;
                 }
@@ -1596,7 +1391,9 @@ impl<'a> Campaign<'a> {
                 for attempt in 2..=retry.max_attempts {
                     let failed: Vec<usize> = results
                         .iter()
-                        .filter(|(_, tried, _)| matches!(tried, CellTry::Failed(_)))
+                        .filter(|(_, tried, _)| {
+                            matches!(tried, Err(Halt::Error(_) | Halt::Panic(_)))
+                        })
                         .map(|(cell, _, _)| *cell)
                         .collect();
                     if failed.is_empty() || stop_reason().is_some() {
@@ -1610,40 +1407,28 @@ impl<'a> Campaign<'a> {
                     }
                 }
                 for (cell, tried, attempts) in results {
-                    done[cell] = Some(match tried {
-                        CellTry::Done {
-                            accuracy,
-                            scenarios,
-                            outcomes,
-                        } => CellResult {
-                            spec: specs[cell].clone(),
-                            accuracy,
-                            scenarios,
-                            outcomes,
-                            status: CellStatus::Completed,
-                        },
-                        CellTry::Failed(cause) => CellResult {
-                            spec: specs[cell].clone(),
-                            accuracy: 0.0,
-                            scenarios: 0,
-                            outcomes: Vec::new(),
-                            status: CellStatus::Failed { cause, attempts },
-                        },
-                        CellTry::Cancelled => {
-                            let reason = if expired() {
-                                SkipReason::Deadline
-                            } else {
-                                SkipReason::Cancelled
-                            };
-                            CellResult {
-                                spec: specs[cell].clone(),
-                                accuracy: 0.0,
-                                scenarios: 0,
-                                outcomes: Vec::new(),
-                                status: CellStatus::Skipped { reason },
-                            }
-                        }
-                    });
+                    done[cell] = Some(tried.unwrap_or_else(|halt| {
+                        let status = match halt {
+                            Halt::Cancelled => CellStatus::Skipped {
+                                reason: if expired() {
+                                    SkipReason::Deadline
+                                } else {
+                                    SkipReason::Cancelled
+                                },
+                            },
+                            Halt::Error(e) => CellStatus::Failed {
+                                cause: CellFailure::Error {
+                                    message: e.to_string(),
+                                },
+                                attempts,
+                            },
+                            Halt::Panic(message) => CellStatus::Failed {
+                                cause: CellFailure::Panic { message },
+                                attempts,
+                            },
+                        };
+                        CellResult::unfinished(specs[cell].clone(), status)
+                    }));
                 }
                 if let Some(sink) = &checkpoint_sink {
                     sink(&checkpoint_of(
@@ -1656,7 +1441,7 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        // 6. Restore the baseline (retraining mutates only scenario views,
+        // 5. Restore the baseline (retraining mutates only scenario views,
         // but symmetric restore keeps the contract simple) and assemble the
         // cells back into plan order.
         ctx.restore_baseline()?;
@@ -1664,17 +1449,11 @@ impl<'a> Campaign<'a> {
             .into_iter()
             .zip(specs)
             .map(|(slot, spec)| {
-                slot.unwrap_or_else(|| CellResult {
-                    spec,
-                    accuracy: 0.0,
-                    scenarios: 0,
-                    outcomes: Vec::new(),
-                    status: CellStatus::Failed {
-                        cause: CellFailure::Error {
-                            message: "the scheduler dropped this cell".to_string(),
-                        },
-                        attempts: 0,
-                    },
+                slot.unwrap_or_else(|| {
+                    let cause = CellFailure::Error {
+                        message: "the scheduler dropped this cell".to_string(),
+                    };
+                    CellResult::unfinished(spec, CellStatus::Failed { cause, attempts: 0 })
                 })
             })
             .collect();
@@ -1687,27 +1466,10 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// The outcome of one attempt at one cell, before retry bookkeeping.
-enum CellTry {
-    /// The attempt finished; the payload mirrors [`CellResult`].
-    Done {
-        accuracy: f32,
-        scenarios: usize,
-        outcomes: Vec<MitigationOutcome>,
-    },
-    /// The attempt failed (error or caught panic) — retryable.
-    Failed(CellFailure),
-    /// The attempt was abandoned by cancellation or deadline — not retried.
-    Cancelled,
-}
-
-/// Estimated bytes a cell's drawn fault-map pool holds in flight (used by
-/// [`RunBudget::scenario_bytes_budget`] wave admission).
-fn pool_bytes(maps: &[FaultMap]) -> usize {
-    maps.iter()
-        .map(|m| std::mem::size_of_val(m.faults()) + 96)
-        .sum()
-}
+/// One attempt at one cell, before retry bookkeeping: the completed row, or
+/// how its worker halted (errors and panics are retried, cancellation is
+/// not).
+type CellTry = std::result::Result<CellResult, Halt>;
 
 /// Content hash of everything that determines a plan's results: the context
 /// seed and baseline, per-cell draw parameters, mixed seeds and payloads,
@@ -1720,8 +1482,8 @@ fn plan_fingerprint(
     payloads: &[CellPayload],
     cell_seeds: &[u64],
     scenarios_per_cell: usize,
-    retrain_config: &RetrainConfig,
 ) -> u64 {
+    let retrain_config = RetrainConfig::paper_like();
     let mut fp = falvolt_tensor::Fingerprint::new();
     fp.write_str("campaign-plan-v1");
     fp.write_u64(ctx.seed());
@@ -1785,258 +1547,6 @@ fn checkpoint_of(
         total_cells,
         cells,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Plan specs at the plan-spec boundary
-// ---------------------------------------------------------------------------
-
-/// A campaign plan decoded from JSON — the plan-spec boundary of the sweep
-/// engine, with validation the in-process builder deliberately does not do
-/// (an empty [`Axis`] from the builder means "zero cells", but an empty axis
-/// arriving over the wire is almost certainly a producer bug and is
-/// rejected).
-///
-/// ```json
-/// {
-///   "scenarios_per_cell": 8,
-///   "seed": 42,
-///   "retrain_epochs": 10,
-///   "axes": [
-///     {"kind": "fault_rate", "values": [0.1, 0.3]},
-///     {"kind": "strategy", "values": ["fap", "fapit:8", "fapit:8@0.5", "falvolt:8"]},
-///     {"kind": "polarity", "values": ["sa0", "sa1"]}
-///   ]
-/// }
-/// ```
-///
-/// Accepted top-level keys are `scenarios_per_cell`, `seed`,
-/// `retrain_epochs` and `axes`; accepted axis keys are `kind` and `values`.
-/// Any other key, and any key given twice, rejects the plan — a misspelled
-/// `"retrain_epoch"` must not silently run with the default.
-///
-/// `seed` and `retrain_epochs` are optional. Axis kinds: `fault_rate`
-/// (floats in `[0, 1]`), `bit` (non-negative integers), `faulty_pes`,
-/// `array_size` (positive integers), `threshold` (finite non-negative
-/// floats), `strategy` (`"fap"`, `"fapit:EPOCHS"`, `"fapit:EPOCHS@THRESHOLD"`,
-/// `"falvolt:EPOCHS"`), `polarity` (`"sa0"` / `"sa1"`).
-#[derive(Debug, Clone)]
-pub struct PlanSpec {
-    scenarios_per_cell: usize,
-    seed: Option<u64>,
-    retrain_epochs: Option<usize>,
-    axes: Vec<Axis>,
-}
-
-impl PlanSpec {
-    /// Parses and validates a JSON plan (see the type docs for the format).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::InvalidPlan`] for malformed JSON, missing,
-    /// unknown or repeated keys, a zero `scenarios_per_cell`, an empty axes
-    /// list, empty axis value lists, unknown axis kinds, NaN / negative /
-    /// out-of-range numeric values, and unparseable strategy or polarity
-    /// strings.
-    pub fn from_json(text: &str) -> std::result::Result<Self, CampaignError> {
-        // The shared JSON reader reports CheckpointMalformed; at the plan
-        // boundary every decode problem is a plan rejection.
-        let as_plan_error = |e: CampaignError| match e {
-            CampaignError::CheckpointMalformed { reason } => CampaignError::InvalidPlan { reason },
-            other => other,
-        };
-        let doc = json::parse(text).map_err(as_plan_error)?;
-        doc.only_keys(&["scenarios_per_cell", "seed", "retrain_epochs", "axes"])
-            .map_err(as_plan_error)?;
-        let scenarios_per_cell = doc
-            .field("scenarios_per_cell")
-            .and_then(json::Value::as_usize)
-            .map_err(as_plan_error)?;
-        if scenarios_per_cell == 0 {
-            return Err(CampaignError::invalid_plan(
-                "scenarios_per_cell must be at least 1",
-            ));
-        }
-        let seed = match doc.get("seed") {
-            None | Some(json::Value::Null) => None,
-            Some(v) => Some(v.as_usize().map_err(as_plan_error)? as u64),
-        };
-        let retrain_epochs = match doc.get("retrain_epochs") {
-            None | Some(json::Value::Null) => None,
-            Some(v) => Some(v.as_usize().map_err(as_plan_error)?),
-        };
-        let axis_docs = doc
-            .field("axes")
-            .and_then(json::Value::as_arr)
-            .map_err(as_plan_error)?;
-        if axis_docs.is_empty() {
-            return Err(CampaignError::invalid_plan(
-                "a plan needs at least one axis",
-            ));
-        }
-        let mut axes = Vec::with_capacity(axis_docs.len());
-        for axis in axis_docs {
-            axes.push(parse_axis(axis).map_err(as_plan_error)?);
-        }
-        Ok(Self {
-            scenarios_per_cell,
-            seed,
-            retrain_epochs,
-            axes,
-        })
-    }
-
-    /// Fault maps drawn (and averaged) per cell.
-    pub fn scenarios_per_cell(&self) -> usize {
-        self.scenarios_per_cell
-    }
-
-    /// The base seed override, if the plan carries one.
-    pub fn seed(&self) -> Option<u64> {
-        self.seed
-    }
-
-    /// The epoch budget for [`Axis::Threshold`] cells, if the plan carries
-    /// one.
-    pub fn retrain_epochs(&self) -> Option<usize> {
-        self.retrain_epochs
-    }
-
-    /// The validated axes, in plan order.
-    pub fn axes(&self) -> &[Axis] {
-        &self.axes
-    }
-}
-
-/// Decodes and validates one `{"kind": .., "values": [..]}` axis element.
-fn parse_axis(axis: &json::Value) -> std::result::Result<Axis, CampaignError> {
-    axis.only_keys(&["kind", "values"])?;
-    let kind = axis.field("kind")?.as_str()?;
-    let values = axis.field("values")?.as_arr()?;
-    if values.is_empty() {
-        return Err(CampaignError::invalid_plan(format!(
-            "axis `{kind}` has no values"
-        )));
-    }
-    match kind {
-        "fault_rate" => {
-            let mut rates = Vec::with_capacity(values.len());
-            for v in values {
-                let rate = v.as_f64()?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(CampaignError::invalid_plan(format!(
-                        "fault rate {rate} is outside [0, 1]"
-                    )));
-                }
-                rates.push(rate);
-            }
-            Ok(Axis::FaultRate(rates))
-        }
-        "bit" => {
-            let mut bits = Vec::with_capacity(values.len());
-            for v in values {
-                let bit = v.as_usize()?;
-                let bit = u32::try_from(bit).map_err(|_| {
-                    CampaignError::invalid_plan(format!("bit position {bit} does not fit in u32"))
-                })?;
-                bits.push(bit);
-            }
-            Ok(Axis::BitPosition(bits))
-        }
-        "faulty_pes" => Ok(Axis::FaultyPes(
-            values
-                .iter()
-                .map(json::Value::as_usize)
-                .collect::<std::result::Result<_, _>>()?,
-        )),
-        "array_size" => {
-            let mut sizes = Vec::with_capacity(values.len());
-            for v in values {
-                let size = v.as_usize()?;
-                if size == 0 {
-                    return Err(CampaignError::invalid_plan("array size must be positive"));
-                }
-                sizes.push(size);
-            }
-            Ok(Axis::ArraySize(sizes))
-        }
-        "threshold" => {
-            let mut thresholds = Vec::with_capacity(values.len());
-            for v in values {
-                thresholds.push(validate_threshold(v.as_f64()? as f32)?);
-            }
-            Ok(Axis::Threshold(thresholds))
-        }
-        "strategy" => {
-            let mut strategies = Vec::with_capacity(values.len());
-            for v in values {
-                strategies.push(parse_strategy(v.as_str()?)?);
-            }
-            Ok(Axis::Mitigation(strategies))
-        }
-        "polarity" => {
-            let mut polarities = Vec::with_capacity(values.len());
-            for v in values {
-                polarities.push(match v.as_str()? {
-                    "sa0" => StuckAt::Zero,
-                    "sa1" => StuckAt::One,
-                    other => {
-                        return Err(CampaignError::invalid_plan(format!(
-                            "unknown polarity `{other}` (expected `sa0` or `sa1`)"
-                        )))
-                    }
-                });
-            }
-            Ok(Axis::Polarity(polarities))
-        }
-        other => Err(CampaignError::invalid_plan(format!(
-            "unknown axis kind `{other}`"
-        ))),
-    }
-}
-
-/// Rejects NaN, infinite and negative threshold voltages.
-fn validate_threshold(threshold: f32) -> std::result::Result<f32, CampaignError> {
-    if !threshold.is_finite() || threshold < 0.0 {
-        return Err(CampaignError::invalid_plan(format!(
-            "threshold {threshold} must be finite and non-negative"
-        )));
-    }
-    Ok(threshold)
-}
-
-/// Parses a strategy string: `fap`, `fapit:EPOCHS`, `fapit:EPOCHS@THRESHOLD`
-/// or `falvolt:EPOCHS`.
-fn parse_strategy(s: &str) -> std::result::Result<MitigationStrategy, CampaignError> {
-    let epochs_of = |text: &str| {
-        text.parse::<usize>().map_err(|_| {
-            CampaignError::invalid_plan(format!("invalid epoch count `{text}` in strategy `{s}`"))
-        })
-    };
-    if s == "fap" {
-        return Ok(MitigationStrategy::FaP);
-    }
-    if let Some(rest) = s.strip_prefix("falvolt:") {
-        return Ok(MitigationStrategy::falvolt(epochs_of(rest)?));
-    }
-    if let Some(rest) = s.strip_prefix("fapit:") {
-        if let Some((epochs, threshold)) = rest.split_once('@') {
-            let threshold = threshold.parse::<f32>().map_err(|_| {
-                CampaignError::invalid_plan(format!(
-                    "invalid threshold `{threshold}` in strategy `{s}`"
-                ))
-            })?;
-            return Ok(MitigationStrategy::FaPIT {
-                epochs: epochs_of(epochs)?,
-                threshold: validate_threshold(threshold)?,
-            });
-        }
-        return Ok(MitigationStrategy::fapit(epochs_of(rest)?));
-    }
-    Err(CampaignError::invalid_plan(format!(
-        "unknown strategy `{s}` (expected `fap`, `fapit:EPOCHS`, `fapit:EPOCHS@THRESHOLD` or \
-         `falvolt:EPOCHS`)"
-    )))
 }
 
 /// Builds one retraining worker: a scenario view of the baseline with the
@@ -2207,25 +1717,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_axis_edits_the_spec_and_records_coords() {
-        let mut ctx = tiny_ctx();
-        let run = Campaign::new(&mut ctx)
-            .axis(Axis::custom("array_rows", vec![4.0, 8.0], |spec, rows| {
-                spec.systolic = SystolicConfig::new(rows as usize, 8).unwrap();
-            }))
-            .run()
-            .unwrap();
-        assert_eq!(run.cells()[0].spec.systolic.rows(), 4);
-        assert_eq!(run.cells()[1].spec.systolic.rows(), 8);
-        assert_eq!(
-            run.cells()[1].coord("array_rows"),
-            Some(&AxisValue::Custom(8.0))
-        );
-        assert_eq!(run.mean_series("array_rows").len(), 1);
-        assert_eq!(run.mean_series("array_rows")[0].points.len(), 2);
-    }
-
-    #[test]
     fn mean_series_groups_by_remaining_coords() {
         let mut ctx = tiny_ctx();
         let run = Campaign::new(&mut ctx)
@@ -2372,7 +1863,7 @@ mod tests {
         let mut ctx = tiny_ctx();
         let run = Campaign::new(&mut ctx)
             .axis(Axis::FaultyPes(vec![0, 4]))
-            .budget(RunBudget::unlimited().deadline(Duration::ZERO))
+            .deadline(Duration::ZERO)
             .run()
             .unwrap();
         assert_eq!(run.len(), 2);
@@ -2397,6 +1888,62 @@ mod tests {
                 reason: SkipReason::Cancelled
             }
         )));
+    }
+
+    #[test]
+    fn retrain_cells_honour_cancellation_deadlines_and_retries() {
+        fn plan(ctx: &mut ExperimentContext) -> Campaign<'_> {
+            Campaign::new(ctx)
+                .axis(Axis::FaultRate(vec![0.1, 0.3]))
+                .axis(Axis::Mitigation(vec![MitigationStrategy::FaP]))
+        }
+        let skipped_for = |run: &CampaignRun, expected: SkipReason| {
+            run.len() == 2
+                && run.cells().iter().all(|c| {
+                    c.status == CellStatus::Skipped { reason: expected } && c.outcomes.is_empty()
+                })
+        };
+        let mut ctx = tiny_ctx();
+        let clean = plan(&mut ctx).run().unwrap();
+        assert_eq!(clean.completed(), 2);
+        assert!(clean.cells().iter().all(|c| c.outcomes.len() == 1));
+
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = plan(&mut ctx).cancel_token(token).run().unwrap();
+        assert!(skipped_for(&cancelled, SkipReason::Cancelled));
+
+        let expired = plan(&mut ctx).deadline(Duration::ZERO).run().unwrap();
+        assert!(skipped_for(&expired, SkipReason::Deadline));
+
+        // A token tripped inside the retraining worker stops it before its
+        // first map: the cell is skipped, not failed.
+        let token = CancelToken::new();
+        let hook_token = token.clone();
+        let stopped = plan(&mut ctx)
+            .cancel_token(token)
+            .cell_hook(move |_, _| {
+                hook_token.cancel();
+                Ok(())
+            })
+            .run()
+            .unwrap();
+        assert!(skipped_for(&stopped, SkipReason::Cancelled));
+
+        // Every cell fails its first attempt; one retry recovers the run
+        // bit for bit.
+        let retried = plan(&mut ctx)
+            .retry(RetryPolicy::attempts(2).backoff(Duration::ZERO, Duration::ZERO))
+            .cell_hook(|_, attempt| {
+                if attempt == 1 {
+                    Err("transient retrain failure".to_string())
+                } else {
+                    Ok(())
+                }
+            })
+            .run()
+            .unwrap();
+        assert_eq!(retried, clean);
     }
 
     #[test]
@@ -2458,97 +2005,29 @@ mod tests {
     }
 
     #[test]
-    fn plan_specs_validate_at_the_plan_spec_boundary() {
-        let good = r#"{
-            "scenarios_per_cell": 2,
-            "seed": 7,
-            "retrain_epochs": 1,
-            "axes": [
-                {"kind": "fault_rate", "values": [0.1, 0.3]},
-                {"kind": "strategy", "values": ["fap", "fapit:3", "fapit:3@0.5", "falvolt:2"]},
-                {"kind": "polarity", "values": ["sa0", "sa1"]}
-            ]
-        }"#;
-        let spec = PlanSpec::from_json(good).unwrap();
-        assert_eq!(spec.scenarios_per_cell(), 2);
-        assert_eq!(spec.seed(), Some(7));
-        assert_eq!(spec.retrain_epochs(), Some(1));
-        assert_eq!(spec.axes().len(), 3);
-        assert_eq!(
-            spec.axes()[1].label(),
-            "strategy",
-            "strategy strings parse into a Mitigation axis"
-        );
-
-        // A parsed plan actually runs.
-        let mut ctx = tiny_ctx();
-        let tiny = PlanSpec::from_json(
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "faulty_pes", "values": [0, 4]}]}"#,
-        )
-        .unwrap();
-        let run = Campaign::new(&mut ctx).plan(tiny).run().unwrap();
-        assert_eq!(run.len(), 2);
-        assert_eq!(run.completed(), 2);
-
-        for bad in [
-            // zero scenarios
-            r#"{"scenarios_per_cell": 0, "axes": [{"kind": "bit", "values": [0]}]}"#,
-            // no axes at all
-            r#"{"scenarios_per_cell": 1, "axes": []}"#,
-            // an empty axis value list
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "bit", "values": []}]}"#,
-            // unknown axis kind
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "voltage", "values": [1]}]}"#,
-            // out-of-range fault rate
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "fault_rate", "values": [1.5]}]}"#,
-            // negative threshold
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "threshold", "values": [-0.5]}]}"#,
-            // NaN threshold smuggled through a strategy string
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "strategy", "values": ["fapit:3@nan"]}]}"#,
-            // unknown strategy / polarity spellings
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "strategy", "values": ["prune-harder"]}]}"#,
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "polarity", "values": ["stuck-low"]}]}"#,
-            // zero array size
-            r#"{"scenarios_per_cell": 1, "axes": [{"kind": "array_size", "values": [0]}]}"#,
-            // malformed JSON
-            r#"{"scenarios_per_cell": 1, "axes": ["#,
-            // an axis that is not an object
-            r#"{"scenarios_per_cell": 1, "axes": [1]}"#,
-        ] {
+    fn checkpoints_with_bad_cell_indexes_are_malformed() {
+        let cell = |index: usize| {
+            format!(r#"{{"index":{index},"accuracy":"0x3f800000","scenarios":1,"outcomes":[]}}"#)
+        };
+        let checkpoint = |cells: &[usize]| {
+            let cells: Vec<String> = cells.iter().map(|&i| cell(i)).collect();
+            format!(
+                r#"{{"version":1,"fingerprint":"0x0000000000000007","baseline_accuracy":"0x3f800000","total_cells":2,"cells":[{}]}}"#,
+                cells.join(",")
+            )
+        };
+        let complete = CampaignCheckpoint::from_json(&checkpoint(&[0, 1])).unwrap();
+        assert!(complete.is_complete());
+        // A repeated index would make two records of cell 0 look like a
+        // complete two-cell plan while cell 1 is missing.
+        for bad in [&[0, 0][..], &[1, 0, 1], &[2]] {
             assert!(
                 matches!(
-                    PlanSpec::from_json(bad),
-                    Err(CampaignError::InvalidPlan { .. })
+                    CampaignCheckpoint::from_json(&checkpoint(bad)),
+                    Err(CampaignError::CheckpointMalformed { .. })
                 ),
-                "`{bad}` should be rejected as an invalid plan"
+                "cells {bad:?} must be rejected"
             );
-        }
-        // Misspelled and repeated keys are rejected by name: the second
-        // value of a repeated key must not escape validation.
-        for (bad, key) in [
-            (
-                r#"{"scenarios_per_cell": 1, "retrain_epoch": 10, "axes": [{"kind": "bit", "values": [0]}]}"#,
-                "`retrain_epoch`",
-            ),
-            (
-                r#"{"scenarios_per_cell": 1, "axes": [{"kind": "bit", "values": [0], "valeus": [1]}]}"#,
-                "`valeus`",
-            ),
-            (
-                r#"{"scenarios_per_cell": 4, "scenarios_per_cell": 0, "axes": [{"kind": "bit", "values": [0]}]}"#,
-                "`scenarios_per_cell`",
-            ),
-            (
-                r#"{"scenarios_per_cell": 1, "axes": [{"kind": "bit", "kind": "voltage", "values": [0]}]}"#,
-                "`kind`",
-            ),
-        ] {
-            let err = PlanSpec::from_json(bad).unwrap_err();
-            assert!(
-                matches!(err, CampaignError::InvalidPlan { .. }),
-                "`{bad}` should be rejected as an invalid plan"
-            );
-            assert!(err.to_string().contains(key), "{err} should name {key}");
         }
     }
 

@@ -33,9 +33,8 @@ pub enum FalvoltError {
 /// to this plan, or a malformed checkpoint payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
-    /// The plan is not executable (zero scenarios per cell, NaN or negative
-    /// threshold values at the plan-spec boundary, no axes, unknown axis
-    /// kind, unknown or repeated plan-spec keys).
+    /// The plan is not executable (zero scenarios per cell, or a scenario
+    /// index outside its [`crate::ScenarioProducts`] set).
     InvalidPlan {
         /// Human-readable description of the rejected plan element.
         reason: String,

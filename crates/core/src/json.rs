@@ -1,11 +1,11 @@
-//! Minimal JSON reader/writer for checkpoints and plan specs.
+//! Minimal JSON reader/writer for campaign checkpoints.
 //!
-//! Everything the campaign layer reads from or writes to disk — campaign
-//! checkpoints and plan specs arriving at the plan-spec boundary — is
-//! encoded by hand against this module; the workspace has no serialization
-//! framework. The value model is deliberately small: objects keep insertion
-//! order and reject repeated keys, numbers are `f64`, and callers encode
-//! floats they need bit-exact as hex strings of their IEEE-754 bits (see
+//! Campaign checkpoints are the one thing the campaign layer reads from or
+//! writes to disk, and they are encoded by hand against this module; the
+//! workspace has no serialization framework. The value model is
+//! deliberately small: objects keep insertion order and reject repeated
+//! keys, numbers are `f64`, and callers encode floats they need bit-exact as
+//! hex strings of their IEEE-754 bits (see
 //! [`crate::campaign::CampaignCheckpoint`]).
 
 use crate::error::CampaignError;
@@ -28,36 +28,13 @@ pub(crate) enum Value {
 }
 
 impl Value {
-    /// Looks a key up in an object.
-    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// A required object field, with a typed error naming the key.
     pub(crate) fn field(&self, key: &str) -> Result<&Value, CampaignError> {
-        self.get(key)
-            .ok_or_else(|| CampaignError::malformed(format!("missing field `{key}`")))
-    }
-
-    /// Rejects an object carrying a key outside `allowed`, naming the first
-    /// such key — a misspelled optional field must not be silently ignored.
-    pub(crate) fn only_keys(&self, allowed: &[&str]) -> Result<(), CampaignError> {
-        let Value::Obj(fields) = self else {
-            return Err(CampaignError::malformed(format!(
-                "expected an object, found {}",
-                self.kind()
-            )));
+        let found = match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
         };
-        match fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
-            None => Ok(()),
-            Some((key, _)) => Err(CampaignError::malformed(format!(
-                "unknown field `{key}` (expected one of: {})",
-                allowed.join(", ")
-            ))),
-        }
+        found.ok_or_else(|| CampaignError::malformed(format!("missing field `{key}`")))
     }
 
     /// The value as a string slice.

@@ -15,8 +15,9 @@
 //!   fault-aware pruning (FaP), fault-aware pruning + retraining (FaPIT) and
 //!   **FalVolt** — retraining with per-layer learnable threshold voltages
 //!   (Algorithm 1),
-//! * [`vulnerability`] implements the stuck-at fault vulnerability sweeps of
-//!   Figure 5 (bit position, number of faulty PEs, array size),
+//! * [`vulnerability`] holds the panic-isolated scenario fan-out that the
+//!   stuck-at fault sweeps of Figure 5 (bit position, number of faulty PEs,
+//!   array size) run on, and its sequential reference,
 //! * [`campaign`] is the declarative sweep engine: every figure-style sweep
 //!   is a [`Campaign`] plan built from typed [`Axis`] values, executed by
 //!   one scheduler that owns seed mixing, fault-map pools, scenario-view
@@ -73,7 +74,7 @@ pub mod vulnerability;
 pub use backend::{ScenarioProducts, SystolicBackend};
 pub use campaign::{
     Axis, Campaign, CampaignCheckpoint, CampaignRun, CellResult, CellStatus, CheckpointSink,
-    PlanSpec, RetryPolicy, RunBudget, SkipReason,
+    RetryPolicy, SkipReason,
 };
 pub use error::{CampaignError, CellFailure, FalvoltError};
 pub use vulnerability::SweepCaches;

@@ -1539,7 +1539,7 @@ const STREAM_ROWS: usize = 16 * MR;
 /// overwritten.
 ///
 /// Neither matrix exists whole. Each batch's rows are computed
-/// [`STREAM_ROWS`] at a time by [`matmul`]'s serial panel kernel into a
+/// `STREAM_ROWS` (64) at a time by [`matmul`]'s serial panel kernel into a
 /// small buffer, and each row is scatter-added at once into the batch's
 /// zero-padded planes through the `PaddedTable` offsets; the interior is
 /// then cropped into `out`. Row blocks start at multiples of [`MR`] in the

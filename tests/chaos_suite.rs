@@ -5,7 +5,7 @@
 //! bit-identical to a chaos-free run.
 #![cfg(feature = "chaos")]
 
-use falvolt::campaign::{Axis, Campaign, CellStatus, RetryPolicy, RunBudget};
+use falvolt::campaign::{Axis, Campaign, CellStatus, RetryPolicy};
 use falvolt::chaos::{ChaosAction, ChaosPlan};
 use falvolt::experiment::{DatasetKind, ExperimentContext, ExperimentScale};
 use proptest::prelude::*;
@@ -138,7 +138,7 @@ fn stragglers_meet_deadlines_without_failing_cells() {
     let run = plan(ctx, 5)
         .chaos(chaos)
         .checkpoint_every(1)
-        .budget(RunBudget::unlimited().deadline(Duration::from_millis(40)))
+        .deadline(Duration::from_millis(40))
         .run()
         .unwrap();
     assert_eq!(run.len(), 6);
