@@ -545,6 +545,8 @@ fn kernel_comparison(c: &mut Criterion) {
     // standard floor-1.0 gate trips whenever checkpointing costs more than
     // 3% of the run.
     const CHECKPOINT_EVERY: usize = 8;
+    // Odd, so the median pair is one measured pair.
+    const CHECKPOINT_PAIRS: usize = 9;
     let (campaign_plain_s, campaign_checkpointed_s, checkpointed_cells) = {
         use falvolt::campaign::{Axis, Campaign, CampaignCheckpoint};
         use falvolt::experiment::{DatasetKind, ExperimentContext, ExperimentScale};
@@ -575,20 +577,25 @@ fn kernel_comparison(c: &mut Criterion) {
             "wave checkpointing must not change campaign results"
         );
         // Paired, interleaved reps: the two variants differ by ~1% while
-        // run-to-run drift on a shared machine is ~3%, so each rep times
-        // both back-to-back and the minima are taken over the pairs —
-        // otherwise drift between two separate best_of blocks would swamp
-        // the overhead being gated.
-        let mut plain_s = f64::INFINITY;
-        let mut checkpointed_s = f64::INFINITY;
-        for _ in 0..5 {
-            let t = std::time::Instant::now();
-            criterion::black_box(plan(&mut ctx).run().unwrap());
-            plain_s = plain_s.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            criterion::black_box(run_checkpointed(&mut ctx));
-            checkpointed_s = checkpointed_s.min(t.elapsed().as_secs_f64());
-        }
+        // run-to-run drift on a shared machine is ~3%, so each pair times
+        // both back-to-back (alternating which runs first) and the entry
+        // records the pair with the median `plain / checkpointed` ratio.
+        // A ratio within one pair cancels the drift that separate minima
+        // or separate blocks would keep, and the median discards the pairs
+        // a burst of load hit on one side only.
+        let mut pairs: Vec<(f64, f64)> = (0..CHECKPOINT_PAIRS)
+            .map(|rep| {
+                if rep % 2 == 0 {
+                    let plain_s = best_of(1, || plan(&mut ctx).run().unwrap());
+                    (plain_s, best_of(1, || run_checkpointed(&mut ctx)))
+                } else {
+                    let checkpointed_s = best_of(1, || run_checkpointed(&mut ctx));
+                    (best_of(1, || plan(&mut ctx).run().unwrap()), checkpointed_s)
+                }
+            })
+            .collect();
+        pairs.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
+        let (plain_s, checkpointed_s) = pairs[CHECKPOINT_PAIRS / 2];
         (plain_s, checkpointed_s, plain.len())
     };
 

@@ -1,7 +1,6 @@
 //! Adapter running SNN matrix products on the systolic-array simulator.
 
 use falvolt_snn::{MatmulBackend, MatmulOutput, MatmulRequest};
-use falvolt_systolic::executor::BypassPolicy;
 use falvolt_systolic::{
     FaultMap, ProductCache, ScenarioMatrices, SystolicConfig, SystolicExecutor,
 };
@@ -16,6 +15,12 @@ use std::sync::Arc;
 /// [`falvolt_snn::SpikingNetwork::set_backend`] to measure how stuck-at
 /// faults in the accelerator corrupt inference — the methodology of the
 /// paper's fault-vulnerability analysis (Figure 5).
+///
+/// Faulty PEs always stay in the datapath. A chip whose faulty PEs are
+/// bypassed (the paper's Figure 3b) is the fault-aware-pruned network
+/// ([`crate::prune::PruneMasks::apply`]) on a backend with a fault-free map:
+/// the structural oracle ([`falvolt_systolic::SystolicArray`]) proves the
+/// two equal bit for bit, so the backend has no bypass mode.
 ///
 /// # Example
 ///
@@ -46,14 +51,6 @@ impl SystolicBackend {
     pub fn new(config: SystolicConfig, fault_map: FaultMap) -> Self {
         Self {
             executor: SystolicExecutor::new(config, fault_map),
-        }
-    }
-
-    /// Creates a backend whose faulty PEs are bypassed (the fault-aware
-    /// pruning hardware configuration of Figure 3b).
-    pub fn with_bypass(config: SystolicConfig, fault_map: FaultMap) -> Self {
-        Self {
-            executor: SystolicExecutor::with_bypass(config, fault_map, BypassPolicy::SkipFaulty),
         }
     }
 
@@ -91,21 +88,17 @@ impl MatmulBackend for SystolicBackend {
 }
 
 /// The fingerprint of every single-map systolic backend: everything that
-/// changes its products — the array geometry and accumulator format, the
-/// fault map's composed masks (all three in the map's fingerprint) and the
-/// bypass policy. (The product cache and the scenario batch store are execution
-/// strategies, not result state: the executor guarantees bit-identity with
-/// and without them, so a [`ScenarioProducts`] member fingerprints equal to
-/// the [`SystolicBackend`] with the same map and sweep-cache sharing carries
-/// over unchanged.)
+/// changes its products, which is the array geometry, the accumulator format
+/// and the fault map's composed masks (all three in the map's fingerprint).
+/// (The product cache and the scenario batch store are execution strategies,
+/// not result state: the executor guarantees bit-identity with and without
+/// them, so a [`ScenarioProducts`] member fingerprints equal to the
+/// [`SystolicBackend`] with the same map and sweep-cache sharing carries over
+/// unchanged.)
 fn systolic_fingerprint(executor: &SystolicExecutor) -> u64 {
     let mut fp = Fingerprint::new();
     fp.write_str("systolic");
     fp.write_u64(executor.fault_map().fingerprint());
-    fp.write_u64(match executor.bypass_policy() {
-        BypassPolicy::None => 0,
-        BypassPolicy::SkipFaulty => 1,
-    });
     fp.finish() as u64
 }
 
@@ -375,7 +368,7 @@ fn as_tensor_error(e: falvolt_systolic::SystolicError) -> TensorError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falvolt_systolic::{Fault, PeCoord, StuckAt};
+    use falvolt_systolic::{Fault, PeCoord, StuckAt, WeightMapping};
 
     #[test]
     fn clean_backend_is_close_to_float() {
@@ -408,8 +401,12 @@ mod tests {
         let corrupted = faulty.matmul(&a, &b).unwrap();
         assert!((corrupted.get(&[0, 0]) - clean.get(&[0, 0])).abs() > 1.0);
 
-        let bypassed = SystolicBackend::with_bypass(config, fault_map);
-        let healed = bypassed.matmul(&a, &b).unwrap();
+        // Bypassing the faulty PE is pruning the weights mapped onto it: the
+        // pruned weights on a fault-free chip.
+        let mask = WeightMapping::new(&config).prune_mask(4, 4, &fault_map);
+        let pruned = b.mul(&mask.transposed().unwrap()).unwrap();
+        let bypassed = SystolicBackend::new(config, FaultMap::new(config));
+        let healed = bypassed.matmul(&a, &pruned).unwrap();
         assert!((healed.get(&[0, 0]) - clean.get(&[0, 0])).abs() <= 0.5 + 1e-3);
     }
 
@@ -439,9 +436,7 @@ mod tests {
         for (i, map) in maps.iter().enumerate() {
             let member = ScenarioProducts::member(&set, i).unwrap();
             let single = SystolicBackend::new(config, map.clone());
-            let bypassed = SystolicBackend::with_bypass(config, map.clone());
             assert_eq!(member.fingerprint(), single.fingerprint(), "member {i}");
-            assert_ne!(member.fingerprint(), bypassed.fingerprint(), "member {i}");
         }
     }
 

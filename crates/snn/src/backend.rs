@@ -206,8 +206,8 @@ pub trait MatmulBackend: fmt::Debug + Send + Sync {
     /// differ from another backend's — the cross-call prefix cache keys
     /// cached outputs on it. The default hashes the backend name, which is
     /// correct for stateless backends like [`FloatBackend`]; backends with
-    /// result-changing configuration (the systolic model's array geometry,
-    /// fault map and bypass policy) must fold that state in too.
+    /// result-changing configuration (the systolic model's array geometry
+    /// and fault map) must fold that state in too.
     fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_str(self.name());

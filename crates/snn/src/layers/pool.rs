@@ -6,6 +6,11 @@ use falvolt_tensor::{ops, Tensor};
 
 /// Non-overlapping average pooling with a square window.
 ///
+/// Bench-only: no paper architecture builds it (every
+/// [`crate::config::ArchitectureConfig`] pools with [`MaxPool2d`]). It
+/// survives for the bench network behind the gated `*_pool_32x32` entries
+/// of the kernel bench (`crates/bench/benches/kernels.rs`).
+///
 /// # Example
 ///
 /// ```

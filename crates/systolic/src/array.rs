@@ -21,6 +21,15 @@
 //!   `(K - 1) mod R`: a faulty PE in a row the product never reaches
 //!   corrupts nothing.
 //!
+//! The bypass multiplexer of the paper's Figure 3b is modelled here and in
+//! [`ProcessingElement`] only ([`SystolicArray::bypass_faulty_pes`]). It
+//! equals fault-aware pruning bit for bit: the bypassed array on `Wᵀ`
+//! returns what the fault-free array returns on `(mask ⊙ W)ᵀ`, with `mask`
+//! from [`crate::WeightMapping::prune_mask`] (proptested in
+//! `tests/proptest_systolic.rs`). The executor therefore has no bypass
+//! mode; a bypassed chip runs there as the pruned weights on a fault-free
+//! map.
+//!
 //! The array always models the quantized datapath. The executor differs in
 //! one documented place: a fault map with no fault at all is treated as
 //! ideal hardware and returns the float product, so comparisons between the
@@ -236,8 +245,7 @@ impl SystolicArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::BypassPolicy;
-    use crate::{Fault, StuckAt, SystolicExecutor};
+    use crate::{StuckAt, SystolicExecutor};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -283,28 +291,6 @@ mod tests {
             spikes.iter().map(|&s| if s { 1.0 } else { 0.0 }).collect(),
         )
         .unwrap();
-        let fast = executor.matmul(&spike_row, &tile).unwrap();
-        assert_eq!(structural.as_slice(), fast.data());
-    }
-
-    #[test]
-    fn bypassing_faulty_pes_matches_skip_policy() {
-        let config = config();
-        let fault_map = FaultMap::from_faults(
-            config,
-            vec![Fault::new(PeCoord::new(1, 2), 15, StuckAt::One)],
-        )
-        .unwrap();
-        let tile = Tensor::full(&[4, 4], 0.5);
-        let spikes = [true, true, true, true];
-
-        let mut array = SystolicArray::new(config, &fault_map);
-        array.load_weights(&tile).unwrap();
-        array.bypass_faulty_pes();
-        let structural = array.process_spikes(&spikes);
-
-        let executor = SystolicExecutor::with_bypass(config, fault_map, BypassPolicy::SkipFaulty);
-        let spike_row = Tensor::ones(&[1, 4]);
         let fast = executor.matmul(&spike_row, &tile).unwrap();
         assert_eq!(structural.as_slice(), fast.data());
     }

@@ -40,6 +40,14 @@
 //! quantized contributions inline, a fold corrupted by several maps
 //! computes them once and replays them per map.
 //!
+//! The executor models faulty PEs in the datapath only. The bypass
+//! multiplexer of the paper's Figure 3b lives in the structural oracle
+//! ([`crate::SystolicArray::bypass_faulty_pes`]), where it is proven equal
+//! to fault-aware pruning bit for bit: a bypassed chip is the pruned weights
+//! ([`crate::WeightMapping::prune_mask`]) on a fault-free map, so the
+//! executor runs it as exactly that (a fault-free map, hence the float
+//! idealisation above) and needs no bypass mode of its own.
+//!
 //! With a [`crate::ProductCache`] installed, the maskless quantized chain of
 //! a product's fault-free columns is computed once per distinct activation
 //! matrix and shared across every fault scenario in a sweep (clean columns
@@ -48,7 +56,7 @@
 
 use crate::fault_map::PeMasks;
 use crate::product_cache::ProductCache;
-use crate::{FaultMap, Result, SystolicConfig, SystolicError, WeightMapping};
+use crate::{FaultMap, Result, SystolicConfig, SystolicError};
 use falvolt_fixedpoint::{Fixed, QFormat};
 use falvolt_tensor::kernels::parallel_panel_rows;
 use falvolt_tensor::simd::{self, Isa, SimdLevel, SimdOp};
@@ -58,25 +66,11 @@ use falvolt_tensor::{
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// How the executor treats faulty PEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BypassPolicy {
-    /// Faulty PEs stay in the datapath and corrupt partial sums (the
-    /// vulnerability-analysis setting).
-    #[default]
-    None,
-    /// Faulty PEs are bypassed through the multiplexer of Figure 3b: their
-    /// weight contribution is skipped and their faults never reach the
-    /// partial sum (the fault-aware-pruning setting).
-    SkipFaulty,
-}
-
 /// Executes matrix products on the (possibly faulty) systolic array.
 ///
 /// # Example
 ///
 /// ```
-/// use falvolt_systolic::executor::BypassPolicy;
 /// use falvolt_systolic::{FaultMap, SystolicConfig, SystolicExecutor};
 /// use falvolt_tensor::Tensor;
 ///
@@ -89,7 +83,6 @@ pub enum BypassPolicy {
 /// // With no faults the array reproduces the exact product (within
 /// // fixed-point resolution).
 /// assert!((out.get(&[0, 0]) - 1.0).abs() < 1e-2);
-/// assert_eq!(executor.bypass_policy(), BypassPolicy::None);
 /// # Ok(())
 /// # }
 /// ```
@@ -97,8 +90,6 @@ pub enum BypassPolicy {
 pub struct SystolicExecutor {
     config: SystolicConfig,
     fault_map: FaultMap,
-    mapping: WeightMapping,
-    bypass: BypassPolicy,
     cache: Option<Arc<ProductCache>>,
     cancel: Option<CancelToken>,
 }
@@ -107,33 +98,20 @@ impl PartialEq for SystolicExecutor {
     fn eq(&self, other: &Self) -> bool {
         // The cache is a perf-sharing handle, not executor state: two
         // executors that compute identical products compare equal.
-        self.config == other.config
-            && self.fault_map == other.fault_map
-            && self.mapping == other.mapping
-            && self.bypass == other.bypass
+        self.config == other.config && self.fault_map == other.fault_map
     }
 }
 
 impl SystolicExecutor {
     /// Creates an executor for a configuration and fault map, with faults
-    /// active in the datapath ([`BypassPolicy::None`]).
+    /// active in the datapath.
     pub fn new(config: SystolicConfig, fault_map: FaultMap) -> Self {
-        let mapping = WeightMapping::new(&config);
         Self {
             config,
             fault_map,
-            mapping,
-            bypass: BypassPolicy::None,
             cache: None,
             cancel: None,
         }
-    }
-
-    /// Creates an executor with an explicit bypass policy.
-    pub fn with_bypass(config: SystolicConfig, fault_map: FaultMap, bypass: BypassPolicy) -> Self {
-        let mut e = Self::new(config, fault_map);
-        e.bypass = bypass;
-        e
     }
 
     /// The systolic configuration.
@@ -146,35 +124,9 @@ impl SystolicExecutor {
         &self.fault_map
     }
 
-    /// The weight-stationary mapping used by this executor.
-    pub fn mapping(&self) -> WeightMapping {
-        self.mapping
-    }
-
-    /// The current bypass policy.
-    pub fn bypass_policy(&self) -> BypassPolicy {
-        self.bypass
-    }
-
-    /// Changes the bypass policy.
-    pub fn set_bypass_policy(&mut self, bypass: BypassPolicy) {
-        self.bypass = bypass;
-    }
-
-    /// Replaces the fault map (e.g. to evaluate several chips with one
-    /// executor).
-    pub fn set_fault_map(&mut self, fault_map: FaultMap) {
-        self.fault_map = fault_map;
-    }
-
     /// Installs (or removes) a sweep-shared clean-product cache.
     pub fn set_product_cache(&mut self, cache: Option<Arc<ProductCache>>) {
         self.cache = cache;
-    }
-
-    /// The installed product cache, if any.
-    pub fn product_cache(&self) -> Option<&Arc<ProductCache>> {
-        self.cache.as_ref()
     }
 
     /// Installs (or removes) a cooperative cancellation token. With one
@@ -290,8 +242,8 @@ impl SystolicExecutor {
     /// callers that consume rows (or a subset of scenarios) skip the
     /// O(maps · m · n) de-interleave copy entirely.
     ///
-    /// The executor's own fault map is ignored; its grid, accumulator format
-    /// and bypass policy apply to every scenario. All maps must target this
+    /// The executor's own fault map is ignored; its grid and accumulator
+    /// format apply to every scenario. All maps must target this
     /// executor's grid.
     ///
     /// # Errors
@@ -380,7 +332,6 @@ impl SystolicExecutor {
         // each map's corruptible folds are then overwritten by the merged
         // walk of nonzero activations and masked positions.
         let format = self.config.accumulator_format();
-        let bypass = matches!(self.bypass, BypassPolicy::SkipFaulty);
 
         // The maskless chain does not depend on the fault map, so a
         // sweep-shared clean product is consumed when the cache holds one.
@@ -442,7 +393,6 @@ impl SystolicExecutor {
             lanes,
             clean_lane,
             format,
-            bypass,
             // Lane engine: `Isa::Scalar` keeps the per-column loop exactly.
             use_lanes: !matches!(simd::active(), Isa::Scalar),
             cancel: self.cancel.as_ref(),
@@ -751,25 +701,10 @@ fn faulty_column_from_q(
     format: QFormat,
     min_raw: i64,
     max_raw: i64,
-    bypass: bool,
 ) -> f32 {
     let q = q.for_events(nonzero.len());
     let mut acc = 0i64;
     let mut mi = 0usize;
-    if bypass {
-        // Bypassed PEs contribute nothing and corrupt nothing: the product
-        // reduces to the nonzero activations whose position is unmasked.
-        for (e, &(p, v)) in nonzero.iter().enumerate() {
-            while mi < masked.len() && (masked[mi].0 as usize) < p {
-                mi += 1;
-            }
-            if mi < masked.len() && masked[mi].0 as usize == p {
-                continue;
-            }
-            acc = (acc + q.word(e, p, v)).clamp(min_raw, max_raw);
-        }
-        return format.dequantize(acc as i32);
-    }
     for (e, &(p, v)) in nonzero.iter().enumerate() {
         // Compose and apply every mask strictly before this add. Masks ahead
         // of the first nonzero act on the zero accumulator, exactly as the
@@ -856,7 +791,6 @@ struct RowWalk<'a> {
     /// fulfils the sweep-shared clean product.
     clean_lane: Option<usize>,
     format: QFormat,
-    bypass: bool,
     use_lanes: bool,
     cancel: Option<&'a CancelToken>,
 }
@@ -905,7 +839,7 @@ impl RowWalk<'_> {
             return;
         }
         let (k, n, lanes) = (self.k, self.n, self.lanes);
-        let (format, bypass) = (self.format, self.bypass);
+        let format = self.format;
         let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
         fill_nonzeros(nz, self.spike_index, i, &self.a[i * k..(i + 1) * k]);
         let shared_row = self.shared_clean.map(|v| &v[i * n..(i + 1) * n]);
@@ -941,7 +875,6 @@ impl RowWalk<'_> {
                 format,
                 min_raw,
                 max_raw,
-                bypass,
             });
             return;
         }
@@ -967,9 +900,9 @@ impl RowWalk<'_> {
             }
             let walk = |masked: &[(u32, PeMasks)]| {
                 if replay {
-                    faulty_column_from_q(masked, nz, ReplayQ(q), format, min_raw, max_raw, bypass)
+                    faulty_column_from_q(masked, nz, ReplayQ(q), format, min_raw, max_raw)
                 } else {
-                    faulty_column_from_q(masked, nz, inline, format, min_raw, max_raw, bypass)
+                    faulty_column_from_q(masked, nz, inline, format, min_raw, max_raw)
                 }
             };
             if need_clean {
@@ -1038,7 +971,7 @@ impl<W: QuantizedWeights> SimdOp for CleanRowOp<'_, W> {
                 base: j,
                 stride: 1,
             };
-            *o = faulty_column_from_q(&[], nz, q, format, min_raw, max_raw, false);
+            *o = faulty_column_from_q(&[], nz, q, format, min_raw, max_raw);
         }
     }
 }
@@ -1060,7 +993,6 @@ struct ScenarioFoldsOp<'a, W> {
     format: QFormat,
     min_raw: i64,
     max_raw: i64,
-    bypass: bool,
 }
 
 impl<W: QuantizedWeights> SimdOp for ScenarioFoldsOp<'_, W> {
@@ -1079,7 +1011,6 @@ impl<W: QuantizedWeights> SimdOp for ScenarioFoldsOp<'_, W> {
             format,
             min_raw,
             max_raw,
-            bypass,
         } = self;
         let lanes = S::I64_LANES;
         for fold in 0..folds.folds() {
@@ -1103,9 +1034,9 @@ impl<W: QuantizedWeights> SimdOp for ScenarioFoldsOp<'_, W> {
                 }
                 for &(fi, masked) in users {
                     let acc = if replay {
-                        walk_q_block::<S>(masked, nz, ReplayQ(q), format, min_raw, max_raw, bypass)
+                        walk_q_block::<S>(masked, nz, ReplayQ(q), format, min_raw, max_raw)
                     } else {
-                        walk_q_block::<S>(masked, nz, inline, format, min_raw, max_raw, bypass)
+                        walk_q_block::<S>(masked, nz, inline, format, min_raw, max_raw)
                     };
                     for lane in 0..lanes {
                         row_chunk[fi * n + base + lane * cols] =
@@ -1127,17 +1058,9 @@ impl<W: QuantizedWeights> SimdOp for ScenarioFoldsOp<'_, W> {
                 }
                 for &(fi, masked) in users {
                     row_chunk[fi * n + j] = if replay {
-                        faulty_column_from_q(
-                            masked,
-                            nz,
-                            ReplayQ(q),
-                            format,
-                            min_raw,
-                            max_raw,
-                            bypass,
-                        )
+                        faulty_column_from_q(masked, nz, ReplayQ(q), format, min_raw, max_raw)
                     } else {
-                        faulty_column_from_q(masked, nz, inline, format, min_raw, max_raw, bypass)
+                        faulty_column_from_q(masked, nz, inline, format, min_raw, max_raw)
                     };
                 }
                 g += 1;
@@ -1157,22 +1080,9 @@ fn walk_q_block<S: SimdLevel>(
     format: QFormat,
     min_raw: i64,
     max_raw: i64,
-    bypass: bool,
 ) -> S::I64 {
     let mut acc = S::i64_zero();
     let mut mi = 0usize;
-    if bypass {
-        for (e, &(p, v)) in nonzero.iter().enumerate() {
-            while mi < masked.len() && (masked[mi].0 as usize) < p {
-                mi += 1;
-            }
-            if mi < masked.len() && masked[mi].0 as usize == p {
-                continue;
-            }
-            acc = S::i64_clamp(S::i64_add(acc, q.block::<S>(e, p, v)), min_raw, max_raw);
-        }
-        return acc;
-    }
     for (e, &(p, v)) in nonzero.iter().enumerate() {
         if mi < masked.len() && (masked[mi].0 as usize) < p {
             let mut composed = masked[mi].1;
@@ -1442,7 +1352,7 @@ pub(crate) fn matrix_dims(t: &Tensor) -> Result<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Fault, PeCoord, StuckAt};
+    use crate::{Fault, PeCoord, StuckAt, WeightMapping};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::atomic::Ordering;
@@ -1526,6 +1436,24 @@ mod tests {
         assert!(max_abs_diff(&out, &clean) <= 4.0 / 256.0 + 1e-6);
     }
 
+    /// The structural array's product with every faulty PE bypassed
+    /// (Figure 3b), next to the executor's form of the same chip: the
+    /// weights mapped to faulty PEs pruned, run on a fault-free array.
+    /// Returns `(bypassed, pruned)`.
+    fn bypassed_and_pruned(fault_map: &FaultMap, a: &Tensor, b: &Tensor) -> (Tensor, Tensor) {
+        let config = *fault_map.config();
+        let mut array = crate::SystolicArray::new(config, fault_map);
+        array.bypass_faulty_pes();
+        let bypassed = array.matmul(a, b).unwrap();
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        let mask = WeightMapping::new(&config).prune_mask(n, k, fault_map);
+        let pruned_b = b.mul(&mask.transposed().unwrap()).unwrap();
+        let pruned = SystolicExecutor::new(config, FaultMap::new(config))
+            .matmul(a, &pruned_b)
+            .unwrap();
+        (bypassed, pruned)
+    }
+
     #[test]
     fn bypass_skips_faulty_contribution_instead_of_corrupting() {
         let config = config();
@@ -1534,10 +1462,11 @@ mod tests {
             vec![Fault::new(PeCoord::new(2, 1), 15, StuckAt::One)],
         )
         .unwrap();
-        let executor = SystolicExecutor::with_bypass(config, fault_map, BypassPolicy::SkipFaulty);
         let a = Tensor::ones(&[1, 4]);
         let b = Tensor::full(&[4, 4], 0.5);
-        let out = executor.matmul(&a, &b).unwrap();
+        let (out, pruned) = bypassed_and_pruned(&fault_map, &a, &b);
+        // On the fixed-point lattice the pruned product is exact.
+        assert_eq!(out.data(), pruned.data());
         // Column 1 loses the contribution of k = 2 (weight 0.5): 2.0 -> 1.5.
         assert!((out.get(&[0, 1]) - 1.5).abs() < 1e-3);
         // Other columns unaffected.
@@ -1555,10 +1484,10 @@ mod tests {
             vec![Fault::new(PeCoord::new(0, 0), 15, StuckAt::One)],
         )
         .unwrap();
-        let executor = SystolicExecutor::with_bypass(config, fault_map, BypassPolicy::SkipFaulty);
         let a = Tensor::ones(&[1, 8]);
         let b = Tensor::full(&[8, 4], 0.5);
-        let out = executor.matmul(&a, &b).unwrap();
+        let (out, pruned) = bypassed_and_pruned(&fault_map, &a, &b);
+        assert_eq!(out.data(), pruned.data());
         // Column 0 loses k=0 and k=4 contributions: 4.0 - 1.0 = 3.0.
         assert!((out.get(&[0, 0]) - 3.0).abs() < 1e-3);
     }
@@ -1746,31 +1675,27 @@ mod tests {
     }
 
     #[test]
-    fn set_fault_map_and_policy_take_effect() {
+    fn fault_map_takes_effect() {
         let config = config();
-        let mut executor = SystolicExecutor::new(config, FaultMap::new(config));
         let a = Tensor::ones(&[1, 4]);
         let b = Tensor::full(&[4, 4], 0.5);
-        let clean = executor.matmul(&a, &b).unwrap();
-
+        let clean = SystolicExecutor::new(config, FaultMap::new(config))
+            .matmul(&a, &b)
+            .unwrap();
         let fault_map = FaultMap::from_faults(
             config,
             vec![Fault::new(PeCoord::new(0, 0), 15, StuckAt::One)],
         )
         .unwrap();
-        executor.set_fault_map(fault_map);
-        let faulty = executor.matmul(&a, &b).unwrap();
+        let faulty = SystolicExecutor::new(config, fault_map)
+            .matmul(&a, &b)
+            .unwrap();
         assert!(max_abs_diff(&clean, &faulty) > 1.0);
-
-        executor.set_bypass_policy(BypassPolicy::SkipFaulty);
-        assert_eq!(executor.bypass_policy(), BypassPolicy::SkipFaulty);
-        let bypassed = executor.matmul(&a, &b).unwrap();
-        assert!(max_abs_diff(&clean, &bypassed) <= 0.5 + 1e-3);
     }
 
     /// The batched multi-map product must agree bit-for-bit with installing
-    /// each map on its own executor — mixed clean/faulty maps, both bypass
-    /// policies, with and without a CSR spike index on the activations.
+    /// each map on its own executor — mixed clean/faulty maps, with and
+    /// without a CSR spike index on the activations.
     #[test]
     fn matmul_scenarios_matches_per_map_matmul_bit_for_bit() {
         let config = SystolicConfig::new(4, 6).unwrap();
@@ -1789,20 +1714,14 @@ mod tests {
             _ => 0.0,
         });
         let b = Tensor::from_fn(&[21, 9], |i| (i % 13) as f32 * 0.05 - 0.3);
-        for bypass in [BypassPolicy::None, BypassPolicy::SkipFaulty] {
-            for a in [&spikes, &indexed, &mixed] {
-                let executor = SystolicExecutor::with_bypass(config, FaultMap::new(config), bypass);
-                let batched = executor.matmul_scenarios(a, &b, &maps).unwrap();
-                assert_eq!(batched.len(), maps.len());
-                for (s, map) in maps.iter().enumerate() {
-                    let single = SystolicExecutor::with_bypass(config, map.clone(), bypass);
-                    let reference = single.matmul(a, &b).unwrap();
-                    assert_eq!(
-                        batched[s].data(),
-                        reference.data(),
-                        "scenario {s} diverged ({bypass:?})"
-                    );
-                }
+        for a in [&spikes, &indexed, &mixed] {
+            let executor = SystolicExecutor::new(config, FaultMap::new(config));
+            let batched = executor.matmul_scenarios(a, &b, &maps).unwrap();
+            assert_eq!(batched.len(), maps.len());
+            for (s, map) in maps.iter().enumerate() {
+                let single = SystolicExecutor::new(config, map.clone());
+                let reference = single.matmul(a, &b).unwrap();
+                assert_eq!(batched[s].data(), reference.data(), "scenario {s} diverged");
             }
         }
         // Degenerate shapes: empty scenario lists and zero-width products.

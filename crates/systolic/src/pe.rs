@@ -4,8 +4,15 @@
 //! the partial sum flowing down its column whenever the 1-bit spike input is
 //! asserted, counts the spikes it has seen, and forwards the (possibly
 //! fault-corrupted) partial sum. Multi-valued inputs (the pixels an encoder
-//! layer sees) add the quantized product of the input and the raw weight. The bypass multiplexer of the paper's
-//! Figure 3b lets a faulty PE forward the incoming partial sum untouched.
+//! layer sees) add the quantized product of the input and the raw weight.
+//!
+//! The bypass multiplexer of the paper's Figure 3b lets a faulty PE forward
+//! the incoming partial sum untouched. It is modelled only here and in the
+//! structural [`crate::SystolicArray`]: a bypassed PE computes exactly what
+//! a fault-free PE holding a zero weight computes, so a chip with its faulty
+//! PEs bypassed equals the fault-free chip running the fault-aware-pruned
+//! weights ([`crate::WeightMapping::prune_mask`]). The fast
+//! [`crate::SystolicExecutor`] has no bypass mode and runs it that way.
 
 use crate::fault_map::PeMasks;
 use falvolt_fixedpoint::{Fixed, QFormat};

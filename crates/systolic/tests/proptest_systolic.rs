@@ -1,6 +1,5 @@
 //! Property-based tests for the systolic-array fault model.
 
-use falvolt_systolic::executor::BypassPolicy;
 use falvolt_systolic::{
     Fault, FaultMap, FoldPlan, PeCoord, ProductCache, StuckAt, SystolicArray, SystolicConfig,
     SystolicExecutor, WeightMapping,
@@ -48,17 +47,15 @@ proptest! {
         config in small_grid(),
         seed in 0u64..1000,
         density_pct in 0usize..60,
-        bypass_choice in 0usize..2,
         scenario_count in 2usize..6,
         indexed_choice in 0usize..2,
     ) {
         // The multi-map batched product walks each row's event stream once
         // for every fault map; it must agree bit-for-bit with installing
         // each map on its own executor — over random grids, map mixes
-        // (including the empty map), densities, bypass policies, and with
-        // or without a CSR spike index on the activations.
+        // (including the empty map), densities, and with or without a CSR
+        // spike index on the activations.
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(97).wrapping_add(3));
-        let policy = [BypassPolicy::None, BypassPolicy::SkipFaulty][bypass_choice];
         let indexed = indexed_choice == 1;
         let mut maps = vec![FaultMap::new(config)];
         for extra in 0..scenario_count - 1 {
@@ -88,11 +85,11 @@ proptest! {
         };
         let b = falvolt_tensor::init::uniform(&[k, n], -0.4, 0.4, &mut rng);
 
-        let batch = SystolicExecutor::with_bypass(config, FaultMap::new(config), policy);
+        let batch = SystolicExecutor::new(config, FaultMap::new(config));
         let outputs = batch.matmul_scenarios(&a, &b, &maps).unwrap();
         prop_assert_eq!(outputs.len(), maps.len());
         for (s, map) in maps.iter().enumerate() {
-            let single = SystolicExecutor::with_bypass(config, map.clone(), policy);
+            let single = SystolicExecutor::new(config, map.clone());
             let reference = single.matmul(&a, &b).unwrap();
             prop_assert_eq!(
                 outputs[s].data(),
@@ -164,9 +161,9 @@ proptest! {
 
     #[test]
     fn bypass_error_is_bounded_by_skipped_weight_mass(config in small_grid(), seed in 0u64..1000) {
-        // With SkipFaulty bypass, the deviation from the clean product is at
-        // most the sum of |weights| mapped to faulty PEs (per output), never
-        // the catastrophic MSB corruption.
+        // With the faulty PEs bypassed, the deviation from the clean product
+        // is at most the sum of |weights| mapped to faulty PEs (per output),
+        // never the catastrophic MSB corruption.
         let mut rng = StdRng::seed_from_u64(seed);
         let faulty = (config.pe_count() / 4).max(1);
         let map = FaultMap::random_faulty_pes(&config, faulty, 15, StuckAt::One, &mut rng).unwrap();
@@ -174,8 +171,7 @@ proptest! {
         let n = config.cols();
         let a = Tensor::ones(&[2, k]);
         let b = falvolt_tensor::init::uniform(&[k, n], -0.5, 0.5, &mut rng);
-        let executor = SystolicExecutor::with_bypass(config, map.clone(), BypassPolicy::SkipFaulty);
-        let out = executor.matmul(&a, &b).unwrap();
+        let out = oracle(config, &map, true, &a, &b);
         let clean = falvolt_tensor::ops::matmul(&a, &b).unwrap();
         let mapping = WeightMapping::new(&config);
         for j in 0..n {
@@ -231,9 +227,9 @@ proptest! {
 // SIMD dispatch properties: the executor's quantized accumulator chains are
 // integer add/clamp/mask sequences whose per-column order the lane engines
 // never change, so every forced ISA must reproduce the forced-scalar output
-// *bit for bit* — single-map and batched, with and without bypass, odd
-// column counts included. The override is process-global; each test holds
-// the shared lock for its whole body.
+// *bit for bit* — single-map and batched, odd column counts included. The
+// override is process-global; each test holds the shared lock for its whole
+// body.
 // ---------------------------------------------------------------------------
 
 fn hashed_act(i: usize, salt: u64, density_pct: usize) -> f32 {
@@ -255,19 +251,13 @@ proptest! {
         k in 1usize..12,
         n in 1usize..30,
         density_pct in 0usize..80,
-        bypass_choice in 0usize..2,
         seed in 0u64..1000,
     ) {
         let _lock = simd::test_override_lock();
         let mut rng = StdRng::seed_from_u64(seed);
         let faulty = 1 + config.pe_count() / 4;
         let map = FaultMap::random_faulty_pes(&config, faulty, 9, StuckAt::One, &mut rng).unwrap();
-        let bypass = if bypass_choice == 0 {
-            BypassPolicy::None
-        } else {
-            BypassPolicy::SkipFaulty
-        };
-        let executor = SystolicExecutor::with_bypass(config, map, bypass);
+        let executor = SystolicExecutor::new(config, map);
         let a = Tensor::from_fn(&[m, k], |i| hashed_act(i, seed, density_pct));
         let b = Tensor::from_fn(&[k, n], |i| ((i % 11) as f32 - 5.0) * 0.21);
         let scalar = {
@@ -423,16 +413,11 @@ fn random_fault_map(config: &SystolicConfig, rng: &mut StdRng) -> FaultMap {
     FaultMap::from_faults(*config, faults).unwrap()
 }
 
-/// The structural array's product under `map` and `policy`.
-fn oracle(
-    config: SystolicConfig,
-    map: &FaultMap,
-    policy: BypassPolicy,
-    a: &Tensor,
-    b: &Tensor,
-) -> Tensor {
+/// The structural array's product under `map`, with the bypass multiplexer
+/// of every faulty PE switched on when `bypass` is set.
+fn oracle(config: SystolicConfig, map: &FaultMap, bypass: bool, a: &Tensor, b: &Tensor) -> Tensor {
     let mut array = SystolicArray::new(config, map);
-    if policy == BypassPolicy::SkipFaulty {
+    if bypass {
         array.bypass_faulty_pes();
     }
     array.matmul(a, b).unwrap()
@@ -446,7 +431,6 @@ proptest! {
         config in oracle_grid(),
         seed in 0u64..100_000,
         class in 0usize..3,
-        bypass_choice in 0usize..2,
     ) {
         // k up to 4R+1 and n up to 4C+1 exercise the fold carry, the partial
         // last fold and the ragged last column tile. Activation classes:
@@ -455,7 +439,6 @@ proptest! {
         // included). Weights sometimes reach the accumulator's saturation.
         let _lock = simd::test_override_lock();
         let mut rng = StdRng::seed_from_u64(seed);
-        let policy = [BypassPolicy::None, BypassPolicy::SkipFaulty][bypass_choice];
         let m = rng.gen_range(1..6);
         let k = rng.gen_range(1..4 * config.rows() + 2);
         let n = rng.gen_range(1..4 * config.cols() + 2);
@@ -479,11 +462,11 @@ proptest! {
         let b = falvolt_tensor::init::uniform(&[k, n], -scale, scale, &mut rng);
         let maps: Vec<FaultMap> = (0..3).map(|_| random_fault_map(&config, &mut rng)).collect();
         let expected: Vec<Tensor> =
-            maps.iter().map(|map| oracle(config, map, policy, &a, &b)).collect();
+            maps.iter().map(|map| oracle(config, map, false, &a, &b)).collect();
 
         for isa in simd::available() {
             let _g = simd::force(Some(isa));
-            let executor = SystolicExecutor::with_bypass(config, maps[0].clone(), policy);
+            let executor = SystolicExecutor::new(config, maps[0].clone());
             let out = executor.matmul(&a, &b).unwrap();
             prop_assert_eq!(out.data(), expected[0].data(), "isa {}", isa);
 
@@ -498,7 +481,7 @@ proptest! {
             prop_assert!(shared.hits() >= 1, "the cached path was never exercised");
 
             // Batched scenarios, checked per map, without and with a cache.
-            let mut batch = SystolicExecutor::with_bypass(config, FaultMap::new(config), policy);
+            let mut batch = SystolicExecutor::new(config, FaultMap::new(config));
             for call in 0..3 {
                 let outs = batch.matmul_scenarios(&a, &b, &maps).unwrap();
                 for (s, out) in outs.iter().enumerate() {
@@ -513,5 +496,75 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fault-aware pruning is the bypass multiplexer (the paper's Figure 3b): on
+// the structural array, switching on the bypass of every faulty PE and
+// running the weights `W` computes exactly what the fault-free array
+// computes on the pruned weights `prune_mask ⊙ W`. This is why neither the
+// executor nor the backend has a bypass mode.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(320))]
+
+    #[test]
+    fn bypassed_array_equals_fault_free_array_on_pruned_weights(
+        config in oracle_grid(),
+        seed in 0u64..100_000,
+        conv_choice in 0usize..2,
+        binary_choice in 0usize..2,
+    ) {
+        // Layer weights are `[out, in]` and the product runs on their
+        // transpose: a linear layer has any `in`, a conv layer lowered by
+        // im2col has `in = C·k·k`. Ragged folds and tiles come with shapes
+        // up to four grids plus one. Weights sometimes reach saturation.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let map = random_fault_map(&config, &mut rng);
+        let out_dim = rng.gen_range(1..4 * config.cols() + 2);
+        let in_dim = if conv_choice == 1 {
+            let channels = rng.gen_range(1..4);
+            let kernel = rng.gen_range(1..4);
+            channels * kernel * kernel
+        } else {
+            rng.gen_range(1..4 * config.rows() + 2)
+        };
+        let m = rng.gen_range(1..6);
+        let density = rng.gen_range(0.0..1.0);
+        let a = Tensor::from_fn(&[m, in_dim], |_| {
+            if !rng.gen_bool(density) {
+                0.0
+            } else if binary_choice == 1 {
+                1.0
+            } else {
+                rng.gen_range(-2.0f32..2.0)
+            }
+        });
+        let scale = [0.4f32, 6.0][rng.gen_range(0..2)];
+        let w = falvolt_tensor::init::uniform(&[out_dim, in_dim], -scale, scale, &mut rng);
+        let mask = WeightMapping::new(&config).prune_mask(out_dim, in_dim, &map);
+        let pruned = w.mul(&mask).unwrap();
+
+        let mut bypassed = SystolicArray::new(config, &map);
+        bypassed.bypass_faulty_pes();
+        // The hardware bypasses exactly the PEs the fault map prunes.
+        for row in 0..config.rows() {
+            for col in 0..config.cols() {
+                let pe = PeCoord::new(row, col);
+                prop_assert_eq!(bypassed.pe(pe).unwrap().is_bypassed(), map.is_faulty(pe));
+            }
+        }
+        let on_chip = bypassed.matmul(&a, &w.transposed().unwrap()).unwrap();
+        let fault_free = FaultMap::new(config);
+        let fap = SystolicArray::new(config, &fault_free)
+            .matmul(&a, &pruned.transposed().unwrap())
+            .unwrap();
+        let (on_chip, fap): (Vec<u32>, Vec<u32>) = (
+            on_chip.data().iter().map(|x| x.to_bits()).collect(),
+            fap.data().iter().map(|x| x.to_bits()).collect(),
+        );
+        prop_assert_eq!(on_chip, fap);
     }
 }

@@ -7,7 +7,7 @@ use falvolt_snn::loss::MseRateLoss;
 use falvolt_snn::optim::Adam;
 use falvolt_snn::trainer::{evaluate, Batch, Trainer};
 use falvolt_snn::SpikingNetwork;
-use falvolt_systolic::{FaultMap, StuckAt, SystolicConfig};
+use falvolt_systolic::{FaultMap, StuckAt, SystolicArray, SystolicConfig};
 use falvolt_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -118,41 +118,61 @@ fn lsb_faults_are_much_milder_than_msb_faults() {
 
 #[test]
 fn bypassed_faulty_pes_behave_like_weight_pruning() {
-    // Cross-validation of the two fault abstractions used in the paper and in
-    // this reproduction: running the *original* weights on an array whose
-    // faulty PEs are bypassed must be equivalent to zeroing the mapped
-    // weights and running on a clean array.
-    let (mut network, test) = trained_tiny_network();
+    // The paper's fault-aware pruning (FaP) is the software form of the
+    // bypass multiplexer (Figure 3b): for every prunable layer of a trained
+    // network, the structural array with its faulty PEs bypassed computes on
+    // the original weights `Wᵀ` exactly what the fault-free array computes
+    // on the FaP-pruned weights, bit for bit. This ties the masks of
+    // `PruneMasks::derive` (not only `WeightMapping`) to the hardware.
+    let (mut network, _) = trained_tiny_network();
     let systolic = SystolicConfig::new(8, 8).unwrap();
     let mut rng = StdRng::seed_from_u64(29);
-    let fault_map = FaultMap::random_with_rate(
-        &systolic,
-        0.3,
-        systolic.accumulator_format().msb(),
-        StuckAt::One,
-        &mut rng,
-    )
-    .unwrap();
-
-    // Path A: hardware bypass, original weights.
-    let baseline_state = network.export_parameters();
-    network.set_backend(std::sync::Arc::new(SystolicBackend::with_bypass(
-        systolic,
-        fault_map.clone(),
-    )));
-    let bypass_accuracy = evaluate(&mut network, &test).unwrap();
-
-    // Path B: software pruning (FaP), clean float backend.
-    network.set_backend(falvolt_snn::FloatBackend::shared());
-    network.import_parameters(&baseline_state).unwrap();
-    let masks = falvolt::prune::PruneMasks::derive(&mut network, &fault_map);
-    masks.apply(&mut network).unwrap();
-    let pruned_accuracy = evaluate(&mut network, &test).unwrap();
-
-    assert!(
-        (bypass_accuracy - pruned_accuracy).abs() <= 0.25,
-        "bypass ({bypass_accuracy}) and pruning ({pruned_accuracy}) should agree up to quantization"
-    );
+    let maps = [
+        FaultMap::random_with_rate(
+            &systolic,
+            0.3,
+            systolic.accumulator_format().msb(),
+            StuckAt::One,
+            &mut rng,
+        )
+        .unwrap(),
+        FaultMap::random_faulty_pes(&systolic, 9, 4, StuckAt::Zero, &mut rng).unwrap(),
+    ];
+    let fault_free = FaultMap::new(systolic);
+    for fault_map in &maps {
+        let masks = falvolt::prune::PruneMasks::derive(&mut network, fault_map);
+        assert!(
+            masks.pruned_fraction() > 0.0,
+            "the map must prune something"
+        );
+        let weights: Vec<(String, Tensor)> = network
+            .prunable_weights_mut()
+            .into_iter()
+            .map(|(name, w)| (name, w.value().clone()))
+            .collect();
+        assert_eq!(weights.len(), masks.len());
+        let names: Vec<&str> = weights.iter().map(|(name, _)| name.as_str()).collect();
+        assert!(names.iter().any(|n| n.contains("conv")) && names.contains(&"fc1"));
+        for ((name, w), (mask_name, mask)) in weights.iter().zip(masks.layers()) {
+            assert_eq!(name, mask_name);
+            let in_dim = w.shape()[1];
+            // Binary spikes and real-valued (encoder-pixel) activations.
+            let spikes = Tensor::from_fn(&[6, in_dim], |i| ((i * 7 + 3) % 5 < 2) as u8 as f32);
+            let pixels = init::uniform(&[6, in_dim], -1.0, 1.0, &mut rng);
+            let pruned = w.mul(mask).unwrap().transposed().unwrap();
+            let w = w.transposed().unwrap();
+            for a in [&spikes, &pixels] {
+                let mut bypassed = SystolicArray::new(systolic, fault_map);
+                bypassed.bypass_faulty_pes();
+                let on_chip = bypassed.matmul(a, &w).unwrap();
+                let fap = SystolicArray::new(systolic, &fault_free)
+                    .matmul(a, &pruned)
+                    .unwrap();
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&on_chip), bits(&fap), "layer {name}");
+            }
+        }
+    }
 }
 
 #[test]

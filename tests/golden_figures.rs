@@ -1,8 +1,8 @@
 //! Golden figures: every paper figure's [`Campaign`] plan, run at a small
 //! size on one trained Tiny MNIST context, must reproduce the committed
 //! final checkpoint in `tests/golden/<fig>.json` **byte for byte**. One
-//! Fig-5b plan also runs on a Tiny DVS-Gesture context, to pin the
-//! temporal path.
+//! Fig-5b plan also runs on a Tiny N-MNIST and a Tiny DVS-Gesture context,
+//! to pin the temporal path on both neuromorphic datasets.
 //!
 //! The checkpoint JSON stores every accuracy, learned threshold and
 //! per-epoch history entry as IEEE-754 bit hex, so a byte-equal file means
@@ -38,11 +38,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// SIMD and worker-count overrides below are process-global.
 fn ctx(kind: DatasetKind) -> &'static Mutex<ExperimentContext> {
     static MNIST: OnceLock<Mutex<ExperimentContext>> = OnceLock::new();
+    static NMNIST: OnceLock<Mutex<ExperimentContext>> = OnceLock::new();
     static DVS: OnceLock<Mutex<ExperimentContext>> = OnceLock::new();
     let cell = match kind {
         DatasetKind::Mnist => &MNIST,
+        DatasetKind::NMnist => &NMNIST,
         DatasetKind::DvsGesture => &DVS,
-        other => panic!("no golden context for {}", other.label()),
     };
     cell.get_or_init(|| {
         let _scalar = simd::force(Some(Isa::Scalar));
@@ -191,18 +192,28 @@ fn fig5c_matches_golden() {
     });
 }
 
+/// The Fig-5b plan the neuromorphic goldens share.
+fn fig5b_temporal(c: Campaign<'_>) -> Campaign<'_> {
+    let vuln = ExperimentScale::Tiny.vulnerability_config();
+    c.axis(Axis::FaultyPes(vec![0, 8, 32]))
+        .scenarios_per_cell(2)
+        .seed(vuln.seed)
+        .seed_mixer(mixers::per_faulty_pe_count)
+}
+
 /// Fig 5b on DVS-Gesture: the temporal path, where every forward step
 /// carries membrane state, so the prefix cache is bypassed and only the
 /// lowered store and the systolic product stores share work.
 #[test]
 fn fig5b_dvs_matches_golden() {
-    check_figure_on(DatasetKind::DvsGesture, "fig5b_dvs", |c| {
-        let vuln = ExperimentScale::Tiny.vulnerability_config();
-        c.axis(Axis::FaultyPes(vec![0, 8, 32]))
-            .scenarios_per_cell(2)
-            .seed(vuln.seed)
-            .seed_mixer(mixers::per_faulty_pe_count)
-    });
+    check_figure_on(DatasetKind::DvsGesture, "fig5b_dvs", fig5b_temporal);
+}
+
+/// Fig 5b on N-MNIST: the temporal path on saccade events, with the same
+/// plan as `fig5b_dvs`.
+#[test]
+fn fig5b_nmnist_matches_golden() {
+    check_figure_on(DatasetKind::NMnist, "fig5b_nmnist", fig5b_temporal);
 }
 
 /// Figs 6 and 7: FaP / FaPIT / FalVolt at one fault rate; the FalVolt
