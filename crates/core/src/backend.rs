@@ -107,8 +107,14 @@ fn systolic_fingerprint(executor: &SystolicExecutor) -> u64 {
 const SCENARIO_BATCH_CAPACITY: usize = 64;
 
 /// Sweep-shared multi-map product batcher: the scenario set of one sweep
-/// (one systolic grid, many fault maps) plus a promote-on-second-request
+/// wave (one systolic grid, many fault maps) plus a promote-on-second-request
 /// store of batched products.
+///
+/// The store keeps every batched product until the set is dropped, and one
+/// entry holds an output matrix per scenario. The sweep
+/// ([`crate::vulnerability::scenario_accuracies`]) therefore builds one set
+/// per test batch and drops it when that batch's wave ends, so it holds one
+/// batch's multi-map products at a time.
 ///
 /// Scenario workers execute whole network forwards independently, but the
 /// products they issue against the *scenario-invariant* operands (the shared

@@ -17,10 +17,11 @@
 //! * **cache sharing**: evaluation cells share the context-owned
 //!   [`crate::SweepCaches`] (prefix outputs, im2col lowerings, clean
 //!   products) and retraining cells share one fresh `SweepCache`,
-//! * **multi-map batching**: evaluation scenarios of one grid configuration
-//!   form a [`crate::ScenarioProducts`] set, so products against
-//!   scenario-invariant operands are evaluated for all fault maps in one
-//!   event walk.
+//! * **multi-map batching**: the evaluation scenarios run batch-major, one
+//!   parallel wave per test batch, and in each wave the scenarios of one
+//!   grid configuration form a [`crate::ScenarioProducts`] set, so
+//!   products against scenario-invariant operands are evaluated for all
+//!   fault maps in one event walk and released when the wave ends.
 //!
 //! A cell is a *retraining* cell when its spec carries a mitigation strategy
 //! or a fixed retraining threshold, and an *evaluation* cell otherwise.
@@ -1261,10 +1262,11 @@ impl<'a> Campaign<'a> {
             let (baseline, caches) = (ctx.network(), ctx.caches());
             let (train, test) = (ctx.train_batches(), ctx.test_batches());
 
-            // Every worker starts here: an expired deadline trips the shared
-            // token, a tripped token stops the worker, and the chaos/test
-            // injector fires (`fire` is false for every scenario of an
-            // evaluation cell but its first).
+            // Every worker, and every batch of an evaluation scenario, starts
+            // here: an expired deadline trips the shared token, a tripped
+            // token stops the worker, and the chaos/test injector fires
+            // (`fire` is true once per cell attempt: on the first batch of
+            // an evaluation cell's first scenario).
             let start = |cell: usize, attempt: usize, fire: bool| {
                 if expired() {
                     run_token.cancel();
@@ -1308,9 +1310,10 @@ impl<'a> Campaign<'a> {
                     caches,
                     &EnginePreset::full(),
                     Some(&run_token),
-                    &|flat| {
+                    &|flat, batch| {
                         let cell = eval[flat / scenarios_per_cell];
-                        start(cell, attempt, flat.is_multiple_of(scenarios_per_cell))
+                        let first = batch == 0 && flat.is_multiple_of(scenarios_per_cell);
+                        start(cell, attempt, first)
                     },
                 );
                 let mut out: Vec<(usize, CellTry)> = eval
@@ -1888,6 +1891,46 @@ mod tests {
                 reason: SkipReason::Cancelled
             }
         )));
+    }
+
+    #[test]
+    fn a_deadline_expiring_after_the_first_batch_wave_stops_the_sweep() {
+        let mut ctx = tiny_ctx();
+        let batches = ctx.test_batches().len();
+        assert!(batches >= 2, "the sweep needs a second batch wave");
+        // Every evaluation item runs one forward pass, and every forward
+        // pass makes one prefix-cache lookup.
+        let forwards = |ctx: &ExperimentContext| {
+            let stats = ctx.caches().sweep.prefix_stats();
+            stats.hits + stats.misses + stats.promotions
+        };
+        let before = forwards(&ctx);
+        // Cell 1's injector fires on the first batch of its only scenario
+        // and sleeps past the deadline, so the first wave runs in full and
+        // the deadline has expired before any later batch starts.
+        let run = Campaign::new(&mut ctx)
+            .axis(Axis::FaultyPes(vec![0, 4]))
+            .scenarios_per_cell(1)
+            .deadline(Duration::from_millis(300))
+            .cell_hook(|cell, _| {
+                if cell == 1 {
+                    std::thread::sleep(Duration::from_millis(900));
+                }
+                Ok(())
+            })
+            .run()
+            .unwrap();
+        assert!(run.cells().iter().all(|c| matches!(
+            c.status,
+            CellStatus::Skipped {
+                reason: SkipReason::Deadline
+            }
+        )));
+        assert_eq!(
+            forwards(&ctx) - before,
+            2,
+            "only the first batch wave of {batches} may run"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::metrics;
 use crate::network::SpikingNetwork;
 use crate::optim::Optimizer;
 use crate::{Result, SnnError};
-use falvolt_tensor::{reduce, CancelToken, Tensor, TensorError};
+use falvolt_tensor::{reduce, Tensor};
 
 /// One mini-batch: an input tensor (static `[N, C, H, W]` or temporal
 /// `[N, T, C, H, W]`) and its integer labels.
@@ -173,40 +173,42 @@ impl<O: Optimizer, L: Loss> Trainer<O, L> {
 /// Returns [`SnnError::InvalidInput`] for an empty batch list and propagates
 /// forward-pass errors.
 pub fn evaluate(network: &mut SpikingNetwork, batches: &[Batch]) -> Result<f32> {
-    evaluate_cancellable(network, batches, None)
+    let mut correct = 0usize;
+    for batch in batches {
+        correct += correct_predictions(network, batch)?;
+    }
+    accuracy_of(correct, batches)
 }
 
-/// [`evaluate`] with a cooperative cancellation check before every batch —
-/// bit-identical accuracy when it completes.
+/// Number of samples in `batch` that `network` classifies correctly (one
+/// evaluation-mode forward pass).
 ///
 /// # Errors
 ///
-/// As [`evaluate`], plus [`TensorError::Cancelled`] (wrapped in
-/// [`SnnError::Tensor`]) once `cancel` trips.
-pub fn evaluate_cancellable(
-    network: &mut SpikingNetwork,
-    batches: &[Batch],
-    cancel: Option<&CancelToken>,
-) -> Result<f32> {
+/// Propagates forward-pass errors.
+pub fn correct_predictions(network: &mut SpikingNetwork, batch: &Batch) -> Result<usize> {
+    let predictions = network.predict(&batch.input)?;
+    Ok(predictions
+        .iter()
+        .zip(&batch.labels)
+        .filter(|(p, l)| p == l)
+        .count())
+}
+
+/// The accuracy [`evaluate`] reports for `correct` right answers over every
+/// sample of `batches`, for drivers that tally [`correct_predictions`]
+/// batch by batch themselves.
+///
+/// # Errors
+///
+/// Returns [`SnnError::InvalidInput`] for an empty batch list.
+pub fn accuracy_of(correct: usize, batches: &[Batch]) -> Result<f32> {
     if batches.is_empty() {
         return Err(SnnError::invalid_input(
             "no batches to evaluate".to_string(),
         ));
     }
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for batch in batches {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(TensorError::Cancelled.into());
-        }
-        let predictions = network.predict(&batch.input)?;
-        correct += predictions
-            .iter()
-            .zip(&batch.labels)
-            .filter(|(p, l)| p == l)
-            .count();
-        total += batch.len();
-    }
+    let total: usize = batches.iter().map(Batch::len).sum();
     Ok(correct as f32 / total as f32)
 }
 
@@ -276,23 +278,6 @@ mod tests {
             last.loss
         );
         assert!(last.accuracy >= first.accuracy);
-    }
-
-    #[test]
-    fn cancellable_evaluate_matches_evaluate_until_cancelled() {
-        let config = ArchitectureConfig::tiny_test();
-        let mut network = config.build(7).unwrap();
-        let batches = toy_batches(&config, 2, 9);
-        let token = CancelToken::new();
-        let a = evaluate_cancellable(&mut network, &batches, Some(&token)).unwrap();
-        let b = evaluate(&mut network, &batches).unwrap();
-        assert_eq!(a, b);
-        assert!((0.0..=1.0).contains(&a));
-        token.cancel();
-        assert!(matches!(
-            evaluate_cancellable(&mut network, &batches, Some(&token)),
-            Err(SnnError::Tensor(TensorError::Cancelled))
-        ));
     }
 
     #[test]

@@ -568,3 +568,47 @@ proptest! {
         prop_assert_eq!(on_chip, fap);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Thread-count independence: above the kernels' parallel work threshold the
+// fault-chain row walk splits output rows across threads, and no split may
+// change a bit.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn faulty_row_walk_splits_above_the_grain_without_changing_a_bit() {
+    struct ClearOverride;
+    impl Drop for ClearOverride {
+        fn drop(&mut self) {
+            rayon::set_thread_count_override(0);
+        }
+    }
+    let _lock = simd::test_override_lock();
+    let _clear = ClearOverride;
+    let config = SystolicConfig::new(8, 8).unwrap();
+    let mut rng = StdRng::seed_from_u64(41);
+    let maps: Vec<FaultMap> = (0..2)
+        .map(|_| FaultMap::random_faulty_pes(&config, 12, 9, StuckAt::One, &mut rng).unwrap())
+        .collect();
+    let executor = SystolicExecutor::new(config, FaultMap::new(config));
+    // 512 rows × 64 columns × 128 deep × 2 faulty lanes = 8.4 M units.
+    let a = Tensor::from_fn(&[512, 128], |i| hashed_act(i, 41, 30));
+    let b = Tensor::from_fn(&[128, 64], |i| ((i % 13) as f32 - 6.0) * 0.17);
+    let run = |threads: usize| {
+        rayon::set_thread_count_override(threads);
+        let before = rayon::parallel_calls();
+        let out: Vec<Vec<u32>> = executor
+            .matmul_scenarios(&a, &b, &maps)
+            .unwrap()
+            .iter()
+            .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+            .collect();
+        (out, rayon::parallel_calls() - before)
+    };
+    let (serial, _) = run(1);
+    for threads in 2..=6 {
+        let (parallel, calls) = run(threads);
+        assert!(calls > 0, "the row walk did not split at {threads} threads");
+        assert!(parallel == serial, "{threads} threads changed a bit");
+    }
+}

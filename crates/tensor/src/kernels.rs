@@ -98,8 +98,13 @@ pub const NR: usize = 8;
 pub const KC: usize = 256;
 
 /// Work (multiply-adds, or elements written) below which a kernel runs
-/// serially: a parallel call costs more than a product this small.
-const PARALLEL_WORK_THRESHOLD: usize = 1 << 16;
+/// serially: a parallel call costs more than a product this small. A
+/// two-worker call costs ~58 µs even when empty, and Tiny training at 2
+/// threads runs faster with none of its kernels split. The threshold is the
+/// smallest power of two above the largest of them (conv1's spike product
+/// and its input-gradient scatter, 2,359,296 units), so Tiny training spawns
+/// no thread, while a dense 1024×256×64 product (16.8 M units) still splits.
+const PARALLEL_WORK_THRESHOLD: usize = 1 << 22;
 
 /// The grain rule every row-parallel kernel shares. `None` means run the
 /// `rows` serially: this thread's budget is one thread, or `work` is below

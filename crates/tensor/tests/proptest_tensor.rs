@@ -823,30 +823,111 @@ proptest! {
     }
 }
 
+/// Runs `f` at 1 thread and at 2 to 6, asserting that every multi-thread
+/// run split its rows (through the shim's call counter) and that no split
+/// changed an output bit.
+fn assert_splits_without_changing_bits(name: &str, f: impl Fn() -> Vec<f32>) {
+    let serial = with_threads(1, &f);
+    for threads in 2..=6 {
+        let (parallel, calls) = with_threads(threads, || {
+            let before = rayon::parallel_calls();
+            let out = f();
+            (out, rayon::parallel_calls() - before)
+        });
+        assert!(calls > 0, "{name} did not split at {threads} threads");
+        assert_eq!(
+            bits(&parallel),
+            bits(&serial),
+            "{name} at {threads} threads"
+        );
+    }
+}
+
 #[test]
 fn blocked_matmul_bits_do_not_depend_on_the_thread_count() {
     // k > KC makes tile rows and tail rows round differently, so a panel
-    // split that moved a row between the two classes would show here.
+    // split that moved a row between the two classes would show here. Both
+    // shapes are above the parallel work threshold.
     let _lock = simd::test_override_lock();
-    for &(m, k, n) in &[(20usize, 600usize, 16usize), (64, 300, 128)] {
+    for &(m, k, n) in &[(72usize, 600usize, 100usize), (130, 300, 128)] {
         let a: Vec<f32> = (0..m * k).map(|i| hashed(i, 3, 1.0)).collect();
         let b: Vec<f32> = (0..k * n).map(|i| hashed(i, 4, 1.0)).collect();
-        let serial = with_threads(1, || kernels::matmul(&a, &b, m, k, n));
-        for threads in 2..=6 {
-            let parallel = with_threads(threads, || kernels::matmul(&a, &b, m, k, n));
-            assert_eq!(
-                bits(&parallel),
-                bits(&serial),
-                "m{m} k{k} n{n} at {threads} threads"
-            );
-        }
+        assert_splits_without_changing_bits(&format!("matmul m{m} k{k} n{n}"), || {
+            kernels::matmul(&a, &b, m, k, n)
+        });
     }
+}
+
+#[test]
+fn sparse_and_spike_products_split_above_the_grain_without_changing_a_bit() {
+    let _lock = simd::test_override_lock();
+    // 80·512·128 = 5.2 M multiply-adds, above the parallel work threshold.
+    let (m, k, n) = (80usize, 512usize, 128usize);
+    let b: Vec<f32> = (0..k * n).map(|i| hashed(i, 21, 1.0)).collect();
+    let sparse: Vec<f32> = (0..m * k)
+        .map(|i| if i % 5 == 0 { hashed(i, 22, 2.0) } else { 0.0 })
+        .collect();
+    assert_splits_without_changing_bits("matmul_sparse", || {
+        kernels::matmul_sparse(&sparse, &b, m, k, n)
+    });
+    let spikes = spike_frame(&[m, k], 20, 23);
+    let index = SpikeIndex::from_dense(spikes.data(), k).unwrap();
+    assert_splits_without_changing_bits("matmul_spikes_indexed", || {
+        kernels::matmul_spikes_indexed(&index, &b, m, k, n)
+    });
+    // The spike-rhs walk's work is nnz(rhs)·m: ~26 K spikes × 256 rows.
+    let (m, k, n) = (256usize, 512usize, 128usize);
+    let a: Vec<f32> = (0..m * k).map(|i| hashed(i, 24, 1.0)).collect();
+    let rhs = spike_frame(&[k, n], 40, 25);
+    let rhs_index = SpikeIndex::from_dense(rhs.data(), n).unwrap();
+    assert_splits_without_changing_bits("matmul_spike_rhs", || {
+        kernels::matmul_spike_rhs(&a, &rhs_index, m, k, n)
+    });
+}
+
+#[test]
+fn lowerings_and_input_gradient_split_above_the_grain_without_changing_a_bit() {
+    let _lock = simd::test_override_lock();
+    // 8·64·64 windows × 16·3·3 columns = 4.7 M lowered cells, above the
+    // parallel work threshold.
+    let dims = ops::Conv2dDims::new(8, 16, 4, 64, 64, 3, 1, 1).unwrap();
+    let geom = dims.geom();
+    let frame = spike_frame(&[8, 16, 64, 64], 15, 31);
+    let lowered = || vec![0.0f32; geom.rows() * geom.cols()];
+    assert_splits_without_changing_bits("im2col_into", || {
+        let mut out = lowered();
+        kernels::im2col_into(frame.data(), &mut out, &geom);
+        out
+    });
+    assert_splits_without_changing_bits("im2col_sparse_into", || {
+        let mut out = lowered();
+        kernels::im2col_sparse_into(frame.data(), &mut out, &geom);
+        out
+    });
+    let index = SpikeIndex::from_dense(frame.data(), 64).unwrap();
+    assert_splits_without_changing_bits("im2col_spikes_into", || {
+        let mut out = lowered();
+        kernels::im2col_spikes_into(&index, &mut out, &geom);
+        out
+    });
+    // 4·32·32 rows × 16 output channels × 8·3·3 columns = 4.7 M.
+    let dims = ops::Conv2dDims::new(4, 8, 16, 32, 32, 3, 1, 1).unwrap();
+    let geom = dims.geom();
+    let grad_output: Vec<f32> = (0..4 * 16 * dims.out_h * dims.out_w)
+        .map(|i| hashed(i, 32, 2.0) * [1.0, 1e-3, 1e3][i % 3])
+        .collect();
+    let weight: Vec<f32> = (0..16 * geom.cols()).map(|i| hashed(i, 33, 0.5)).collect();
+    assert_splits_without_changing_bits("conv_input_grad_into", || {
+        let mut out = vec![0.0f32; 4 * 8 * 32 * 32];
+        kernels::conv_input_grad_into(&grad_output, &weight, 16, &mut out, &geom);
+        out
+    });
 }
 
 #[test]
 fn lowering_matches_reference_on_a_wide_single_channel_input() {
     // W > 64 and C = 1 pinned (the proptest geometries reach them only by
-    // chance), at a size large enough to take the parallel panel split.
+    // chance).
     for &(kernel, stride, padding) in &[(3usize, 1usize, 1usize), (5, 2, 2), (2, 3, 0)] {
         let dims = ops::Conv2dDims::new(4, 1, 1, 33, 97, kernel, stride, padding).unwrap();
         let geom = dims.geom();

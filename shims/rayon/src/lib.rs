@@ -33,6 +33,9 @@
 //! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` / `.for_each(f)`
 //! * `slice.par_chunks_mut(n).enumerate().for_each(f)`
 //! * [`current_num_threads`]
+//!
+//! Shim extensions for tests: [`set_thread_count_override`] and
+//! [`parallel_calls`].
 
 #![forbid(unsafe_code)]
 
@@ -54,6 +57,8 @@ thread_local! {
     /// This thread's share of the thread budget while it is a worker of a
     /// parallel call (0 = not a worker: the process-wide count applies).
     static BUDGET: Cell<usize> = const { Cell::new(0) };
+    /// Parallel calls made from this thread that ran on more than one worker.
+    static PARALLEL_CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Forces [`current_num_threads`] to report `n` outside parallel workers
@@ -61,6 +66,16 @@ thread_local! {
 /// env mutation.
 pub fn set_thread_count_override(n: usize) {
     THREAD_COUNT_OVERRIDE.store(n, Ordering::SeqCst);
+}
+
+/// Number of parallel calls made from this thread that ran on more than one
+/// worker (shim extension, like [`set_thread_count_override`]). Tests read it
+/// to tell a kernel that split its rows from one that ran serially. The count
+/// is per thread, so tests running side by side never see each other's
+/// calls; a call made inside a split call's worker counts on that worker's
+/// thread.
+pub fn parallel_calls() -> usize {
+    PARALLEL_CALLS.with(Cell::get)
 }
 
 /// Number of threads a parallel call made from this thread may use.
@@ -133,6 +148,7 @@ where
             .map(|(i, x)| f(i, x))
             .collect();
     }
+    PARALLEL_CALLS.with(|calls| calls.set(calls.get() + 1));
     let share = threads / workers;
     // The lock is held only to pop an item, never while one runs.
     let queue = Mutex::new(items.into_iter().enumerate());
@@ -321,7 +337,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::{current_num_threads, BudgetGuard};
+    use super::{current_num_threads, parallel_calls, BudgetGuard};
     use std::collections::HashSet;
     use std::sync::{Barrier, Mutex, PoisonError};
     use std::thread::{self, ThreadId};
@@ -439,6 +455,24 @@ mod tests {
         let payload = caught.expect_err("the item's panic must reach the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"item failed"));
         assert_eq!(current_num_threads(), 4);
+    }
+
+    #[test]
+    fn only_calls_that_split_are_counted_on_the_calling_thread() {
+        let _threads = BudgetGuard::enter(2);
+        let before = parallel_calls();
+        let _: Vec<usize> = (0..1).into_par_iter().map(|i| i).collect();
+        assert_eq!(parallel_calls(), before, "one item runs inline");
+        let inner: Vec<usize> = (0..2)
+            .into_par_iter()
+            .map(|_| {
+                let nested = parallel_calls();
+                let _: Vec<usize> = (0..4).into_par_iter().map(|i| i).collect();
+                parallel_calls() - nested
+            })
+            .collect();
+        assert_eq!(parallel_calls(), before + 1);
+        assert_eq!(inner, [0, 0], "a worker's one-thread share runs inline");
     }
 
     #[test]

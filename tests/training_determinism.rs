@@ -6,25 +6,36 @@ use falvolt::experiment::{DatasetKind, ExperimentContext, ExperimentScale};
 use falvolt_snn::loss::MseRateLoss;
 use falvolt_snn::optim::Adam;
 use falvolt_snn::trainer::Trainer;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Runs `f` under a fixed rayon worker count (cleared on drop, even on
-/// panic).
+/// panic). The override is process-global, so callers serialise on a lock.
 fn with_workers<T>(workers: usize, f: impl FnOnce() -> T) -> T {
+    static LOCK: Mutex<()> = Mutex::new(());
     struct ClearOverride;
     impl Drop for ClearOverride {
         fn drop(&mut self) {
             rayon::set_thread_count_override(0);
         }
     }
+    let _lock = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let _guard = ClearOverride;
     rayon::set_thread_count_override(workers);
     f()
 }
 
+/// The trained Tiny MNIST context both tests train from.
+fn tiny_mnist() -> &'static ExperimentContext {
+    static CTX: OnceLock<ExperimentContext> = OnceLock::new();
+    CTX.get_or_init(|| {
+        ExperimentContext::prepare(DatasetKind::Mnist, ExperimentScale::Tiny, 42)
+            .expect("Tiny MNIST context must prepare")
+    })
+}
+
 #[test]
 fn one_tiny_mnist_epoch_is_bit_identical_at_one_to_four_threads() {
-    let ctx = ExperimentContext::prepare(DatasetKind::Mnist, ExperimentScale::Tiny, 42)
-        .expect("Tiny MNIST context must prepare");
+    let ctx = tiny_mnist();
     let epoch_bits = |workers: usize| {
         with_workers(workers, || {
             let mut network = ctx.network_clone().expect("network clone");
@@ -53,4 +64,27 @@ fn one_tiny_mnist_epoch_is_bit_identical_at_one_to_four_threads() {
             "one epoch at {workers} threads changed a parameter bit"
         );
     }
+}
+
+#[test]
+fn one_tiny_mnist_training_step_at_two_threads_makes_no_parallel_call() {
+    // Tiny training kernels are all below the kernels' parallel work
+    // threshold: splitting one would spawn a thread for less work than the
+    // spawn costs.
+    let ctx = tiny_mnist();
+    let calls = with_workers(2, || {
+        let mut network = ctx.network_clone().expect("network clone");
+        network.set_thresholds_trainable(true);
+        let mut trainer = Trainer::new(
+            Adam::new(5e-3),
+            MseRateLoss::new(),
+            DatasetKind::Mnist.classes(),
+        );
+        let before = rayon::parallel_calls();
+        trainer
+            .train_batch(&mut network, &ctx.train_batches()[0])
+            .expect("one training step");
+        rayon::parallel_calls() - before
+    });
+    assert_eq!(calls, 0, "a Tiny MNIST training step split a kernel");
 }
