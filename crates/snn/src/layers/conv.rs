@@ -220,6 +220,10 @@ impl Layer for Conv2d {
         // lookups would be pure lock traffic and dead Pending markers.
         let mut local_cols: Option<Tensor> = None;
         let mut shared_cols: Option<Arc<Tensor>> = None;
+        // Whether the lowering every worker keys its products on is the
+        // store's: one computed while another worker's is in flight carries
+        // a content id no other worker will ever see.
+        let mut store_cols = false;
         match ctx.cache {
             Some(cache) if !ctx.mode.is_train() && ctx.shareable_input => {
                 let geom = dims.geom();
@@ -241,9 +245,13 @@ impl Layer for Conv2d {
                 // worker's cols (and their content id) become the shared
                 // operand every later worker keys its products on.
                 match cache.lookup_lowered_eager(key) {
-                    StoreDecision::Hit(hit) => shared_cols = Some(hit),
+                    StoreDecision::Hit(hit) => {
+                        shared_cols = Some(hit);
+                        store_cols = true;
+                    }
                     decision => {
                         let promoted = matches!(decision, StoreDecision::Compute);
+                        store_cols = promoted;
                         let computed = match ops::im2col_with_profile(input, &dims, profile) {
                             Ok(cols) => Arc::new(cols),
                             Err(e) => {
@@ -280,15 +288,17 @@ impl Layer for Conv2d {
         } else {
             MatmulHint::Auto
         };
-        // Prefix products are scenario-invariant by construction: tell the
-        // backend, so sweep-batched backends evaluate every fault scenario
-        // in one pass on the first request.
+        // Prefix products on the store's lowering are scenario-invariant by
+        // construction: tell the backend, so sweep-batched backends evaluate
+        // every fault scenario in one pass on the first request. A private
+        // lowering makes no claim: a batch keyed on its id would serve this
+        // worker alone, at the cost of one product per scenario.
         let rows = ctx
             .backend
             .matmul_request(
                 crate::backend::MatmulRequest::new(cols, weight_t)
                     .with_hint(hint)
-                    .scenario_shared(ctx.shareable_input),
+                    .scenario_shared(store_cols),
             )?
             .into_tensor();
         let mut feature_map = ops::rows_to_feature_map(&rows, &dims)?;
@@ -363,6 +373,7 @@ mod tests {
     use super::*;
     use crate::backend::FloatBackend;
     use crate::layers::Mode;
+    use crate::SweepCache;
 
     fn train_ctx(backend: &FloatBackend) -> ForwardContext<'_> {
         ForwardContext::new(Mode::Train, backend)
@@ -529,6 +540,46 @@ mod tests {
         conv.forward(&Tensor::ones(&[1, 1, 4, 4]), &ctx).unwrap();
         conv.reset_state();
         assert!(conv.backward(&Tensor::ones(&[1, 2, 4, 4])).is_err());
+    }
+
+    #[test]
+    fn a_prefix_product_claims_sharing_only_on_the_stores_lowering() {
+        /// Records the scenario-sharing claim of every request.
+        #[derive(Debug, Default)]
+        struct Claims(std::sync::Mutex<Vec<bool>>);
+        impl crate::backend::MatmulBackend for Claims {
+            fn matmul_request(
+                &self,
+                req: crate::backend::MatmulRequest<'_>,
+            ) -> falvolt_tensor::Result<crate::backend::MatmulOutput> {
+                self.0
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .push(req.is_scenario_shared());
+                ops::matmul(req.a(), req.b()).map(crate::backend::MatmulOutput::new)
+            }
+        }
+        let claims = |cache: Option<&SweepCache>| {
+            let backend = Claims::default();
+            let ctx = ForwardContext::new(Mode::Eval, &backend)
+                .with_cache(cache)
+                .with_shareable_input(true);
+            let mut conv = Conv2d::new("c", 1, 2, 3, 1, 1, 4).unwrap();
+            let input = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32 * 0.1);
+            conv.forward(&input, &ctx).unwrap();
+            conv.forward(&input, &ctx).unwrap();
+            backend
+                .0
+                .into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        // Promoted on the first call, served from the store on the second.
+        assert_eq!(claims(Some(&SweepCache::new())), [true, true]);
+        // A store with no room (as with a key in flight on another worker)
+        // leaves each call its own lowering, keyed on an id no other worker
+        // sees; so does having no store.
+        assert_eq!(claims(Some(&SweepCache::with_capacity(0))), [false, false]);
+        assert_eq!(claims(None), [false, false]);
     }
 
     #[test]

@@ -59,6 +59,7 @@ pub mod param;
 pub mod surrogate;
 pub mod sweep_cache;
 pub mod trainer;
+mod wavefront;
 
 pub use backend::{FloatBackend, MatmulBackend, MatmulOutput, MatmulRequest};
 pub use error::SnnError;

@@ -4,6 +4,7 @@ use crate::backend::{FloatBackend, MatmulBackend};
 use crate::layers::{ForwardContext, Layer, Mode};
 use crate::param::Param;
 use crate::sweep_cache::SweepCache;
+use crate::wavefront;
 use crate::{Result, SnnError};
 use falvolt_tensor::{reduce, Fingerprint, StoreDecision, Tensor};
 use std::borrow::Cow;
@@ -421,10 +422,23 @@ impl SpikingNetwork {
     /// / must push its own BPTT caches), and every cached path produces
     /// bit-identical outputs.
     ///
+    /// # Time steps on two workers
+    ///
+    /// The layers after the prefix run their `T` steps as a wavefront of
+    /// (layer, step) tasks on the two workers of one
+    /// [`falvolt_tensor::join`]. The ordering contract: task `(l, t)` reads
+    /// only layer `l − 1`'s output at step `t` and the state layer `l` carried
+    /// out of step `t − 1`, so it runs once both exist; every layer runs its
+    /// own steps in order on the same inputs; and the step outputs add into
+    /// the rate sum in step order. Any schedule that keeps those dependencies
+    /// therefore gives the same bits, the serial step-by-step loop included,
+    /// which is the order a one-thread budget drains the tasks in.
+    ///
     /// # Errors
     ///
     /// Returns an error for inputs of unsupported rank or for layer shape
-    /// mismatches.
+    /// mismatches: that of the failing task earliest in (step, layer) order,
+    /// as the serial loop would return.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         if self.layers.is_empty() {
             return Err(SnnError::invalid_config("network has no layers"));
@@ -489,80 +503,105 @@ impl SpikingNetwork {
             _ => None,
         };
 
-        let mut prefix_out: Option<Arc<Tensor>> = None;
-        let mut rate_sum: Option<Tensor> = None;
-        for t in 0..time_steps {
-            let x = if prefix_len == 0 {
-                let step = step_input(input, t, time_steps)?;
-                run_layers(&mut self.layers, step.as_ref(), &ctx)?
-            } else {
-                let mut fulfill = false;
-                if prefix_out.is_none() {
-                    if let (Some(cache), Some(key)) = (&sweep_cache, prefix_key) {
-                        match cache.lookup_prefix(key) {
-                            StoreDecision::Hit(hit) => prefix_out = Some(hit),
-                            StoreDecision::Compute => fulfill = true,
-                            StoreDecision::Skip => {}
-                        }
-                    }
-                }
-                if prefix_out.is_none() {
-                    let step = step_input(input, t, time_steps)?;
-                    let computed =
-                        run_layers(&mut self.layers[..prefix_len], step.as_ref(), &prefix_ctx);
-                    let computed = match computed {
-                        Ok(out) => Arc::new(out),
-                        Err(e) => {
-                            // Release the in-flight slot so the key is not
-                            // dead for the rest of the sweep.
-                            if fulfill {
-                                if let (Some(cache), Some(key)) = (&sweep_cache, prefix_key) {
-                                    cache.abandon_prefix(key);
-                                }
-                            }
-                            return Err(e);
+        let prefix_out = if prefix_len > 0 {
+            Some(self.prefix_output(input, prefix_len, prefix_key, &prefix_ctx)?)
+        } else {
+            None
+        };
+        let suffix = &mut self.layers[prefix_len..];
+        let steps = match &prefix_out {
+            // Entirely stateless network: every step yields the same tensor;
+            // the rate average below still adds it T times so the result is
+            // bit-identical to running the steps.
+            Some(cached) if suffix.is_empty() => (0..time_steps)
+                .map(|_| rate_rows(cached.as_ref().clone()))
+                .collect::<Result<Vec<_>>>()?,
+            _ => {
+                let last = suffix.len() - 1;
+                let stages = suffix.iter_mut().map(|layer| &mut **layer).collect();
+                wavefront::run(stages, time_steps, |layer, stage, t, x| {
+                    let out = match (x, &prefix_out) {
+                        (Some(x), _) => layer.forward(&x, &ctx)?,
+                        (None, Some(cached)) => layer.forward(cached, &ctx)?,
+                        (None, None) => {
+                            layer.forward(step_input(input, t, time_steps)?.as_ref(), &ctx)?
                         }
                     };
-                    if fulfill {
-                        if let (Some(cache), Some(key)) = (&sweep_cache, prefix_key) {
-                            cache.fulfill_prefix(key, Arc::clone(&computed));
-                        }
+                    if stage == last {
+                        rate_rows(out).map(Some)
+                    } else {
+                        Ok(Some(out))
                     }
-                    prefix_out = Some(computed);
-                }
-                let cached = prefix_out.as_deref().expect("prefix computed above");
-                if prefix_len == self.layers.len() {
-                    // Entirely stateless network: every step yields the same
-                    // tensor; the rate average below still runs T times so
-                    // the result is bit-identical to the uncached loop.
-                    cached.clone()
-                } else {
-                    run_layers(&mut self.layers[prefix_len..], cached, &ctx)?
-                }
-            };
-            if x.ndim() != 2 {
-                return Err(SnnError::invalid_config(format!(
-                    "network output must be [N, classes], got shape {:?}",
-                    x.shape()
-                )));
+                })?
             }
-            match &mut rate_sum {
-                Some(sum) => sum.add_assign(&x)?,
-                None => rate_sum = Some(x),
-            }
+        };
+        // Step outputs add in step order, whatever order the steps ran in.
+        let mut steps = steps.into_iter();
+        let mut rates = steps
+            .next()
+            .ok_or_else(|| SnnError::invalid_config("the forward pass ran no time step"))?;
+        for x in steps {
+            rates.add_assign(&x)?;
         }
-        let mut rates = rate_sum.expect("time_steps > 0 guarantees at least one step");
         rates.scale_inplace(1.0 / time_steps as f32);
         Ok(rates)
+    }
+
+    /// The stateless prefix's output for a static `input`: served by the
+    /// sweep cache when it holds it, else computed once (and offered to the
+    /// cache when this call won the right to fulfil `key`).
+    fn prefix_output(
+        &mut self,
+        input: &Tensor,
+        prefix_len: usize,
+        key: Option<u128>,
+        prefix_ctx: &ForwardContext<'_>,
+    ) -> Result<Arc<Tensor>> {
+        let cache = self.sweep_cache.clone();
+        let mut fulfill = None;
+        if let (Some(cache), Some(key)) = (cache.as_deref(), key) {
+            match cache.lookup_prefix(key) {
+                StoreDecision::Hit(hit) => return Ok(hit),
+                StoreDecision::Compute => fulfill = Some((cache, key)),
+                StoreDecision::Skip => {}
+            }
+        }
+        match run_layers(&mut self.layers[..prefix_len], input, prefix_ctx) {
+            Ok(out) => {
+                let out = Arc::new(out);
+                if let Some((cache, key)) = fulfill {
+                    cache.fulfill_prefix(key, Arc::clone(&out));
+                }
+                Ok(out)
+            }
+            Err(e) => {
+                // Release the in-flight slot so the key is not dead for the
+                // rest of the sweep.
+                if let Some((cache, key)) = fulfill {
+                    cache.abandon_prefix(key);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Backpropagates a gradient with respect to the firing rates through all
     /// time steps (BPTT). Must follow a `forward` call in [`Mode::Train`].
     ///
+    /// The steps run as the forward pass's wavefront reversed: task `(l, s)`
+    /// (layer `l` at backward step `s`) reads only the gradient layer `l + 1`
+    /// passed down at step `s` and the state layer `l` carried out of step
+    /// `s − 1`, each layer pops its cached forward steps in order, and the
+    /// first layer's `accumulate_param_grads` ends each step's chain. Every
+    /// layer therefore accumulates the same gradients in the same order
+    /// under any schedule that keeps those dependencies, on one worker or
+    /// two.
+    ///
     /// # Errors
     ///
     /// Returns [`SnnError::MissingForwardState`] when no training forward
-    /// pass preceded this call.
+    /// pass preceded this call: the error of the failing task earliest in
+    /// (step, layer-from-last) order, as the serial loop would return.
     pub fn backward(&mut self, grad_rates: &Tensor) -> Result<()> {
         // The per-step seed gradient is loop-invariant (the rate output is
         // the mean over T steps, so every step receives grad_rates / T);
@@ -577,17 +616,22 @@ impl SpikingNetwork {
         // The first layer's input gradient would be the gradient with
         // respect to the network input, which nothing reads: that layer only
         // accumulates its parameter gradients.
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return Ok(());
-        };
-        for _ in 0..self.time_steps {
-            let mut grad: Option<Tensor> = None;
-            for layer in rest.iter_mut().rev() {
-                let next = layer.backward(grad.as_ref().unwrap_or(&per_step))?;
-                grad = Some(next);
+        // Stages run from the last layer to the first.
+        let first_layer_stage = self.layers.len().saturating_sub(1);
+        let stages = self
+            .layers
+            .iter_mut()
+            .rev()
+            .map(|layer| &mut **layer)
+            .collect();
+        wavefront::run(stages, self.time_steps, |layer, stage, _, grad| {
+            let grad = grad.as_ref().unwrap_or(&per_step);
+            if stage == first_layer_stage {
+                layer.accumulate_param_grads(grad).map(|()| None)
+            } else {
+                layer.backward(grad).map(Some)
             }
-            first.accumulate_param_grads(grad.as_ref().unwrap_or(&per_step))?;
-        }
+        })?;
         Ok(())
     }
 
@@ -601,6 +645,17 @@ impl SpikingNetwork {
         let rates = self.forward(input, Mode::Eval)?;
         Ok(reduce::argmax_rows(&rates)?)
     }
+}
+
+/// Checks that a step's network output is `[N, classes]`.
+fn rate_rows(x: Tensor) -> Result<Tensor> {
+    if x.ndim() != 2 {
+        return Err(SnnError::invalid_config(format!(
+            "network output must be [N, classes], got shape {:?}",
+            x.shape()
+        )));
+    }
+    Ok(x)
 }
 
 /// Runs `input` through `layers` in order, borrowing the initial tensor (the

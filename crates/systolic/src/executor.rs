@@ -772,6 +772,16 @@ impl<'a> FoldUsers<'a> {
     }
 }
 
+/// Dense multiply-adds one fault-chain step costs, for the kernels' work
+/// grain ([`parallel_panel_rows`] counts dense multiply-adds). A faulty
+/// lane quantizes every contribution and runs the PE-by-PE masked
+/// accumulator chain. One-map faulty products of 2048×48×32, 512×128×64
+/// and 1024×256×64 on a 16×16 grid measured 60–150 dense multiply-adds per
+/// chain step with the scalar kernels and 130–300 with AVX-512, at one
+/// thread. The grain takes the low end, so a product splits only where
+/// even the cheapest chain makes that pay.
+const FAULT_CHAIN_STEP_COST: usize = 64;
+
 /// The per-product state of the faulty row walk of
 /// [`SystolicExecutor::matmul_scenarios_view`]: each output row is seeded
 /// with the maskless chain in every lane, then each lane's corruptible
@@ -803,7 +813,7 @@ impl RowWalk<'_> {
         let row_stride = self.lanes * self.n;
         let m = inter.len() / row_stride;
         let faulty_lanes = self.lanes - usize::from(self.clean_lane.is_some());
-        let work = m * self.n * self.k * faulty_lanes;
+        let work = m * self.n * self.k * faulty_lanes * FAULT_CHAIN_STEP_COST;
         let Some(rows_per_panel) = parallel_panel_rows(m, work, 1) else {
             let (mut nz, mut q) = (Vec::new(), Vec::new());
             for (i, row_chunk) in inter.chunks_mut(row_stride).enumerate() {

@@ -585,30 +585,44 @@ fn faulty_row_walk_splits_above_the_grain_without_changing_a_bit() {
     }
     let _lock = simd::test_override_lock();
     let _clear = ClearOverride;
-    let config = SystolicConfig::new(8, 8).unwrap();
-    let mut rng = StdRng::seed_from_u64(41);
-    let maps: Vec<FaultMap> = (0..2)
-        .map(|_| FaultMap::random_faulty_pes(&config, 12, 9, StuckAt::One, &mut rng).unwrap())
-        .collect();
-    let executor = SystolicExecutor::new(config, FaultMap::new(config));
-    // 512 rows × 64 columns × 128 deep × 2 faulty lanes = 8.4 M units.
-    let a = Tensor::from_fn(&[512, 128], |i| hashed_act(i, 41, 30));
-    let b = Tensor::from_fn(&[128, 64], |i| ((i % 13) as f32 - 6.0) * 0.17);
-    let run = |threads: usize| {
-        rayon::set_thread_count_override(threads);
-        let before = rayon::parallel_calls();
-        let out: Vec<Vec<u32>> = executor
-            .matmul_scenarios(&a, &b, &maps)
-            .unwrap()
-            .iter()
-            .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+    // Two faulty lanes of 512 rows × 64 columns × 128 deep on an 8×8 grid,
+    // and one of 2048 rows × 32 columns × 48 deep (an encoder-shaped
+    // product, ~20 ms serial)
+    // on a 16×16 grid: faulty-lane units weigh a fault-chain step each.
+    let cases = [
+        ((8, 8), 2, 12, (512, 128, 64)),
+        ((16, 16), 1, 6, (2048, 48, 32)),
+    ];
+    for ((rows, cols), map_count, faulty_pes, (m, k, n)) in cases {
+        let config = SystolicConfig::new(rows, cols).unwrap();
+        let mut rng = StdRng::seed_from_u64(41);
+        let maps: Vec<FaultMap> = (0..map_count)
+            .map(|_| {
+                FaultMap::random_faulty_pes(&config, faulty_pes, 9, StuckAt::One, &mut rng).unwrap()
+            })
             .collect();
-        (out, rayon::parallel_calls() - before)
-    };
-    let (serial, _) = run(1);
-    for threads in 2..=6 {
-        let (parallel, calls) = run(threads);
-        assert!(calls > 0, "the row walk did not split at {threads} threads");
-        assert!(parallel == serial, "{threads} threads changed a bit");
+        let executor = SystolicExecutor::new(config, FaultMap::new(config));
+        let a = Tensor::from_fn(&[m, k], |i| hashed_act(i, 41, 30));
+        let b = Tensor::from_fn(&[k, n], |i| ((i % 13) as f32 - 6.0) * 0.17);
+        let run = |threads: usize| {
+            rayon::set_thread_count_override(threads);
+            let before = rayon::parallel_calls();
+            let out: Vec<Vec<u32>> = executor
+                .matmul_scenarios(&a, &b, &maps)
+                .unwrap()
+                .iter()
+                .map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (out, rayon::parallel_calls() - before)
+        };
+        let (serial, _) = run(1);
+        for threads in 2..=6 {
+            let (parallel, calls) = run(threads);
+            assert!(calls > 0, "{m}x{k}x{n} did not split at {threads} threads");
+            assert!(
+                parallel == serial,
+                "{m}x{k}x{n}: {threads} threads changed a bit"
+            );
+        }
     }
 }

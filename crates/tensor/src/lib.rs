@@ -62,5 +62,10 @@ pub use shared_store::{SharedStore, StoreDecision};
 pub use spikes::{SharedSpikeIndex, SpikeIndex};
 pub use tensor::Tensor;
 
+/// The thread-budget-sharing `join` of the workspace's `rayon`, re-exported
+/// so crates above this one fork work under the same budget without a
+/// `rayon` dependency of their own.
+pub use rayon::join;
+
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

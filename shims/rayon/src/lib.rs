@@ -32,6 +32,9 @@
 //! * `(a..b).into_par_iter().map(f).collect::<Vec<_>>()`
 //! * `vec.into_par_iter().map(f).collect::<Vec<_>>()` / `.for_each(f)`
 //! * `slice.par_chunks_mut(n).enumerate().for_each(f)`
+//! * [`join`]`(a, b)`: `a` on the caller and `b` on one spawned thread,
+//!   each on half the budget. On a one-thread budget it runs `a` to the end
+//!   and then `b` on the caller, so `a` must never wait for `b`.
 //! * [`current_num_threads`]
 //!
 //! Shim extensions for tests: [`set_thread_count_override`] and
@@ -176,6 +179,48 @@ where
     });
     results.sort_unstable_by_key(|&(i, _)| i);
     results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs `oper_a` and `oper_b`, potentially in parallel, and returns both
+/// results (the real rayon signature).
+///
+/// At a budget of two or more threads, `oper_a` runs on the calling thread
+/// and `oper_b` on one spawned thread, each on `threads / 2` of the budget
+/// (the call counts in [`parallel_calls`]). At a budget of one thread both
+/// run on the caller, `oper_a` to the end first: `oper_a` must never wait
+/// for something only `oper_b` does, or it waits forever.
+///
+/// If either closure panics, the call still waits for the other one, then
+/// re-raises the panic with its original payload (`oper_a`'s if both
+/// panicked).
+pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let threads = current_num_threads();
+    if threads <= 1 {
+        let a = oper_a();
+        return (a, oper_b());
+    }
+    PARALLEL_CALLS.with(|calls| calls.set(calls.get() + 1));
+    let share = threads / 2;
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(move || {
+            let _budget = BudgetGuard::enter(share);
+            oper_b()
+        });
+        let a = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _budget = BudgetGuard::enter(share);
+            oper_a()
+        }));
+        match (a, helper.join()) {
+            (Ok(a), Ok(b)) => (a, b),
+            (Err(payload), _) | (Ok(_), Err(payload)) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// An indexed parallel iterator over owned items.
@@ -337,7 +382,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::{current_num_threads, parallel_calls, BudgetGuard};
+    use super::{current_num_threads, join, parallel_calls, BudgetGuard};
     use std::collections::HashSet;
     use std::sync::{Barrier, Mutex, PoisonError};
     use std::thread::{self, ThreadId};
@@ -491,5 +536,86 @@ mod tests {
             })
             .collect();
         assert_eq!(out, (0..40).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn join_on_one_thread_runs_a_to_the_end_then_b_on_the_caller() {
+        let _threads = BudgetGuard::enter(1);
+        let caller = thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let push = |step: &'static str| {
+            order
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((step, thread::current().id()));
+        };
+        let before = parallel_calls();
+        let (a, b) = join(
+            || {
+                push("a starts");
+                push("a ends");
+                1
+            },
+            || {
+                push("b");
+                current_num_threads()
+            },
+        );
+        assert_eq!((a, b), (1, 1));
+        assert_eq!(parallel_calls(), before, "a one-thread join runs inline");
+        let order = order.into_inner().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(
+            order,
+            [("a starts", caller), ("a ends", caller), ("b", caller)]
+        );
+    }
+
+    #[test]
+    fn join_splits_the_budget_and_runs_b_on_a_second_thread() {
+        let _threads = BudgetGuard::enter(4);
+        let caller = thread::current().id();
+        // Each side waits for the other, which only two threads can do.
+        let barrier = Barrier::new(2);
+        let before = parallel_calls();
+        let (a, b) = join(
+            || {
+                barrier.wait();
+                (thread::current().id(), current_num_threads())
+            },
+            || {
+                barrier.wait();
+                (thread::current().id(), current_num_threads())
+            },
+        );
+        assert_eq!(parallel_calls(), before + 1);
+        assert_eq!(a, (caller, 2));
+        assert_ne!(b.0, caller);
+        assert_eq!(b.1, 2);
+        assert_eq!(current_num_threads(), 4);
+    }
+
+    #[test]
+    fn join_reraises_either_sides_panic_after_both_sides_end() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for threads in [1, 2] {
+            let _threads = BudgetGuard::enter(threads);
+            let b_ran = AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(|| {
+                join(
+                    || -> usize { panic!("a failed") },
+                    || b_ran.store(true, Ordering::SeqCst),
+                )
+            });
+            let payload = caught.expect_err("a's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"a failed"));
+            // On two threads `b` was already running and is waited for; on
+            // one thread the panic ends the call before `b` starts.
+            assert_eq!(b_ran.load(Ordering::SeqCst), threads == 2);
+            let caught =
+                std::panic::catch_unwind(|| join(|| 1, || -> usize { panic!("b failed") }));
+            let payload = caught.expect_err("b's panic must reach the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"b failed"));
+            assert_eq!(current_num_threads(), threads);
+        }
     }
 }
