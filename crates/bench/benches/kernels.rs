@@ -167,6 +167,34 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
+/// Times `a` against `b` as `pairs` interleaved pairs and returns the
+/// `(a, b)` seconds of the pair with the median `a / b` ratio. Each pair
+/// times both back-to-back, alternating which runs first, so a ratio within
+/// one pair cancels the drift of a shared machine that separate minima or
+/// separate blocks would keep, and the median discards the pairs a burst
+/// of load hit on one side only. Both closures get `state`, which they may
+/// share mutably.
+fn median_pair<S, A, B>(
+    pairs: usize,
+    state: &mut S,
+    mut a: impl FnMut(&mut S) -> A,
+    mut b: impl FnMut(&mut S) -> B,
+) -> (f64, f64) {
+    let mut timed: Vec<(f64, f64)> = (0..pairs)
+        .map(|rep| {
+            if rep % 2 == 0 {
+                let a_s = best_of(1, || a(state));
+                (a_s, best_of(1, || b(state)))
+            } else {
+                let b_s = best_of(1, || b(state));
+                (best_of(1, || a(state)), b_s)
+            }
+        })
+        .collect();
+    timed.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
+    timed[pairs / 2]
+}
+
 /// A [`MatmulBackend`] that records, for every product, the measured lhs
 /// density and whether the dispatcher's ISA-aware cutoff would route it to
 /// the event-driven kernel — the instrumentation behind the kernel-choice
@@ -320,6 +348,11 @@ fn kernel_comparison(c: &mut Criterion) {
     let seed_clean_s = best_of(3, || seed_executor_matmul(&config, &empty_map, &acts, &wts));
     let clean_s = best_of(3, || clean_executor.matmul(&acts, &wts).unwrap());
 
+    // Interleaved pairs per sparse-matmul density and for the multi-map
+    // batching entry (see `median_pair`).
+    const SPARSE_PAIRS: usize = 11;
+    const SCENARIO_PAIRS: usize = 7;
+
     // --- sparse spike matmul: event-driven vs dense blocked kernel --------
     // Binary lhs at paper-typical spike densities (<= 20%) plus the dense
     // fallback region; the dispatcher's cutoff is ISA-aware (25% scalar,
@@ -339,10 +372,15 @@ fn kernel_comparison(c: &mut Criterion) {
             })
             .collect();
         let measured = OperandProfile::measure(&sa).density;
-        let dense_s = best_of(5, || kernels::matmul(&sa, &sb, sm, sk, sn));
-        let event_s = best_of(5, || {
-            kernels::matmul_dispatch(&sa, &sb, sm, sk, sn, kernels::MatmulHint::Spikes)
-        });
+        // Near the cutoff the two kernels run within a few percent of each
+        // other, less than a shared machine drifts between separate
+        // best-ofs: time them as median pairs.
+        let (dense_s, event_s) = median_pair(
+            SPARSE_PAIRS,
+            &mut (),
+            |_| kernels::matmul(&sa, &sb, sm, sk, sn),
+            |_| kernels::matmul_dispatch(&sa, &sb, sm, sk, sn, kernels::MatmulHint::Spikes),
+        );
         let speedup_field = if measured <= kernels::sparse_density_cutoff() {
             format!(",\n      \"speedup\": {:.3}", dense_s / event_s)
         } else {
@@ -576,26 +614,14 @@ fn kernel_comparison(c: &mut Criterion) {
             plain, checkpointed,
             "wave checkpointing must not change campaign results"
         );
-        // Paired, interleaved reps: the two variants differ by ~1% while
-        // run-to-run drift on a shared machine is ~3%, so each pair times
-        // both back-to-back (alternating which runs first) and the entry
-        // records the pair with the median `plain / checkpointed` ratio.
-        // A ratio within one pair cancels the drift that separate minima
-        // or separate blocks would keep, and the median discards the pairs
-        // a burst of load hit on one side only.
-        let mut pairs: Vec<(f64, f64)> = (0..CHECKPOINT_PAIRS)
-            .map(|rep| {
-                if rep % 2 == 0 {
-                    let plain_s = best_of(1, || plan(&mut ctx).run().unwrap());
-                    (plain_s, best_of(1, || run_checkpointed(&mut ctx)))
-                } else {
-                    let checkpointed_s = best_of(1, || run_checkpointed(&mut ctx));
-                    (best_of(1, || plan(&mut ctx).run().unwrap()), checkpointed_s)
-                }
-            })
-            .collect();
-        pairs.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
-        let (plain_s, checkpointed_s) = pairs[CHECKPOINT_PAIRS / 2];
+        // The two variants differ by ~1% while run-to-run drift on a
+        // shared machine is ~3%: time them as median pairs.
+        let (plain_s, checkpointed_s) = median_pair(
+            CHECKPOINT_PAIRS,
+            &mut ctx,
+            |ctx| plan(ctx).run().unwrap(),
+            run_checkpointed,
+        );
         (plain_s, checkpointed_s, plain.len())
     };
 
@@ -626,17 +652,23 @@ fn kernel_comparison(c: &mut Criterion) {
             "batched scenario {s} diverged from the per-map product"
         );
     }
-    let per_map_s = best_of(3, || {
-        per_map_exec
-            .iter()
-            .map(|e| e.matmul(&batch_a, &batch_b).unwrap())
-            .collect::<Vec<_>>()
-    });
-    let batched_s = best_of(3, || {
-        batch_exec
-            .matmul_scenarios(&batch_a, &batch_b, &scenario_maps)
-            .unwrap()
-    });
+    // The per-map side splits across workers, so it swings with the load
+    // on the other core: time both sides as median pairs.
+    let (per_map_s, batched_s) = median_pair(
+        SCENARIO_PAIRS,
+        &mut (),
+        |_| {
+            per_map_exec
+                .iter()
+                .map(|e| e.matmul(&batch_a, &batch_b).unwrap())
+                .collect::<Vec<_>>()
+        },
+        |_| {
+            batch_exec
+                .matmul_scenarios(&batch_a, &batch_b, &scenario_maps)
+                .unwrap()
+        },
+    );
 
     // --- SIMD kernel layer: forced-scalar vs runtime-dispatched lanes -----
     // The three lifted hot loops, each timed with the dispatcher pinned to

@@ -16,7 +16,13 @@
 //!   baseline, in parallel, with results independent of worker count,
 //! * **cache sharing**: evaluation cells share the context-owned
 //!   [`crate::SweepCaches`] (prefix outputs, im2col lowerings, clean
-//!   products) and retraining cells share one fresh `SweepCache`,
+//!   products) and retraining cells share one fresh `SweepCache` for the
+//!   evaluations inside retraining. After a `mitigate_mnist`-shaped run
+//!   (Tiny MNIST, FaP/FaPIT/FalVolt × 3 fault rates, seeds 1 and 3, 2
+//!   threads) that store read the same counts each time: prefix outputs 21
+//!   hits in 378 lookups (6%: a prefix key holds the prefix weights, which
+//!   every epoch edits), lowerings 371 hits in 404 (92%: lowering keys hold
+//!   only the test batch and the geometry),
 //! * **multi-map batching**: the evaluation scenarios run batch-major, one
 //!   parallel wave per test batch, and in each wave the scenarios of one
 //!   grid configuration form a [`crate::ScenarioProducts`] set, so

@@ -1,4 +1,21 @@
 //! 2-D convolution layer (im2col lowering, backend-executed matmul).
+//!
+//! # The static-input memo
+//!
+//! A training pass feeds a static (4-D) input to the first layer at every
+//! one of its `T` steps: the same tensor, so the same content id. In
+//! [`Mode::Train`](crate::layers::Mode::Train) the layer keeps its last
+//! step's output and lowering (unless the input is an indexed spike frame,
+//! which its spiking layer fires afresh at every step), keyed by the input's content id and shape,
+//! the weight's and the bias's edit versions, the spike-hint switch and the
+//! backend's fingerprint. A step whose key matches returns a clone of that
+//! output and pushes the same (`Arc`-shared) lowering onto its tape instead
+//! of lowering and multiplying again, so the layer lowers a static batch
+//! once. The output is the same computation on the same operands, so every
+//! bit is unchanged; backward still runs once per step, so gradient
+//! accumulation is untouched. Temporal (5-D) inputs slice a fresh tensor,
+//! with a fresh content id, at every step and never match. `reset_state`
+//! clears the memo.
 
 use crate::layers::{ForwardContext, Layer};
 use crate::param::Param;
@@ -23,7 +40,7 @@ struct StepCache {
 /// encoder's analog input).
 #[derive(Debug, Clone)]
 enum SavedLowering {
-    Dense(Tensor),
+    Dense(Arc<Tensor>),
     Spikes(Arc<SpikeIndex>),
 }
 
@@ -31,7 +48,7 @@ impl SavedLowering {
     fn keep(cols: Tensor) -> Self {
         match cols.spike_index() {
             Some(index) => SavedLowering::Spikes(Arc::clone(index)),
-            None => SavedLowering::Dense(cols),
+            None => SavedLowering::Dense(Arc::new(cols)),
         }
     }
 
@@ -41,6 +58,25 @@ impl SavedLowering {
             SavedLowering::Spikes(index) => ops::Lowering::Spikes(index),
         }
     }
+}
+
+/// The last training step's output and lowering (see the module docs).
+#[derive(Debug, Clone)]
+struct StepMemo {
+    key: MemoKey,
+    output: Tensor,
+    cols: SavedLowering,
+}
+
+/// What a training step's output depends on besides the layer geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemoKey {
+    input: u64,
+    dims: Conv2dDims,
+    weight_version: u64,
+    bias_version: u64,
+    spike_hints: bool,
+    backend: u64,
 }
 
 /// A 2-D convolution over `[N, C, H, W]` inputs with square kernels.
@@ -80,6 +116,7 @@ pub struct Conv2d {
     // Arc-shared so scenario views inherit it instead of deep-copying a
     // weight-sized buffer per worker.
     weight_t: Option<(u64, Arc<Tensor>)>,
+    memo: Option<StepMemo>,
 }
 
 impl Conv2d {
@@ -125,6 +162,7 @@ impl Conv2d {
             bias,
             caches: Vec::new(),
             weight_t: None,
+            memo: None,
         })
     }
 
@@ -191,6 +229,24 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor, ctx: &ForwardContext<'_>) -> Result<Tensor> {
         let dims = self.dims_for(input)?;
+        // A spike frame is fired afresh at every step, so it never repeats:
+        // only other inputs are memoised.
+        let memoise = ctx.mode.is_train() && input.spike_index().is_none();
+        let memo_key = memoise.then(|| MemoKey {
+            input: input.content_id(),
+            dims,
+            weight_version: self.weight.version(),
+            bias_version: self.bias.version(),
+            spike_hints: ctx.spike_hints,
+            backend: ctx.backend.fingerprint(),
+        });
+        if let Some(memo) = self.memo.as_ref().filter(|m| Some(m.key) == memo_key) {
+            self.caches.push(StepCache {
+                cols: memo.cols.clone(),
+                dims,
+            });
+            return Ok(memo.output.clone());
+        }
         // A spike input carrying a CSR index costs O(1) to profile (the
         // index certifies binariness and carries the nonzero count);
         // otherwise probe the input once (O(len), negligible next to the
@@ -305,7 +361,15 @@ impl Layer for Conv2d {
         ops::add_channel_bias(&mut feature_map, self.bias.value())?;
         if ctx.mode.is_train() {
             let cols = SavedLowering::keep(local_cols.expect("training lowers locally"));
-            self.caches.push(StepCache { cols, dims });
+            self.caches.push(StepCache {
+                cols: cols.clone(),
+                dims,
+            });
+            self.memo = memo_key.map(|key| StepMemo {
+                key,
+                output: feature_map.clone(),
+                cols,
+            });
         }
         Ok(feature_map)
     }
@@ -335,6 +399,7 @@ impl Layer for Conv2d {
 
     fn reset_state(&mut self) {
         self.caches.clear();
+        self.memo = None;
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -589,5 +654,91 @@ mod tests {
         assert_eq!(conv.weight_mut().unwrap().value().shape(), &[4, 18]);
         assert!(conv.threshold_mut().is_none());
         assert_eq!(conv.params_mut().len(), 2);
+    }
+
+    /// Counts the products a layer issues.
+    #[derive(Debug, Default)]
+    struct CountingBackend(std::sync::atomic::AtomicUsize);
+
+    impl crate::backend::MatmulBackend for CountingBackend {
+        fn matmul_request(
+            &self,
+            req: crate::backend::MatmulRequest<'_>,
+        ) -> falvolt_tensor::Result<crate::backend::MatmulOutput> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            FloatBackend::new().matmul_request(req)
+        }
+    }
+
+    fn grad_bits(conv: &Conv2d) -> Vec<Vec<u32>> {
+        conv.params()
+            .iter()
+            .map(|p| p.grad().data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_static_training_input_is_lowered_once_per_batch_with_unchanged_bits() {
+        let _lock = falvolt_tensor::simd::test_override_lock();
+        let steps = 4;
+        let input = Tensor::from_fn(&[3, 1, 16, 16], |i| ((i * 13) % 17) as f32 * 0.11 - 0.4);
+        let grads: Vec<Tensor> = (0..steps)
+            .map(|t| Tensor::from_fn(&[3, 8, 16, 16], |i| ((i + 31 * t) as f32 * 0.37).sin()))
+            .collect();
+        let run = |fresh_per_step: bool| {
+            let backend = CountingBackend::default();
+            let ctx = ForwardContext::new(Mode::Train, &backend);
+            let mut conv = Conv2d::new("encode_conv", 1, 8, 3, 1, 1, 21).unwrap();
+            let mut outputs = Vec::new();
+            for _ in 0..steps {
+                // A fresh copy carries a fresh content id, so it never
+                // matches the previous step's.
+                let step_input = if fresh_per_step {
+                    input.map(|v| v)
+                } else {
+                    input.clone()
+                };
+                let out = conv.forward(&step_input, &ctx).unwrap();
+                outputs.push(out.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            }
+            for g in grads.iter().rev() {
+                conv.backward(g).unwrap();
+            }
+            let products = backend.0.load(std::sync::atomic::Ordering::Relaxed);
+            (outputs, grad_bits(&conv), products)
+        };
+        let (memo_out, memo_grads, memo_products) = run(false);
+        let (plain_out, plain_grads, plain_products) = run(true);
+        assert_eq!(memo_products, 1, "one lowering and product for the batch");
+        assert_eq!(plain_products, steps);
+        assert_eq!(memo_out, plain_out);
+        assert_eq!(memo_grads, plain_grads);
+    }
+
+    #[test]
+    fn the_memo_misses_after_a_weight_edit_or_a_reset() {
+        let backend = CountingBackend::default();
+        let ctx = ForwardContext::new(Mode::Train, &backend);
+        let count = || backend.0.load(std::sync::atomic::Ordering::Relaxed);
+        let mut conv = Conv2d::new("c", 1, 2, 3, 1, 1, 2).unwrap();
+        let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i as f32 * 0.1);
+        conv.forward(&x, &ctx).unwrap();
+        conv.forward(&x, &ctx).unwrap();
+        assert_eq!(count(), 1);
+        conv.weight.value_mut().data_mut()[0] += 1.0;
+        let edited = conv.forward(&x, &ctx).unwrap();
+        assert_eq!(count(), 2);
+        conv.bias.value_mut().data_mut()[1] += 1.0;
+        let rebiased = conv.forward(&x, &ctx).unwrap();
+        assert_eq!(count(), 3);
+        assert_ne!(edited, rebiased);
+        conv.reset_state();
+        conv.forward(&x, &ctx).unwrap();
+        assert_eq!(count(), 4);
+        // Evaluation never memoises.
+        let eval = ForwardContext::new(Mode::Eval, &backend);
+        conv.forward(&x, &eval).unwrap();
+        conv.forward(&x, &eval).unwrap();
+        assert_eq!(count(), 6);
     }
 }

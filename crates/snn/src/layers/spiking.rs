@@ -14,25 +14,95 @@
 //! `∂z/∂V = −h/V²`, so `ΔV = Σ_t ∂L/∂o_t · ∂o/∂z_t · (−h_t/V²)`. FalVolt
 //! enables this gradient during fault-aware retraining and learns one `V` per
 //! layer; plain training and FaPIT keep `V` frozen at its initial value.
+//!
+//! # Which reductions run when
+//!
+//! The backward pass is an elementwise pass plus up to two ordered `f64`
+//! reductions over its per-element terms. The elementwise pass writes the
+//! input and membrane gradients and, per element, the terms the reductions
+//! need; it resolves the surrogate variant once, outside the loop, so it
+//! vectorises. The reductions then add those terms in index order, as a
+//! single serial loop over every element would:
+//!
+//! * the threshold gradient of Eq. 4 runs only while `V` is trainable (the
+//!   FalVolt cells); plain training, FaP and FaPIT skip it;
+//! * the decay gradient runs only while the decay is trainable (PLIF, not
+//!   LIF).
+//!
+//! When both run they share one loop: two independent add chains cost no
+//! more than one. The work is done in chunks of `BACKWARD_CHUNK` elements,
+//! so the terms stay in a stack buffer and the chains continue across
+//! chunks unchanged.
 
 use crate::layers::{ForwardContext, Layer};
 use crate::neuron::NeuronConfig;
 use crate::param::Param;
-use crate::surrogate::{heaviside, sigmoid};
+use crate::surrogate::{
+    atan_grad, fast_sigmoid_grad, heaviside, rectangular_grad, sigmoid, triangular_grad, Surrogate,
+};
 use crate::{Result, SnnError};
-use falvolt_tensor::Tensor;
+use falvolt_tensor::{SpikeIndex, Tensor};
+use std::sync::Arc;
 
 /// Minimum threshold voltage: keeps `1/V` and `h/V²` finite if the optimizer
 /// drives the learnable threshold toward zero.
 const MIN_THRESHOLD: f32 = 0.05;
 
-/// One training step's tape. The spikes are not kept: backward recomputes
-/// them from `charged` with the forward's expression.
+/// Elements per chunk of the backward pass (two `f64` term buffers of this
+/// length live on the stack).
+const BACKWARD_CHUNK: usize = 256;
+
+/// One training step's tape: the charged membrane `h` and the decay drive
+/// `x − (v_prev − v_reset)`, both as the forward computed them. The spikes
+/// are not kept: backward recomputes them from `charged` with the forward's
+/// expression.
 #[derive(Debug, Clone)]
 struct StepCache {
-    input: Tensor,
-    v_prev: Tensor,
     charged: Tensor,
+    drive: Tensor,
+}
+
+/// The scalars of one step's neuron dynamics.
+#[derive(Debug, Clone, Copy)]
+struct Dynamics {
+    alpha: f32,
+    v_threshold: f32,
+    v_reset: f32,
+}
+
+impl Dynamics {
+    /// Charges, fires and resets the elements of one row: `s` gets the
+    /// spikes and `vn` the next membrane; under `TAPE`, `h_out` gets the
+    /// charged membrane and `drive_out` the decay drive.
+    #[inline(always)]
+    fn fire_row<const TAPE: bool>(
+        self,
+        x: &[f32],
+        vp: &[f32],
+        s: &mut [f32],
+        vn: &mut [f32],
+        h_out: &mut [f32],
+        drive_out: &mut [f32],
+    ) {
+        let n = x.len();
+        let (vp, s, vn) = (&vp[..n], &mut s[..n], &mut vn[..n]);
+        let (h_out, drive_out) = if TAPE {
+            (&mut h_out[..n], &mut drive_out[..n])
+        } else {
+            (h_out, drive_out)
+        };
+        for i in 0..n {
+            let drive = x[i] - (vp[i] - self.v_reset);
+            let h = vp[i] + self.alpha * drive;
+            let spike = heaviside(h / self.v_threshold - 1.0);
+            s[i] = spike;
+            vn[i] = if spike > 0.0 { self.v_reset } else { h };
+            if TAPE {
+                h_out[i] = h;
+                drive_out[i] = drive;
+            }
+        }
+    }
 }
 
 /// A layer of LIF/PLIF spiking neurons with a shared, optionally learnable,
@@ -126,57 +196,92 @@ impl Layer for SpikingLayer {
     }
 
     fn forward(&mut self, input: &Tensor, ctx: &ForwardContext<'_>) -> Result<Tensor> {
-        let v_reset = self.config.v_reset;
-        let alpha = self.decay_factor();
-        let v_threshold = self.threshold_voltage();
-
+        let dynamics = Dynamics {
+            alpha: self.decay_factor(),
+            v_threshold: self.threshold_voltage(),
+            v_reset: self.config.v_reset,
+        };
         let v_prev = match self.membrane.take() {
             Some(v) if v.shape() == input.shape() => v,
-            _ => Tensor::full(input.shape(), v_reset),
+            _ => Tensor::full(input.shape(), dynamics.v_reset),
         };
 
-        // Charge, fire, reset — elementwise over the whole activation tensor.
-        let mut charged = Tensor::zeros(input.shape());
-        let mut spikes = Tensor::zeros(input.shape());
-        let mut v_next = Tensor::zeros(input.shape());
+        let shape = input.shape();
+        let train = ctx.mode.is_train();
+        let mut spikes = Tensor::zeros(shape);
+        let mut v_next = Tensor::zeros(shape);
+        let (mut charged, mut drive) = if train {
+            (Tensor::zeros(shape), Tensor::zeros(shape))
+        } else {
+            (Tensor::zeros(&[0]), Tensor::zeros(&[0]))
+        };
+        // With spike hints on, the firing layer emits the spike event stream
+        // directly: it is the one place that knows exactly which elements
+        // fire, so it indexes them as it fires them (CSR over last-dimension
+        // rows) and every downstream consumer — im2col, the
+        // gather-accumulate kernel, the systolic executor's event walk, and
+        // in training the conv weight gradient — reads the index instead of
+        // re-probing the dense buffer.
+        let index_cols = shape.last().copied().filter(|&c| c > 0 && ctx.spike_hints);
+        let n = input.len();
+        let width = index_cols.unwrap_or(n.max(1));
+        let rows = n / width;
+        let mut row_ptr = Vec::with_capacity(if index_cols.is_some() { rows + 1 } else { 0 });
+        let mut col_idx: Vec<u32> = Vec::new();
+        if index_cols.is_some() {
+            // Paper-typical spike densities are well under 25%.
+            col_idx.reserve(n / 4 + 8);
+            row_ptr.push(0u32);
+        }
         {
-            let x = input.data();
-            let vp = v_prev.data();
-            let h = charged.data_mut();
-            for i in 0..x.len() {
-                h[i] = vp[i] + alpha * (x[i] - (vp[i] - v_reset));
+            let (x, vp) = (input.data(), v_prev.data());
+            let (s, vn) = (spikes.data_mut(), v_next.data_mut());
+            let (h, d) = (charged.data_mut(), drive.data_mut());
+            for r in 0..rows {
+                let span = r * width..(r + 1) * width;
+                let s_row = &mut s[span.clone()];
+                if train {
+                    dynamics.fire_row::<true>(
+                        &x[span.clone()],
+                        &vp[span.clone()],
+                        s_row,
+                        &mut vn[span.clone()],
+                        &mut h[span.clone()],
+                        &mut d[span],
+                    );
+                } else {
+                    dynamics.fire_row::<false>(
+                        &x[span.clone()],
+                        &vp[span.clone()],
+                        s_row,
+                        &mut vn[span],
+                        &mut [],
+                        &mut [],
+                    );
+                }
+                if index_cols.is_some() {
+                    // Branch-free compaction of the row's spike columns:
+                    // every column is written, only spikes advance the end.
+                    let base = col_idx.len();
+                    col_idx.resize(base + width, 0);
+                    let mut end = base;
+                    for (c, &spike) in s_row.iter().enumerate() {
+                        col_idx[end] = c as u32;
+                        end += usize::from(spike > 0.0);
+                    }
+                    col_idx.truncate(end);
+                    row_ptr.push(end as u32);
+                }
             }
-            let s = spikes.data_mut();
-            let vn = v_next.data_mut();
-            for i in 0..x.len() {
-                let z = h[i] / v_threshold - 1.0;
-                s[i] = heaviside(z);
-                vn[i] = if s[i] > 0.0 { v_reset } else { h[i] };
-            }
+        }
+        if let Some(cols) = index_cols {
+            let index = SpikeIndex::from_parts(rows, cols, row_ptr, col_idx);
+            spikes.attach_spike_index(Arc::new(index));
         }
 
         self.membrane = Some(v_next);
-        if ctx.mode.is_train() {
-            self.caches.push(StepCache {
-                input: input.clone(),
-                v_prev,
-                charged,
-            });
-        }
-        if ctx.spike_hints {
-            // Emit the spike event stream directly: the firing layer is the
-            // one place that knows exactly which elements are nonzero, so it
-            // indexes them once (CSR over last-dimension rows) and every
-            // downstream consumer — im2col, the gather-accumulate kernel,
-            // the systolic executor's event walk, and in training the conv
-            // weight gradient — reads the index instead of re-probing the
-            // dense buffer. Spikes are binary by construction, so
-            // `from_dense` always succeeds.
-            if let Some(cols) = spikes.shape().last().copied().filter(|&c| c > 0) {
-                if let Some(index) = falvolt_tensor::SpikeIndex::from_dense(spikes.data(), cols) {
-                    spikes.attach_spike_index(std::sync::Arc::new(index));
-                }
-            }
+        if train {
+            self.caches.push(StepCache { charged, drive });
         }
         Ok(spikes)
     }
@@ -198,55 +303,35 @@ impl Layer for SpikingLayer {
         }
 
         let alpha = self.decay_factor();
-        let v_threshold = self.threshold_voltage();
-        let v_reset = self.config.v_reset;
-        let surrogate = self.config.surrogate;
-
         let grad_v_carry = match self.grad_membrane_carry.take() {
             Some(g) if g.shape() == grad_output.shape() => g,
             _ => Tensor::zeros(grad_output.shape()),
         };
-
-        let n = grad_output.len();
-        let mut grad_input = Tensor::zeros(cache.input.shape());
-        let mut grad_v_prev = Tensor::zeros(cache.input.shape());
-        let mut grad_threshold_acc = 0.0f64;
-        let mut grad_decay_acc = 0.0f64;
-
-        {
-            let go = grad_output.data();
-            let gv = grad_v_carry.data();
-            let h = cache.charged.data();
-            let x = cache.input.data();
-            let vp = cache.v_prev.data();
-            let gi = grad_input.data_mut();
-            let gvp = grad_v_prev.data_mut();
-
-            for i in 0..n {
-                // The forward's expression, so `s` is the spike it fired.
-                let z = h[i] / v_threshold - 1.0;
-                let s = heaviside(z);
-                let sg = surrogate.grad(z);
-                // dL/dh through the spike output and through the (detached-
-                // reset) membrane update v = (1 - s) h + s v_reset.
-                let dl_dh = go[i] * sg / v_threshold + gv[i] * (1.0 - s);
-                // Threshold gradient, Eq. (4): dz/dV = -h / V^2.
-                grad_threshold_acc +=
-                    (go[i] * sg) as f64 * (-(h[i]) / (v_threshold * v_threshold)) as f64;
-                // Charge step: h = v_prev + alpha (x - (v_prev - v_reset)).
-                gi[i] = dl_dh * alpha;
-                gvp[i] = dl_dh * (1.0 - alpha);
-                grad_decay_acc += dl_dh as f64 * (x[i] - (vp[i] - v_reset)) as f64;
-            }
-        }
+        let mut grad_input = Tensor::zeros(grad_output.shape());
+        let mut grad_v_prev = Tensor::zeros(grad_output.shape());
+        let step = BackwardStep {
+            alpha,
+            v_threshold: self.threshold_voltage(),
+            grad_output: grad_output.data(),
+            grad_v_carry: grad_v_carry.data(),
+            charged: cache.charged.data(),
+            drive: cache.drive.data(),
+            grad_input: grad_input.data_mut(),
+            grad_v_prev: grad_v_prev.data_mut(),
+        };
+        let sums = step.run(
+            self.config.surrogate,
+            self.threshold.is_trainable(),
+            self.decay_logit.is_trainable(),
+        );
 
         if self.threshold.is_trainable() {
-            let g = Tensor::scalar(grad_threshold_acc as f32);
+            let g = Tensor::scalar(sums.threshold as f32);
             self.threshold.accumulate_grad(&g)?;
         }
         if self.decay_logit.is_trainable() {
             // d alpha / d w = sigmoid'(w) = alpha (1 - alpha).
-            let g = Tensor::scalar(grad_decay_acc as f32 * alpha * (1.0 - alpha));
+            let g = Tensor::scalar(sums.decay as f32 * alpha * (1.0 - alpha));
             self.decay_logit.accumulate_grad(&g)?;
         }
 
@@ -283,6 +368,118 @@ impl Layer for SpikingLayer {
 
     fn set_threshold_trainable(&mut self, trainable: bool) {
         self.threshold.set_trainable(trainable);
+    }
+}
+
+/// The operands of one step's backward pass (all slices the same length).
+struct BackwardStep<'a> {
+    alpha: f32,
+    v_threshold: f32,
+    grad_output: &'a [f32],
+    grad_v_carry: &'a [f32],
+    charged: &'a [f32],
+    drive: &'a [f32],
+    grad_input: &'a mut [f32],
+    grad_v_prev: &'a mut [f32],
+}
+
+/// The two parameter-gradient sums of one backward step (zero when their
+/// reduction did not run).
+#[derive(Debug, Clone, Copy, Default)]
+struct ParamSums {
+    threshold: f64,
+    decay: f64,
+}
+
+impl BackwardStep<'_> {
+    /// Resolves the surrogate variant and which reductions run, then runs
+    /// the pass.
+    fn run(self, surrogate: Surrogate, threshold: bool, decay: bool) -> ParamSums {
+        match surrogate {
+            Surrogate::Triangular { gamma } => {
+                self.run_with(threshold, decay, |z| triangular_grad(gamma, z))
+            }
+            Surrogate::Atan { alpha } => self.run_with(threshold, decay, |z| atan_grad(alpha, z)),
+            Surrogate::Rectangular { width } => {
+                self.run_with(threshold, decay, |z| rectangular_grad(width, z))
+            }
+            Surrogate::FastSigmoid { alpha } => {
+                self.run_with(threshold, decay, |z| fast_sigmoid_grad(alpha, z))
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn run_with(self, threshold: bool, decay: bool, sg: impl Fn(f32) -> f32) -> ParamSums {
+        match (threshold, decay) {
+            (true, true) => self.pass::<true, true>(sg),
+            (true, false) => self.pass::<true, false>(sg),
+            (false, true) => self.pass::<false, true>(sg),
+            (false, false) => self.pass::<false, false>(sg),
+        }
+    }
+
+    /// The elementwise pass and the ordered reductions, chunk by chunk.
+    /// Per element: `dL/dh` through the spike output and through the
+    /// (detached-reset) membrane update `v = (1 − s) h + s v_reset`, then the
+    /// charge step `h = v_prev + α (x − (v_prev − v_reset))` splits it into
+    /// the input and previous-membrane gradients. `THRESHOLD` adds the
+    /// Eq. 4 terms `∂L/∂o · ∂o/∂z · (−h/V²)`, `DECAY` the terms
+    /// `dL/dh · (x − (v_prev − v_reset))`; each product of two `f32`s is
+    /// exact in `f64`, so only the order of the additions matters, and it is
+    /// index order.
+    #[inline(always)]
+    fn pass<const THRESHOLD: bool, const DECAY: bool>(self, sg: impl Fn(f32) -> f32) -> ParamSums {
+        let (alpha, v) = (self.alpha, self.v_threshold);
+        let vv = v * v;
+        let mut sums = ParamSums::default();
+        let mut threshold_terms = [0.0f64; BACKWARD_CHUNK];
+        let mut decay_terms = [0.0f64; BACKWARD_CHUNK];
+        let n = self.grad_output.len();
+        let mut start = 0;
+        while start < n {
+            let end = (start + BACKWARD_CHUNK).min(n);
+            let m = end - start;
+            let go = &self.grad_output[start..end];
+            let gv = &self.grad_v_carry[start..end];
+            let h = &self.charged[start..end];
+            let drive = &self.drive[start..end];
+            let gi = &mut self.grad_input[start..end];
+            let gvp = &mut self.grad_v_prev[start..end];
+            let tt = &mut threshold_terms[..m];
+            let dt = &mut decay_terms[..m];
+            for i in 0..m {
+                // The forward's expression, so `s` is the spike it fired.
+                let z = h[i] / v - 1.0;
+                let s = heaviside(z);
+                let g = go[i] * sg(z);
+                let dl_dh = g / v + gv[i] * (1.0 - s);
+                gi[i] = dl_dh * alpha;
+                gvp[i] = dl_dh * (1.0 - alpha);
+                if THRESHOLD {
+                    tt[i] = g as f64 * (-h[i] / vv) as f64;
+                }
+                if DECAY {
+                    dt[i] = dl_dh as f64 * drive[i] as f64;
+                }
+            }
+            if THRESHOLD && DECAY {
+                for (&t, &d) in tt.iter().zip(dt.iter()) {
+                    sums.threshold += t;
+                    sums.decay += d;
+                }
+            } else if THRESHOLD {
+                for &t in tt.iter() {
+                    sums.threshold += t;
+                }
+            } else if DECAY {
+                for &d in dt.iter() {
+                    sums.decay += d;
+                }
+            }
+            start = end;
+        }
+        sums
     }
 }
 
@@ -480,5 +677,230 @@ mod tests {
             g1.data()[0] > 0.0,
             "gradient must flow to the earlier step through the membrane"
         );
+    }
+
+    /// One step of the forward and backward loops as they stood before the
+    /// backward pass was split into an elementwise pass and ordered
+    /// reductions: the bit reference for `SpikingLayer`.
+    mod serial {
+        use crate::surrogate::{heaviside, Surrogate};
+
+        pub struct Step {
+            pub input: Vec<f32>,
+            pub v_prev: Vec<f32>,
+            pub charged: Vec<f32>,
+        }
+
+        /// Charge, fire, reset; returns the step's tape and the next membrane.
+        pub fn forward(
+            x: &[f32],
+            vp: &[f32],
+            alpha: f32,
+            v: f32,
+            v_reset: f32,
+        ) -> (Step, Vec<f32>) {
+            let mut h = vec![0.0f32; x.len()];
+            for i in 0..x.len() {
+                h[i] = vp[i] + alpha * (x[i] - (vp[i] - v_reset));
+            }
+            let mut vn = vec![0.0f32; x.len()];
+            for i in 0..x.len() {
+                let z = h[i] / v - 1.0;
+                let s = heaviside(z);
+                vn[i] = if s > 0.0 { v_reset } else { h[i] };
+            }
+            let step = Step {
+                input: x.to_vec(),
+                v_prev: vp.to_vec(),
+                charged: h,
+            };
+            (step, vn)
+        }
+
+        /// The serial backward loop: input gradient, previous-membrane
+        /// gradient, and the two running `f64` sums.
+        #[allow(clippy::too_many_arguments)]
+        pub fn backward(
+            step: &Step,
+            go: &[f32],
+            gv: &[f32],
+            alpha: f32,
+            v_threshold: f32,
+            v_reset: f32,
+            surrogate: Surrogate,
+        ) -> (Vec<f32>, Vec<f32>, f64, f64) {
+            let n = go.len();
+            let (h, x, vp) = (&step.charged, &step.input, &step.v_prev);
+            let mut gi = vec![0.0f32; n];
+            let mut gvp = vec![0.0f32; n];
+            let mut grad_threshold_acc = 0.0f64;
+            let mut grad_decay_acc = 0.0f64;
+            for i in 0..n {
+                let z = h[i] / v_threshold - 1.0;
+                let s = heaviside(z);
+                let sg = surrogate.grad(z);
+                let dl_dh = go[i] * sg / v_threshold + gv[i] * (1.0 - s);
+                grad_threshold_acc +=
+                    (go[i] * sg) as f64 * (-(h[i]) / (v_threshold * v_threshold)) as f64;
+                gi[i] = dl_dh * alpha;
+                gvp[i] = dl_dh * (1.0 - alpha);
+                grad_decay_acc += dl_dh as f64 * (x[i] - (vp[i] - v_reset)) as f64;
+            }
+            (gi, gvp, grad_threshold_acc, grad_decay_acc)
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn backward_matches_the_serial_loop_bit_for_bit() {
+        use crate::surrogate::Surrogate;
+        // 5 x 61 = 305 elements: more than one backward chunk, with a
+        // partial last chunk.
+        let shape = [5usize, 61];
+        let n = shape[0] * shape[1];
+        let steps = 3;
+        let surrogates = [
+            Surrogate::Triangular { gamma: 1.0 },
+            Surrogate::Atan { alpha: 2.0 },
+            Surrogate::Rectangular { width: 0.5 },
+            Surrogate::FastSigmoid { alpha: 4.0 },
+        ];
+        let models = [
+            NeuronConfig::paper_default().model,
+            NeuronModel::Lif { tau: 2.0 },
+        ];
+        let backend = FloatBackend::new();
+        let c = ctx(&backend, Mode::Train);
+        for surrogate in surrogates {
+            for model in models {
+                for learn_threshold in [false, true] {
+                    let config = NeuronConfig {
+                        surrogate,
+                        ..NeuronConfig::paper_default()
+                    }
+                    .with_model(model)
+                    .with_threshold(0.8);
+                    let mut layer = SpikingLayer::new("sn", config);
+                    layer.set_threshold_trainable(learn_threshold);
+                    let (alpha, v, v_reset) = (
+                        layer.decay_factor(),
+                        layer.threshold_voltage(),
+                        config.v_reset,
+                    );
+                    // Charges straddling V: inputs around V / alpha, with
+                    // some elements charged exactly to V (z = 0). The last
+                    // two elements see the same inputs.
+                    let inputs: Vec<Vec<f32>> = (0..steps)
+                        .map(|t| {
+                            (0..n)
+                                .map(|i| i.min(n - 2))
+                                .map(|i| match (i + 3 * t) % 11 {
+                                    0 => v / alpha,
+                                    1 => 0.0,
+                                    _ => v / alpha * (0.6 + 0.8 * pseudo(i, t)),
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    // Upstream gradients with zeros (both signs) and
+                    // subnormals among ordinary values. The last two
+                    // elements get `±1e25`: their `f64` terms cancel
+                    // exactly and absorb every term added before them, so
+                    // the sums come out right only in index order.
+                    let grads: Vec<Vec<f32>> = (0..steps)
+                        .map(|t| {
+                            (0..n)
+                                .map(|i| match (i + t) % 7 {
+                                    _ if i == n - 2 => 1e25,
+                                    _ if i == n - 1 => -1e25,
+                                    0 => 0.0,
+                                    1 => -0.0,
+                                    2 => f32::from_bits(1 + i as u32),
+                                    3 => -f32::from_bits(0x0040_0000 + i as u32),
+                                    _ => pseudo(i, t + 7) - 0.5,
+                                })
+                                .collect()
+                        })
+                        .collect();
+
+                    let mut tape = Vec::new();
+                    let mut membrane = vec![v_reset; n];
+                    for x in &inputs {
+                        layer
+                            .forward(&Tensor::from_vec(shape.to_vec(), x.clone()).unwrap(), &c)
+                            .unwrap();
+                        let (step, next) = serial::forward(x, &membrane, alpha, v, v_reset);
+                        tape.push(step);
+                        membrane = next;
+                    }
+                    let mut carry = vec![0.0f32; n];
+                    let (mut want_v, mut want_decay) = (0.0f32, 0.0f32);
+                    for (go, step) in grads.iter().zip(tape.iter().rev()) {
+                        let got = layer
+                            .backward(&Tensor::from_vec(shape.to_vec(), go.clone()).unwrap())
+                            .unwrap();
+                        let (gi, gvp, thr, dec) =
+                            serial::backward(step, go, &carry, alpha, v, v_reset, surrogate);
+                        let case = format!("{surrogate:?} {model:?} learn V {learn_threshold}");
+                        assert_eq!(bits(got.data()), bits(&gi), "{case}: input gradient");
+                        if learn_threshold {
+                            want_v += thr as f32;
+                        }
+                        if layer.decay_logit.is_trainable() {
+                            want_decay += dec as f32 * alpha * (1.0 - alpha);
+                        }
+                        let got_v = layer.threshold.grad().data()[0];
+                        let got_decay = layer.decay_logit.grad().data()[0];
+                        assert_eq!(got_v.to_bits(), want_v.to_bits(), "{case}: dV");
+                        assert_eq!(got_decay.to_bits(), want_decay.to_bits(), "{case}: dw");
+                        carry = gvp;
+                    }
+                    assert_eq!(
+                        bits(layer.grad_membrane_carry.as_ref().unwrap().data()),
+                        bits(&carry)
+                    );
+                }
+            }
+        }
+    }
+
+    fn pseudo(i: usize, salt: usize) -> f32 {
+        ((i * 2654435761 + salt * 40503) % 1000) as f32 / 1000.0
+    }
+
+    #[test]
+    fn fired_index_equals_the_dense_scan_of_the_spikes() {
+        let backend = FloatBackend::new();
+        for (shape, mode) in [
+            (vec![3usize, 17], Mode::Eval),
+            (vec![2, 3, 5, 7], Mode::Train),
+            (vec![1, 1], Mode::Eval),
+            (vec![0, 4], Mode::Eval),
+        ] {
+            let mut layer = SpikingLayer::new("sn", NeuronConfig::paper_default());
+            let c = ctx(&backend, mode);
+            for t in 0..3 {
+                let x = Tensor::from_fn(&shape, |i| 3.0 * pseudo(i, t));
+                let spikes = layer.forward(&x, &c).unwrap();
+                let cols = *shape.last().unwrap();
+                let want = SpikeIndex::from_dense(spikes.data(), cols).unwrap();
+                assert_eq!(
+                    spikes.spike_index().map(|ix| &**ix),
+                    Some(&want),
+                    "{shape:?}"
+                );
+            }
+        }
+        // No index without spike hints, or over an empty last dimension.
+        let mut layer = SpikingLayer::new("sn", NeuronConfig::paper_default());
+        let off = ctx(&backend, Mode::Eval).with_spike_hints(false);
+        let spikes = layer.forward(&Tensor::full(&[2, 3], 2.0), &off).unwrap();
+        assert!(spikes.spike_index().is_none());
+        let on = ctx(&backend, Mode::Eval);
+        let spikes = layer.forward(&Tensor::zeros(&[2, 0]), &on).unwrap();
+        assert!(spikes.spike_index().is_none());
     }
 }

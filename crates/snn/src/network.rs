@@ -753,6 +753,51 @@ mod tests {
     }
 
     #[test]
+    fn a_training_pass_lowers_a_static_input_once_and_a_temporal_one_every_step() {
+        use crate::layers::Conv2d;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Counts the products of the first layer (`[N·H·W, 1·3·3]` lowerings).
+        #[derive(Debug, Default)]
+        struct FirstLayerProducts(AtomicUsize);
+        impl MatmulBackend for FirstLayerProducts {
+            fn matmul_request(
+                &self,
+                req: crate::backend::MatmulRequest<'_>,
+            ) -> falvolt_tensor::Result<crate::backend::MatmulOutput> {
+                if req.a().shape()[1] == 9 {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+                crate::FloatBackend::new().matmul_request(req)
+            }
+        }
+        let mut network = SpikingNetwork::new(4);
+        network.push(Conv2d::new("encode_conv", 1, 2, 3, 1, 1, 3).unwrap());
+        network.push(SpikingLayer::new(
+            "encode_sn",
+            NeuronConfig::paper_default(),
+        ));
+        network.push(Flatten::new("flatten"));
+        network.push(Linear::new("fc", 2 * 4 * 4, 3, 4).unwrap());
+        network.push(SpikingLayer::new("sn", NeuronConfig::paper_default()));
+        let counter = Arc::new(FirstLayerProducts::default());
+        network.set_backend(counter.clone());
+        let products = |network: &mut SpikingNetwork, input: &Tensor| {
+            let before = counter.0.load(Ordering::Relaxed);
+            network.forward(input, Mode::Train).unwrap();
+            network.backward(&Tensor::ones(&[2, 3])).unwrap();
+            counter.0.load(Ordering::Relaxed) - before
+        };
+        let static_input = Tensor::from_fn(&[2, 1, 4, 4], |i| (i % 5) as f32 * 0.5);
+        assert_eq!(products(&mut network, &static_input), 1);
+        // A second batch lowers again (the memo is per batch).
+        assert_eq!(products(&mut network, &static_input), 1);
+        // Every frame of a temporal input is a fresh tensor, even when the
+        // frames are equal.
+        let temporal = Tensor::from_fn(&[2, 4, 1, 4, 4], |i| (i % 16 % 5) as f32 * 0.5);
+        assert_eq!(products(&mut network, &temporal), 4);
+    }
+
+    #[test]
     fn backward_requires_training_forward() {
         let mut network = tiny_network();
         let input = Tensor::ones(&[2, 1, 2, 4]);

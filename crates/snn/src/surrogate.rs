@@ -71,24 +71,46 @@ impl Surrogate {
     /// Evaluates the surrogate gradient `∂o/∂z` at `z`.
     pub fn grad(&self, z: f32) -> f32 {
         match *self {
-            Surrogate::Triangular { gamma } => gamma * (1.0 - z.abs()).max(0.0),
-            Surrogate::Atan { alpha } => {
-                let s = std::f32::consts::FRAC_PI_2 * alpha * z;
-                alpha / (2.0 * (1.0 + s * s))
-            }
-            Surrogate::Rectangular { width } => {
-                if z.abs() < width {
-                    1.0 / (2.0 * width)
-                } else {
-                    0.0
-                }
-            }
-            Surrogate::FastSigmoid { alpha } => {
-                let s = 1.0 / (1.0 + (-alpha * z).exp());
-                alpha * s * (1.0 - s)
-            }
+            Surrogate::Triangular { gamma } => triangular_grad(gamma, z),
+            Surrogate::Atan { alpha } => atan_grad(alpha, z),
+            Surrogate::Rectangular { width } => rectangular_grad(width, z),
+            Surrogate::FastSigmoid { alpha } => fast_sigmoid_grad(alpha, z),
         }
     }
+}
+
+// One function per variant, so an elementwise loop can resolve the variant
+// once outside the loop and call a branch-free body per element (see
+// `SpikingLayer::backward`); `Surrogate::grad` is the same arithmetic.
+
+/// [`Surrogate::Triangular`]'s `∂o/∂z`.
+#[inline(always)]
+pub(crate) fn triangular_grad(gamma: f32, z: f32) -> f32 {
+    gamma * (1.0 - z.abs()).max(0.0)
+}
+
+/// [`Surrogate::Atan`]'s `∂o/∂z`.
+#[inline(always)]
+pub(crate) fn atan_grad(alpha: f32, z: f32) -> f32 {
+    let s = std::f32::consts::FRAC_PI_2 * alpha * z;
+    alpha / (2.0 * (1.0 + s * s))
+}
+
+/// [`Surrogate::Rectangular`]'s `∂o/∂z`.
+#[inline(always)]
+pub(crate) fn rectangular_grad(width: f32, z: f32) -> f32 {
+    if z.abs() < width {
+        1.0 / (2.0 * width)
+    } else {
+        0.0
+    }
+}
+
+/// [`Surrogate::FastSigmoid`]'s `∂o/∂z`.
+#[inline(always)]
+pub(crate) fn fast_sigmoid_grad(alpha: f32, z: f32) -> f32 {
+    let s = 1.0 / (1.0 + (-alpha * z).exp());
+    alpha * s * (1.0 - s)
 }
 
 impl Default for Surrogate {
@@ -99,6 +121,7 @@ impl Default for Surrogate {
 
 /// The Heaviside step: `1.0` for `z > 0`, else `0.0` — the actual spike
 /// function used in the forward pass (Eq. 1 of the paper).
+#[inline(always)]
 pub fn heaviside(z: f32) -> f32 {
     if z > 0.0 {
         1.0

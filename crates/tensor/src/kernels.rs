@@ -74,12 +74,33 @@
 //!
 //! The convolution's input gradient is the adjoint lowering of
 //! `grad_rows @ weight`. [`conv_input_grad_into`] never builds either
-//! matrix: it computes a few [`MR`]-aligned rows at a time with
-//! [`matmul`]'s panel kernel and scatter-adds each row into the padded
-//! buffer through the same offsets, then crops. Rows are visited in order
-//! and each row's columns in order, so every in-bounds pixel receives the
-//! same additions in the same order as a bounds-checked walk of the windows
-//! over the whole product, and the result is bit-identical to it.
+//! matrix. It takes one batch item's output rows a block at a time and
+//! computes the block of the product transposed: one lowered column per
+//! row, the block's output positions in vector lanes. Batch `b`'s
+//! `grad_output` planes already hold the positions contiguously, so the
+//! lanes load straight from them. Each cell still gets [`matmul`]'s bits
+//! under the accumulation contract: strip columns in tile rows take the
+//! per-[`KC`] block sums with the level's multiply-add, tail columns take
+//! one unfused chain that skips zero gradients, and the product's tail
+//! rows (the last `R % MR` of all `R` rows) are redone as chains.
+//!
+//! The block then goes into the image as a gather, not a scatter. For
+//! each image row `iy` and each piece of up to 16 pixels, the accumulator
+//! is loaded once, takes every covering window's cell in order, and is
+//! stored once: output row `oy` ascending, then `kx` descending. At stride
+//! 1, a piece's cells for one `(oy, kx)` are one contiguous load of the
+//! block row, shifted by `kx`. A pixel `(c, iy, ix)` is covered by window
+//! `(oy, ox)` at `ky = iy + p − oy·s` and `kx = ix + p − ox·s`. So at a
+//! fixed `oy`, `kx` descending is `ox` ascending. Every pixel therefore
+//! receives its additions in ascending lowered-row order, from `+0`, as a
+//! bounds-checked walk of the windows over the whole product gives them,
+//! and the result is bit-identical to it. Blocks go in ascending `oy`, so
+//! the order holds across blocks too. Four channels' accumulators run side
+//! by side, so the adds form four independent chains. A scatter of
+//! `out_w`-long runs (one per `(oy, c, ky, kx)`) gives the same order. But
+//! its read-modify-write runs overlap the previous `kx`'s at a one-element
+//! shift, and the loads then wait on the stores: measured, it ran no
+//! faster than a scalar scatter of whole lowered rows.
 //!
 //! The weight gradient `gradᵀ @ cols` of a spike lowering runs as
 //! [`matmul_spike_rhs`], a walk over the lowering's CSR index that keeps
@@ -88,6 +109,7 @@
 use crate::simd::{self, Isa, SimdLevel, SimdOp};
 use crate::spikes::SpikeIndex;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Rows per register tile.
 pub const MR: usize = 4;
@@ -1247,7 +1269,7 @@ impl Im2colGeom {
 }
 
 /// The zero-padded offset table behind the dense lowering
-/// ([`im2col_into`]) and its adjoint ([`conv_input_grad_into`]).
+/// ([`im2col_into`]).
 ///
 /// The input is copied once into a `[N, C, Hp, Wp]` buffer
 /// (`Hp = H + 2p`, `Wp = W + 2p`) whose border is zero, so no window cell
@@ -1308,19 +1330,6 @@ impl PaddedTable {
             }
         }
         std::borrow::Cow::Owned(padded)
-    }
-
-    /// Copies the interior of a padded buffer into the `[N, C, H, W]`
-    /// layout (the inverse of [`PaddedTable::pad`] on the interior).
-    fn crop(&self, padded: &[f32], out: &mut [f32], geom: &Im2colGeom) {
-        let (h, w, p) = (geom.in_h, geom.in_w, geom.padding);
-        for plane in 0..geom.batch * geom.channels {
-            for iy in 0..h {
-                let src = (plane * self.hp + iy + p) * self.wp + p;
-                let dst = (plane * h + iy) * w;
-                out[dst..dst + w].copy_from_slice(&padded[src..src + w]);
-            }
-        }
     }
 }
 
@@ -1533,9 +1542,18 @@ fn for_each_spike_cell(
     }
 }
 
-/// Rows of the lowered input gradient [`conv_input_grad_into`] holds at a
-/// time: a multiple of [`MR`], so every block starts on a tile boundary.
-const STREAM_ROWS: usize = 16 * MR;
+/// Output positions [`conv_input_grad_into`] lowers per block, rounded
+/// down to whole output rows (a block holds at least one row).
+const GRAD_BLOCK: usize = 64;
+
+/// Pixels per step of the input-gradient gather: one AVX-512 vector, two
+/// AVX2 vectors.
+const GATHER_LANES: usize = 16;
+
+/// Input channels whose lowered columns [`conv_input_grad_into`] computes
+/// and gathers at a time (four, so a group is a multiple of four columns):
+/// the group's block rows stay in the L1 cache between the two.
+const GATHER_CHANNELS: usize = 4;
 
 /// The input gradient of a convolution: the adjoint of [`im2col_into`]
 /// applied to `grad_rows @ weight`, where `grad_rows` is the
@@ -1543,18 +1561,19 @@ const STREAM_ROWS: usize = 16 * MR;
 /// out_w]`) and `weight` is `[O, C * k * k]`. `out` (`[N, C, H, W]`) is
 /// overwritten.
 ///
-/// Neither matrix exists whole. Each batch's rows are computed
-/// `STREAM_ROWS` (64) at a time by [`matmul`]'s serial panel kernel into a
-/// small buffer, and each row is scatter-added at once into the batch's
-/// zero-padded planes through the `PaddedTable` offsets; the interior is
-/// then cropped into `out`. Row blocks start at multiples of [`MR`] in the
-/// global row numbering (a block may compute a few rows of the neighbouring
-/// batch and drop them), so every row is a tile or a tail row exactly as in
-/// the whole product, and its values are [`matmul`]'s bits. Rows are
-/// scattered in order and each row's columns in order, so every pixel
-/// receives the additions of a bounds-checked walk of the windows in the
-/// same order, from `+0`. Parallelised over batches (a batch's pixels
-/// receive additions only from that batch's rows).
+/// Neither matrix exists whole. Each batch's output rows are taken a block
+/// at a time (about `GRAD_BLOCK` positions, whole rows), and the block of
+/// the lowered product is computed transposed: one lowered column per row,
+/// the block's positions in vector lanes, which is how batch `b`'s
+/// `grad_output` planes are already laid out. Every cell gets the bits
+/// [`matmul`] gives it in the whole product (see the module docs). The
+/// block is then gathered into the image a pixel vector at a time: each
+/// pixel adds the cells of the windows that cover it, output row `oy`
+/// ascending, then `kx` descending (`ox` ascending), on an accumulator
+/// held in registers and stored once. That is ascending lowered-row order,
+/// the order of a bounds-checked walk of the windows over the whole
+/// product, from `+0`. Parallelised over batches (a batch's pixels receive
+/// additions only from that batch's rows).
 ///
 /// # Panics
 ///
@@ -1577,109 +1596,411 @@ pub fn conv_input_grad_into(
         out_channels * geom.cols(),
         "weight has the wrong length"
     );
+    let image = geom.channels * geom.in_h * geom.in_w;
     assert_eq!(
         out.len(),
-        geom.batch * geom.channels * geom.in_h * geom.in_w,
+        geom.batch * image,
         "image buffer has the wrong length"
     );
-    let table = PaddedTable::new(geom);
-    let stream = GradStream {
+    out.fill(0.0);
+    let work = geom.rows() * out_channels * geom.cols();
+    if work == 0 || image == 0 {
+        return;
+    }
+    let isa = simd::active();
+    let cols = geom.cols();
+    let strip_width = match isa {
+        Isa::Scalar => NR,
+        isa => isa.f32_lanes(),
+    };
+    let rows_per_block = (GRAD_BLOCK / geom.out_w).max(1);
+    let lanes = (rows_per_block * geom.out_w).next_multiple_of(2 * GATHER_LANES);
+    let front = geom.kernel - 1;
+    let grad = InputGrad {
         grad_output,
         weight,
         out_channels,
         geom,
-        table: &table,
+        strip_end: cols - cols % strip_width,
+        fused: isa != Isa::Scalar,
+        rows_per_block,
+        lanes,
+        front,
+        row_stride: front + lanes + geom.kernel + GATHER_LANES,
     };
-    if geom.padding == 0 {
-        out.fill(0.0);
-        stream.scatter(out);
-    } else {
-        let mut padded = vec![0.0f32; geom.batch * table.batch_len];
-        stream.scatter(&mut padded);
-        table.crop(&padded, out, geom);
+    let run = |b: usize, image_out: &mut [f32]| {
+        simd::dispatch(GradBatch {
+            grad,
+            b,
+            out: image_out,
+        })
+    };
+    match parallel_panel_rows(geom.batch, work, 1) {
+        None => {
+            for (b, image_out) in out.chunks_mut(image).enumerate() {
+                run(b, image_out);
+            }
+        }
+        Some(panel) => {
+            out.par_chunks_mut(panel * image)
+                .enumerate()
+                .for_each(|(p, panel_out)| {
+                    for (j, image_out) in panel_out.chunks_mut(image).enumerate() {
+                        run(p * panel + j, image_out);
+                    }
+                });
+        }
     }
 }
 
-/// The operands of one [`conv_input_grad_into`] call.
-struct GradStream<'a> {
+/// The operands and block layout of one [`conv_input_grad_into`] call.
+#[derive(Clone, Copy)]
+struct InputGrad<'a> {
     grad_output: &'a [f32],
     weight: &'a [f32],
     out_channels: usize,
     geom: &'a Im2colGeom,
-    table: &'a PaddedTable,
+    /// Columns below this are strip columns of the lowered product.
+    strip_end: usize,
+    /// Whether strip columns fuse their multiply-adds (a vector ISA).
+    fused: bool,
+    /// Output rows per block.
+    rows_per_block: usize,
+    /// Lanes computed per block: its positions, rounded up to whole pairs
+    /// of vectors.
+    lanes: usize,
+    /// Offset of position 0 in a block row: room for a gather load shifted
+    /// left by up to `k − 1`.
+    front: usize,
+    /// Length of one block row (one lowered column).
+    row_stride: usize,
 }
 
-impl GradStream<'_> {
-    /// Scatter-adds every batch's rows into the zeroed padded planes `acc`.
-    fn scatter(&self, acc: &mut [f32]) {
-        let geom = self.geom;
-        let work = geom.rows() * self.out_channels * geom.cols();
-        if work == 0 || self.table.batch_len == 0 {
-            return;
+/// Batch `b` of an [`InputGrad`], gathered into its zeroed image `out`.
+struct GradBatch<'a> {
+    grad: InputGrad<'a>,
+    b: usize,
+    out: &'a mut [f32],
+}
+
+impl SimdOp for GradBatch<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<S: SimdLevel>(self) {
+        let GradBatch { grad, b, out } = self;
+        let geom = grad.geom;
+        let (o, cols) = (grad.out_channels, geom.cols());
+        let (lanes, front, row_stride) = (grad.lanes, grad.front, grad.row_stride);
+        let plane = geom.out_h * geom.out_w;
+        let rows = geom.rows();
+        // Rows from here on are tail rows of the whole product.
+        let tile_end = rows - rows % MR;
+        let kk = geom.kernel * geom.kernel;
+        // `lhs[ch]` holds the block's positions of output channel `ch`;
+        // block row `col − col0` the lowered product's column `col` at
+        // them, starting `front` cells in, for the columns of one group of
+        // `GATHER_CHANNELS` input channels (a multiple of four columns).
+        let mut lhs = vec![0.0f32; o * lanes];
+        let mut block = vec![0.0f32; GATHER_CHANNELS * kk * row_stride];
+        let mut oy0 = 0;
+        while oy0 < geom.out_h {
+            let oy1 = (oy0 + grad.rows_per_block).min(geom.out_h);
+            let (p0, p1) = (oy0 * geom.out_w, oy1 * geom.out_w);
+            let len = p1 - p0;
+            for (ch, lhs_row) in lhs.chunks_exact_mut(lanes).enumerate() {
+                let src = (b * o + ch) * plane + p0;
+                lhs_row[..len].copy_from_slice(&grad.grad_output[src..src + len]);
+            }
+            // Tail rows exist only at the end of the last batch; their
+            // cells are one running chain each, like every tail cell.
+            let first_tail = tile_end.saturating_sub(b * plane).clamp(p0, p1);
+            for c0 in (0..geom.channels).step_by(GATHER_CHANNELS) {
+                let c1 = (c0 + GATHER_CHANNELS).min(geom.channels);
+                let group = c0 * kk..c1 * kk;
+                grad_strip_columns::<S>(&lhs, &grad, &mut block, group.clone(), len);
+                grad_tail_columns(&lhs, &grad, &mut block, group.clone());
+                for p in first_tail..p1 {
+                    for col in group.clone() {
+                        let fused = grad.fused && col < grad.strip_end;
+                        let mut cell = 0.0f32;
+                        for ch in 0..o {
+                            let g = grad.grad_output[(b * o + ch) * plane + p];
+                            if g == 0.0 {
+                                continue;
+                            }
+                            let w = grad.weight[ch * cols + col];
+                            cell = if fused {
+                                g.mul_add(w, cell)
+                            } else {
+                                cell + g * w
+                            };
+                        }
+                        block[(col - group.start) * row_stride + front + p - p0] = cell;
+                    }
+                }
+                gather_block(&block, out, &grad, c0..c1, oy0..oy1);
+            }
+            oy0 = oy1;
         }
-        let batch_len = self.table.batch_len;
-        match parallel_panel_rows(geom.batch, work, 1) {
-            None => {
-                for (b, acc_batch) in acc.chunks_mut(batch_len).enumerate() {
-                    self.scatter_batch(b, acc_batch);
+    }
+}
+
+/// The strip columns `0..strip_end` of a transposed lowered block: each
+/// cell sums each [`KC`] block of output channels from `+0` in increasing
+/// order with the level's multiply-add, and adds the block sums onto the
+/// cell — a tile-row strip-column cell of [`matmul`]. Four columns by up to
+/// four vectors of positions (two where the level has 16 registers) share
+/// each channel's loads.
+#[inline(always)]
+fn grad_strip_columns<S: SimdLevel>(
+    lhs: &[f32],
+    grad: &InputGrad<'_>,
+    block: &mut [f32],
+    group: Range<usize>,
+    len: usize,
+) {
+    let w = S::F32_LANES;
+    let lanes = len.next_multiple_of(w);
+    let wide = if w >= 16 { 4 } else { 2 };
+    let block = &mut block[..(group.end - group.start) * grad.row_stride];
+    // Groups start on multiples of four columns, and strip widths are
+    // multiples of four, so the strip columns split into fours.
+    for j in (group.start..grad.strip_end.min(group.end)).step_by(4) {
+        let block = &mut block[(j - group.start) * grad.row_stride..];
+        let mut q = 0;
+        while q + wide * w <= lanes {
+            if wide == 4 {
+                grad_strip_tile::<S, 4>(lhs, grad, block, j, q);
+            } else {
+                grad_strip_tile::<S, 2>(lhs, grad, block, j, q);
+            }
+            q += wide * w;
+        }
+        while q < lanes {
+            grad_strip_tile::<S, 1>(lhs, grad, block, j, q);
+            q += w;
+        }
+    }
+}
+
+/// Columns `j..j + 4` at positions `q..q + V·lanes` of
+/// [`grad_strip_columns`], into block rows `0..4`.
+#[inline(always)]
+fn grad_strip_tile<S: SimdLevel, const V: usize>(
+    lhs: &[f32],
+    grad: &InputGrad<'_>,
+    block: &mut [f32],
+    j: usize,
+    q: usize,
+) {
+    let w = S::F32_LANES;
+    let (o, cols, lanes) = (grad.out_channels, grad.geom.cols(), grad.lanes);
+    let mut kb = 0;
+    while kb < o {
+        let kb_end = (kb + KC).min(o);
+        let mut acc = [[S::f32_zero(); V]; 4];
+        let g_rows = lhs[kb * lanes..kb_end * lanes].chunks_exact(lanes);
+        let w_rows = grad.weight[kb * cols..kb_end * cols].chunks_exact(cols);
+        for (g_row, w_row) in g_rows.zip(w_rows) {
+            let g = &g_row[q..q + V * w];
+            let gv: [S::F32; V] = std::array::from_fn(|v| S::f32_load(&g[v * w..]));
+            for (acc_c, &wv) in acc.iter_mut().zip(&w_row[j..j + 4]) {
+                let s = S::f32_splat(wv);
+                for (a, &g) in acc_c.iter_mut().zip(&gv) {
+                    *a = S::f32_muladd(s, g, *a);
                 }
             }
-            Some(panel) => {
-                acc.par_chunks_mut(panel * batch_len)
-                    .enumerate()
-                    .for_each(|(p, acc_panel)| {
-                        for (j, acc_batch) in acc_panel.chunks_mut(batch_len).enumerate() {
-                            self.scatter_batch(p * panel + j, acc_batch);
-                        }
-                    });
+        }
+        for (c, acc_c) in acc.iter().enumerate() {
+            let dst = &mut block[c * grad.row_stride + grad.front + q..];
+            for (v, &a) in acc_c.iter().enumerate() {
+                if kb == 0 {
+                    // The cell starts at `+0`: `+0 + a`, as an accumulate
+                    // onto a zeroed cell gives.
+                    S::f32_store(S::f32_add(S::f32_zero(), a), &mut dst[v * w..]);
+                } else {
+                    S::f32_accum(&mut dst[v * w..], a);
+                }
+            }
+        }
+        kb = kb_end;
+    }
+}
+
+/// The tail columns `strip_end..cols` of a transposed lowered block: each
+/// cell is one running chain over the output
+/// channels in increasing order, skipping zero gradients, with the product
+/// and the sum rounded separately — a tail-column cell of [`matmul`].
+#[inline(always)]
+fn grad_tail_columns(lhs: &[f32], grad: &InputGrad<'_>, block: &mut [f32], group: Range<usize>) {
+    let cols = grad.geom.cols();
+    for col in grad.strip_end.max(group.start)..group.end {
+        let start = (col - group.start) * grad.row_stride + grad.front;
+        let row = &mut block[start..start + grad.lanes];
+        for (q, cells) in row.chunks_exact_mut(GATHER_LANES).enumerate() {
+            // The chain runs in registers; channels are the outer loop.
+            let mut acc = [0.0f32; GATHER_LANES];
+            for ch in 0..grad.out_channels {
+                let w = grad.weight[ch * cols + col];
+                let g = &lhs[ch * grad.lanes + q * GATHER_LANES..][..GATHER_LANES];
+                for (a, &g) in acc.iter_mut().zip(g) {
+                    let sum = *a + g * w;
+                    *a = if g != 0.0 { sum } else { *a };
+                }
+            }
+            cells.copy_from_slice(&acc);
+        }
+    }
+}
+
+/// Adds the cells of a transposed lowered block (output rows `oys` of one
+/// batch, the columns of input channels `channels`) into the pixels their
+/// windows cover. Pixel `(c, iy, ix)` is covered by window `(oy, ox)` at
+/// `ky = iy + p − oy·s`, `kx = ix + p − ox·s`; it takes those cells `oy`
+/// ascending, then `kx` descending, which is `ox` ascending, on an
+/// accumulator loaded and stored once per block.
+#[inline(always)]
+fn gather_block(
+    block: &[f32],
+    out: &mut [f32],
+    grad: &InputGrad<'_>,
+    channels: Range<usize>,
+    oys: Range<usize>,
+) {
+    let geom = grad.geom;
+    let (h, w, k) = (geom.in_h, geom.in_w, geom.kernel);
+    let (stride, pad) = (geom.stride, geom.padding);
+    // Image rows the block's windows cover (padded rows `ny = iy + p`).
+    let ny_end = (oys.end - 1) * stride + k;
+    let iy_range = (oys.start * stride).saturating_sub(pad)..ny_end.saturating_sub(pad).min(h);
+    for iy in iy_range {
+        let ny = iy + pad;
+        let gather = Gather {
+            block,
+            grad,
+            col0: channels.start * k * k,
+            iy,
+            oy0: oys.start,
+            oys: oys.start.max((ny + 1).saturating_sub(k).div_ceil(stride))
+                ..oys.end.min(ny / stride + 1),
+        };
+        if stride != 1 {
+            for c in channels.clone() {
+                gather.strided(c, &mut out[(c * h + iy) * w..(c * h + iy + 1) * w]);
+            }
+            continue;
+        }
+        let mut c = channels.start;
+        while c < channels.end {
+            // Four channels' accumulators at once: four independent add
+            // chains instead of one.
+            if c + 4 <= channels.end {
+                gather.row::<4>(c, out);
+                c += 4;
+            } else {
+                gather.row::<1>(c, out);
+                c += 1;
             }
         }
     }
+}
 
-    /// Computes batch `b`'s rows block by block and scatter-adds them into
-    /// its padded planes.
-    fn scatter_batch(&self, b: usize, acc: &mut [f32]) {
-        let geom = self.geom;
-        let (o, cols) = (self.out_channels, geom.cols());
-        let plane = geom.out_h * geom.out_w;
-        let rows = geom.rows();
-        let (r0, r1) = (b * plane, (b + 1) * plane);
-        // The last block stops at the tile boundary after the batch (or at
-        // the last row): a shorter block would turn tile rows into tails.
-        let blocks_end = r1.next_multiple_of(MR).min(rows);
-        let mut lhs = vec![0.0f32; STREAM_ROWS * o];
-        let mut lowered = vec![0.0f32; STREAM_ROWS * cols];
-        let mut g = r0 - r0 % MR;
-        while g < r1 {
-            let g_end = (g + STREAM_ROWS).min(blocks_end);
-            let block_rows = g_end - g;
-            for (i, lhs_row) in lhs.chunks_exact_mut(o).take(block_rows).enumerate() {
-                let (rb, pos) = ((g + i) / plane, (g + i) % plane);
-                for (ch, v) in lhs_row.iter_mut().enumerate() {
-                    *v = self.grad_output[(rb * o + ch) * plane + pos];
+/// One image row `iy` of [`gather_block`]: the windows `oys` that reach it.
+struct Gather<'a> {
+    block: &'a [f32],
+    grad: &'a InputGrad<'a>,
+    /// Lowered column of block row 0.
+    col0: usize,
+    iy: usize,
+    /// First output row of the block.
+    oy0: usize,
+    oys: Range<usize>,
+}
+
+impl Gather<'_> {
+    /// Row `iy` of channels `c..c + NC` at stride 1, in pieces of 16, 8
+    /// and 4 pixels, then single pixels.
+    #[inline(always)]
+    fn row<const NC: usize>(&self, c: usize, out: &mut [f32]) {
+        let w = self.grad.geom.in_w;
+        let mut x0 = 0;
+        while x0 + 16 <= w {
+            self.piece::<NC, 16>(c, x0, out);
+            x0 += 16;
+        }
+        if x0 + 8 <= w {
+            self.piece::<NC, 8>(c, x0, out);
+            x0 += 8;
+        }
+        if x0 + 4 <= w {
+            self.piece::<NC, 4>(c, x0, out);
+            x0 += 4;
+        }
+        while x0 < w {
+            self.piece::<NC, 1>(c, x0, out);
+            x0 += 1;
+        }
+    }
+
+    /// Pixels `x0..x0 + L` of row `iy` of channels `c..c + NC`, at stride
+    /// one. Lane `l` of step `(oy, kx)` reads window `ox = x0 + p − kx + l`,
+    /// one contiguous load per channel; lanes whose window falls off the
+    /// row keep their sum.
+    #[inline(always)]
+    fn piece<const NC: usize, const L: usize>(&self, c: usize, x0: usize, out: &mut [f32]) {
+        let geom = self.grad.geom;
+        let (h, w, k, pad) = (geom.in_h, geom.in_w, geom.kernel, geom.padding);
+        let (front, row_stride) = (self.grad.front, self.grad.row_stride);
+        let pixel = |i: usize| ((c + i) * h + self.iy) * w + x0;
+        let mut acc = [[0.0f32; L]; NC];
+        for (i, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(&out[pixel(i)..pixel(i) + L]);
+        }
+        for oy in self.oys.clone() {
+            let ky = self.iy + pad - oy;
+            let row = front + (oy - self.oy0) * geom.out_w;
+            for kx in (0..k).rev() {
+                // Lanes `lo..hi` have a window in this output row.
+                let ox0 = (x0 + pad) as isize - kx as isize;
+                let lo = (-ox0).clamp(0, L as isize) as u32;
+                let hi = (geom.out_w as isize - ox0).clamp(0, L as isize) as u32;
+                // `front >= kx` keeps the start inside the block row.
+                let start = row + x0 + pad - kx;
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let r = ((c + i) * k + ky) * k + kx - self.col0;
+                    let src = &self.block[r * row_stride + start..][..L];
+                    for (l, (a, &v)) in acc.iter_mut().zip(src).enumerate() {
+                        let sum = *a + v;
+                        let l = l as u32;
+                        *a = if l >= lo && l < hi { sum } else { *a };
+                    }
                 }
             }
-            let lowered = &mut lowered[..block_rows * cols];
-            lowered.fill(0.0);
-            matmul_panel(
-                &lhs[..block_rows * o],
-                self.weight,
-                lowered,
-                block_rows,
-                o,
-                cols,
-            );
-            for row in g.max(r0)..g_end.min(r1) {
-                let pos = row - r0;
-                let base =
-                    self.table.stripe_base(geom, pos / geom.out_w) + pos % geom.out_w * geom.stride;
-                let window = &mut acc[base..];
-                let values = &lowered[(row - g) * cols..(row - g + 1) * cols];
-                for (&v, &off) in values.iter().zip(&self.table.offsets) {
-                    window[off] += v;
+        }
+        for (i, acc) in acc.iter().enumerate() {
+            out[pixel(i)..pixel(i) + L].copy_from_slice(acc);
+        }
+    }
+
+    /// Row `iy` of channel `c` (`pixels`) at any stride, pixel by pixel.
+    fn strided(&self, c: usize, pixels: &mut [f32]) {
+        let geom = self.grad.geom;
+        let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
+        let row_stride = self.grad.row_stride;
+        for (ix, pixel) in pixels.iter_mut().enumerate() {
+            let nx = ix + pad;
+            for oy in self.oys.clone() {
+                let ky = self.iy + pad - oy * stride;
+                let row = self.grad.front + (oy - self.oy0) * geom.out_w;
+                for kx in (0..k).rev() {
+                    if nx < kx || (nx - kx) % stride != 0 || (nx - kx) / stride >= geom.out_w {
+                        continue;
+                    }
+                    let r = (c * k + ky) * k + kx - self.col0;
+                    *pixel += self.block[r * row_stride + row + (nx - kx) / stride];
                 }
             }
-            g = g_end;
         }
     }
 }

@@ -960,6 +960,53 @@ fn lowering_matches_reference_on_a_wide_single_channel_input() {
 }
 
 #[test]
+fn input_gradient_matches_the_reference_on_every_isa() {
+    // (N, C, O, H, W, k, stride, padding): row widths 7, 8, 16 and 28,
+    // widths that split into 16/8/4/1-pixel pieces (13, 40), stride 2,
+    // padding 0 and 2, O > KC, row counts with R % MR != 0, and a plane
+    // smaller than MR (tail rows spanning batch items).
+    let cases = [
+        (2, 3, 5, 7, 7, 3, 1, 1),
+        (3, 2, 4, 8, 8, 3, 1, 1),
+        (1, 4, 6, 16, 16, 3, 1, 1),
+        (1, 2, 3, 28, 28, 3, 1, 1),
+        (2, 2, 3, 5, 13, 3, 1, 1),
+        (1, 3, 4, 12, 40, 5, 1, 2),
+        (2, 3, 4, 9, 11, 3, 2, 1),
+        (2, 5, 3, 7, 9, 3, 1, 0),
+        (1, 2, 3, 6, 6, 3, 1, 2),
+        (1, 2, kernels::KC + 10, 5, 6, 3, 1, 1),
+        (5, 1, 2, 3, 3, 3, 1, 1),
+        (3, 2, 3, 1, 1, 1, 1, 0),
+    ];
+    let _lock = simd::test_override_lock();
+    for (case, &(n, c, o, h, w, k, stride, padding)) in cases.iter().enumerate() {
+        let dims = ops::Conv2dDims::new(n, c, o, h, w, k, stride, padding).unwrap();
+        let input = Tensor::from_fn(&[n, c, h, w], |i| hashed(i, 40 + case as u64, 1.0));
+        let cols = ops::im2col(&input, &dims).unwrap();
+        let weight = Tensor::from_fn(&[o, dims.col_cols()], |i| hashed(i, 41, 0.5));
+        // Zeros of both signs and subnormals among ordinary magnitudes.
+        let grad_output = Tensor::from_fn(&[n, o, dims.out_h, dims.out_w], |i| match i % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(3 + i as u32 % 64),
+            _ => hashed(i, 42, 2.0) * [1.0, 1e-3, 1e3][i % 3],
+        });
+        for isa in simd::available() {
+            let _g = simd::force(Some(isa));
+            let (expected, _, _) = reference::conv2d_backward(&grad_output, &cols, &weight, &dims);
+            let grads = ops::conv2d_backward(&grad_output, &cols, &weight, &dims).unwrap();
+            assert_eq!(
+                bits(grads.grad_input.data()),
+                bits(&expected),
+                "case {case} {:?}, isa {isa}",
+                (n, c, o, h, w, k, stride, padding)
+            );
+        }
+    }
+}
+
+#[test]
 fn streamed_input_gradient_keeps_tile_rows_across_stripes() {
     // O > KC gives the `grad_rows @ weight` product two k-blocks, so a tile
     // row and a tail row round differently; out_w = 7 and 7x5 planes put
