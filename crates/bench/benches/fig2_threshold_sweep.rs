@@ -5,42 +5,16 @@
 //! (one fixed-threshold retraining step on the pruned network).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use falvolt::campaign::{Axis, Campaign};
-use falvolt::experiment::{DatasetKind, ExperimentScale};
+use falvolt::figures::Figure;
 use falvolt::mitigation::{MitigationStrategy, Mitigator, RetrainConfig};
-use falvolt_bench::{bench_context, pct};
+use falvolt_bench::print_figure;
 use falvolt_systolic::{FaultMap, StuckAt};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut ctx = bench_context(DatasetKind::Mnist);
-    let epochs = ExperimentScale::Tiny.retrain_epochs();
-
-    // Regenerate the figure series as a campaign plan (the figure's seed
-    // mixer keeps the drawn chips — and the series — identical to the
-    // `reproduce` binary's output).
-    let run = Campaign::new(&mut ctx)
-        .axis(Axis::FaultRate(vec![0.30, 0.60]))
-        .axis(Axis::Threshold(vec![0.45, 0.55, 0.7, 1.0]))
-        .retrain_epochs(epochs)
-        .seed_mixer(falvolt::campaign::mixers::per_fault_rate)
-        .run()
-        .expect("figure 2 sweep");
-    println!(
-        "\nFigure 2 — fixed-threshold retraining ({}):",
-        ctx.kind().label()
-    );
-    println!("  threshold | fault rate | accuracy");
-    for cell in &run {
-        println!(
-            "  {:>9.2} | {:>9.0}% | {:>6}",
-            cell.spec.threshold.unwrap_or(0.0),
-            cell.spec.fault_rate.unwrap_or(0.0) * 100.0,
-            pct(cell.accuracy)
-        );
-    }
+    let mut ctx = print_figure(Figure::Fig2).expect("figure 2 sweep");
 
     // Kernel benchmark: one full FaPIT mitigation pass (prune + short
     // retraining) at a fixed threshold.

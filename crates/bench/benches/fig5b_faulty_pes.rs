@@ -4,34 +4,15 @@
 //! a single faulty evaluation as the underlying kernels.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use falvolt::campaign::{Axis, Campaign};
-use falvolt::experiment::DatasetKind;
-use falvolt_bench::{bench_context, print_series};
+use falvolt::figures::Figure;
+use falvolt_bench::print_figure;
 use falvolt_systolic::{FaultMap, StuckAt, SystolicConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut ctx = bench_context(DatasetKind::Mnist);
-    let vuln = ctx.scale().vulnerability_config();
-    // The figure's seed + mixer: the drawn maps (and series) match the
-    // `reproduce` binary's output.
-    let run = Campaign::new(&mut ctx)
-        .axis(Axis::FaultyPes(vec![0, 4, 8, 16, 32, 64]))
-        .scenarios_per_cell(vuln.iterations)
-        .seed(vuln.seed)
-        .seed_mixer(falvolt::campaign::mixers::per_faulty_pe_count)
-        .run()
-        .expect("figure 5b sweep");
-    println!(
-        "\nFigure 5b — accuracy vs faulty PEs ({}):",
-        ctx.kind().label()
-    );
-    println!("  baseline: {:.1}%", run.baseline_accuracy() * 100.0);
-    for series in run.mean_series("faulty_pes") {
-        print_series("  series", "faulty PEs", &series);
-    }
+    print_figure(Figure::Fig5b).expect("figure 5b sweep");
 
     // Kernel benchmark: drawing a fault map of the paper's sizes on the full
     // 256x256 grid.

@@ -5,33 +5,14 @@
 //! figure).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use falvolt::campaign::{Axis, Campaign};
-use falvolt::experiment::DatasetKind;
-use falvolt_bench::{bench_context, print_series};
+use falvolt::figures::Figure;
+use falvolt_bench::print_figure;
 use falvolt_systolic::{FaultMap, SystolicConfig, SystolicExecutor};
 use falvolt_tensor::Tensor;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut ctx = bench_context(DatasetKind::Mnist);
-    let vuln = ctx.scale().vulnerability_config();
-    // The figure's seed + mixer: the drawn maps (and series) match the
-    // `reproduce` binary's output.
-    let run = Campaign::new(&mut ctx)
-        .axis(Axis::ArraySize(vec![4, 8, 16, 32]))
-        .axis(Axis::FaultyPes(vec![4]))
-        .scenarios_per_cell(vuln.iterations)
-        .seed(vuln.seed)
-        .seed_mixer(falvolt::campaign::mixers::per_array_size)
-        .run()
-        .expect("figure 5c sweep");
-    println!(
-        "\nFigure 5c — accuracy vs array size ({}, 4 faulty PEs):",
-        ctx.kind().label()
-    );
-    for series in run.mean_series("array_size") {
-        print_series("  series", "array side", &series);
-    }
+    print_figure(Figure::Fig5c).expect("figure 5c sweep");
 
     // Kernel benchmark: the same matrix product executed on arrays of
     // different sizes (fault-free; isolates the mapping/fold overhead).

@@ -1,14 +1,13 @@
 //! Figure 6 — per-layer threshold voltages learned by FalVolt at 10% / 30% /
 //! 60% faulty PEs.
 //!
-//! Prints the learned thresholds once, then benchmarks the threshold-gradient
-//! kernel (spiking-layer backward pass with a trainable threshold).
+//! Prints the Figures 6 & 7 report once (the learned thresholds are its
+//! second table), then benchmarks the threshold-gradient kernel
+//! (spiking-layer backward pass with a trainable threshold).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use falvolt::campaign::{Axis, Campaign};
-use falvolt::experiment::{DatasetKind, ExperimentScale};
-use falvolt::mitigation::MitigationStrategy;
-use falvolt_bench::bench_context;
+use falvolt::figures::Figure;
+use falvolt_bench::print_figure;
 use falvolt_snn::layers::{ForwardContext, Layer, Mode, SpikingLayer};
 use falvolt_snn::neuron::NeuronConfig;
 use falvolt_snn::FloatBackend;
@@ -16,32 +15,7 @@ use falvolt_tensor::Tensor;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut ctx = bench_context(DatasetKind::Mnist);
-    let epochs = ExperimentScale::Tiny.retrain_epochs();
-    // The figure's seed mixer: the drawn chips match `reproduce`.
-    let run = Campaign::new(&mut ctx)
-        .axis(Axis::FaultRate(vec![0.10, 0.30]))
-        .axis(Axis::Mitigation(vec![MitigationStrategy::falvolt(epochs)]))
-        .seed_mixer(falvolt::campaign::mixers::per_fault_rate_rotated)
-        .run()
-        .expect("figure 6 comparison");
-    println!(
-        "\nFigure 6 — optimized threshold voltages ({}):",
-        ctx.kind().label()
-    );
-    for cell in &run {
-        let outcome = cell.outcome().expect("retraining cell");
-        let thresholds: Vec<String> = outcome
-            .thresholds
-            .iter()
-            .map(|(name, v)| format!("{name}={v:.2}"))
-            .collect();
-        println!(
-            "  {:>3.0}% faulty: {}",
-            cell.spec.fault_rate.unwrap_or(0.0) * 100.0,
-            thresholds.join(", ")
-        );
-    }
+    print_figure(Figure::Fig6And7).expect("figures 6 and 7 comparison");
 
     // Kernel benchmark: forward + backward through a spiking layer with a
     // trainable threshold (the Eq. 4 gradient path).

@@ -5,45 +5,16 @@
 //! (mask derivation and application).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use falvolt::campaign::{Axis, Campaign};
-use falvolt::experiment::{DatasetKind, ExperimentScale};
-use falvolt::mitigation::MitigationStrategy;
+use falvolt::figures::Figure;
 use falvolt::prune::PruneMasks;
-use falvolt_bench::{bench_context, pct};
+use falvolt_bench::print_figure;
 use falvolt_systolic::{FaultMap, StuckAt};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut ctx = bench_context(DatasetKind::Mnist);
-    let epochs = ExperimentScale::Tiny.retrain_epochs();
-    // The figure's seed mixer: the drawn chips match `reproduce`.
-    let run = Campaign::new(&mut ctx)
-        .axis(Axis::FaultRate(vec![0.10, 0.30, 0.60]))
-        .axis(Axis::Mitigation(vec![
-            MitigationStrategy::FaP,
-            MitigationStrategy::fapit(epochs),
-            MitigationStrategy::falvolt(epochs),
-        ]))
-        .seed_mixer(falvolt::campaign::mixers::per_fault_rate_rotated)
-        .run()
-        .expect("figure 7 comparison");
-    println!(
-        "\nFigure 7 — mitigation comparison ({}):",
-        ctx.kind().label()
-    );
-    println!("  baseline: {}", pct(run.baseline_accuracy()));
-    println!("  fault rate | strategy | accuracy");
-    for cell in &run {
-        let outcome = cell.outcome().expect("retraining cell");
-        println!(
-            "  {:>9.0}% | {:<8} | {:>6}",
-            cell.spec.fault_rate.unwrap_or(0.0) * 100.0,
-            outcome.strategy,
-            pct(cell.accuracy)
-        );
-    }
+    let mut ctx = print_figure(Figure::Fig6And7).expect("figures 6 and 7 comparison");
 
     // Kernel benchmark: deriving and applying prune masks for a 30% fault map.
     let systolic = *ctx.systolic_config();

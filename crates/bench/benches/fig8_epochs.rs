@@ -5,49 +5,16 @@
 //! epoch of each strategy.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use falvolt::campaign::{Axis, Campaign};
-use falvolt::experiment::{DatasetKind, ExperimentScale};
+use falvolt::figures::Figure;
 use falvolt::mitigation::{MitigationStrategy, Mitigator, RetrainConfig};
-use falvolt_bench::{bench_context, pct};
+use falvolt_bench::print_figure;
 use falvolt_systolic::{FaultMap, StuckAt};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
-    let mut ctx = bench_context(DatasetKind::Mnist);
-    let epochs = ExperimentScale::Tiny.retrain_epochs();
-    // The figure's seed mixer: the drawn chip matches `reproduce`.
-    let run = Campaign::new(&mut ctx)
-        .axis(Axis::FaultRate(vec![0.30]))
-        .axis(Axis::Mitigation(vec![
-            MitigationStrategy::fapit(epochs),
-            MitigationStrategy::falvolt(epochs),
-        ]))
-        .seed_mixer(falvolt::campaign::mixers::convergence)
-        .run()
-        .expect("figure 8 convergence");
-    let fapit_history = &run.cells()[0].outcome().expect("FaPIT cell").history;
-    let falvolt_history = &run.cells()[1].outcome().expect("FalVolt cell").history;
-    println!(
-        "\nFigure 8 — convergence at 30% faulty PEs ({}):",
-        ctx.kind().label()
-    );
-    println!("  epoch |  FaPIT  | FalVolt");
-    for (fapit, falvolt) in fapit_history.iter().zip(falvolt_history) {
-        println!(
-            "  {:>5} | {:>7} | {:>7}",
-            fapit.epoch,
-            pct(fapit.test_accuracy),
-            pct(falvolt.test_accuracy)
-        );
-    }
-    let target = run.baseline_accuracy() * 0.95;
-    println!(
-        "  epochs to 95% of baseline: FaPIT {:?}, FalVolt {:?}",
-        falvolt::mitigation::epochs_to_reach(fapit_history, target),
-        falvolt::mitigation::epochs_to_reach(falvolt_history, target)
-    );
+    let mut ctx = print_figure(Figure::Fig8).expect("figure 8 convergence");
 
     // Kernel benchmark: one retraining epoch of each strategy.
     let systolic = *ctx.systolic_config();

@@ -1,70 +1,25 @@
-//! Shared helpers for the FalVolt benchmark harness.
+//! Shared setup for the FalVolt figure benches.
 //!
-//! Every bench target (one per figure of the paper's evaluation) and the
-//! `reproduce` binary use these helpers to prepare experiment contexts and to
-//! print figure series in a uniform way.
+//! Every figure bench prints its figure once, exactly as
+//! `reproduce --fig X` prints it, then times the figure's kernel on the
+//! context the figure ran on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use falvolt::experiment::{DatasetKind, ExperimentContext, ExperimentScale};
-use falvolt::vulnerability::SweepSeries;
+use falvolt::figures::Figure;
 
-/// Prepares a Tiny-scale experiment context used by the benches (the smallest
-/// setting that still trains a meaningful baseline).
+/// Prepares the Tiny MNIST context `reproduce` runs by default (seed 42),
+/// runs `figure`'s plan on it, prints the figure's report and hands the
+/// context back for the bench's kernel measurement.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if preparation fails — benches have no way to recover.
-pub fn bench_context(kind: DatasetKind) -> ExperimentContext {
-    ExperimentContext::prepare(kind, ExperimentScale::Tiny, 42)
-        .expect("bench experiment context must prepare")
-}
-
-/// Prepares an experiment context at an explicit scale.
-///
-/// # Panics
-///
-/// Panics if preparation fails.
-pub fn context_at_scale(kind: DatasetKind, scale: ExperimentScale) -> ExperimentContext {
-    ExperimentContext::prepare(kind, scale, 42).expect("experiment context must prepare")
-}
-
-/// Prints one sweep series as an aligned two-column table.
-pub fn print_series(title: &str, x_label: &str, series: &SweepSeries) {
-    println!("{title} [{}]", series.label);
-    println!("  {x_label:>12} | accuracy");
-    for point in &series.points {
-        println!("  {:>12} | {:>6.1}%", point.x, point.accuracy * 100.0);
-    }
-}
-
-/// Formats an accuracy fraction as a percentage string.
-pub fn pct(x: f32) -> String {
-    format!("{:.1}%", x * 100.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use falvolt::vulnerability::SweepPoint;
-
-    #[test]
-    fn pct_formats_fractions() {
-        assert_eq!(pct(0.5), "50.0%");
-        assert_eq!(pct(0.987), "98.7%");
-    }
-
-    #[test]
-    fn print_series_does_not_panic() {
-        let series = SweepSeries {
-            label: "sa1".into(),
-            points: vec![SweepPoint {
-                x: 8.0,
-                accuracy: 0.42,
-                iterations: 2,
-            }],
-        };
-        print_series("Figure 5b", "faulty PEs", &series);
-    }
+/// Propagates context preparation and campaign errors.
+pub fn print_figure(figure: Figure) -> falvolt::Result<ExperimentContext> {
+    let mut ctx = ExperimentContext::prepare(DatasetKind::Mnist, ExperimentScale::Tiny, 42)?;
+    let run = figure.plan(&mut ctx).run()?;
+    print!("{}", figure.report(&run));
+    Ok(ctx)
 }

@@ -1604,8 +1604,8 @@ fn draw_pool(spec: &CellSpec, seed: u64, scenarios: usize) -> Result<Vec<FaultMa
 /// The per-figure seed mixers of the paper's figures.
 ///
 /// Pass one to [`Campaign::seed_mixer`] to draw exactly the fault maps a
-/// figure's recorded series were drawn from: the figure benches and the
-/// `reproduce` binary install these, and the golden figure tests
+/// figure's recorded series were drawn from: the plans of
+/// [`crate::figures`] install these, and the golden figure tests
 /// (`tests/golden_figures.rs`) pin their output bit for bit. Plans that do
 /// not need continuity with recorded series should keep the default mixer.
 pub mod mixers {

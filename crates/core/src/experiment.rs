@@ -3,12 +3,12 @@
 //! generated data and the trained fault-free baseline.
 //!
 //! The figures themselves are [`crate::campaign`] plans run against a
-//! prepared context (see the `reproduce` binary for one plan per figure).
+//! prepared context, one per figure in [`crate::figures`].
 //! The experiments run on synthetic datasets and a scaled network, so
 //! absolute accuracies differ from the paper; the *shape* of every curve is
 //! what the reproduction targets.
 
-use crate::vulnerability::{SweepCaches, VulnerabilityConfig};
+use crate::vulnerability::SweepCaches;
 use crate::Result;
 use falvolt_datasets::{
     to_batches, Dataset, DatasetConfig, LabeledBatch, SyntheticDvsGesture, SyntheticMnist,
@@ -77,9 +77,10 @@ impl DatasetKind {
 /// iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
-    /// Minutes-long smoke scale used by unit/integration tests.
+    /// The smallest scale: the tests, the figure benches and the
+    /// `reproduce` binary's default.
     Tiny,
-    /// The default for the `reproduce` binary and the benches.
+    /// More samples, epochs and fault maps than Tiny.
     Quick,
     /// Closer to the paper's sample counts and epoch budgets.
     Full,
@@ -121,15 +122,13 @@ impl ExperimentScale {
         }
     }
 
-    /// Fault-map iterations per vulnerability sweep point.
-    pub fn vulnerability_config(&self) -> VulnerabilityConfig {
+    /// Fault maps drawn (and averaged) per point of the Figure 5 sweeps.
+    /// The paper uses 8.
+    pub fn fault_maps_per_point(&self) -> usize {
         match self {
-            ExperimentScale::Tiny => VulnerabilityConfig {
-                iterations: 1,
-                seed: 0xFA11,
-            },
-            ExperimentScale::Quick => VulnerabilityConfig::quick(),
-            ExperimentScale::Full => VulnerabilityConfig::paper_like(),
+            ExperimentScale::Tiny => 1,
+            ExperimentScale::Quick => 2,
+            ExperimentScale::Full => 8,
         }
     }
 
@@ -262,11 +261,6 @@ impl ExperimentContext {
         &self.systolic
     }
 
-    /// Overrides the systolic-array configuration.
-    pub fn set_systolic_config(&mut self, config: SystolicConfig) {
-        self.systolic = config;
-    }
-
     /// Number of classes.
     pub fn classes(&self) -> usize {
         self.kind.classes()
@@ -386,7 +380,7 @@ mod tests {
         assert!(quick.samples_per_class() < full.samples_per_class());
         assert!(tiny.baseline_epochs() < full.baseline_epochs());
         assert!(tiny.retrain_epochs() <= quick.retrain_epochs());
-        assert!(tiny.vulnerability_config().iterations <= full.vulnerability_config().iterations);
+        assert!(tiny.fault_maps_per_point() <= full.fault_maps_per_point());
         assert!(tiny.batch_size() > 0);
     }
 

@@ -24,8 +24,10 @@
 //!   fan-out, cache sharing and multi-map batching,
 //! * [`experiment`] prepares what every figure runs on: the workload, the
 //!   scale and an [`experiment::ExperimentContext`] holding the generated
-//!   data and the trained baseline; each figure is a [`campaign`] plan over
-//!   that context (the `reproduce` binary holds one plan per figure).
+//!   data and the trained baseline,
+//! * [`figures`] defines each paper figure once: its [`campaign`] plan over
+//!   that context and the table it reports (the `reproduce` binary and the
+//!   figure benches run these).
 //!
 //! # Example: mitigate a faulty chip
 //!
@@ -67,6 +69,7 @@ pub mod campaign;
 #[cfg(feature = "chaos")]
 pub mod chaos;
 pub mod experiment;
+pub mod figures;
 pub mod mitigation;
 pub mod prune;
 pub mod vulnerability;

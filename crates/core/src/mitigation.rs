@@ -16,12 +16,11 @@
 
 use crate::prune::PruneMasks;
 use crate::Result;
-use falvolt_snn::loss::{Loss, MseRateLoss};
-use falvolt_snn::optim::{Adam, Optimizer};
-use falvolt_snn::trainer::{evaluate, Batch};
-use falvolt_snn::{Mode, SpikingNetwork};
+use falvolt_snn::loss::MseRateLoss;
+use falvolt_snn::optim::Adam;
+use falvolt_snn::trainer::{evaluate, Batch, Trainer};
+use falvolt_snn::SpikingNetwork;
 use falvolt_systolic::FaultMap;
-use falvolt_tensor::reduce;
 
 /// Which mitigation strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,23 +239,17 @@ impl Mitigator {
             });
         }
 
-        let mut optimizer = Adam::new(self.retrain.learning_rate);
-        let loss = MseRateLoss::new();
+        let mut trainer = Trainer::new(
+            Adam::new(self.retrain.learning_rate),
+            MseRateLoss::new(),
+            self.classes,
+        );
         let mut final_accuracy = accuracy_after_pruning;
 
         // Algorithm 1, lines 4-14: retrain the surviving weights (and, for
         // FalVolt, the per-layer threshold voltages).
         for epoch in 1..=epochs {
-            let mut epoch_loss = 0.0f64;
-            for batch in train {
-                let targets = reduce::one_hot(&batch.labels, self.classes)?;
-                network.zero_grads();
-                let rates = network.forward(&batch.input, Mode::Train)?;
-                epoch_loss += loss.forward(&rates, &targets)? as f64;
-                let grad = loss.backward(&rates, &targets)?;
-                network.backward(&grad)?;
-                optimizer.step(network.params_mut());
-            }
+            let report = trainer.train_epoch(network, train)?;
             // Algorithm 1, line 13: pruned weights stay zero.
             masks.apply(network)?;
 
@@ -266,7 +259,7 @@ impl Mitigator {
             if self.retrain.track_history {
                 history.push(EpochPoint {
                     epoch,
-                    train_loss: Some((epoch_loss / train.len() as f64) as f32),
+                    train_loss: Some(report.loss),
                     test_accuracy: final_accuracy,
                 });
             }

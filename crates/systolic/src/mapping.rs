@@ -42,11 +42,6 @@ impl WeightMapping {
         }
     }
 
-    /// Creates the mapping from explicit grid dimensions.
-    pub fn from_grid(rows: usize, cols: usize) -> Self {
-        Self { rows, cols }
-    }
-
     /// Grid rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -24,7 +24,7 @@ fn mnist_like_experiment_flow_reproduces_the_papers_shape() {
 
     // Figure 5b shape: more faulty PEs (MSB stuck-at-1) never help, and a
     // substantial number of faulty PEs causes a visible drop.
-    let iterations = scale.vulnerability_config().iterations;
+    let iterations = scale.fault_maps_per_point();
     let run = Campaign::new(&mut ctx)
         .axis(Axis::FaultyPes(vec![0, 32]))
         .scenarios_per_cell(iterations)

@@ -6,8 +6,9 @@
 //!
 //! The checkpoint JSON stores every accuracy, learned threshold and
 //! per-epoch history entry as IEEE-754 bit hex, so a byte-equal file means
-//! bit-identical figure data. The plans use the same axes and
-//! `campaign::mixers` seed formulas as the `reproduce` binary.
+//! bit-identical figure data. The plans use the same `campaign::mixers`
+//! seed formulas (and, for Figure 5, the same base seed) as
+//! `falvolt::figures`, on smaller axes.
 //!
 //! Each test makes two checks:
 //!
@@ -26,6 +27,7 @@
 
 use falvolt::campaign::{mixers, Axis, Campaign, CampaignCheckpoint};
 use falvolt::experiment::{DatasetKind, ExperimentContext, ExperimentScale};
+use falvolt::figures::FIG5_SEED;
 use falvolt::mitigation::MitigationStrategy;
 use falvolt_systolic::StuckAt;
 use falvolt_tensor::simd::{self, Isa};
@@ -157,12 +159,11 @@ fn fig2_matches_golden() {
 #[test]
 fn fig5a_matches_golden() {
     check_figure("fig5a", |c| {
-        let vuln = ExperimentScale::Tiny.vulnerability_config();
         c.axis(Axis::Polarity(StuckAt::ALL.to_vec()))
             .axis(Axis::BitPosition(vec![0, 15]))
             .axis(Axis::FaultyPes(vec![8]))
-            .scenarios_per_cell(vuln.iterations)
-            .seed(vuln.seed)
+            .scenarios_per_cell(ExperimentScale::Tiny.fault_maps_per_point())
+            .seed(FIG5_SEED)
             .seed_mixer(mixers::per_bit)
     });
 }
@@ -171,10 +172,9 @@ fn fig5a_matches_golden() {
 #[test]
 fn fig5b_matches_golden() {
     check_figure("fig5b", |c| {
-        let vuln = ExperimentScale::Tiny.vulnerability_config();
         c.axis(Axis::FaultyPes(vec![0, 32]))
-            .scenarios_per_cell(vuln.iterations)
-            .seed(vuln.seed)
+            .scenarios_per_cell(ExperimentScale::Tiny.fault_maps_per_point())
+            .seed(FIG5_SEED)
             .seed_mixer(mixers::per_faulty_pe_count)
     });
 }
@@ -183,21 +183,19 @@ fn fig5b_matches_golden() {
 #[test]
 fn fig5c_matches_golden() {
     check_figure("fig5c", |c| {
-        let vuln = ExperimentScale::Tiny.vulnerability_config();
         c.axis(Axis::ArraySize(vec![4, 16]))
             .axis(Axis::FaultyPes(vec![4]))
-            .scenarios_per_cell(vuln.iterations)
-            .seed(vuln.seed)
+            .scenarios_per_cell(ExperimentScale::Tiny.fault_maps_per_point())
+            .seed(FIG5_SEED)
             .seed_mixer(mixers::per_array_size)
     });
 }
 
 /// The Fig-5b plan the neuromorphic goldens share.
 fn fig5b_temporal(c: Campaign<'_>) -> Campaign<'_> {
-    let vuln = ExperimentScale::Tiny.vulnerability_config();
     c.axis(Axis::FaultyPes(vec![0, 8, 32]))
         .scenarios_per_cell(2)
-        .seed(vuln.seed)
+        .seed(FIG5_SEED)
         .seed_mixer(mixers::per_faulty_pe_count)
 }
 
