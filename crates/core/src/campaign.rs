@@ -19,10 +19,10 @@
 //!   products) and retraining cells share one fresh `SweepCache` for the
 //!   evaluations inside retraining. After a `mitigate_mnist`-shaped run
 //!   (Tiny MNIST, FaP/FaPIT/FalVolt × 3 fault rates, seeds 1 and 3, 2
-//!   threads) that store read the same counts each time: prefix outputs 21
-//!   hits in 378 lookups (6%: a prefix key holds the prefix weights, which
-//!   every epoch edits), lowerings 371 hits in 404 (92%: lowering keys hold
-//!   only the test batch and the geometry),
+//!   threads) that store read: prefix outputs 0 hits in 63 lookups (a
+//!   prefix key holds the prefix weights, which every epoch edits, and each
+//!   pruned map is evaluated once), lowerings 55–56 hits in 108 (lowering
+//!   keys hold only the test batch and the geometry),
 //! * **multi-map batching**: the evaluation scenarios run batch-major, one
 //!   parallel wave per test batch, and in each wave the scenarios of one
 //!   grid configuration form a [`crate::ScenarioProducts`] set, so
@@ -34,6 +34,19 @@
 //! Evaluation cells measure classification accuracy under their drawn fault
 //! maps through the systolic backend; retraining cells run the
 //! [`Mitigator`] (prune + retrain) per drawn map on the float backend.
+//!
+//! Every strategy on one map starts from the same pruned network, so before
+//! the retraining cells fan out, one parallel pass prunes each map they read
+//! and evaluates it once; every cell on that map reports that accuracy
+//! after pruning. A cell then retrains and evaluates the test set after its
+//! last epoch only, or after every epoch when the plan asks for per-epoch
+//! history ([`Campaign::track_history`]); a FaP cell evaluates nothing. A
+//! Tiny Fig-7 plan (3 fault rates × FaP/FaPIT/FalVolt, 8 epochs, one map
+//! per rate) so runs 9 test-set evaluations: 3 in the pass and one per
+//! FaPIT or FalVolt cell (51 with history). The pass checks the run's
+//! cancel token and deadline before each evaluation, and a pass that fails
+//! or panics fails only the cells on its map (they retry like any failed
+//! cell).
 //!
 //! # Example
 //!
@@ -60,7 +73,7 @@
 use crate::error::{CampaignError, CellFailure};
 use crate::experiment::ExperimentContext;
 use crate::json;
-use crate::mitigation::{MitigationOutcome, MitigationStrategy, Mitigator, RetrainConfig};
+use crate::mitigation::{MitigationOutcome, MitigationStrategy, Mitigator, Pruning, RetrainConfig};
 use crate::vulnerability::{isolated, scenario_halts, Halt, SweepPoint, SweepSeries};
 use crate::{FalvoltError, Result};
 use falvolt_snn::{EnginePreset, SpikingNetwork, SweepCache};
@@ -530,11 +543,15 @@ type CellHook = Arc<dyn Fn(usize, usize) -> std::result::Result<(), String> + Se
 /// payload. The spec is NOT stored — on resume it is reattached from the
 /// re-expanded plan, which the fingerprint certifies identical.
 #[derive(Debug, Clone, PartialEq)]
-struct CheckpointCell {
-    index: usize,
-    accuracy: f32,
-    scenarios: usize,
-    outcomes: Vec<MitigationOutcome>,
+pub struct CheckpointCell {
+    /// The cell's index in plan order.
+    pub index: usize,
+    /// The cell's [`CellResult::accuracy`].
+    pub accuracy: f32,
+    /// The cell's [`CellResult::scenarios`].
+    pub scenarios: usize,
+    /// The cell's [`CellResult::outcomes`].
+    pub outcomes: Vec<MitigationOutcome>,
 }
 
 /// A resumable snapshot of a partially executed campaign: the plan
@@ -562,6 +579,16 @@ impl CampaignCheckpoint {
     /// refuses checkpoints whose fingerprint does not match).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Fault-free baseline accuracy of the context the plan ran on.
+    pub fn baseline_accuracy(&self) -> f32 {
+        self.baseline_accuracy
+    }
+
+    /// The completed cells recorded, in the order they were recorded.
+    pub fn cells(&self) -> &[CheckpointCell] {
+        &self.cells
     }
 
     /// Number of cells in the full plan.
@@ -980,6 +1007,7 @@ pub struct Campaign<'a> {
     seed: u64,
     mixer: SeedMixer,
     retrain_epochs: Option<usize>,
+    retrain: RetrainConfig,
     deadline: Option<Duration>,
     retry: RetryPolicy,
     cancel: Option<CancelToken>,
@@ -987,13 +1015,18 @@ pub struct Campaign<'a> {
     checkpoint_sink: Option<CheckpointSink>,
     resume_from: Option<CampaignCheckpoint>,
     injector: Option<CellHook>,
+    /// Test injection into the shared post-pruning pass, called as
+    /// `(pool, map)` before each of its evaluations.
+    #[cfg(test)]
+    pruning_injector: Option<CellHook>,
 }
 
 impl<'a> Campaign<'a> {
     /// Starts a plan over `ctx` with no axes, one scenario per cell, the
     /// context's seed and the default seed mixer. Evaluation cells run under
     /// [`EnginePreset::full`]; retraining cells use
-    /// [`RetrainConfig::paper_like`].
+    /// [`RetrainConfig::paper_like`], which records no per-epoch history
+    /// unless the plan asks ([`Campaign::track_history`]).
     pub fn new(ctx: &'a mut ExperimentContext) -> Self {
         let seed = ctx.seed();
         Self {
@@ -1003,6 +1036,7 @@ impl<'a> Campaign<'a> {
             seed,
             mixer: Arc::new(default_seed_mix),
             retrain_epochs: None,
+            retrain: RetrainConfig::paper_like(),
             deadline: None,
             retry: RetryPolicy::default(),
             cancel: None,
@@ -1010,6 +1044,8 @@ impl<'a> Campaign<'a> {
             checkpoint_sink: None,
             resume_from: None,
             injector: None,
+            #[cfg(test)]
+            pruning_injector: None,
         }
     }
 
@@ -1049,6 +1085,16 @@ impl<'a> Campaign<'a> {
     /// an [`Axis::Mitigation`] carry their own epoch budget).
     pub fn retrain_epochs(mut self, epochs: usize) -> Self {
         self.retrain_epochs = Some(epochs);
+        self
+    }
+
+    /// Records every retraining outcome's per-epoch test accuracy in
+    /// [`MitigationOutcome::history`] (default: off; Figure 8 is the plan
+    /// that reads it). Each retraining epoch then evaluates the test set;
+    /// without it a retraining cell evaluates only after its last epoch.
+    /// Final accuracies and thresholds are the same either way.
+    pub fn track_history(mut self, track: bool) -> Self {
+        self.retrain.track_history = track;
         self
     }
 
@@ -1120,6 +1166,17 @@ impl<'a> Campaign<'a> {
         self
     }
 
+    /// Test injection into the shared post-pruning pass: called as
+    /// `(pool, map)` before each of its evaluations.
+    #[cfg(test)]
+    fn pruning_hook(
+        mut self,
+        hook: impl Fn(usize, usize) -> std::result::Result<(), String> + Send + Sync + 'static,
+    ) -> Self {
+        self.pruning_injector = Some(Arc::new(hook));
+        self
+    }
+
     /// Installs a deterministic chaos-injection plan (panics, errors, slow
     /// workers) driven by [`crate::chaos::ChaosPlan`].
     #[cfg(feature = "chaos")]
@@ -1157,6 +1214,7 @@ impl<'a> Campaign<'a> {
             seed,
             mixer,
             retrain_epochs,
+            retrain,
             deadline,
             retry,
             cancel,
@@ -1164,6 +1222,8 @@ impl<'a> Campaign<'a> {
             checkpoint_sink,
             resume_from,
             injector,
+            #[cfg(test)]
+            pruning_injector,
         } = self;
         if scenarios_per_cell == 0 {
             return Err(CampaignError::invalid_plan(
@@ -1213,7 +1273,14 @@ impl<'a> Campaign<'a> {
 
         // 3. Fingerprint the plan and replay any checkpoint: completed cells
         // are reused verbatim, everything else is (re)executed.
-        let fingerprint = plan_fingerprint(ctx, &specs, &payloads, &cell_seeds, scenarios_per_cell);
+        let fingerprint = plan_fingerprint(
+            ctx,
+            &specs,
+            &payloads,
+            &cell_seeds,
+            scenarios_per_cell,
+            &retrain,
+        );
         let mut done: Vec<Option<CellResult>> = vec![None; specs.len()];
         if let Some(checkpoint) = resume_from {
             if checkpoint.fingerprint != fingerprint {
@@ -1263,7 +1330,7 @@ impl<'a> Campaign<'a> {
                     None
                 }
             };
-            let mitigator = Mitigator::new(ctx.classes(), RetrainConfig::paper_like());
+            let mitigator = Mitigator::new(ctx.classes(), retrain);
             let retrain_cache = Arc::new(SweepCache::new());
             let (baseline, caches) = (ctx.network(), ctx.caches());
             let (train, test) = (ctx.train_batches(), ctx.test_batches());
@@ -1273,13 +1340,17 @@ impl<'a> Campaign<'a> {
             // token stops the worker, and the chaos/test injector fires
             // (`fire` is true once per cell attempt: on the first batch of
             // an evaluation cell's first scenario).
-            let start = |cell: usize, attempt: usize, fire: bool| {
+            let halted = || {
                 if expired() {
                     run_token.cancel();
                 }
                 if run_token.is_cancelled() {
                     return Err(Halt::Cancelled);
                 }
+                Ok(())
+            };
+            let start = |cell: usize, attempt: usize, fire: bool| {
+                halted()?;
                 match &injector {
                     Some(inject) if fire => inject(cell, attempt)
                         .map_err(|message| Halt::Error(FalvoltError::invalid_config(message))),
@@ -1296,7 +1367,9 @@ impl<'a> Campaign<'a> {
 
             // One attempt over a set of cells: the scenarios of every
             // evaluation cell fan out through one shared-cache scenario
-            // engine call, retraining cells fan out one worker per cell.
+            // engine call; the maps the retraining cells read are pruned and
+            // evaluated once each, then the retraining cells fan out one
+            // worker per cell.
             let run_cells = |cells: &[usize], attempt: usize| -> Vec<(usize, CellTry)> {
                 let eval: Vec<usize> = cells
                     .iter()
@@ -1356,21 +1429,60 @@ impl<'a> Campaign<'a> {
                     caches.sweep.quarantine_in_flight();
                     caches.product.quarantine_in_flight();
                 };
+
+                // The shared post-pruning pass: every strategy on one map
+                // starts from the same pruned network, so each (pool, map)
+                // a retraining cell reads is pruned and evaluated once. A
+                // halted job halts only the cells on its map.
+                let mut jobs: Vec<(usize, usize)> = Vec::new();
+                for &(cell, _) in &retrain {
+                    let pool = cell_pool[cell];
+                    if !jobs.iter().any(|&(p, _)| p == pool) {
+                        jobs.extend((0..pools[pool].1.len()).map(|map| (pool, map)));
+                    }
+                }
+                let pruned: Vec<(usize, std::result::Result<Pruning, Halt>)> = jobs
+                    .into_par_iter()
+                    .map(|(pool, map)| {
+                        let pruning = isolated(quarantine, || {
+                            halted()?;
+                            #[cfg(test)]
+                            if let Some(inject) = &pruning_injector {
+                                inject(pool, map).map_err(|message| {
+                                    Halt::Error(FalvoltError::invalid_config(message))
+                                })?;
+                            }
+                            let mut network = retrain_view(baseline, &retrain_cache);
+                            mitigator
+                                .prune_and_evaluate(&mut network, &pools[pool].1[map], test)
+                                .map_err(Halt::Error)
+                        });
+                        (pool, pruning)
+                    })
+                    .collect();
+                // `prunings[pool][map]`, empty for the pools no retraining
+                // cell reads.
+                let mut prunings = vec![Vec::new(); pools.len()];
+                for (pool, pruning) in pruned {
+                    prunings[pool].push(pruning);
+                }
+
                 let retrained: Vec<(usize, CellTry)> = retrain
                     .into_par_iter()
                     .map(|(cell, strategy)| {
                         let tried = isolated(quarantine, || {
                             start(cell, attempt, true)?;
-                            let maps = &pools[cell_pool[cell]].1;
-                            let mut outcomes = Vec::with_capacity(maps.len());
-                            for map in maps.iter() {
+                            let prunings = &prunings[cell_pool[cell]];
+                            let mut outcomes = Vec::with_capacity(prunings.len());
+                            for pruning in prunings {
                                 if run_token.is_cancelled() {
                                     return Err(Halt::Cancelled);
                                 }
+                                let pruning = pruning.as_ref().map_err(Halt::clone)?;
                                 let mut network = retrain_view(baseline, &retrain_cache);
                                 outcomes.push(
                                     mitigator
-                                        .run(&mut network, map, train, test, strategy)
+                                        .retrain(&mut network, pruning, train, test, strategy)
                                         .map_err(Halt::Error)?,
                                 );
                             }
@@ -1491,8 +1603,8 @@ fn plan_fingerprint(
     payloads: &[CellPayload],
     cell_seeds: &[u64],
     scenarios_per_cell: usize,
+    retrain_config: &RetrainConfig,
 ) -> u64 {
-    let retrain_config = RetrainConfig::paper_like();
     let mut fp = falvolt_tensor::Fingerprint::new();
     fp.write_str("campaign-plan-v1");
     fp.write_u64(ctx.seed());
@@ -1723,6 +1835,171 @@ mod tests {
             a.cells()[1].outcomes[0].pruned_weight_fraction
         );
         assert_eq!(a, b, "a campaign plan is a pure function of its inputs");
+    }
+
+    /// A Fig-7-shaped plan: every strategy at two fault rates, one map per
+    /// rate.
+    fn fig7_shaped(ctx: &mut ExperimentContext) -> Campaign<'_> {
+        Campaign::new(ctx)
+            .axis(Axis::FaultRate(vec![0.1, 0.4]))
+            .axis(Axis::Mitigation(vec![
+                MitigationStrategy::FaP,
+                MitigationStrategy::fapit(2),
+                MitigationStrategy::falvolt(2),
+            ]))
+            .seed_mixer(mixers::per_fault_rate_rotated)
+    }
+
+    /// Every field of a cell as bits: the checkpoint encoding of its
+    /// outcomes, with their histories cleared when `drop_history`.
+    fn cell_bits(cell: &CellResult, drop_history: bool) -> String {
+        let mut out = format!(
+            "{:?} {:#010x} {} {:?} ",
+            cell.spec,
+            cell.accuracy.to_bits(),
+            cell.scenarios,
+            cell.status
+        );
+        for outcome in &cell.outcomes {
+            let mut outcome = outcome.clone();
+            if drop_history {
+                outcome.history.clear();
+            }
+            encode_outcome(&mut out, &outcome);
+        }
+        out
+    }
+
+    #[test]
+    fn history_is_the_only_output_tracking_changes() {
+        let mut ctx = tiny_ctx();
+        let tracked = fig7_shaped(&mut ctx).track_history(true).run().unwrap();
+        let untracked = fig7_shaped(&mut ctx).run().unwrap();
+        assert_eq!(tracked.completed(), 6);
+        assert_eq!(tracked.len(), untracked.len());
+        for (a, b) in tracked.cells().iter().zip(untracked.cells()) {
+            assert_eq!(cell_bits(a, true), cell_bits(b, false));
+            let outcome = a.outcome().expect("retraining cell");
+            let points = if outcome.epochs_run > 0 { 3 } else { 0 };
+            assert_eq!(outcome.history.len(), points);
+            assert!(b.outcome().is_some_and(|o| o.history.is_empty()));
+        }
+    }
+
+    #[test]
+    fn the_strategies_on_one_map_share_its_post_pruning_accuracy() {
+        let mut ctx = tiny_ctx();
+        let run = fig7_shaped(&mut ctx).run().unwrap();
+        for rate in run.cells().chunks(3) {
+            let outcomes: Vec<&MitigationOutcome> =
+                rate.iter().filter_map(CellResult::outcome).collect();
+            assert_eq!(outcomes.len(), 3);
+            let after_pruning = outcomes[0].accuracy_after_pruning.to_bits();
+            for outcome in &outcomes {
+                assert_eq!(outcome.accuracy_after_pruning.to_bits(), after_pruning);
+            }
+            assert_eq!(outcomes[0].strategy, "FaP");
+            assert_eq!(outcomes[0].final_accuracy.to_bits(), after_pruning);
+        }
+    }
+
+    #[test]
+    fn a_halted_post_pruning_evaluation_halts_only_the_cells_on_its_map() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let mut ctx = tiny_ctx();
+        let clean = fig7_shaped(&mut ctx).run().unwrap();
+        // Pools are numbered in draw order: pool 0 is the 10% map, pool 1
+        // the 40% map.
+        let failing = |run: &CampaignRun, pool: usize, panic: bool| {
+            for (cell, clean_cell) in run.cells().iter().zip(clean.cells()) {
+                if cell.spec.fault_rate == Some([0.1, 0.4][pool]) {
+                    assert!(matches!(
+                        &cell.status,
+                        CellStatus::Failed { cause, attempts: 1 } if cause.is_panic() == panic
+                    ));
+                    assert!(cell.outcomes.is_empty());
+                } else {
+                    assert_eq!(cell, clean_cell);
+                }
+            }
+        };
+        let errored = fig7_shaped(&mut ctx)
+            .pruning_hook(|pool, _| {
+                if pool == 1 {
+                    Err("injected pruning error".to_string())
+                } else {
+                    Ok(())
+                }
+            })
+            .run()
+            .unwrap();
+        failing(&errored, 1, false);
+        let panicked = fig7_shaped(&mut ctx)
+            .pruning_hook(|pool, _| {
+                if pool == 0 {
+                    panic!("injected pruning panic");
+                }
+                Ok(())
+            })
+            .run()
+            .unwrap();
+        failing(&panicked, 0, true);
+
+        // A retry re-runs the failed map's pass and recovers bit for bit.
+        let failed_once = AtomicBool::new(false);
+        let retried = fig7_shaped(&mut ctx)
+            .retry(RetryPolicy::attempts(2).backoff(Duration::ZERO, Duration::ZERO))
+            .pruning_hook(move |pool, _| {
+                if pool == 1 && !failed_once.swap(true, Ordering::SeqCst) {
+                    Err("transient pruning error".to_string())
+                } else {
+                    Ok(())
+                }
+            })
+            .run()
+            .unwrap();
+        assert_eq!(retried, clean);
+
+        // At one worker the pass runs its maps in order, so a token tripped
+        // during the first map's evaluation stops the pass before the second.
+        struct ClearOverride;
+        impl Drop for ClearOverride {
+            fn drop(&mut self) {
+                rayon::set_thread_count_override(0);
+            }
+        }
+        let _guard = ClearOverride;
+        rayon::set_thread_count_override(1);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let token = CancelToken::new();
+        let (hook_calls, hook_token) = (Arc::clone(&calls), token.clone());
+        let cancelled = fig7_shaped(&mut ctx)
+            .cancel_token(token)
+            .pruning_hook(move |_, _| {
+                hook_calls.fetch_add(1, Ordering::SeqCst);
+                hook_token.cancel();
+                Ok(())
+            })
+            .run()
+            .unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(cancelled.skipped(), 6);
+        let (hook_calls, expired_calls) = (Arc::clone(&calls), Arc::clone(&calls));
+        calls.store(0, Ordering::SeqCst);
+        let expired = fig7_shaped(&mut ctx)
+            .deadline(Duration::from_millis(200))
+            .pruning_hook(move |_, _| {
+                hook_calls.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(400));
+                Ok(())
+            })
+            .run()
+            .unwrap();
+        assert_eq!(expired_calls.load(Ordering::SeqCst), 1);
+        assert!(expired.cells().iter().all(|c| c.status
+            == CellStatus::Skipped {
+                reason: SkipReason::Deadline
+            }));
     }
 
     #[test]

@@ -79,7 +79,9 @@ impl Figure {
 
     /// The figure's campaign plan on `ctx`. Retraining epochs and fault
     /// maps per point come from the context's scale; each plan installs its
-    /// figure's seed mixer from [`mixers`].
+    /// figure's seed mixer from [`mixers`]. Only the Fig 8 plan asks for
+    /// per-epoch history ([`Campaign::track_history`]), the one output
+    /// that costs a test-set evaluation per retraining epoch.
     pub fn plan(self, ctx: &mut ExperimentContext) -> Campaign<'_> {
         let scale = ctx.scale();
         let epochs = scale.retrain_epochs();
@@ -124,6 +126,7 @@ impl Figure {
                     MitigationStrategy::fapit(epochs),
                     MitigationStrategy::falvolt(epochs),
                 ]))
+                .track_history(true)
                 .seed_mixer(mixers::convergence),
         }
     }

@@ -76,8 +76,8 @@ pub mod vulnerability;
 
 pub use backend::{ScenarioProducts, SystolicBackend};
 pub use campaign::{
-    Axis, Campaign, CampaignCheckpoint, CampaignRun, CellResult, CellStatus, CheckpointSink,
-    RetryPolicy, SkipReason,
+    Axis, Campaign, CampaignCheckpoint, CampaignRun, CellResult, CellStatus, CheckpointCell,
+    CheckpointSink, RetryPolicy, SkipReason,
 };
 pub use error::{CampaignError, CellFailure, FalvoltError};
 pub use vulnerability::SweepCaches;

@@ -83,21 +83,26 @@ impl MitigationStrategy {
 pub struct RetrainConfig {
     /// Adam learning rate.
     pub learning_rate: f32,
-    /// Evaluate test accuracy after every epoch (needed for Figure 8; adds
-    /// one evaluation pass per epoch).
+    /// Evaluate test accuracy after every epoch and record it in
+    /// [`MitigationOutcome::history`] (Figure 8 reads it). Costs one
+    /// test-set evaluation per epoch; without it a run evaluates once after
+    /// pruning and once after its last epoch.
     pub track_history: bool,
 }
 
 impl RetrainConfig {
-    /// Retraining configuration used by the full experiments.
+    /// Retraining configuration of the paper's figures: Adam at 5e-3, no
+    /// per-epoch history. A campaign starts from it and tracks history only
+    /// when its plan asks ([`crate::campaign::Campaign::track_history`]).
     pub fn paper_like() -> Self {
         Self {
             learning_rate: 5e-3,
-            track_history: true,
+            track_history: false,
         }
     }
 
-    /// Faster configuration for tests and quick runs.
+    /// Faster configuration for tests and quick runs, with per-epoch
+    /// history.
     pub fn quick() -> Self {
         Self {
             learning_rate: 1e-2,
@@ -184,7 +189,9 @@ impl Mitigator {
         &self.retrain
     }
 
-    /// Runs `strategy` on `network` for the chip described by `fault_map`.
+    /// Runs `strategy` on `network` for the chip described by `fault_map`:
+    /// prunes the network and evaluates it (Algorithm 1, lines 1-2), then
+    /// retrains it as the strategy asks (lines 3-14).
     ///
     /// The network is modified in place (pruned and retrained); clone it
     /// first if the pristine weights are still needed.
@@ -201,17 +208,46 @@ impl Mitigator {
         test: &[Batch],
         strategy: MitigationStrategy,
     ) -> Result<MitigationOutcome> {
-        if train.is_empty() || test.is_empty() {
-            return Err(crate::FalvoltError::invalid_config(
-                "mitigation needs non-empty training and test sets",
-            ));
-        }
+        check_data(train, test)?;
+        let pruning = self.prune_and_evaluate(network, fault_map, test)?;
+        self.retrain(network, &pruning, train, test, strategy)
+    }
 
-        // Algorithm 1, lines 1-2: find and zero the weights mapped to faulty
-        // PEs.
+    /// Algorithm 1, lines 1-2: finds the weights `fault_map` maps to faulty
+    /// PEs, zeroes them in `network` and evaluates the pruned network on
+    /// `test`. Every strategy on one chip starts from this result, so a
+    /// campaign computes it once per fault map and shares it.
+    pub(crate) fn prune_and_evaluate(
+        &self,
+        network: &mut SpikingNetwork,
+        fault_map: &FaultMap,
+        test: &[Batch],
+    ) -> Result<Pruning> {
         let masks = PruneMasks::derive(network, fault_map);
         masks.apply(network)?;
-        let accuracy_after_pruning = evaluate(network, test)?;
+        Ok(Pruning {
+            accuracy: evaluate(network, test)?,
+            fault_rate: fault_map.fault_rate(),
+            pruned_weight_fraction: masks.pruned_fraction(),
+            masks,
+        })
+    }
+
+    /// Algorithm 1, lines 3-14: applies `pruning`'s masks to `network` (a
+    /// no-op when `prune_and_evaluate` just pruned it), sets the thresholds
+    /// `strategy` asks for and retrains for its epochs, re-zeroing the
+    /// pruned weights after each one.
+    pub(crate) fn retrain(
+        &self,
+        network: &mut SpikingNetwork,
+        pruning: &Pruning,
+        train: &[Batch],
+        test: &[Batch],
+        strategy: MitigationStrategy,
+    ) -> Result<MitigationOutcome> {
+        check_data(train, test)?;
+        let masks = &pruning.masks;
+        masks.apply(network)?;
 
         // Configure the threshold voltage according to the strategy.
         match strategy {
@@ -235,7 +271,7 @@ impl Mitigator {
             history.push(EpochPoint {
                 epoch: 0,
                 train_loss: None,
-                test_accuracy: accuracy_after_pruning,
+                test_accuracy: pruning.accuracy,
             });
         }
 
@@ -244,7 +280,7 @@ impl Mitigator {
             MseRateLoss::new(),
             self.classes,
         );
-        let mut final_accuracy = accuracy_after_pruning;
+        let mut final_accuracy = pruning.accuracy;
 
         // Algorithm 1, lines 4-14: retrain the surviving weights (and, for
         // FalVolt, the per-layer threshold voltages).
@@ -264,21 +300,39 @@ impl Mitigator {
                 });
             }
         }
-        if epochs == 0 {
-            final_accuracy = accuracy_after_pruning;
-        }
 
         Ok(MitigationOutcome {
             strategy: strategy.label().to_string(),
-            fault_rate: fault_map.fault_rate(),
-            pruned_weight_fraction: masks.pruned_fraction(),
-            accuracy_after_pruning,
+            fault_rate: pruning.fault_rate,
+            pruned_weight_fraction: pruning.pruned_weight_fraction,
+            accuracy_after_pruning: pruning.accuracy,
             final_accuracy,
             history,
             thresholds: network.thresholds(),
             epochs_run: epochs,
         })
     }
+}
+
+/// One chip's fault-aware pruning: the masks and what every strategy on
+/// the chip reports before retraining.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Pruning {
+    masks: PruneMasks,
+    /// Test accuracy right after pruning.
+    accuracy: f32,
+    fault_rate: f64,
+    pruned_weight_fraction: f64,
+}
+
+/// Rejects empty training or test sets before any work starts.
+fn check_data(train: &[Batch], test: &[Batch]) -> Result<()> {
+    if train.is_empty() || test.is_empty() {
+        return Err(crate::FalvoltError::invalid_config(
+            "mitigation needs non-empty training and test sets",
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -405,6 +459,52 @@ mod tests {
             .iter()
             .any(|(_, v)| (*v - 1.0).abs() > 1e-3));
         assert!(falvolt.epochs_to_reach(0.5).is_some());
+    }
+
+    #[test]
+    fn history_tracking_changes_no_other_output() {
+        let (mut network, train, test, classes) = trained_setup();
+        let baseline_state = network.export_parameters();
+        let systolic = SystolicConfig::new(4, 4).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        let fault_map =
+            FaultMap::random_with_rate(&systolic, 0.3, 15, StuckAt::One, &mut rng).unwrap();
+        let mut run = |track_history: bool, strategy: MitigationStrategy| {
+            network.import_parameters(&baseline_state).unwrap();
+            let retrain = RetrainConfig {
+                track_history,
+                ..RetrainConfig::quick()
+            };
+            Mitigator::new(classes, retrain)
+                .run(&mut network, &fault_map, &train, &test, strategy)
+                .unwrap()
+        };
+        let bits = |o: &MitigationOutcome| {
+            let thresholds: Vec<(String, u32)> = o
+                .thresholds
+                .iter()
+                .map(|(name, v)| (name.clone(), v.to_bits()))
+                .collect();
+            (
+                o.final_accuracy.to_bits(),
+                o.accuracy_after_pruning.to_bits(),
+                thresholds,
+                o.pruned_weight_fraction.to_bits(),
+                o.epochs_run,
+            )
+        };
+        for strategy in [
+            MitigationStrategy::FaP,
+            MitigationStrategy::fapit(3),
+            MitigationStrategy::falvolt(3),
+        ] {
+            let tracked = run(true, strategy);
+            let untracked = run(false, strategy);
+            assert_eq!(bits(&tracked), bits(&untracked), "{}", strategy.label());
+            assert!(untracked.history.is_empty());
+            let points = if strategy.epochs() > 0 { 4 } else { 0 };
+            assert_eq!(tracked.history.len(), points, "{}", strategy.label());
+        }
     }
 
     #[test]

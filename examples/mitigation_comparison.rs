@@ -67,6 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             MitigationStrategy::fapit(epochs),
             MitigationStrategy::falvolt(epochs),
         ]))
+        .track_history(true)
         .run()?;
     let fapit = &convergence.cells()[0]
         .outcome()

@@ -107,6 +107,7 @@ fn mnist_like_experiment_flow_reproduces_the_papers_shape() {
             MitigationStrategy::fapit(epochs),
             MitigationStrategy::falvolt(epochs),
         ]))
+        .track_history(true)
         .run()
         .expect("convergence campaign");
     let fapit_history = &convergence.cells()[0].outcome().unwrap().history;

@@ -238,6 +238,7 @@ fn fig8_matches_golden() {
                 MitigationStrategy::fapit(2),
                 MitigationStrategy::falvolt(2),
             ]))
+            .track_history(true)
             .seed_mixer(mixers::convergence)
     });
 }
