@@ -107,8 +107,8 @@ fn systolic_fingerprint(executor: &SystolicExecutor) -> u64 {
 const SCENARIO_BATCH_CAPACITY: usize = 64;
 
 /// Sweep-shared multi-map product batcher: the scenario set of one sweep
-/// wave (one systolic grid, many fault maps) plus a promote-on-second-request
-/// store of batched products.
+/// wave (one systolic grid, many fault maps) plus a store of batched
+/// products.
 ///
 /// The store keeps every batched product until the set is dropped, and one
 /// entry holds an output matrix per scenario. The sweep
@@ -119,15 +119,16 @@ const SCENARIO_BATCH_CAPACITY: usize = 64;
 /// Scenario workers execute whole network forwards independently, but the
 /// products they issue against the *scenario-invariant* operands (the shared
 /// im2col lowering of a test batch, the shared transposed weights) are
-/// identical across workers — only the fault map differs. Each member
-/// backend ([`ScenarioProducts::member`]) keys every product on its operands'
-/// content ids: the first sighting computes inline through its own single-map
-/// executor, the second proves the operands are shared across scenarios and
-/// evaluates [`SystolicExecutor::matmul_scenarios`] — **one event-stream walk
-/// for every map** — and later members copy their slice. Products whose
-/// activations diverge per scenario (everything downstream of the first
-/// corrupted spiking layer) never promote and fall back to the single-map
-/// path, so batching is self-selecting and bit-identical either way.
+/// identical across workers — only the fault map differs. The prefix layers
+/// announce those products ([`MatmulRequest::scenario_shared`]). A member
+/// backend ([`ScenarioProducts::member`]) keys an announced product on its
+/// operands' content ids: the first request evaluates
+/// [`SystolicExecutor::matmul_scenarios`] — **one event-stream walk for
+/// every map** — and later members copy their slice. Every unannounced
+/// product runs on the member's own one-map executor without touching the
+/// store: its activations were minted by that worker (downstream of a
+/// spiking layer, or a per-step frame slice), so its key could never recur.
+/// Both paths give the same bits.
 pub struct ScenarioProducts {
     config: SystolicConfig,
     maps: Vec<FaultMap>,
@@ -191,7 +192,7 @@ impl ScenarioProducts {
     /// The backend of scenario `index`: behaves exactly like a
     /// [`SystolicBackend`] built with the set's product cache and
     /// `maps[index]` installed (same name, same fingerprint, bit-identical
-    /// products), but consults the shared batch store first.
+    /// products), but batches announced products through the set's store.
     ///
     /// # Errors
     ///
@@ -231,12 +232,10 @@ impl ScenarioProducts {
         self.store.quarantine_in_flight()
     }
 
-    /// One store lookup; `eager` callers declared the operands
-    /// scenario-invariant (every member will request this product) and batch
-    /// on first sighting instead of letting one worker pay the single-map
-    /// path first.
-    fn lookup(&self, key: u128, eager: bool) -> StoreDecision<ScenarioMatrices> {
-        self.store.lookup(key, eager)
+    /// One store lookup. Only announced products reach the store, and every
+    /// member will request each of them, so a first request already batches.
+    fn lookup(&self, key: u128) -> StoreDecision<ScenarioMatrices> {
+        self.store.lookup(key, true)
     }
 
     fn fulfill(&self, key: u128, outputs: Arc<ScenarioMatrices>) {
@@ -284,14 +283,13 @@ struct ScenarioMemberBackend {
 }
 
 impl ScenarioMemberBackend {
-    /// Consults the batch store for this product; `None` means the caller
-    /// should fall back to the single-map path.
+    /// Consults the batch store for an announced product; `None` means the
+    /// caller should fall back to the single-map path.
     fn batched(
         &self,
         a: &Tensor,
         b: &Tensor,
         hint: MatmulHint,
-        eager: bool,
     ) -> Option<falvolt_tensor::Result<Tensor>> {
         if a.ndim() != 2 || b.ndim() != 2 || a.shape()[1] != b.shape()[0] {
             return None;
@@ -308,7 +306,7 @@ impl ScenarioMemberBackend {
         fp.write_u64(a.content_id());
         fp.write_u64(b.content_id());
         let key = fp.finish();
-        match self.set.lookup(key, eager) {
+        match self.set.lookup(key) {
             StoreDecision::Skip => None,
             // Members gather their scenario straight out of the interleaved
             // batch view — only the requested matrix is ever materialised.
@@ -341,10 +339,11 @@ impl ScenarioMemberBackend {
 impl MatmulBackend for ScenarioMemberBackend {
     fn matmul_request(&self, req: MatmulRequest<'_>) -> falvolt_tensor::Result<MatmulOutput> {
         // A scenario-shared claim certifies the operands scenario-invariant:
-        // batch for every map on first sighting instead of waiting for a
-        // second worker to prove sharing.
-        if let Some(result) = self.batched(req.a(), req.b(), req.hint(), req.is_scenario_shared()) {
-            return result.map(MatmulOutput::new);
+        // batch for every map. Any other product is this member's alone.
+        if req.is_scenario_shared() {
+            if let Some(result) = self.batched(req.a(), req.b(), req.hint()) {
+                return result.map(MatmulOutput::new);
+            }
         }
         self.executor
             .matmul_hinted(req.a(), req.b(), req.hint())
@@ -446,6 +445,49 @@ mod tests {
         }
     }
 
+    #[test]
+    fn members_batch_announced_products_only() {
+        let config = SystolicConfig::new(4, 4).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(11);
+        let maps = vec![
+            FaultMap::random_msb_faults(&config, 1, &mut rng).unwrap(),
+            FaultMap::random_msb_faults(&config, 3, &mut rng).unwrap(),
+            FaultMap::random_msb_faults(&config, 6, &mut rng).unwrap(),
+        ];
+        let set = Arc::new(ScenarioProducts::new(
+            config,
+            maps.clone(),
+            Arc::new(ProductCache::new()),
+        ));
+        let a = Tensor::from_fn(&[3, 6], |i| ((i * 7) % 5) as f32 * 0.25);
+        let b = Tensor::from_fn(&[6, 5], |i| ((i * 3) % 7) as f32 * 0.125 - 0.375);
+        let single = |map: &FaultMap| SystolicBackend::new(config, map.clone()).matmul(&a, &b);
+
+        // The same unannounced operands twice: both run on the member's own
+        // one-map executor, and the set's store never sees them.
+        let member = ScenarioProducts::member(&set, 0).unwrap();
+        let expected = single(&maps[0]).unwrap();
+        for _ in 0..2 {
+            let out = member.matmul_request(MatmulRequest::new(&a, &b)).unwrap();
+            assert_eq!(out.tensor().data(), expected.data());
+        }
+        assert_eq!((set.hits(), set.batches()), (0, 0));
+
+        // Announced once, the product is batched for every map on the first
+        // request, and every other member hits.
+        for (index, map) in maps.iter().enumerate() {
+            let member = ScenarioProducts::member(&set, index).unwrap();
+            let request = MatmulRequest::new(&a, &b).scenario_shared(true);
+            let out = member.matmul_request(request).unwrap();
+            assert_eq!(
+                out.tensor().data(),
+                single(map).unwrap().data(),
+                "member {index}"
+            );
+        }
+        assert_eq!((set.hits(), set.batches()), (maps.len() - 1, 1));
+    }
+
     #[cfg(feature = "audit")]
     #[test]
     fn batch_store_rejects_fulfil_twice_with_different_rows() {
@@ -465,7 +507,7 @@ mod tests {
             Arc::new(outputs)
         };
         let key = 0x5ce7_a810_ba7c_u128;
-        assert!(matches!(set.lookup(key, true), StoreDecision::Compute));
+        assert!(matches!(set.lookup(key), StoreDecision::Compute));
         set.fulfill(key, batch(Tensor::ones(&[2, 4])));
         // Byte-identical refulfilment (a quarantined member's recompute) is
         // legal: the store discards it, the audit accepts it.
@@ -480,7 +522,7 @@ mod tests {
         // with other rows is fine there.
         let other_maps = vec![FaultMap::random_msb_faults(&config, 6, &mut rng).unwrap()];
         let other = ScenarioProducts::new(config, other_maps, Arc::new(ProductCache::new()));
-        assert!(matches!(other.lookup(key, true), StoreDecision::Compute));
+        assert!(matches!(other.lookup(key), StoreDecision::Compute));
         let outputs = other
             .batch_executor
             .matmul_scenarios_view(

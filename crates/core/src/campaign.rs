@@ -12,17 +12,13 @@
 //!   seed agree share one sequentially drawn pool — e.g. the strategies of
 //!   one fault rate retrain against the same chip, drawn once per rate,
 //! * **scenario-view fan-out**: every cell evaluates or retrains on a
-//!   copy-on-write [`SpikingNetwork::scenario_view`] of the restored
-//!   baseline, in parallel, with results independent of worker count,
+//!   copy-on-write [`falvolt_snn::SpikingNetwork::scenario_view`] of the
+//!   restored baseline, in parallel, with results independent of worker
+//!   count,
 //! * **cache sharing**: evaluation cells share the context-owned
 //!   [`crate::SweepCaches`] (prefix outputs, im2col lowerings, clean
-//!   products) and retraining cells share one fresh `SweepCache` for the
-//!   evaluations inside retraining. After a `mitigate_mnist`-shaped run
-//!   (Tiny MNIST, FaP/FaPIT/FalVolt × 3 fault rates, seeds 1 and 3, 2
-//!   threads) that store read: prefix outputs 0 hits in 63 lookups (a
-//!   prefix key holds the prefix weights, which every epoch edits, and each
-//!   pruned map is evaluated once), lowerings 55–56 hits in 108 (lowering
-//!   keys hold only the test batch and the geometry),
+//!   products). Retraining cells share no store: every epoch edits the
+//!   weights, so none of their keys would recur,
 //! * **multi-map batching**: the evaluation scenarios run batch-major, one
 //!   parallel wave per test batch, and in each wave the scenarios of one
 //!   grid configuration form a [`crate::ScenarioProducts`] set, so
@@ -76,7 +72,7 @@ use crate::json;
 use crate::mitigation::{MitigationOutcome, MitigationStrategy, Mitigator, Pruning, RetrainConfig};
 use crate::vulnerability::{isolated, scenario_halts, Halt, SweepPoint, SweepSeries};
 use crate::{FalvoltError, Result};
-use falvolt_snn::{EnginePreset, SpikingNetwork, SweepCache};
+use falvolt_snn::EnginePreset;
 use falvolt_systolic::{FaultMap, StuckAt, SystolicConfig};
 use falvolt_tensor::CancelToken;
 use rand::rngs::StdRng;
@@ -445,8 +441,8 @@ impl fmt::Display for SkipReason {
 pub enum CellStatus {
     /// The cell executed; its accuracy (and outcomes) are valid.
     Completed,
-    /// Every attempt at the cell failed; the shared caches were quarantined
-    /// if a panic was involved.
+    /// Every attempt at the cell failed; a panicking evaluation scenario
+    /// quarantined the shared caches.
     Failed {
         /// The last attempt's failure.
         cause: CellFailure,
@@ -1331,8 +1327,16 @@ impl<'a> Campaign<'a> {
                 }
             };
             let mitigator = Mitigator::new(ctx.classes(), retrain);
-            let retrain_cache = Arc::new(SweepCache::new());
             let (baseline, caches) = (ctx.network(), ctx.caches());
+            // A retraining worker edits its weights every epoch, so no key it
+            // could offer a shared store would recur: it installs none, and a
+            // panicking one leaves nothing to quarantine.
+            let retrain_view = || {
+                let mut network = baseline.scenario_view();
+                network.set_engine_preset(EnginePreset::full());
+                network
+            };
+            let quarantine = || {};
             let (train, test) = (ctx.train_batches(), ctx.test_batches());
 
             // Every worker, and every batch of an evaluation scenario, starts
@@ -1424,12 +1428,6 @@ impl<'a> Campaign<'a> {
                         CellPayload::Eval => None,
                     })
                     .collect();
-                let quarantine = || {
-                    retrain_cache.quarantine_in_flight();
-                    caches.sweep.quarantine_in_flight();
-                    caches.product.quarantine_in_flight();
-                };
-
                 // The shared post-pruning pass: every strategy on one map
                 // starts from the same pruned network, so each (pool, map)
                 // a retraining cell reads is pruned and evaluated once. A
@@ -1452,7 +1450,7 @@ impl<'a> Campaign<'a> {
                                     Halt::Error(FalvoltError::invalid_config(message))
                                 })?;
                             }
-                            let mut network = retrain_view(baseline, &retrain_cache);
+                            let mut network = retrain_view();
                             mitigator
                                 .prune_and_evaluate(&mut network, &pools[pool].1[map], test)
                                 .map_err(Halt::Error)
@@ -1479,7 +1477,7 @@ impl<'a> Campaign<'a> {
                                     return Err(Halt::Cancelled);
                                 }
                                 let pruning = pruning.as_ref().map_err(Halt::clone)?;
-                                let mut network = retrain_view(baseline, &retrain_cache);
+                                let mut network = retrain_view();
                                 outcomes.push(
                                     mitigator
                                         .retrain(&mut network, pruning, train, test, strategy)
@@ -1668,15 +1666,6 @@ fn checkpoint_of(
         total_cells,
         cells,
     }
-}
-
-/// Builds one retraining worker: a scenario view of the baseline with the
-/// full engine preset and the shared sweep cache installed.
-fn retrain_view(baseline: &SpikingNetwork, sweep_cache: &Arc<SweepCache>) -> SpikingNetwork {
-    let mut network = baseline.scenario_view();
-    network.set_engine_preset(EnginePreset::full());
-    network.set_sweep_cache(Some(Arc::clone(sweep_cache)));
-    network
 }
 
 /// Draws one cell pool: `scenarios` maps from a fresh RNG seeded with the

@@ -136,10 +136,10 @@ impl From<Tensor> for MatmulOutput {
 ///
 /// Implementations must be deterministic for a fixed input (the fault model
 /// is a deterministic corruption, not a stochastic one), and define exactly
-/// one required method: [`MatmulBackend::matmul_request`]. The historical
-/// `matmul` / `matmul_hinted` / `matmul_scenario_shared` entry points are
-/// provided conveniences that build a [`MatmulRequest`] and delegate, so call
-/// sites stay terse while backends implement a single entry.
+/// one required method: [`MatmulBackend::matmul_request`]. The provided
+/// [`MatmulBackend::matmul`] builds a plain [`MatmulRequest`] and delegates;
+/// a caller with a hint or a scenario-sharing claim builds the request
+/// itself.
 pub trait MatmulBackend: fmt::Debug + Send + Sync {
     /// Computes `req.a() @ req.b()` for rank-2 tensors — the single required
     /// entry point. The request's hint and scenario-sharing claim are
@@ -157,44 +157,6 @@ pub trait MatmulBackend: fmt::Debug + Send + Sync {
     /// Returns a tensor error for rank or inner-dimension mismatches.
     fn matmul(&self, a: &Tensor, b: &Tensor) -> falvolt_tensor::Result<Tensor> {
         Ok(self.matmul_request(MatmulRequest::new(a, b))?.into_tensor())
-    }
-
-    /// Convenience: computes `a @ b` with an operand-structure hint for the
-    /// left operand.
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error for rank or inner-dimension mismatches.
-    fn matmul_hinted(
-        &self,
-        a: &Tensor,
-        b: &Tensor,
-        hint: MatmulHint,
-    ) -> falvolt_tensor::Result<Tensor> {
-        Ok(self
-            .matmul_request(MatmulRequest::new(a, b).with_hint(hint))?
-            .into_tensor())
-    }
-
-    /// Convenience: computes `a @ b` for a product the caller knows is
-    /// scenario invariant (see [`MatmulRequest::scenario_shared`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a tensor error for rank or inner-dimension mismatches.
-    fn matmul_scenario_shared(
-        &self,
-        a: &Tensor,
-        b: &Tensor,
-        hint: MatmulHint,
-    ) -> falvolt_tensor::Result<Tensor> {
-        Ok(self
-            .matmul_request(
-                MatmulRequest::new(a, b)
-                    .with_hint(hint)
-                    .scenario_shared(true),
-            )?
-            .into_tensor())
     }
 
     /// Human-readable backend name for diagnostics.
@@ -331,9 +293,15 @@ mod tests {
         let a = Tensor::ones(&[1, 2]);
         let b = Tensor::ones(&[2, 1]);
         assert_eq!(probe.matmul(&a, &b).unwrap().get(&[0, 0]), 2.0);
-        probe.matmul_hinted(&a, &b, MatmulHint::Spikes).unwrap();
         probe
-            .matmul_scenario_shared(&a, &b, MatmulHint::Dense)
+            .matmul_request(MatmulRequest::new(&a, &b).with_hint(MatmulHint::Spikes))
+            .unwrap();
+        probe
+            .matmul_request(
+                MatmulRequest::new(&a, &b)
+                    .with_hint(MatmulHint::Dense)
+                    .scenario_shared(true),
+            )
             .unwrap();
         let seen = probe
             .seen

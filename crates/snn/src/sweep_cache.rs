@@ -1,9 +1,9 @@
 //! Sweep-driver-owned caches shared across scenario workers.
 //!
-//! The figure sweeps (Fig 2 threshold cells, Fig 5 fault-rate sweeps, Fig 6/7
-//! mitigation cells, Fig 8 strategy pairs) evaluate *many fault scenarios
-//! against the same trained network and the same input batches*. Two
-//! intermediates on that axis are recomputed identically by every worker:
+//! The Fig 5 sweeps (fault rate, bit position, faulty-PE count, array size)
+//! evaluate *many fault scenarios against the same trained network and the
+//! same input batches*. Two intermediates on that axis are recomputed
+//! identically by every worker:
 //!
 //! * the **stateless-prefix output** of a forward pass (the encoder
 //!   convolution ahead of the first spiking layer) — identical across any two
@@ -16,21 +16,30 @@
 //!
 //! A [`SweepCache`] is created by the sweep driver, installed on every
 //! scenario view ([`crate::SpikingNetwork::set_sweep_cache`]) and dropped
-//! when the sweep ends. Keys are 128-bit content fingerprints
-//! ([`falvolt_tensor::Fingerprint`]); entries are `Arc`-shared tensors, so a
-//! hit costs one clone of an `Arc`.
+//! when the sweep ends. Retraining installs none: every epoch edits the
+//! weights, so none of its keys would recur. Keys are 128-bit content
+//! fingerprints ([`falvolt_tensor::Fingerprint`]); entries are `Arc`-shared
+//! tensors, so a hit costs one clone of an `Arc`.
 //!
-//! Both stores are [`SharedStore`]s and **promote on second request**: the
-//! first sighting of a key only records interest ([`StoreDecision::Skip`] —
-//! compute inline, store nothing), and a second sighting proves the key is
-//! shared, so that caller computes and fulfils the entry
-//! ([`StoreDecision::Compute`]). Retraining cells generate an endless stream
-//! of one-shot keys (weights change every epoch); without the policy those
-//! would flood the bounded stores with batch-sized tensors that can never
-//! hit and lock out the genuinely shared entries. Only one caller per key is
-//! told to compute; racers fall back to inline computation. Tracked keys are
-//! bounded; once full, new keys are never promoted (retention cannot change
-//! results, only hit rates).
+//! Both stores are [`SharedStore`]s, with two promotion policies:
+//!
+//! * The **lowering store promotes on first sighting**
+//!   ([`SweepCache::lookup_lowered_eager`]). Its callers ask only for keys
+//!   that are shared by construction: a lowering of the scenario-invariant
+//!   prefix input, or a transposed weight of the frozen baseline.
+//! * The **prefix store promotes on second request**: the first sighting of
+//!   a key only records interest ([`StoreDecision::Skip`] — compute inline,
+//!   store nothing), and a second sighting proves the key is shared, so that
+//!   caller computes and fulfils the entry ([`StoreDecision::Compute`]). A
+//!   prefix key holds the fault map, so only scenarios on identical maps
+//!   share one: in a Fig-5b sweep those are the fault-free maps of the
+//!   0-faulty-PE cell (98 hits against 679 misses on the `vuln_mnist`
+//!   benchmark workload). Every other scenario's key is seen once and never
+//!   takes one of the bounded value slots.
+//!
+//! Only one caller per key is told to compute; racers fall back to inline
+//! computation. Tracked keys are bounded; once full, new keys are never
+//! promoted (retention cannot change results, only hit rates).
 //!
 //! The stores survive panicking workers (see [`SharedStore`]'s resilience
 //! notes): [`SweepCache::quarantine_in_flight`] lets a scheduler that caught
@@ -114,18 +123,12 @@ impl SweepCache {
     }
 
     /// Looks up an im2col lowering (or any other shared derivation in the
-    /// lowering store, e.g. transposed weights).
-    pub fn lookup_lowered(&self, key: u128) -> StoreDecision<Tensor> {
-        self.lowered.lookup(key, false)
-    }
-
-    /// [`SweepCache::lookup_lowered`] with **promote-on-first-sighting**:
-    /// for keys the caller knows are shared by construction (a lowering of
-    /// the scenario-invariant prefix input, a transposed weight of the
-    /// frozen baseline), waiting for a second sighting only delays sharing
-    /// by one worker — the value is computed either way, fulfilment just
-    /// keeps it. One-shot keys must keep using the non-eager lookup so they
-    /// cannot crowd the bounded value store.
+    /// lowering store, e.g. transposed weights) with
+    /// **promote-on-first-sighting**: callers ask only for keys that are
+    /// shared by construction (a lowering of the scenario-invariant prefix
+    /// input, a transposed weight of the frozen baseline), so waiting for a
+    /// second sighting would only delay sharing by one worker — the value is
+    /// computed either way, fulfilment just keeps it.
     pub fn lookup_lowered_eager(&self, key: u128) -> StoreDecision<Tensor> {
         self.lowered.lookup(key, true)
     }
@@ -233,8 +236,12 @@ mod tests {
         assert!(matches!(cache.lookup_prefix(1), StoreDecision::Skip));
         cache.fulfill_prefix(1, Arc::new(Tensor::ones(&[2])));
         assert!(matches!(cache.lookup_prefix(1), StoreDecision::Hit(_)));
-        // The lowered store does not see prefix keys.
-        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Skip));
+        // The lowered store does not see prefix keys: its first sighting of
+        // key 1 promotes at once.
+        assert!(matches!(
+            cache.lookup_lowered_eager(1),
+            StoreDecision::Compute
+        ));
         let stats = cache.prefix_stats();
         assert_eq!((stats.hits, stats.misses, stats.promotions), (1, 2, 1));
     }
@@ -242,15 +249,15 @@ mod tests {
     #[test]
     fn value_capacity_bounds_promotions_not_pending_markers() {
         let cache = SweepCache::with_capacity(1);
-        // Key 1 takes the single value slot.
-        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Skip));
-        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Compute));
-        cache.fulfill_lowered(1, Arc::new(Tensor::zeros(&[1])));
-        // Key 2 is tracked (cheap Pending marker) but can never promote
-        // while the value capacity is used up — and key 1 still hits.
-        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Skip));
-        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Skip));
-        assert!(matches!(cache.lookup_lowered(1), StoreDecision::Hit(_)));
+        // Key 11 takes the single value slot.
+        assert!(matches!(cache.lookup_prefix(11), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_prefix(11), StoreDecision::Compute));
+        cache.fulfill_prefix(11, Arc::new(Tensor::zeros(&[1])));
+        // Key 12 is tracked (cheap Pending marker) but can never promote
+        // while the value capacity is used up — and key 11 still hits.
+        assert!(matches!(cache.lookup_prefix(12), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_prefix(12), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_prefix(11), StoreDecision::Hit(_)));
         assert_eq!(cache.len(), 2);
     }
 
@@ -274,8 +281,10 @@ mod tests {
         let _ = cache.lookup_prefix(1);
         assert!(matches!(cache.lookup_prefix(1), StoreDecision::Compute));
         cache.fulfill_prefix(1, Arc::new(Tensor::ones(&[2])));
-        let _ = cache.lookup_lowered(2);
-        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Compute));
+        assert!(matches!(
+            cache.lookup_lowered_eager(2),
+            StoreDecision::Compute
+        ));
         // A scenario worker panicked: the in-flight promotion is reverted,
         // the complete value survives.
         assert_eq!(cache.quarantine_in_flight(), 1);
@@ -285,7 +294,10 @@ mod tests {
         // The dead worker's write arrives late: discarded, not served.
         cache.fulfill_lowered(2, Arc::new(Tensor::zeros(&[9])));
         assert_eq!(cache.discarded_fulfills(), 1);
-        assert!(matches!(cache.lookup_lowered(2), StoreDecision::Compute));
+        assert!(matches!(
+            cache.lookup_lowered_eager(2),
+            StoreDecision::Compute
+        ));
     }
 
     #[test]

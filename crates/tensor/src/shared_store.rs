@@ -1,18 +1,23 @@
-//! Generic promote-on-second-request value store.
+//! Generic shared value store with two promotion policies.
 //!
-//! The sweep-sharing caches follow one protocol: the first sighting of a
-//! key only records interest (compute inline, store nothing), a second
-//! sighting proves the key is shared across workers (that caller computes
-//! and fulfils the shared value), and everyone after hits. Exactly one
-//! caller per key is ever told to compute — racers fall back to inline
-//! computation while the value is in flight. [`SharedStore`] backs five
-//! stores:
+//! The sweep-sharing caches follow one protocol. Exactly one caller per key
+//! is ever told to compute and fulfil the shared value, racers fall back to
+//! inline computation while the value is in flight, and everyone after
+//! hits. Each lookup names when a key is promoted:
 //!
-//! * the stateless-prefix outputs and the im2col lowerings of
-//!   `falvolt_snn::SweepCache`;
-//! * the clean products and the quantized-weight tables of
-//!   `falvolt_systolic::ProductCache`;
-//! * the multi-map batched products of `falvolt::ScenarioProducts`.
+//! * **On second request** (`eager = false`) for keys that may or may not
+//!   recur: the first sighting only records interest (compute inline, store
+//!   nothing), and a second sighting proves the key is shared across
+//!   workers. One-shot keys therefore never take a value slot. The
+//!   stateless-prefix outputs of `falvolt_snn::SweepCache` and the clean
+//!   products and quantized-weight tables of `falvolt_systolic::ProductCache`
+//!   use it.
+//! * **On first sighting** (`eager = true`) for keys the caller knows are
+//!   shared by construction: the im2col lowerings and weight transposes of
+//!   `falvolt_snn::SweepCache` (keyed on the scenario-invariant prefix input
+//!   and the frozen weights), and the multi-map batched products of
+//!   `falvolt::ScenarioProducts`, which only products announced as
+//!   scenario-invariant reach.
 //!
 //! # Resilience
 //!
@@ -95,7 +100,7 @@ impl<T> Inner<T> {
     }
 }
 
-/// One promote-on-second-request store (see the module docs).
+/// One shared value store (see the module docs).
 pub struct SharedStore<T> {
     inner: Mutex<Inner<T>>,
     /// Bound on promoted (value-bearing) keys.
