@@ -126,9 +126,11 @@ const SCENARIO_BATCH_CAPACITY: usize = 64;
 /// [`SystolicExecutor::matmul_scenarios`] — **one event-stream walk for
 /// every map** — and later members copy their slice. Every unannounced
 /// product runs on the member's own one-map executor without touching the
-/// store: its activations were minted by that worker (downstream of a
-/// spiking layer, or a per-step frame slice), so its key could never recur.
-/// Both paths give the same bits.
+/// store or the product cache's clean-product stores
+/// ([`SystolicExecutor::matmul_private`]; the quantized-weight table is
+/// still shared): its activations were minted by that worker (downstream of
+/// a spiking layer, or a per-step frame slice), so its key could never
+/// recur. Both paths give the same bits.
 pub struct ScenarioProducts {
     config: SystolicConfig,
     maps: Vec<FaultMap>,
@@ -339,16 +341,17 @@ impl ScenarioMemberBackend {
 impl MatmulBackend for ScenarioMemberBackend {
     fn matmul_request(&self, req: MatmulRequest<'_>) -> falvolt_tensor::Result<MatmulOutput> {
         // A scenario-shared claim certifies the operands scenario-invariant:
-        // batch for every map. Any other product is this member's alone.
-        if req.is_scenario_shared() {
+        // batch for every map. Any other product is this member's alone, so
+        // it skips the clean-product stores its key could never hit.
+        let out = if req.is_scenario_shared() {
             if let Some(result) = self.batched(req.a(), req.b(), req.hint()) {
                 return result.map(MatmulOutput::new);
             }
-        }
-        self.executor
-            .matmul_hinted(req.a(), req.b(), req.hint())
-            .map(MatmulOutput::new)
-            .map_err(as_tensor_error)
+            self.executor.matmul_hinted(req.a(), req.b(), req.hint())
+        } else {
+            self.executor.matmul_private(req.a(), req.b(), req.hint())
+        };
+        out.map(MatmulOutput::new).map_err(as_tensor_error)
     }
 
     fn name(&self) -> &str {
@@ -486,6 +489,47 @@ mod tests {
             );
         }
         assert_eq!((set.hits(), set.batches()), (maps.len() - 1, 1));
+    }
+
+    /// An unannounced member product never looks up the product cache's
+    /// clean-product (`quantized-clean`) or `float` keys; binary activations
+    /// still look up (and promote) the quantized-weight table.
+    #[test]
+    fn unannounced_member_products_skip_the_clean_product_stores() {
+        let config = SystolicConfig::new(4, 4).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(13);
+        let maps = vec![
+            FaultMap::random_msb_faults(&config, 3, &mut rng).unwrap(),
+            FaultMap::new(config),
+        ];
+        let cache = Arc::new(ProductCache::new());
+        let set = Arc::new(ScenarioProducts::new(
+            config,
+            maps.clone(),
+            Arc::clone(&cache),
+        ));
+        let counters = || (cache.skips(), cache.promotions(), cache.hits(), cache.len());
+        let b = Tensor::from_fn(&[6, 5], |i| ((i * 3) % 7) as f32 * 0.125 - 0.375);
+        let dense = Tensor::from_fn(&[3, 6], |i| ((i * 7) % 5) as f32 * 0.25);
+        let spikes = Tensor::from_fn(&[3, 6], |i| (i % 3 == 0) as u8 as f32);
+        let spikes = spikes.clone().with_spike_index(Arc::new(
+            falvolt_tensor::SpikeIndex::from_dense(spikes.data(), 6).unwrap(),
+        ));
+        for (index, map) in maps.iter().enumerate() {
+            let member = ScenarioProducts::member(&set, index).unwrap();
+            for a in [&dense, &spikes] {
+                let expected = SystolicBackend::new(config, map.clone())
+                    .matmul(a, &b)
+                    .unwrap();
+                for _ in 0..2 {
+                    let out = member.matmul_request(MatmulRequest::new(a, &b)).unwrap();
+                    assert_eq!(out.tensor().data(), expected.data());
+                }
+            }
+        }
+        // Only the faulty member's spike product reads the weight table: a
+        // first sighting, then the promotion. Nothing else was looked up.
+        assert_eq!(counters(), (1, 1, 0, 1));
     }
 
     #[cfg(feature = "audit")]

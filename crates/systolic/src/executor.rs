@@ -38,7 +38,11 @@
 //! the same order. One column walker and one lane walker (its SIMD form)
 //! perform every such walk; a fold corrupted by one map computes its
 //! quantized contributions inline, a fold corrupted by several maps
-//! computes them once and replays them per map.
+//! computes them once and replays them per map. A row with no nonzero
+//! activation walks nothing: it copies one template row per row panel, the
+//! row body run once on an empty event list (the masks acting on a zero
+//! accumulator, in every lane). Each panel runs under one
+//! [`simd::dispatch`], so the lane walkers inline into its row loop.
 //!
 //! The executor models faulty PEs in the datapath only. The bypass
 //! multiplexer of the paper's Figure 3b lives in the structural oracle
@@ -52,7 +56,8 @@
 //! a product's fault-free columns is computed once per distinct activation
 //! matrix and shared across every fault scenario in a sweep (clean columns
 //! do not depend on the fault map). See the cache docs for the
-//! promote-on-second-request policy.
+//! promote-on-second-request policy. [`SystolicExecutor::matmul_private`]
+//! skips that sharing for activations no other caller will present.
 
 use crate::fault_map::PeMasks;
 use crate::product_cache::ProductCache;
@@ -197,6 +202,24 @@ impl SystolicExecutor {
         .into_tensor(0)
     }
 
+    /// [`SystolicExecutor::matmul_hinted`], bit for bit, for activations no
+    /// other caller will present: of the installed [`ProductCache`] only the
+    /// quantized-weight table is consulted, never the product stores.
+    ///
+    /// # Errors
+    ///
+    /// As [`SystolicExecutor::matmul_hinted`].
+    pub fn matmul_private(
+        &self,
+        activations: &Tensor,
+        weights: &Tensor,
+        hint: MatmulHint,
+    ) -> Result<Tensor> {
+        let maps = std::slice::from_ref(&self.fault_map);
+        self.product(activations, weights, maps, hint, false)?
+            .into_tensor(0)
+    }
+
     /// Multi-map batched product with [`MatmulHint::Auto`], materialised as
     /// one tensor per map (in input order); see
     /// [`SystolicExecutor::matmul_scenarios_view`].
@@ -258,6 +281,19 @@ impl SystolicExecutor {
         maps: &[FaultMap],
         hint: MatmulHint,
     ) -> Result<ScenarioMatrices> {
+        self.product(activations, weights, maps, hint, true)
+    }
+
+    /// The product driver; `share_products` consults the cache's product
+    /// stores.
+    fn product(
+        &self,
+        activations: &Tensor,
+        weights: &Tensor,
+        maps: &[FaultMap],
+        hint: MatmulHint,
+        share_products: bool,
+    ) -> Result<ScenarioMatrices> {
         self.check_cancelled()?;
         let (m, k) = matrix_dims(activations)?;
         let (k2, n) = matrix_dims(weights)?;
@@ -269,10 +305,11 @@ impl SystolicExecutor {
         }
         let a = activations.data();
         let w = weights.data();
-        // Cache keys are O(1) content-id fingerprints (no operand hashing),
-        // so every product consults the sweep-shared store when one is
-        // installed.
+        // Cache keys are O(1) content-id fingerprints (no operand hashing).
+        // The quantized-weight table is consulted whenever a cache is
+        // installed; the product stores only for operands others may share.
         let cache = self.cache.as_ref();
+        let products = cache.filter(|_| share_products);
         // Hoist all per-(k, col-fold) fault state out of the element loops.
         let plans: Vec<FoldPlan> = maps
             .iter()
@@ -295,7 +332,7 @@ impl SystolicExecutor {
             let shared = match &fast {
                 Some(t) => Arc::clone(t),
                 None => {
-                    let value = fault_free_product(activations, weights, m, k, n, hint, cache);
+                    let value = fault_free_product(activations, weights, m, k, n, hint, products);
                     let t = Arc::new(Tensor::from_vec(vec![m, n], value)?);
                     fast = Some(Arc::clone(&t));
                     t
@@ -337,7 +374,7 @@ impl SystolicExecutor {
         // sweep-shared clean product is consumed when the cache holds one.
         // When the cache promotes this key, the walk derives the value into
         // an extra clean lane and fulfils it afterwards.
-        let (shared_clean, fulfil_clean): (Option<Arc<Vec<f32>>>, Option<u128>) = match cache {
+        let (shared_clean, fulfil_clean): (Option<Arc<Vec<f32>>>, Option<u128>) = match products {
             Some(cache) => {
                 let key = product_key(
                     "quantized-clean",
@@ -786,6 +823,13 @@ const FAULT_CHAIN_STEP_COST: usize = 64;
 /// [`SystolicExecutor::matmul_scenarios_view`]: each output row is seeded
 /// with the maskless chain in every lane, then each lane's corruptible
 /// columns are overwritten with that map's masked walk.
+///
+/// A row with no nonzero activation adds nothing to any chain: in every
+/// lane it is the masks acting on a zero accumulator. Each row panel runs
+/// the row body once on an empty event list without the shared clean row
+/// (the template, so its bits are the walk's own in every lane, the clean
+/// lane included) and copies it into every such row. Each panel runs under
+/// one [`simd::dispatch`] ([`PanelOp`]), so the lane engines inline into it.
 struct RowWalk<'a> {
     a: &'a [f32],
     k: usize,
@@ -806,7 +850,7 @@ struct RowWalk<'a> {
 }
 
 impl RowWalk<'_> {
-    /// Walks every row of the interleaved buffer — serially below the
+    /// Walks every row of the interleaved buffer — as one panel below the
     /// parallel work threshold, otherwise in row panels across threads
     /// (fault application is per output element, so rows are independent).
     fn rows<W: QuantizedWeights>(&self, weights: W, inter: &mut [f32]) {
@@ -814,45 +858,38 @@ impl RowWalk<'_> {
         let m = inter.len() / row_stride;
         let faulty_lanes = self.lanes - usize::from(self.clean_lane.is_some());
         let work = m * self.n * self.k * faulty_lanes * FAULT_CHAIN_STEP_COST;
+        let panel = |row0: usize, out: &mut [f32]| {
+            simd::dispatch(PanelOp {
+                walk: self,
+                weights,
+                row0,
+                out,
+            });
+        };
         let Some(rows_per_panel) = parallel_panel_rows(m, work, 1) else {
-            let (mut nz, mut q) = (Vec::new(), Vec::new());
-            for (i, row_chunk) in inter.chunks_mut(row_stride).enumerate() {
-                self.row(weights, i, row_chunk, &mut nz, &mut q);
-            }
-            return;
+            return panel(0, inter);
         };
         inter
             .par_chunks_mut(rows_per_panel * row_stride)
             .enumerate()
-            .for_each(|(panel, out_panel)| {
-                let row0 = panel * rows_per_panel;
-                let (mut nz, mut q) = (Vec::new(), Vec::new());
-                for (r, row_chunk) in out_panel.chunks_mut(row_stride).enumerate() {
-                    self.row(weights, row0 + r, row_chunk, &mut nz, &mut q);
-                }
-            });
+            .for_each(|(p, out)| panel(p * rows_per_panel, out));
     }
 
-    /// Output row `i` of every lane; `nz` and `q` are per-panel scratch.
-    fn row<W: QuantizedWeights>(
+    /// One output row of every lane from its event list `nz` and, when the
+    /// cache holds one, its row of the shared maskless product; `q` is
+    /// per-panel scratch.
+    #[inline(always)]
+    fn row<S: SimdLevel, W: QuantizedWeights>(
         &self,
         weights: W,
-        i: usize,
+        nz: &[(usize, f32)],
+        shared_row: Option<&[f32]>,
         row_chunk: &mut [f32],
-        nz: &mut Vec<(usize, f32)>,
         q: &mut Vec<i64>,
     ) {
-        // Fold-chain granularity cancellation: a tripped token stops the
-        // remaining rows cheaply; the driver's post-loop check turns the
-        // partial buffer into `Cancelled` before it can be served.
-        if self.cancel.is_some_and(CancelToken::is_cancelled) {
-            return;
-        }
-        let (k, n, lanes) = (self.k, self.n, self.lanes);
+        let (n, lanes) = (self.n, self.lanes);
         let format = self.format;
         let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
-        fill_nonzeros(nz, self.spike_index, i, &self.a[i * k..(i + 1) * k]);
-        let shared_row = self.shared_clean.map(|v| &v[i * n..(i + 1) * n]);
         if self.use_lanes {
             // Seed one lane with the maskless chain (the clean lane of a
             // promoted call, else lane 0) and copy it to the others, then
@@ -861,31 +898,12 @@ impl RowWalk<'_> {
             let seed_row = &mut row_chunk[seed * n..(seed + 1) * n];
             match shared_row {
                 Some(row) => seed_row.copy_from_slice(row),
-                None => simd::dispatch(CleanRowOp {
-                    nz,
-                    weights,
-                    out_row: seed_row,
-                    n,
-                    format,
-                    min_raw,
-                    max_raw,
-                }),
+                None => self.clean_row::<S, W>(weights, nz, seed_row),
             }
             for lane in (0..lanes).filter(|&lane| lane != seed) {
                 row_chunk.copy_within(seed * n..(seed + 1) * n, lane * n);
             }
-            simd::dispatch(ScenarioFoldsOp {
-                folds: self.folds,
-                nz,
-                weights,
-                row_chunk,
-                q,
-                n,
-                cols: self.cols,
-                format,
-                min_raw,
-                max_raw,
-            });
+            self.fold_columns::<S, W>(weights, nz, row_chunk, q);
             return;
         }
         for j in 0..n {
@@ -928,6 +946,48 @@ impl RowWalk<'_> {
     }
 }
 
+/// The rows `row0..` of a [`RowWalk`] that `out` holds, under one
+/// [`simd::dispatch`]. Zero-event rows copy the panel's template row.
+struct PanelOp<'a, W> {
+    walk: &'a RowWalk<'a>,
+    weights: W,
+    row0: usize,
+    out: &'a mut [f32],
+}
+
+impl<W: QuantizedWeights> SimdOp for PanelOp<'_, W> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<S: SimdLevel>(self) {
+        let (walk, weights) = (self.walk, self.weights);
+        let (k, n) = (walk.k, walk.n);
+        let (mut nz, mut q) = (Vec::new(), Vec::new());
+        let mut template: Option<Vec<f32>> = None;
+        for (r, row_chunk) in self.out.chunks_mut(walk.lanes * n).enumerate() {
+            // Fold-chain granularity cancellation: a tripped token stops the
+            // remaining rows cheaply; the driver's post-loop check turns the
+            // partial buffer into `Cancelled` before it can be served.
+            if walk.cancel.is_some_and(CancelToken::is_cancelled) {
+                return;
+            }
+            let i = self.row0 + r;
+            fill_nonzeros(&mut nz, walk.spike_index, i, &walk.a[i * k..(i + 1) * k]);
+            if nz.is_empty() {
+                let template = template.get_or_insert_with(|| {
+                    let mut row = vec![0.0; row_chunk.len()];
+                    walk.row::<S, W>(weights, &[], None, &mut row, &mut q);
+                    row
+                });
+                row_chunk.copy_from_slice(template);
+            } else {
+                let shared_row = walk.shared_clean.map(|v| &v[i * n..(i + 1) * n]);
+                walk.row::<S, W>(weights, &nz, shared_row, row_chunk, &mut q);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Lane engines: the same quantized chains, vectorised across columns. Every
 // per-column accumulator chain is independent and its add/clamp/mask order is
@@ -935,33 +995,19 @@ impl RowWalk<'_> {
 // engines only change *which columns* advance together.
 // ---------------------------------------------------------------------------
 
-/// One row of the maskless quantized chain across `I64_LANES` contiguous
-/// columns at a time; each lane bit-identical to [`faulty_column_from_q`]
-/// with no masks, which also handles the column tail.
-struct CleanRowOp<'a, W> {
-    nz: &'a [(usize, f32)],
-    weights: W,
-    out_row: &'a mut [f32],
-    n: usize,
-    format: QFormat,
-    min_raw: i64,
-    max_raw: i64,
-}
-
-impl<W: QuantizedWeights> SimdOp for CleanRowOp<'_, W> {
-    type Output = ();
-
+impl RowWalk<'_> {
+    /// One row of the maskless quantized chain across `I64_LANES` contiguous
+    /// columns at a time; each lane bit-identical to [`faulty_column_from_q`]
+    /// with no masks, which also handles the column tail.
     #[inline(always)]
-    fn run<S: SimdLevel>(self) {
-        let Self {
-            nz,
-            weights,
-            out_row,
-            n,
-            format,
-            min_raw,
-            max_raw,
-        } = self;
+    fn clean_row<S: SimdLevel, W: QuantizedWeights>(
+        &self,
+        weights: W,
+        nz: &[(usize, f32)],
+        out_row: &mut [f32],
+    ) {
+        let (n, format) = (self.n, self.format);
+        let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
         let lanes = S::I64_LANES;
         let resolution = format.resolution();
         let mut j = 0usize;
@@ -984,47 +1030,27 @@ impl<W: QuantizedWeights> SimdOp for CleanRowOp<'_, W> {
             *o = faulty_column_from_q(&[], nz, q, format, min_raw, max_raw);
         }
     }
-}
 
-/// The corruptible folds of one output row, for every scenario lane: all
-/// columns of a fold share one masked list per map, so `I64_LANES` of them
-/// walk the composed event stream together ([`walk_q_block`]). A fold one
-/// map corrupts computes its contributions inline; a fold several maps
-/// corrupt materialises the strided q block once and replays it per map.
-/// [`faulty_column_from_q`] handles the per-fold column tail the same way.
-struct ScenarioFoldsOp<'a, W> {
-    folds: &'a FoldUsers<'a>,
-    nz: &'a [(usize, f32)],
-    weights: W,
-    row_chunk: &'a mut [f32],
-    q: &'a mut Vec<i64>,
-    n: usize,
-    cols: usize,
-    format: QFormat,
-    min_raw: i64,
-    max_raw: i64,
-}
-
-impl<W: QuantizedWeights> SimdOp for ScenarioFoldsOp<'_, W> {
-    type Output = ();
-
+    /// The corruptible folds of one output row, for every scenario lane: all
+    /// columns of a fold share one masked list per map, so `I64_LANES` of
+    /// them walk the composed event stream together ([`walk_q_block`]). A
+    /// fold one map corrupts computes its contributions inline; a fold
+    /// several maps corrupt materialises the strided q block once and
+    /// replays it per map. [`faulty_column_from_q`] handles the per-fold
+    /// column tail the same way.
     #[inline(always)]
-    fn run<S: SimdLevel>(self) {
-        let Self {
-            folds,
-            nz,
-            weights,
-            row_chunk,
-            q,
-            n,
-            cols,
-            format,
-            min_raw,
-            max_raw,
-        } = self;
+    fn fold_columns<S: SimdLevel, W: QuantizedWeights>(
+        &self,
+        weights: W,
+        nz: &[(usize, f32)],
+        row_chunk: &mut [f32],
+        q: &mut Vec<i64>,
+    ) {
+        let (n, cols, format) = (self.n, self.cols, self.format);
+        let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
         let lanes = S::I64_LANES;
-        for fold in 0..folds.folds() {
-            let users = folds.users(fold);
+        for fold in 0..self.folds.folds() {
+            let users = self.folds.users(fold);
             if users.is_empty() {
                 continue;
             }

@@ -21,8 +21,10 @@
 //! [`SharedStore`]: mid-network activations diverge across scenarios
 //! (different corruption → different spikes), so the first sighting of a key
 //! only records interest and a second sighting proves the key is shared.
-//! Encoder products promote on the second scenario; per-scenario suffix
-//! products never promote and cost one hash lookup each. Quantized-weight
+//! Encoder products promote on the second scenario. Per-scenario suffix
+//! products would never promote, so they skip the product store
+//! ([`crate::SystolicExecutor::matmul_private`]) and read only the
+//! quantized-weight table. Quantized-weight
 //! keys depend only on the (frozen) weights, so they promote on the second
 //! product against the same weight matrix.
 //!

@@ -500,6 +500,125 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Rows without events: a row with no nonzero activation adds nothing to any
+// chain, so the executor copies one template row into every such row. Its
+// value is the masks acting on a zero accumulator, which a stuck-at-1 fault
+// makes nonzero, so the template must carry the oracle's bits in every lane,
+// one-map and batched, with and without the shared clean product.
+// ---------------------------------------------------------------------------
+
+/// Three maps of `count` faulty PEs each: the MSB stuck at 1, a random bit
+/// stuck at 0, and one bit stuck at 1 next to another stuck at 0 on each PE.
+fn zero_row_maps(config: &SystolicConfig, count: usize, rng: &mut StdRng) -> Vec<FaultMap> {
+    let bits = config.accumulator_format().total_bits();
+    let msb = config.accumulator_format().msb();
+    let sa0_bit = rng.gen_range(0..bits);
+    let mixed = FaultMap::random_faulty_pes(config, count, 0, StuckAt::One, rng)
+        .unwrap()
+        .faulty_pes()
+        .into_iter()
+        .flat_map(|pe| {
+            let one = rng.gen_range(0..bits);
+            let zero = (one + rng.gen_range(1..bits)) % bits;
+            [
+                Fault::new(pe, one, StuckAt::One),
+                Fault::new(pe, zero, StuckAt::Zero),
+            ]
+        })
+        .collect();
+    vec![
+        FaultMap::random_faulty_pes(config, count, msb, StuckAt::One, rng).unwrap(),
+        FaultMap::random_faulty_pes(config, count, sa0_bit, StuckAt::Zero, rng).unwrap(),
+        FaultMap::from_faults(*config, mixed).unwrap(),
+    ]
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn zero_event_rows_match_structural_array_bit_for_bit(
+        config in oracle_grid(),
+        seed in 0u64..100_000,
+        class in 0usize..3,
+    ) {
+        // Every PE holds a weight (k >= rows, n >= cols), so the MSB
+        // stuck-at-1 map gives every empty row a nonzero value. Activation
+        // classes: binary dense, binary with a CSR spike index, real-valued.
+        let _lock = simd::test_override_lock();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = rng.gen_range(2..9);
+        let k = rng.gen_range(config.rows()..4 * config.rows() + 2);
+        let n = rng.gen_range(config.cols()..4 * config.cols() + 2);
+        let forced = rng.gen_range(0..m);
+        let zero_rows: Vec<bool> = (0..m).map(|i| i == forced || rng.gen_bool(0.5)).collect();
+        let density = rng.gen_range(0.1..1.0);
+        let a = Tensor::from_fn(&[m, k], |i| {
+            if zero_rows[i / k] || !rng.gen_bool(density) {
+                0.0
+            } else if class == 2 {
+                rng.gen_range(-2.0f32..2.0)
+            } else {
+                1.0
+            }
+        });
+        let a = if class == 1 {
+            let index = SpikeIndex::from_dense(a.data(), k).unwrap();
+            a.with_spike_index(Arc::new(index))
+        } else {
+            a
+        };
+        let b = falvolt_tensor::init::uniform(&[k, n], -0.5, 0.5, &mut rng);
+        let count = rng.gen_range(1..config.pe_count() + 1);
+        let maps = zero_row_maps(&config, count, &mut rng);
+        let expected: Vec<Vec<u32>> =
+            maps.iter().map(|map| bits(&oracle(config, map, false, &a, &b))).collect();
+        prop_assert!(
+            expected[0][forced * n..(forced + 1) * n].iter().any(|&v| f32::from_bits(v) != 0.0),
+            "the stuck-at-1 map leaves an empty row at zero"
+        );
+
+        for isa in simd::available() {
+            let _g = simd::force(Some(isa));
+            for (s, map) in maps.iter().enumerate() {
+                // One-map products, without a cache and through one that
+                // skips, promotes (deriving the clean lane) and then hits.
+                let mut single = SystolicExecutor::new(config, map.clone());
+                prop_assert_eq!(&bits(&single.matmul(&a, &b).unwrap()), &expected[s]);
+                let cache = Arc::new(ProductCache::new());
+                single.set_product_cache(Some(Arc::clone(&cache)));
+                for call in 0..3 {
+                    let out = bits(&single.matmul(&a, &b).unwrap());
+                    prop_assert_eq!(&out, &expected[s], "isa {} map {} call {}", isa, s, call);
+                }
+                prop_assert!(cache.hits() >= 1, "the shared clean rows were never read");
+            }
+            // The multi-map batch, the same way.
+            let mut batch = SystolicExecutor::new(config, FaultMap::new(config));
+            let cache = Arc::new(ProductCache::new());
+            for call in 0..4 {
+                let outs = batch.matmul_scenarios(&a, &b, &maps).unwrap();
+                for (s, out) in outs.iter().enumerate() {
+                    prop_assert_eq!(
+                        &bits(out),
+                        &expected[s],
+                        "isa {} batched map {} call {}", isa, s, call
+                    );
+                }
+                if call == 0 {
+                    batch.set_product_cache(Some(Arc::clone(&cache)));
+                }
+            }
+            prop_assert!(cache.promotions() >= 1 && cache.hits() >= 1);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Fault-aware pruning is the bypass multiplexer (the paper's Figure 3b): on
 // the structural array, switching on the bypass of every faulty PE and
 // running the weights `W` computes exactly what the fault-free array
@@ -623,6 +742,49 @@ fn faulty_row_walk_splits_above_the_grain_without_changing_a_bit() {
                 parallel == serial,
                 "{m}x{k}x{n}: {threads} threads changed a bit"
             );
+        }
+    }
+}
+
+/// Above the grain every row panel builds its own zero-event template; with
+/// every other row empty, each split must still give the oracle's bits.
+#[test]
+fn zero_event_rows_split_across_panels_without_changing_a_bit() {
+    struct ClearOverride;
+    impl Drop for ClearOverride {
+        fn drop(&mut self) {
+            rayon::set_thread_count_override(0);
+        }
+    }
+    let _lock = simd::test_override_lock();
+    let _clear = ClearOverride;
+    let config = SystolicConfig::new(8, 8).unwrap();
+    let mut rng = StdRng::seed_from_u64(43);
+    let maps = zero_row_maps(&config, 12, &mut rng);
+    let (m, k, n) = (256, 40, 24);
+    let a = Tensor::from_fn(&[m, k], |i| {
+        if (i / k) % 2 == 0 {
+            0.0
+        } else {
+            hashed_act(i, 43, 30)
+        }
+    });
+    let b = Tensor::from_fn(&[k, n], |i| ((i % 13) as f32 - 6.0) * 0.05);
+    let expected: Vec<Vec<u32>> = maps
+        .iter()
+        .map(|map| bits(&oracle(config, map, false, &a, &b)))
+        .collect();
+    let executor = SystolicExecutor::new(config, FaultMap::new(config));
+    for threads in 1..=4 {
+        rayon::set_thread_count_override(threads);
+        let before = rayon::parallel_calls();
+        let outs = executor.matmul_scenarios(&a, &b, &maps).unwrap();
+        assert!(
+            threads == 1 || rayon::parallel_calls() > before,
+            "no split at {threads} threads"
+        );
+        for (s, out) in outs.iter().enumerate() {
+            assert!(bits(out) == expected[s], "map {s} at {threads} threads");
         }
     }
 }
