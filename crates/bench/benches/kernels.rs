@@ -473,7 +473,7 @@ fn kernel_comparison(c: &mut Criterion) {
     // trained network and input. Baseline = one deep network clone per
     // scenario on a plain systolic backend (no sharing, no batching);
     // engine = scenario views on Arc-shared weights, the im2col/prefix
-    // sweep cache, the shared clean-product cache and multi-map batching.
+    // sweep cache, the shared quantized-weight table and multi-map batching.
     // Outputs are asserted bit-identical before anything is timed.
     let sys16 = SystolicConfig::new(16, 16).unwrap();
     let msb = sys16.accumulator_format().msb();

@@ -126,11 +126,10 @@ const SCENARIO_BATCH_CAPACITY: usize = 64;
 /// [`SystolicExecutor::matmul_scenarios`] — **one event-stream walk for
 /// every map** — and later members copy their slice. Every unannounced
 /// product runs on the member's own one-map executor without touching the
-/// store or the product cache's clean-product stores
-/// ([`SystolicExecutor::matmul_private`]; the quantized-weight table is
-/// still shared): its activations were minted by that worker (downstream of
-/// a spiking layer, or a per-step frame slice), so its key could never
-/// recur. Both paths give the same bits.
+/// store: its activations were minted by that worker (downstream of a
+/// spiking layer, or a per-step frame slice), so its key could never
+/// recur. Both paths share the set's quantized-weight table
+/// ([`ProductCache`]) and give the same bits.
 pub struct ScenarioProducts {
     config: SystolicConfig,
     maps: Vec<FaultMap>,
@@ -341,17 +340,16 @@ impl ScenarioMemberBackend {
 impl MatmulBackend for ScenarioMemberBackend {
     fn matmul_request(&self, req: MatmulRequest<'_>) -> falvolt_tensor::Result<MatmulOutput> {
         // A scenario-shared claim certifies the operands scenario-invariant:
-        // batch for every map. Any other product is this member's alone, so
-        // it skips the clean-product stores its key could never hit.
-        let out = if req.is_scenario_shared() {
+        // batch for every map. Any other product is this member's alone.
+        if req.is_scenario_shared() {
             if let Some(result) = self.batched(req.a(), req.b(), req.hint()) {
                 return result.map(MatmulOutput::new);
             }
-            self.executor.matmul_hinted(req.a(), req.b(), req.hint())
-        } else {
-            self.executor.matmul_private(req.a(), req.b(), req.hint())
-        };
-        out.map(MatmulOutput::new).map_err(as_tensor_error)
+        }
+        self.executor
+            .matmul_hinted(req.a(), req.b(), req.hint())
+            .map(MatmulOutput::new)
+            .map_err(as_tensor_error)
     }
 
     fn name(&self) -> &str {
@@ -491,11 +489,11 @@ mod tests {
         assert_eq!((set.hits(), set.batches()), (maps.len() - 1, 1));
     }
 
-    /// An unannounced member product never looks up the product cache's
-    /// clean-product (`quantized-clean`) or `float` keys; binary activations
-    /// still look up (and promote) the quantized-weight table.
+    /// The product cache holds only the quantized-weight table: announced
+    /// and unannounced member products look up nothing else, and only a
+    /// faulty product on binary (CSR-indexed) activations reads the table.
     #[test]
-    fn unannounced_member_products_skip_the_clean_product_stores() {
+    fn member_products_move_only_the_weight_table_counters() {
         let config = SystolicConfig::new(4, 4).unwrap();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(13);
         let maps = vec![
@@ -515,21 +513,30 @@ mod tests {
         let spikes = spikes.clone().with_spike_index(Arc::new(
             falvolt_tensor::SpikeIndex::from_dense(spikes.data(), 6).unwrap(),
         ));
-        for (index, map) in maps.iter().enumerate() {
-            let member = ScenarioProducts::member(&set, index).unwrap();
-            for a in [&dense, &spikes] {
-                let expected = SystolicBackend::new(config, map.clone())
-                    .matmul(a, &b)
-                    .unwrap();
-                for _ in 0..2 {
-                    let out = member.matmul_request(MatmulRequest::new(a, &b)).unwrap();
-                    assert_eq!(out.tensor().data(), expected.data());
+        let run = |announced: bool, calls: usize| {
+            for (index, map) in maps.iter().enumerate() {
+                let member = ScenarioProducts::member(&set, index).unwrap();
+                for a in [&dense, &spikes] {
+                    let expected = SystolicBackend::new(config, map.clone())
+                        .matmul(a, &b)
+                        .unwrap();
+                    for _ in 0..calls {
+                        let request = MatmulRequest::new(a, &b).scenario_shared(announced);
+                        let out = member.matmul_request(request).unwrap();
+                        assert_eq!(out.tensor().data(), expected.data());
+                    }
                 }
             }
-        }
-        // Only the faulty member's spike product reads the weight table: a
-        // first sighting, then the promotion. Nothing else was looked up.
+        };
+        // Unannounced, twice: the faulty member's spike product sights the
+        // table, then promotes it. Nothing else was looked up.
+        run(false, 2);
         assert_eq!(counters(), (1, 1, 0, 1));
+        // Announced: one batched product per operand pair, and the spike
+        // batch reads the promoted table.
+        run(true, 1);
+        assert_eq!(counters(), (1, 1, 1, 1));
+        assert_eq!((set.batches(), set.hits()), (2, 2));
     }
 
     #[cfg(feature = "audit")]

@@ -283,7 +283,7 @@ impl ExperimentContext {
 
     /// The context-owned sweep caches (one pair per prepared test set),
     /// shared by every campaign on this context so repeated sweeps over the
-    /// same data reuse lowerings and clean products across figures.
+    /// same data reuse lowerings and quantized-weight tables across figures.
     pub fn caches(&self) -> &SweepCaches {
         &self.caches
     }

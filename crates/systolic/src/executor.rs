@@ -52,19 +52,17 @@
 //! executor runs it as exactly that (a fault-free map, hence the float
 //! idealisation above) and needs no bypass mode of its own.
 //!
-//! With a [`crate::ProductCache`] installed, the maskless quantized chain of
-//! a product's fault-free columns is computed once per distinct activation
-//! matrix and shared across every fault scenario in a sweep (clean columns
-//! do not depend on the fault map). See the cache docs for the
-//! promote-on-second-request policy. [`SystolicExecutor::matmul_private`]
-//! skips that sharing for activations no other caller will present.
+//! With a [`crate::ProductCache`] installed, products with binary (spike)
+//! activations read their quantized contributions from a sweep-shared table
+//! of quantized weights instead of quantizing per event. Inside a batched
+//! product the maskless chain is the seed lane every map of the set shares.
 
 use crate::fault_map::PeMasks;
 use crate::product_cache::ProductCache;
 use crate::{FaultMap, Result, SystolicConfig, SystolicError};
 use falvolt_fixedpoint::{Fixed, QFormat};
 use falvolt_tensor::kernels::parallel_panel_rows;
-use falvolt_tensor::simd::{self, Isa, SimdLevel, SimdOp};
+use falvolt_tensor::simd::{self, SimdLevel, SimdOp};
 use falvolt_tensor::{
     CancelToken, Fingerprint, MatmulHint, SpikeIndex, StoreDecision, Tensor, TensorError,
 };
@@ -129,7 +127,7 @@ impl SystolicExecutor {
         &self.fault_map
     }
 
-    /// Installs (or removes) a sweep-shared clean-product cache.
+    /// Installs (or removes) a sweep-shared quantized-weight cache.
     pub fn set_product_cache(&mut self, cache: Option<Arc<ProductCache>>) {
         self.cache = cache;
     }
@@ -180,8 +178,8 @@ impl SystolicExecutor {
     /// kernel for spike activations. The faulty path ignores it: fault
     /// corruption runs the exact quantized accumulator chain regardless, so
     /// fault-injection results are bit-identical whatever the hint, the
-    /// active SIMD level, and whether clean columns come from the shared
-    /// product cache or are recomputed.
+    /// active SIMD level, and whether quantized weights come from the
+    /// shared table or are quantized per event.
     ///
     /// # Errors
     ///
@@ -200,24 +198,6 @@ impl SystolicExecutor {
             hint,
         )?
         .into_tensor(0)
-    }
-
-    /// [`SystolicExecutor::matmul_hinted`], bit for bit, for activations no
-    /// other caller will present: of the installed [`ProductCache`] only the
-    /// quantized-weight table is consulted, never the product stores.
-    ///
-    /// # Errors
-    ///
-    /// As [`SystolicExecutor::matmul_hinted`].
-    pub fn matmul_private(
-        &self,
-        activations: &Tensor,
-        weights: &Tensor,
-        hint: MatmulHint,
-    ) -> Result<Tensor> {
-        let maps = std::slice::from_ref(&self.fault_map);
-        self.product(activations, weights, maps, hint, false)?
-            .into_tensor(0)
     }
 
     /// Multi-map batched product with [`MatmulHint::Auto`], materialised as
@@ -256,9 +236,8 @@ impl SystolicExecutor {
     ///   contribution sequence (`quantize(a_ip * w[p, j])`, map-independent)
     ///   **once** and replays it per map with that map's composed mask
     ///   events; a fold corrupted by one map computes it inline,
-    /// * the maskless quantized chain is computed **once** per row and
-    ///   seeds every map's fault-free columns (shared across calls through
-    ///   the [`ProductCache`] when installed),
+    /// * the maskless quantized chain is computed **once** per row, in a
+    ///   seed lane, and seeds every map's fault-free columns,
     /// * fault-free maps share one structure-aware fast-path product.
     ///
     /// The interleaved buffer is returned as a [`ScenarioMatrices`] view:
@@ -281,19 +260,6 @@ impl SystolicExecutor {
         maps: &[FaultMap],
         hint: MatmulHint,
     ) -> Result<ScenarioMatrices> {
-        self.product(activations, weights, maps, hint, true)
-    }
-
-    /// The product driver; `share_products` consults the cache's product
-    /// stores.
-    fn product(
-        &self,
-        activations: &Tensor,
-        weights: &Tensor,
-        maps: &[FaultMap],
-        hint: MatmulHint,
-        share_products: bool,
-    ) -> Result<ScenarioMatrices> {
         self.check_cancelled()?;
         let (m, k) = matrix_dims(activations)?;
         let (k2, n) = matrix_dims(weights)?;
@@ -305,11 +271,6 @@ impl SystolicExecutor {
         }
         let a = activations.data();
         let w = weights.data();
-        // Cache keys are O(1) content-id fingerprints (no operand hashing).
-        // The quantized-weight table is consulted whenever a cache is
-        // installed; the product stores only for operands others may share.
-        let cache = self.cache.as_ref();
-        let products = cache.filter(|_| share_products);
         // Hoist all per-(k, col-fold) fault state out of the element loops.
         let plans: Vec<FoldPlan> = maps
             .iter()
@@ -332,7 +293,15 @@ impl SystolicExecutor {
             let shared = match &fast {
                 Some(t) => Arc::clone(t),
                 None => {
-                    let value = fault_free_product(activations, weights, m, k, n, hint, products);
+                    let value = falvolt_tensor::kernels::matmul_dispatch_indexed(
+                        a,
+                        spike_index_for(activations, m, k),
+                        w,
+                        m,
+                        k,
+                        n,
+                        hint,
+                    );
                     let t = Arc::new(Tensor::from_vec(vec![m, n], value)?);
                     fast = Some(Arc::clone(&t));
                     t
@@ -352,11 +321,12 @@ impl SystolicExecutor {
             lane_of[s] = Some(ScenarioLane::Lane(fi));
         }
         let lane_of = lane_table(lane_of)?;
-        if faulty.is_empty() || m == 0 || n == 0 {
+        let lanes = faulty.len();
+        if lanes == 0 || m == 0 || n == 0 {
             return Ok(ScenarioMatrices {
                 m,
                 n,
-                lanes: faulty.len(),
+                lanes,
                 inter: Vec::new(),
                 lane_of,
             });
@@ -369,31 +339,6 @@ impl SystolicExecutor {
         // each map's corruptible folds are then overwritten by the merged
         // walk of nonzero activations and masked positions.
         let format = self.config.accumulator_format();
-
-        // The maskless chain does not depend on the fault map, so a
-        // sweep-shared clean product is consumed when the cache holds one.
-        // When the cache promotes this key, the walk derives the value into
-        // an extra clean lane and fulfils it afterwards.
-        let (shared_clean, fulfil_clean): (Option<Arc<Vec<f32>>>, Option<u128>) = match products {
-            Some(cache) => {
-                let key = product_key(
-                    "quantized-clean",
-                    activations,
-                    weights,
-                    m,
-                    k,
-                    n,
-                    u64::from(format.total_bits()) << 8 | u64::from(format.frac_bits()),
-                );
-                match cache.lookup(key) {
-                    StoreDecision::Hit(shared) => (Some(shared), None),
-                    StoreDecision::Compute => (None, Some(key)),
-                    StoreDecision::Skip => (None, None),
-                }
-            }
-            None => (None, None),
-        };
-
         let cols = self.config.cols();
         let folds = FoldUsers::new(&plans, &faulty, cols.min(n));
         // A CSR spike index on the activations makes the per-row event list
@@ -410,12 +355,8 @@ impl SystolicExecutor {
             k,
             n,
             format,
-            cache,
+            self.cache.as_ref(),
         );
-        let fcount = faulty.len();
-        // Lane `fcount` holds the derived clean values of a promoted call.
-        let clean_lane = fulfil_clean.map(|_| fcount);
-        let lanes = fcount + usize::from(clean_lane.is_some());
         // Interleaved output: row-major, all scenarios of one row contiguous,
         // so the row walk stays embarrassingly parallel across threads.
         let mut inter = vec![0.0f32; m * lanes * n];
@@ -425,13 +366,9 @@ impl SystolicExecutor {
             n,
             cols,
             spike_index,
-            shared_clean: shared_clean.as_deref().map(Vec::as_slice),
             folds: &folds,
             lanes,
-            clean_lane,
             format,
-            // Lane engine: `Isa::Scalar` keeps the per-column loop exactly.
-            use_lanes: !matches!(simd::active(), Isa::Scalar),
             cancel: self.cancel.as_ref(),
         };
         // The table-or-multiply choice is made once per product, so every
@@ -440,60 +377,16 @@ impl SystolicExecutor {
             Some(table) => walk.rows(table.as_slice(), &mut inter),
             None => walk.rows(Scaled { w, format }, &mut inter),
         }
-
-        if let Err(cancelled) = self.check_cancelled() {
-            // The interleaved buffer is partial: release the clean-product
-            // promotion (if this call held one) instead of fulfilling it.
-            if let (Some(key), Some(cache)) = (fulfil_clean, cache) {
-                cache.abandon(key);
-            }
-            return Err(cancelled);
-        }
-        let view = ScenarioMatrices {
+        // A tripped token leaves the buffer partial: never serve it.
+        self.check_cancelled()?;
+        Ok(ScenarioMatrices {
             m,
             n,
             lanes,
             inter,
             lane_of,
-        };
-        if let (Some(key), Some(cache)) = (fulfil_clean, cache) {
-            cache.fulfill(key, Arc::new(view.gather(fcount)));
-        }
-        Ok(view)
+        })
     }
-}
-
-/// Stable tag of a hint for cache keying (the dispatch decision is a pure
-/// function of the operand and the hint, so the hint is part of the key).
-fn hint_tag(hint: MatmulHint) -> u64 {
-    match hint {
-        MatmulHint::Auto => 0,
-        MatmulHint::Dense => 1,
-        MatmulHint::Spikes => 2,
-    }
-}
-
-/// Key of one product under one execution regime (`tag`). Operands are
-/// identified by their generation-tagged content ids — O(1) per consult, and
-/// an id equal to a cached one guarantees byte-equal content (ids are never
-/// reused and every mutation re-mints them), so id-keyed hits are as
-/// bit-safe as the content hashes they replaced.
-fn product_key(
-    tag: &str,
-    a: &Tensor,
-    w: &Tensor,
-    m: usize,
-    k: usize,
-    n: usize,
-    extra: u64,
-) -> u128 {
-    let mut fp = Fingerprint::new();
-    fp.write_str(tag);
-    fp.write_dims(&[m, k, n]);
-    fp.write_u64(extra);
-    fp.write_u64(a.content_id());
-    fp.write_u64(w.content_id());
-    fp.finish()
 }
 
 /// The activations' CSR spike index, when it matches the `m x k` matrix
@@ -515,45 +408,6 @@ fn fill_nonzeros(nz: &mut Vec<(usize, f32)>, index: Option<&SpikeIndex>, i: usiz
         Some(ix) => nz.extend(ix.row(i).iter().map(|&p| (p as usize, 1.0f32))),
         None => nz.extend(a_row.iter().copied().enumerate().filter(|&(_, v)| v != 0.0)),
     }
-}
-
-/// The fault-free product of the executor's fast path: the kernel layer's
-/// structure-aware dispatch, shared through the product cache when one is
-/// installed. Bit-identical whether the value is computed, fulfilled or hit
-/// (cached values are pure functions of the key).
-fn fault_free_product(
-    activations: &Tensor,
-    weights: &Tensor,
-    m: usize,
-    k: usize,
-    n: usize,
-    hint: MatmulHint,
-    cache: Option<&Arc<ProductCache>>,
-) -> Vec<f32> {
-    let dispatch = || {
-        falvolt_tensor::kernels::matmul_dispatch_indexed(
-            activations.data(),
-            spike_index_for(activations, m, k),
-            weights.data(),
-            m,
-            k,
-            n,
-            hint,
-        )
-    };
-    if let Some(cache) = cache {
-        let key = product_key("float", activations, weights, m, k, n, hint_tag(hint));
-        match cache.lookup(key) {
-            StoreDecision::Hit(shared) => return shared.as_ref().clone(),
-            StoreDecision::Compute => {
-                let out = Arc::new(dispatch());
-                cache.fulfill(key, Arc::clone(&out));
-                return out.as_ref().clone();
-            }
-            StoreDecision::Skip => {}
-        }
-    }
-    dispatch()
 }
 
 /// Resolves the sweep-shared quantized-weight table for a product with
@@ -826,26 +680,21 @@ const FAULT_CHAIN_STEP_COST: usize = 64;
 ///
 /// A row with no nonzero activation adds nothing to any chain: in every
 /// lane it is the masks acting on a zero accumulator. Each row panel runs
-/// the row body once on an empty event list without the shared clean row
-/// (the template, so its bits are the walk's own in every lane, the clean
-/// lane included) and copies it into every such row. Each panel runs under
-/// one [`simd::dispatch`] ([`PanelOp`]), so the lane engines inline into it.
+/// the row body once on an empty event list (the template, so its bits are
+/// the walk's own in every lane) and copies it into every such row. Each
+/// panel runs under one [`simd::dispatch`] ([`PanelOp`]), so the lane
+/// engines inline into it; the scalar ISA runs them at its `Fallback`
+/// level.
 struct RowWalk<'a> {
     a: &'a [f32],
     k: usize,
     n: usize,
     cols: usize,
     spike_index: Option<&'a SpikeIndex>,
-    /// The sweep-shared maskless product, when the cache holds one.
-    shared_clean: Option<&'a [f32]>,
     folds: &'a FoldUsers<'a>,
-    /// Interleaved lanes per row: one per faulty map, plus `clean_lane`.
+    /// Interleaved lanes per row: one per faulty map.
     lanes: usize,
-    /// The lane that receives the derived maskless chain of a call that
-    /// fulfils the sweep-shared clean product.
-    clean_lane: Option<usize>,
     format: QFormat,
-    use_lanes: bool,
     cancel: Option<&'a CancelToken>,
 }
 
@@ -856,8 +705,7 @@ impl RowWalk<'_> {
     fn rows<W: QuantizedWeights>(&self, weights: W, inter: &mut [f32]) {
         let row_stride = self.lanes * self.n;
         let m = inter.len() / row_stride;
-        let faulty_lanes = self.lanes - usize::from(self.clean_lane.is_some());
-        let work = m * self.n * self.k * faulty_lanes * FAULT_CHAIN_STEP_COST;
+        let work = m * row_stride * self.k * FAULT_CHAIN_STEP_COST;
         let panel = |row0: usize, out: &mut [f32]| {
             simd::dispatch(PanelOp {
                 walk: self,
@@ -875,74 +723,23 @@ impl RowWalk<'_> {
             .for_each(|(p, out)| panel(p * rows_per_panel, out));
     }
 
-    /// One output row of every lane from its event list `nz` and, when the
-    /// cache holds one, its row of the shared maskless product; `q` is
-    /// per-panel scratch.
+    /// One output row of every lane from its event list `nz`: seed lane 0
+    /// with the maskless chain, copy it to the other lanes, then overwrite
+    /// the columns of each corruptible fold; `q` is per-panel scratch.
     #[inline(always)]
     fn row<S: SimdLevel, W: QuantizedWeights>(
         &self,
         weights: W,
         nz: &[(usize, f32)],
-        shared_row: Option<&[f32]>,
         row_chunk: &mut [f32],
         q: &mut Vec<i64>,
     ) {
-        let (n, lanes) = (self.n, self.lanes);
-        let format = self.format;
-        let (min_raw, max_raw) = (i64::from(format.min_raw()), i64::from(format.max_raw()));
-        if self.use_lanes {
-            // Seed one lane with the maskless chain (the clean lane of a
-            // promoted call, else lane 0) and copy it to the others, then
-            // overwrite the columns of each corruptible fold.
-            let seed = self.clean_lane.unwrap_or(0);
-            let seed_row = &mut row_chunk[seed * n..(seed + 1) * n];
-            match shared_row {
-                Some(row) => seed_row.copy_from_slice(row),
-                None => self.clean_row::<S, W>(weights, nz, seed_row),
-            }
-            for lane in (0..lanes).filter(|&lane| lane != seed) {
-                row_chunk.copy_within(seed * n..(seed + 1) * n, lane * n);
-            }
-            self.fold_columns::<S, W>(weights, nz, row_chunk, q);
-            return;
+        let n = self.n;
+        self.clean_row::<S, W>(weights, nz, &mut row_chunk[..n]);
+        for lane in 1..self.lanes {
+            row_chunk.copy_within(..n, lane * n);
         }
-        for j in 0..n {
-            let users = self.folds.users(j % self.cols);
-            // The maskless value serves the lanes this fold leaves clean and
-            // the clean lane; it is derived from the column's own chain
-            // unless the cache shares it.
-            let need_clean = users.len() < lanes;
-            let derive_clean = need_clean && shared_row.is_none();
-            // The quantized contribution sequence of this (row, column) is
-            // map-independent: materialise it once when several walks
-            // replay it, else compute it inline.
-            let replay = users.len() + usize::from(derive_clean) > 1;
-            let inline = InlineQ {
-                weights,
-                n,
-                base: j,
-                stride: 1,
-            };
-            if replay {
-                inline.fill(q, nz, 1);
-            }
-            let walk = |masked: &[(u32, PeMasks)]| {
-                if replay {
-                    faulty_column_from_q(masked, nz, ReplayQ(q), format, min_raw, max_raw)
-                } else {
-                    faulty_column_from_q(masked, nz, inline, format, min_raw, max_raw)
-                }
-            };
-            if need_clean {
-                let clean_v = shared_row.map_or_else(|| walk(&[]), |row| row[j]);
-                for lane in 0..lanes {
-                    row_chunk[lane * n + j] = clean_v;
-                }
-            }
-            for &(fi, masked) in users {
-                row_chunk[fi * n + j] = walk(masked);
-            }
-        }
+        self.fold_columns::<S, W>(weights, nz, row_chunk, q);
     }
 }
 
@@ -961,10 +758,10 @@ impl<W: QuantizedWeights> SimdOp for PanelOp<'_, W> {
     #[inline(always)]
     fn run<S: SimdLevel>(self) {
         let (walk, weights) = (self.walk, self.weights);
-        let (k, n) = (walk.k, walk.n);
+        let k = walk.k;
         let (mut nz, mut q) = (Vec::new(), Vec::new());
         let mut template: Option<Vec<f32>> = None;
-        for (r, row_chunk) in self.out.chunks_mut(walk.lanes * n).enumerate() {
+        for (r, row_chunk) in self.out.chunks_mut(walk.lanes * walk.n).enumerate() {
             // Fold-chain granularity cancellation: a tripped token stops the
             // remaining rows cheaply; the driver's post-loop check turns the
             // partial buffer into `Cancelled` before it can be served.
@@ -976,13 +773,12 @@ impl<W: QuantizedWeights> SimdOp for PanelOp<'_, W> {
             if nz.is_empty() {
                 let template = template.get_or_insert_with(|| {
                     let mut row = vec![0.0; row_chunk.len()];
-                    walk.row::<S, W>(weights, &[], None, &mut row, &mut q);
+                    walk.row::<S, W>(weights, &[], &mut row, &mut q);
                     row
                 });
                 row_chunk.copy_from_slice(template);
             } else {
-                let shared_row = walk.shared_clean.map(|v| &v[i * n..(i + 1) * n]);
-                walk.row::<S, W>(weights, &nz, shared_row, row_chunk, &mut q);
+                walk.row::<S, W>(weights, &nz, row_chunk, &mut q);
             }
         }
     }
@@ -1261,8 +1057,7 @@ enum ScenarioLane {
 pub struct ScenarioMatrices {
     m: usize,
     n: usize,
-    /// Interleaved lane count: faulty scenarios plus the derived-clean lane
-    /// of a call that fulfils the sweep-shared clean product.
+    /// Interleaved lane count: one per faulty scenario.
     lanes: usize,
     /// `m * lanes * n` interleaved values (empty when every scenario is
     /// fault-free or a dimension is zero).
@@ -1391,7 +1186,6 @@ mod tests {
     use crate::{Fault, PeCoord, StuckAt, WeightMapping};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::atomic::Ordering;
 
     fn config() -> SystolicConfig {
         SystolicConfig::new(4, 4).unwrap()
@@ -1587,74 +1381,6 @@ mod tests {
             &maps,
             MatmulHint::Auto
         )));
-    }
-
-    /// A token tripped while a call that promoted the clean product walks
-    /// its rows must release the promotion, never fulfil the partial buffer:
-    /// the next call promotes again and returns the oracle's bits. The trip
-    /// comes from a second thread once the promotion is visible, so a call
-    /// that finishes first is retried on a larger product.
-    #[test]
-    fn cancelled_call_abandons_its_clean_product_promotion() {
-        let config = config();
-        let map = FaultMap::from_faults(
-            config,
-            vec![Fault::new(PeCoord::new(1, 2), 14, StuckAt::One)],
-        )
-        .unwrap();
-        let b = Tensor::from_fn(&[24, 8], |i| (i % 7) as f32 * 0.05 - 0.15);
-        let mut m = 1024;
-        for attempt in 0..8 {
-            // Real-valued activations: the clean product is the only cache
-            // key the product promotes.
-            let a = Tensor::from_fn(&[m, 24], |i| ((i * 37 + attempt) % 11) as f32 * 0.1);
-            let expected = crate::SystolicArray::new(config, &map)
-                .matmul(&a, &b)
-                .unwrap();
-            let cache = Arc::new(ProductCache::new());
-            let mut executor = SystolicExecutor::new(config, map.clone());
-            executor.set_product_cache(Some(Arc::clone(&cache)));
-            // First sighting records interest; the second promotes.
-            assert_eq!(executor.matmul(&a, &b).unwrap().data(), expected.data());
-            let promoted = cache.promotions();
-            let token = CancelToken::new();
-            executor.set_cancel_token(Some(token.clone()));
-            let done = std::sync::atomic::AtomicBool::new(false);
-            let second = std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    while cache.promotions() == promoted && !done.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                    token.cancel();
-                });
-                let out = executor.matmul(&a, &b);
-                done.store(true, Ordering::Release);
-                out
-            });
-            match second {
-                Ok(out) => {
-                    // The call finished before the trip: it fulfilled the
-                    // whole product. Retry on a larger one.
-                    assert_eq!(out.data(), expected.data());
-                    m *= 2;
-                }
-                Err(e) => {
-                    assert!(is_cancelled(Err::<(), _>(e)));
-                    let hits = cache.hits();
-                    executor.set_cancel_token(None);
-                    let third = executor.matmul(&a, &b).unwrap();
-                    assert_eq!(third.data(), expected.data());
-                    assert_eq!(cache.hits(), hits, "a cancelled value was served");
-                    assert_eq!(
-                        cache.promotions(),
-                        promoted + 2,
-                        "the key did not promote again"
-                    );
-                    return;
-                }
-            }
-        }
-        panic!("no call was cancelled mid-walk");
     }
 
     #[test]

@@ -1,34 +1,20 @@
-//! Shared clean-product / quantized-weight cache for scenario sweeps.
+//! Sweep-shared quantized-weight tables for scenario sweeps.
 //!
-//! A figure sweep pushes the *same* activation matrices (the im2col lowering
-//! of one input batch) through the executor once per fault map. Faults only
-//! corrupt output columns whose PE column holds a faulty PE; every other
-//! column replays the identical maskless quantized accumulator chain in every
-//! scenario. The [`ProductCache`] lets scenario workers share exactly that
-//! work: the first worker to need a product's clean columns computes the full
-//! clean (quantized, fault-free) product once, and every other worker copies
-//! its clean columns instead of recomputing them.
-//!
-//! The cache also shares **quantized-weight tables** for binary (spike)
-//! activations: with every nonzero exactly `1.0`, each accumulation step
+//! A figure sweep pushes spike (binary) activations through the executor
+//! against the same frozen weights once per fault map, time step and test
+//! batch. With every nonzero exactly `1.0`, each accumulation step
 //! contributes `quantize(1.0 * w[p, j]) == quantize(w[p, j])` — a pure
-//! function of the weights and the accumulator format. One table serves
-//! every scenario, every time step and every batch of a sweep, replacing a
-//! multiply+round+clamp per event with a table read
-//! ([`ProductCache::lookup_qweights`]).
+//! function of the weights and the accumulator format. The [`ProductCache`]
+//! holds one such table per weight matrix, so every scenario, every time
+//! step and every batch of a sweep reads it instead of running a
+//! multiply+round+clamp per event ([`ProductCache::lookup_qweights`]).
 //!
-//! Both stores follow the **promote-on-second-request** protocol of
-//! [`SharedStore`]: mid-network activations diverge across scenarios
-//! (different corruption → different spikes), so the first sighting of a key
-//! only records interest and a second sighting proves the key is shared.
-//! Encoder products promote on the second scenario. Per-scenario suffix
-//! products would never promote, so they skip the product store
-//! ([`crate::SystolicExecutor::matmul_private`]) and read only the
-//! quantized-weight table. Quantized-weight
-//! keys depend only on the (frozen) weights, so they promote on the second
-//! product against the same weight matrix.
+//! The store follows the **promote-on-second-request** protocol of
+//! [`SharedStore`]: building a `k x n` table for a single product would cost
+//! more than it saves, so the first product against a weight matrix only
+//! records interest and the second one promotes the table.
 //!
-//! Cached values are pure functions of the key's content (operands, shape,
+//! A table is a pure function of its key's content (weights, shape,
 //! accumulator format), so sharing cannot change results — sweeps remain
 //! bit-identical to the per-clone baseline.
 
@@ -36,12 +22,11 @@ use falvolt_tensor::{SharedStore, StoreDecision};
 use std::fmt;
 use std::sync::Arc;
 
-/// Default bound on value-bearing (promoted) keys per store.
+/// Default bound on value-bearing (promoted) keys.
 const DEFAULT_CAPACITY: usize = 512;
 
-/// Shared clean-product and quantized-weight store (see the module docs).
+/// Shared quantized-weight store (see the module docs).
 pub struct ProductCache {
-    products: SharedStore<Vec<f32>>,
     qweights: SharedStore<Vec<i32>>,
 }
 
@@ -57,54 +42,29 @@ impl ProductCache {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// Creates an empty cache promoting at most `capacity` keys per store.
+    /// Creates an empty cache promoting at most `capacity` keys.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            products: SharedStore::new(capacity),
             qweights: SharedStore::new(capacity),
         }
     }
 
-    /// Looks a clean-product key up and reports what the caller should do.
-    /// Exactly one caller per key is ever told to compute: the promotion
-    /// transitions the slot to an in-flight state, so concurrent workers
-    /// racing on the same key fall back to inline computation of their own
-    /// subset instead of all duplicating the full shared product.
-    pub fn lookup(&self, key: u128) -> StoreDecision<Vec<f32>> {
-        self.products.lookup(key, false)
-    }
-
-    /// Stores a computed clean product for a key previously answered with
-    /// [`StoreDecision::Compute`]. Discarded (never served) if the
-    /// promotion was quarantined in the meantime.
-    pub fn fulfill(&self, key: u128, value: Arc<Vec<f32>>) {
-        // Under audit, a key fulfilled twice (first write quarantined, a
-        // later worker recomputed) must carry byte-identical content.
-        #[cfg(feature = "audit")]
-        falvolt_tensor::audit::check_fulfill(
-            "product-cache/products",
-            key,
-            falvolt_tensor::audit::fingerprint(&value),
-        );
-        self.products.fulfill(key, value);
-    }
-
-    /// Releases an in-flight clean-product promotion whose computation
-    /// failed (or was cancelled): the key may promote again later.
-    pub fn abandon(&self, key: u128) {
-        self.products.abandon(key);
-    }
-
     /// Looks up a quantized-weight table (`quantize(w[p, j])` for every
-    /// weight element, the per-event contribution of binary activations).
-    /// Same promote-on-second-request protocol as [`ProductCache::lookup`].
+    /// weight element, the per-event contribution of binary activations)
+    /// and reports what the caller should do. Exactly one caller per key is
+    /// ever told to compute: the promotion transitions the slot to an
+    /// in-flight state, so concurrent workers racing on the same key
+    /// quantize inline instead of all building the table.
     pub fn lookup_qweights(&self, key: u128) -> StoreDecision<Vec<i32>> {
         self.qweights.lookup(key, false)
     }
 
     /// Stores a quantized-weight table previously answered with
-    /// [`StoreDecision::Compute`].
+    /// [`StoreDecision::Compute`]. Discarded (never served) if the
+    /// promotion was quarantined in the meantime.
     pub fn fulfill_qweights(&self, key: u128, value: Arc<Vec<i32>>) {
+        // Under audit, a key fulfilled twice (first write quarantined, a
+        // later worker recomputed) must carry byte-identical content.
         #[cfg(feature = "audit")]
         falvolt_tensor::audit::check_fulfill(
             "product-cache/qweights",
@@ -114,9 +74,9 @@ impl ProductCache {
         self.qweights.fulfill(key, value);
     }
 
-    /// Number of tracked keys (pending and fulfilled, both stores).
+    /// Number of tracked keys (pending and fulfilled).
     pub fn len(&self) -> usize {
-        self.products.len() + self.qweights.len()
+        self.qweights.len()
     }
 
     /// `true` when nothing has been tracked yet.
@@ -126,41 +86,41 @@ impl ProductCache {
 
     /// Lookups served from a fulfilled entry.
     pub fn hits(&self) -> usize {
-        self.products.hits() + self.qweights.hits()
+        self.qweights.hits()
     }
 
     /// Lookups that asked the caller to compute-and-fulfill.
     pub fn promotions(&self) -> usize {
-        self.products.promotions() + self.qweights.promotions()
+        self.qweights.promotions()
     }
 
     /// Lookups that found no usable entry (first sightings, in-flight keys,
     /// capacity overflow).
     pub fn skips(&self) -> usize {
-        self.products.skips() + self.qweights.skips()
+        self.qweights.skips()
     }
 
-    /// Quarantines every in-flight promotion in both stores (see
+    /// Quarantines every in-flight promotion (see
     /// [`SharedStore::quarantine_in_flight`]): a panicking scenario worker
     /// may have been promoting any shared key, so its writes must be
     /// discarded rather than served. Returns the promotions reverted.
     pub fn quarantine_in_flight(&self) -> usize {
-        self.products.quarantine_in_flight() + self.qweights.quarantine_in_flight()
+        self.qweights.quarantine_in_flight()
     }
 
-    /// In-flight promotions reverted by quarantines, both stores.
+    /// In-flight promotions reverted by quarantines.
     pub fn quarantined(&self) -> usize {
-        self.products.quarantined() + self.qweights.quarantined()
+        self.qweights.quarantined()
     }
 
-    /// Stale fulfilments discarded instead of served, both stores.
+    /// Stale fulfilments discarded instead of served.
     pub fn discarded_fulfills(&self) -> usize {
-        self.products.discarded_fulfills() + self.qweights.discarded_fulfills()
+        self.qweights.discarded_fulfills()
     }
 
-    /// Poisoned-lock recoveries, both stores.
+    /// Poisoned-lock recoveries.
     pub fn poison_recoveries(&self) -> usize {
-        self.products.poison_recoveries() + self.qweights.poison_recoveries()
+        self.qweights.poison_recoveries()
     }
 }
 
@@ -182,11 +142,11 @@ mod tests {
     #[test]
     fn promotes_on_second_request_then_hits() {
         let cache = ProductCache::new();
-        assert!(matches!(cache.lookup(7), StoreDecision::Skip));
-        assert!(matches!(cache.lookup(7), StoreDecision::Compute));
-        cache.fulfill(7, Arc::new(vec![1.0, 2.0]));
-        match cache.lookup(7) {
-            StoreDecision::Hit(v) => assert_eq!(v.as_slice(), &[1.0, 2.0]),
+        assert!(matches!(cache.lookup_qweights(7), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_qweights(7), StoreDecision::Compute));
+        cache.fulfill_qweights(7, Arc::new(vec![1, 2]));
+        match cache.lookup_qweights(7) {
+            StoreDecision::Hit(v) => assert_eq!(v.as_slice(), &[1, 2]),
             other => panic!("expected hit, got {other:?}"),
         }
         assert_eq!((cache.skips(), cache.promotions(), cache.hits()), (1, 1, 1));
@@ -198,68 +158,40 @@ mod tests {
     #[test]
     fn only_one_caller_is_told_to_compute() {
         let cache = ProductCache::new();
-        assert!(matches!(cache.lookup(21), StoreDecision::Skip));
-        assert!(matches!(cache.lookup(21), StoreDecision::Compute));
-        // While the promoted worker computes, racing workers skip (inline
-        // subset computation) instead of duplicating the full product.
-        assert!(matches!(cache.lookup(21), StoreDecision::Skip));
-        cache.fulfill(21, Arc::new(vec![4.0]));
-        assert!(matches!(cache.lookup(21), StoreDecision::Hit(_)));
+        assert!(matches!(cache.lookup_qweights(21), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_qweights(21), StoreDecision::Compute));
+        // While the promoted worker builds the table, racing workers skip
+        // (quantize inline) instead of duplicating it.
+        assert!(matches!(cache.lookup_qweights(21), StoreDecision::Skip));
+        cache.fulfill_qweights(21, Arc::new(vec![4]));
+        assert!(matches!(cache.lookup_qweights(21), StoreDecision::Hit(_)));
     }
 
     #[test]
     fn value_capacity_bounds_promotions_not_pending_markers() {
         let cache = ProductCache::with_capacity(1);
         // Key 31 takes the single value slot.
-        assert!(matches!(cache.lookup(31), StoreDecision::Skip));
-        assert!(matches!(cache.lookup(31), StoreDecision::Compute));
-        cache.fulfill(31, Arc::new(vec![2.0]));
+        assert!(matches!(cache.lookup_qweights(31), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_qweights(31), StoreDecision::Compute));
+        cache.fulfill_qweights(31, Arc::new(vec![2]));
         // Key 32 is tracked (cheap Pending marker) but can never promote
         // while the value capacity is used up — and key 31 still hits.
-        assert!(matches!(cache.lookup(32), StoreDecision::Skip));
-        assert!(matches!(cache.lookup(32), StoreDecision::Skip));
-        assert!(matches!(cache.lookup(31), StoreDecision::Hit(_)));
+        assert!(matches!(cache.lookup_qweights(32), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_qweights(32), StoreDecision::Skip));
+        assert!(matches!(cache.lookup_qweights(31), StoreDecision::Hit(_)));
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
-    fn quarantine_spans_both_stores_and_discards_stale_fulfills() {
+    fn quarantine_discards_stale_fulfills() {
         let cache = ProductCache::new();
-        let _ = cache.lookup(41);
-        assert!(matches!(cache.lookup(41), StoreDecision::Compute));
         let _ = cache.lookup_qweights(42);
         assert!(matches!(cache.lookup_qweights(42), StoreDecision::Compute));
-        assert_eq!(cache.quarantine_in_flight(), 2);
-        assert_eq!(cache.quarantined(), 2);
-        // Stale writes from the quarantined workers are discarded.
-        cache.fulfill(41, Arc::new(vec![1.0]));
+        assert_eq!(cache.quarantine_in_flight(), 1);
+        assert_eq!(cache.quarantined(), 1);
+        // The stale write from the quarantined worker is discarded.
         cache.fulfill_qweights(42, Arc::new(vec![5]));
-        assert_eq!(cache.discarded_fulfills(), 2);
-        assert!(matches!(cache.lookup(41), StoreDecision::Compute));
-    }
-
-    #[test]
-    fn abandon_releases_a_clean_product_promotion() {
-        let cache = ProductCache::with_capacity(1);
-        let _ = cache.lookup(4);
-        assert!(matches!(cache.lookup(4), StoreDecision::Compute));
-        cache.abandon(4);
-        assert!(matches!(cache.lookup(4), StoreDecision::Compute));
-    }
-
-    #[test]
-    fn qweight_store_is_independent_of_the_product_store() {
-        let cache = ProductCache::new();
-        // Same key, different stores: promotions do not interfere.
-        assert!(matches!(cache.lookup(9), StoreDecision::Skip));
-        assert!(matches!(cache.lookup_qweights(9), StoreDecision::Skip));
-        assert!(matches!(cache.lookup_qweights(9), StoreDecision::Compute));
-        cache.fulfill_qweights(9, Arc::new(vec![3, -4]));
-        match cache.lookup_qweights(9) {
-            StoreDecision::Hit(v) => assert_eq!(v.as_slice(), &[3, -4]),
-            other => panic!("expected hit, got {other:?}"),
-        }
-        // The product store still sees its own promotion protocol.
-        assert!(matches!(cache.lookup(9), StoreDecision::Compute));
+        assert_eq!(cache.discarded_fulfills(), 1);
+        assert!(matches!(cache.lookup_qweights(42), StoreDecision::Compute));
     }
 }

@@ -470,7 +470,8 @@ proptest! {
             let out = executor.matmul(&a, &b).unwrap();
             prop_assert_eq!(out.data(), expected[0].data(), "isa {}", isa);
 
-            // Product cache on: skip, promote-and-fulfil, hit.
+            // Product cache on: skip, promote-and-fulfil, hit. Only the
+            // CSR-indexed class reads the quantized-weight table.
             let shared = Arc::new(ProductCache::new());
             let mut cached = executor.clone();
             cached.set_product_cache(Some(Arc::clone(&shared)));
@@ -478,7 +479,9 @@ proptest! {
                 let out = cached.matmul(&a, &b).unwrap();
                 prop_assert_eq!(out.data(), expected[0].data(), "isa {} cached call {}", isa, call);
             }
-            prop_assert!(shared.hits() >= 1, "the cached path was never exercised");
+            if class == 1 {
+                prop_assert!(shared.hits() >= 1, "the weight table was never read");
+            }
 
             // Batched scenarios, checked per map, without and with a cache.
             let mut batch = SystolicExecutor::new(config, FaultMap::new(config));
@@ -504,7 +507,7 @@ proptest! {
 // chain, so the executor copies one template row into every such row. Its
 // value is the masks acting on a zero accumulator, which a stuck-at-1 fault
 // makes nonzero, so the template must carry the oracle's bits in every lane,
-// one-map and batched, with and without the shared clean product.
+// one-map and batched, with and without the shared quantized-weight table.
 // ---------------------------------------------------------------------------
 
 /// Three maps of `count` faulty PEs each: the MSB stuck at 1, a random bit
@@ -585,8 +588,9 @@ proptest! {
         for isa in simd::available() {
             let _g = simd::force(Some(isa));
             for (s, map) in maps.iter().enumerate() {
-                // One-map products, without a cache and through one that
-                // skips, promotes (deriving the clean lane) and then hits.
+                // One-map products, without a cache and through one whose
+                // weight table skips, promotes and then hits (the
+                // CSR-indexed class; the others never read the table).
                 let mut single = SystolicExecutor::new(config, map.clone());
                 prop_assert_eq!(&bits(&single.matmul(&a, &b).unwrap()), &expected[s]);
                 let cache = Arc::new(ProductCache::new());
@@ -595,7 +599,9 @@ proptest! {
                     let out = bits(&single.matmul(&a, &b).unwrap());
                     prop_assert_eq!(&out, &expected[s], "isa {} map {} call {}", isa, s, call);
                 }
-                prop_assert!(cache.hits() >= 1, "the shared clean rows were never read");
+                if class == 1 {
+                    prop_assert!(cache.hits() >= 1, "the weight table was never read");
+                }
             }
             // The multi-map batch, the same way.
             let mut batch = SystolicExecutor::new(config, FaultMap::new(config));
@@ -613,7 +619,9 @@ proptest! {
                     batch.set_product_cache(Some(Arc::clone(&cache)));
                 }
             }
-            prop_assert!(cache.promotions() >= 1 && cache.hits() >= 1);
+            if class == 1 {
+                prop_assert!(cache.promotions() >= 1 && cache.hits() >= 1);
+            }
         }
     }
 }

@@ -13,8 +13,8 @@
 //!   used by the SNN layers ([`ops`]),
 //! * reductions and classification helpers ([`reduce`]),
 //! * random initializers ([`init`]),
-//! * the promote-on-second-request store behind every sweep-sharing cache
-//!   ([`SharedStore`]).
+//! * the shared store behind every sweep-sharing cache, promoting a key on
+//!   its first or second request ([`SharedStore`]).
 //!
 //! # Example
 //!

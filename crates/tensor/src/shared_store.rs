@@ -9,9 +9,8 @@
 //!   recur: the first sighting only records interest (compute inline, store
 //!   nothing), and a second sighting proves the key is shared across
 //!   workers. One-shot keys therefore never take a value slot. The
-//!   stateless-prefix outputs of `falvolt_snn::SweepCache` and the clean
-//!   products and quantized-weight tables of `falvolt_systolic::ProductCache`
-//!   use it.
+//!   stateless-prefix outputs of `falvolt_snn::SweepCache` and the
+//!   quantized-weight tables of `falvolt_systolic::ProductCache` use it.
 //! * **On first sighting** (`eager = true`) for keys the caller knows are
 //!   shared by construction: the im2col lowerings and weight transposes of
 //!   `falvolt_snn::SweepCache` (keyed on the scenario-invariant prefix input

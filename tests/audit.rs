@@ -50,31 +50,16 @@ fn a_forged_id_over_different_bytes_panics() {
 #[test]
 fn product_cache_rejects_fulfil_twice_with_different_bytes() {
     let cache = ProductCache::new();
-    let _ = cache.lookup(42);
-    assert!(matches!(cache.lookup(42), StoreDecision::Compute));
-    cache.fulfill(42, Arc::new(vec![1.0, 2.0]));
+    let _ = cache.lookup_qweights(42);
+    assert!(matches!(cache.lookup_qweights(42), StoreDecision::Compute));
+    cache.fulfill_qweights(42, Arc::new(vec![3, -4]));
     // Byte-identical refulfilment (a quarantined worker's recompute) is
     // legal — the store discards it, the audit accepts it.
-    cache.fulfill(42, Arc::new(vec![1.0, 2.0]));
+    cache.fulfill_qweights(42, Arc::new(vec![3, -4]));
     // Different bytes under the same key: fingerprint collision or an
     // impure compute function. The audit panics before the store decides.
-    let outcome = std::panic::catch_unwind(|| cache.fulfill(42, Arc::new(vec![9.0])));
+    let outcome = std::panic::catch_unwind(|| cache.fulfill_qweights(42, Arc::new(vec![3, 4])));
     assert!(outcome.is_err(), "divergent refulfilment must be caught");
-}
-
-#[test]
-fn qweight_store_is_audited_separately_from_products() {
-    let cache = ProductCache::new();
-    let _ = cache.lookup_qweights(7);
-    assert!(matches!(cache.lookup_qweights(7), StoreDecision::Compute));
-    cache.fulfill_qweights(7, Arc::new(vec![3, -4]));
-    // The product store may hold different bytes under the same key value —
-    // the stores are distinct namespaces.
-    let _ = cache.lookup(7);
-    assert!(matches!(cache.lookup(7), StoreDecision::Compute));
-    cache.fulfill(7, Arc::new(vec![0.5]));
-    let outcome = std::panic::catch_unwind(|| cache.fulfill_qweights(7, Arc::new(vec![3, 4])));
-    assert!(outcome.is_err());
 }
 
 #[test]

@@ -201,7 +201,7 @@ fn fig5b_temporal(c: Campaign<'_>) -> Campaign<'_> {
 
 /// Fig 5b on DVS-Gesture: the temporal path, where every forward step
 /// carries membrane state, so the prefix cache is bypassed and only the
-/// lowered store and the systolic product stores share work.
+/// lowered store and the quantized-weight table share work.
 #[test]
 fn fig5b_dvs_matches_golden() {
     check_figure_on(DatasetKind::DvsGesture, "fig5b_dvs", fig5b_temporal);

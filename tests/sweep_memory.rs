@@ -110,7 +110,7 @@ fn sweep_peak_memory_does_not_hold_every_batch() {
     // batch's batched products. Holding every batch's products adds about
     // that much again per further batch (1.1 times it, measured on a
     // sweep-wide store); releasing them leaves only the single-lane caches
-    // (prefix outputs, lowerings, clean products) to grow with the batch
+    // (prefix outputs, lowerings) to grow with the batch
     // count (0.2 times it).
     let lanes = one_batch - one_map;
     let per_batch = (all_batches - one_batch) / (BATCHES as i64 - 1);
